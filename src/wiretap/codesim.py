@@ -30,9 +30,8 @@ from itertools import product
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
-from .channels import CqEnsemble, QuantumChannel, ResourceState, apply
+from .channels import CqEnsemble, QuantumChannel, ResourceState
 from .qcore import (
     DEFAULT_TOL,
     DensityOperator,
@@ -44,11 +43,12 @@ from .qcore import (
     partial_trace,
     uhlmann_fixup,
 )
-from .rates import theorem1_rate
+from .rates import _CqKernel, _signal_labels, _stack, theorem1_rate
 from .scenario import Scenario
 
 __all__ = [
     "DEFAULT_MAX_DIM",
+    "MAX_WORKING_BYTES",
     "max_dim_cap",
     "Codebook",
     "CodeParams",
@@ -68,6 +68,8 @@ __all__ = [
 
 DEFAULT_MAX_DIM = 4096
 DEFAULT_WORD_CAP = 50_000_000
+# run_experiment refuses a block length whose estimated working set is larger.
+MAX_WORKING_BYTES = 2 * 2**30
 
 
 def max_dim_cap() -> int:
@@ -220,11 +222,12 @@ def symbol_frequencies(codebook: Codebook, num_symbols: int) -> np.ndarray:
 
 def codebook_chi_square(codebook: Codebook, probs: Sequence[float]) -> tuple[float, float]:
     """Chi-square sanity check of empirical symbol counts against the law."""
+    from scipy import stats  # imported here: it costs a second on every CLI start
     probs = np.asarray(probs, dtype=float)
     counts = np.bincount(codebook.words.reshape(-1), minlength=len(probs)).astype(float)
     keep = probs > 0
     expected = probs[keep] / probs[keep].sum() * counts.sum()
-    stat, pvalue = scipy_stats.chisquare(counts[keep], expected)
+    stat, pvalue = stats.chisquare(counts[keep], expected)
     return float(stat), float(pvalue)
 
 
@@ -293,20 +296,17 @@ def _member_outputs(
     ens: CqEnsemble, channel: QuantumChannel, res: ResourceState
 ) -> tuple[list[DensityOperator], list[DensityOperator]]:
     """One-letter Bob-side and Eve-side output states per ensemble symbol."""
-    signal = [lab for lab in ens.space.labels if lab != res.aux_label]
-    bob = {channel.output_space.labels[0], res.bob_label}
-    eve = {channel.output_space.labels[1], res.eve_label}
-    bobs, eves = [], []
-    for s in ens.states:
-        g = apply(channel, s, on=signal)
-        g = apply(res.z_channel, g, on=[res.aux_label])
-        bobs.append(partial_trace(g, bob))
-        eves.append(partial_trace(g, eve))
-    return bobs, eves
+    kernel = _CqKernel(channel, res)
+    members = _stack(ens.states, _signal_labels(ens, res) + [res.aux_label])
+    bobs, eves = kernel.marginals(kernel.pushforward(members))
+    return (
+        [DensityOperator(kernel.bob_space, m, validate=False) for m in bobs],
+        [DensityOperator(kernel.eve_space, m, validate=False) for m in eves],
+    )
 
 
 def _bin_average(matrices: list[np.ndarray], words: np.ndarray) -> list[np.ndarray]:
-    """Per-message uniform mixture of Kronecker products along each bin row."""
+    """Per-message uniform mixture of Kronecker products (or diagonals) along each bin row."""
     m_count, s_count, _ = words.shape
     out = []
     for m in range(m_count):
@@ -318,6 +318,18 @@ def _bin_average(matrices: list[np.ndarray], words: np.ndarray) -> list[np.ndarr
     return out
 
 
+def _eve_outputs(
+    ens: CqEnsemble, channel: QuantumChannel, res: ResourceState, n: int, cap: int | None
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """One-letter Eve outputs and the n-fold power of their average (the reference)."""
+    cap = cap or max_dim_cap()
+    eve_mats = [e.matrix for e in _member_outputs(ens, channel, res)[1]]
+    d_eve = len(eve_mats[0])
+    if d_eve**n > cap:
+        raise ResourceLimitError(f"Eve-side dimension {d_eve}^{n} = {d_eve**n} exceeds cap {cap}")
+    return eve_mats, _kron_chain([sum(q * e for q, e in zip(ens.probs, eve_mats))] * n)
+
+
 def leakage(
     codebook: Codebook,
     ens: CqEnsemble,
@@ -327,21 +339,8 @@ def leakage(
 ) -> LeakageStats:
     """Average and worst-case trace norm between Eve's per-message states
     and the block-length power of the one-letter Eve marginal."""
-    cap = cap or max_dim_cap()
-    _, eves = _member_outputs(ens, channel, res)
-    d_eve = eves[0].dim
-    if d_eve**codebook.n > cap:
-        raise ResourceLimitError(
-            f"Eve-side dimension {d_eve}^{codebook.n} = {d_eve**codebook.n} exceeds cap {cap}"
-        )
-    reference = _kron_chain(
-        [sum(q * e.matrix for q, e in zip(ens.probs, eves))] * codebook.n
-    )
-    eve_mats = [e.matrix for e in eves]
-    dists = [
-        hermitian_trace_norm(bin_avg - reference)
-        for bin_avg in _bin_average(eve_mats, codebook.words)
-    ]
+    eve_mats, reference = _eve_outputs(ens, channel, res, codebook.n, cap)
+    dists = [hermitian_trace_norm(b - reference) for b in _bin_average(eve_mats, codebook.words)]
     return LeakageStats(average=float(np.mean(dists)), per_message_max=float(np.max(dists)))
 
 
@@ -357,20 +356,13 @@ def exact_mixture_leakage(
     This is the S -> infinity sanity case: the full mixture over all length-n
     words with their product weights reproduces the reference state.
     """
-    cap = cap or max_dim_cap()
-    _, eves = _member_outputs(ens, channel, res)
-    d_eve = eves[0].dim
-    if d_eve**n > cap:
-        raise ResourceLimitError(f"Eve-side dimension {d_eve**n} exceeds cap {cap}")
-    eve_mats = [e.matrix for e in eves]
-    probs = np.asarray(ens.probs, dtype=float)
-    mixture = np.zeros((d_eve**n,) * 2, dtype=np.complex128)
+    eve_mats, reference = _eve_outputs(ens, channel, res, n, cap)
+    mixture = np.zeros_like(reference)
     for word in product(range(len(ens)), repeat=n):
-        weight = float(np.prod(probs[list(word)]))
+        weight = float(np.prod(ens.probs[list(word)]))
         if weight == 0.0:
             continue
         mixture += weight * _kron_chain([eve_mats[u] for u in word])
-    reference = _kron_chain([sum(q * e for q, e in zip(probs, eve_mats))] * n)
     return hermitian_trace_norm(mixture - reference)
 
 
@@ -442,18 +434,6 @@ def _diag_or_none(mats: Sequence[np.ndarray]) -> list[np.ndarray] | None:
     return vecs
 
 
-def _bin_average_vec(vecs: list[np.ndarray], words: np.ndarray) -> list[np.ndarray]:
-    m_count, s_count, _ = words.shape
-    out = []
-    for m in range(m_count):
-        acc = None
-        for s in range(s_count):
-            prod_vec = _kron_chain([vecs[u] for u in words[m, s]])
-            acc = prod_vec if acc is None else acc + prod_vec
-        out.append(acc / s_count)
-    return out
-
-
 def _pgm_error_diag(bin_vecs: list[np.ndarray]) -> float:
     """Decoding error of the PGM for diagonal states under a uniform prior.
 
@@ -486,7 +466,7 @@ def run_experiment(
 
     Deterministic in ``seed``: each (block length, trial) pair owns a
     derived seed.  All requested block lengths are checked against the
-    dimension caps up front.
+    dimension caps and, in bytes, against MAX_WORKING_BYTES up front.
     """
     if scenario.ensemble is None:
         raise ValidationError("code simulation needs a scenario with an ensemble")
@@ -498,16 +478,6 @@ def run_experiment(
     res = scenario.resource_state()
 
     bobs, eves = _member_outputs(ens, channel, res)
-    d_bob, d_eve, d_mem = bobs[0].dim, eves[0].dim, ens.space.dim
-    for n in n_list:
-        sizes = {"bob": d_bob**n, "eve": d_eve**n, "signal": d_mem**n}
-        over = {k: v for k, v in sizes.items() if v > cap}
-        if over:
-            raise ResourceLimitError(
-                f"block length {n} exceeds the dimension cap {cap}: "
-                + ", ".join(f"{k} side {v}" for k, v in over.items())
-            )
-
     bob_mats = [b.matrix for b in bobs]
     eve_mats = [e.matrix for e in eves]
     member_mats = [s.matrix for s in ens.states]
@@ -526,10 +496,27 @@ def run_experiment(
         marg_diag = [v.reshape(-1, d_aux).sum(axis=0) for v in member_diag]
         diagonal = (bob_diag, eve_diag, marg_diag, marg_target_diag[0])
 
-    bob_space_cache: dict[int, LabeledSpace] = {}
+    d_bob, d_eve, d_mem = bobs[0].dim, eves[0].dim, ens.space.dim
+    all_params = [code_parameters(ens, channel, res, n, epsilon, rate) for n in n_list]
+    for n, params in zip(n_list, all_params):
+        sizes = {"bob": d_bob**n, "eve": d_eve**n, "signal": d_mem**n}
+        over = {k: v for k, v in sizes.items() if v > cap}
+        if over:
+            raise ResourceLimitError(
+                f"block length {n} exceeds the dimension cap {cap}: "
+                + ", ".join(f"{k} side {v}" for k, v in over.items())
+            )
+        # Peak: M bin averages, plus M PGM elements on the dense path.
+        d = max(sizes.values())
+        need = params.M * d * 8 if diagonal is not None else 2 * params.M * d * d * 16
+        if need > MAX_WORKING_BYTES:
+            raise ResourceLimitError(
+                f"block length {n} needs ~{need / 2**30:.1f} GiB (M = {params.M}, dimension "
+                f"{d}), over the {MAX_WORKING_BYTES / 2**30:.0f} GiB limit"
+            )
+
     reports = []
-    for n in n_list:
-        params = code_parameters(ens, channel, res, n, epsilon, rate)
+    for n, params in zip(n_list, all_params):
         if params.degenerate:
             warnings.warn(f"degenerate single-message code at n={n}", stacklevel=2)
         lams, mus, resids, costs = [], [], [], []
@@ -537,26 +524,13 @@ def run_experiment(
             cb = sample_codebook(ens, n, params.M, params.S, _trial_seed(seed, n, t))
             if diagonal is not None:
                 b_diag, e_diag, m_diag, t_diag = diagonal
-                lams.append(_pgm_error_diag(_bin_average_vec(b_diag, cb.words)))
-                eve_ref = _kron_chain(
-                    [sum(q * v for q, v in zip(ens.probs, e_diag))] * n
-                )
-                mus.append(
-                    float(
-                        np.mean(
-                            [
-                                np.abs(b - eve_ref).sum()
-                                for b in _bin_average_vec(e_diag, cb.words)
-                            ]
-                        )
-                    )
-                )
+                lams.append(_pgm_error_diag(_bin_average(b_diag, cb.words)))
+                eve_ref = _kron_chain([sum(q * v for q, v in zip(ens.probs, e_diag))] * n)
+                dists = [np.abs(b - eve_ref).sum() for b in _bin_average(e_diag, cb.words)]
+                mus.append(float(np.mean(dists)))
                 target_vec = _kron_chain([t_diag] * n)
-                r_list = [
-                    float(np.abs(m - target_vec).sum())
-                    for m in _bin_average_vec(m_diag, cb.words)
-                ]
-                r = float(np.mean(r_list))
+                dists = [np.abs(m - target_vec).sum() for m in _bin_average(m_diag, cb.words)]
+                r = float(np.mean(dists))
                 if r <= 1e-12:
                     c = 0.0
                 else:
@@ -564,9 +538,7 @@ def run_experiment(
                 resids.append(r)
                 costs.append(c)
             else:
-                bob_space = bob_space_cache.setdefault(
-                    n, LabeledSpace(tuple((f"b{i}", d_bob) for i in range(n)))
-                )
+                bob_space = LabeledSpace(tuple((f"b{i}", d_bob) for i in range(n)))
                 bin_states = [
                     DensityOperator(bob_space, m, validate=False).clamped()
                     for m in _bin_average(bob_mats, cb.words)

@@ -26,19 +26,20 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import CqEnsemble, QuantumChannel, ResourceState, apply, cq_state
+from .channels import CqEnsemble, QuantumChannel, ResourceState
 from .qcore import (
     DensityOperator,
     LabeledSpace,
     ResourceLimitError,
     ValidationError,
     hermitian_trace_norm,
-    maximally_mixed,
-    tensor,
+    partial_trace,
 )
 from .rates import (
     FEASIBILITY_THRESHOLD,
     RateReport,
+    _CqKernel,
+    _holevo,
     theorem1_rate,
     unassisted_rate,
 )
@@ -180,21 +181,23 @@ class _EnsembleParam:
         self.block = 2 * self.d * self.d  # real coords of one purification vector
         self.size = k * self.block + k  # plus one logit per member
 
-    def unpack(self, x: np.ndarray) -> CqEnsemble:
-        states = []
-        for u in range(self.k):
-            blk = x[u * self.block : (u + 1) * self.block]
-            v = blk[: self.d * self.d] + 1j * blk[self.d * self.d :]
-            norm = np.linalg.norm(v)
-            if norm < 1e-12:
-                v = np.zeros(self.d * self.d, dtype=np.complex128)
-                v[0] = 1.0
-                norm = 1.0
-            m = (v / norm).reshape(self.d, self.d)
-            states.append(DensityOperator(self.space, m @ m.conj().T, validate=False))
+    def arrays(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked (k, d, d) member matrices and the probability vector."""
+        dd = self.d * self.d
+        blk = x[: self.k * self.block].reshape(self.k, 2, dd)
+        v = blk[:, 0] + 1j * blk[:, 1]
+        norm = np.linalg.norm(v, axis=1)
+        small = norm < 1e-12
+        v[small] = np.eye(1, dd)  # a vanishing block stands for |0><0|
+        norm[small] = 1.0
+        m = (v / norm[:, None]).reshape(self.k, self.d, self.d)
         logits = x[self.k * self.block :]
         z = np.exp(logits - logits.max())
-        probs = z / z.sum()
+        return m @ m.conj().transpose(0, 2, 1), z / z.sum()
+
+    def unpack(self, x: np.ndarray) -> CqEnsemble:
+        members, probs = self.arrays(x)
+        states = [DensityOperator(self.space, m, validate=False) for m in members]
         return CqEnsemble(list(range(self.k)), probs, states)
 
     def pack(self, ens: CqEnsemble) -> np.ndarray:
@@ -255,19 +258,14 @@ def _weyl_modulated_init(
 
 
 def _product_basis_init(
-    member_space: LabeledSpace, signal_space: LabeledSpace, res: ResourceState, k: int
+    member_space: LabeledSpace, marginal: DensityOperator, d_sig: int, k: int
 ) -> CqEnsemble:
     """Computational-basis signals tensored with the resource marginal."""
-    d_sig = signal_space.dim
-    marg = res.zeta_marginal
     n = min(k, d_sig)
-    members = []
-    for i in range(n):
-        vec = np.zeros(d_sig, dtype=np.complex128)
-        vec[i] = 1.0
-        sig = DensityOperator(signal_space, np.outer(vec, vec.conj()), validate=False)
-        m = np.kron(sig.matrix, marg.matrix)
-        members.append(DensityOperator(member_space, m, validate=False))
+    members = [
+        DensityOperator(member_space, np.kron(np.diag(e), marginal.matrix), validate=False)
+        for e in np.eye(d_sig)[:n]
+    ]
     return CqEnsemble(list(range(n)), [1.0 / n] * n, members)
 
 
@@ -282,18 +280,21 @@ def _fresh_label(labels: Sequence) -> str:
 
 
 def _project_to_feasible(
-    ens: CqEnsemble, res: ResourceState, signal_space: LabeledSpace
+    ens: CqEnsemble,
+    res: ResourceState,
+    signal_space: LabeledSpace,
+    marginal: DensityOperator | None = None,
 ) -> CqEnsemble:
     """Exact average-marginal repair by mixing in one corrective member.
 
     Finds the smallest mixing weight t such that (target - (1-t) achieved)/t
     is a state, and appends (maximally mixed signal) x that state.  The
     repaired average marginal matches the target up to matmul noise.
+    ``marginal`` is the resource's A' marginal, read from ``res`` if omitted.
     """
-    aux = res.aux_label
-    target = res.zeta_marginal.matrix
-    from .qcore import partial_trace  # local import to avoid cycle noise
-
+    if marginal is None:
+        marginal = res.zeta_marginal
+    target, aux = marginal.matrix, res.aux_label
     avg = sum(q * partial_trace(s, {aux}).matrix for q, s in zip(ens.probs, ens.states))
     diff = target - avg
     resid = hermitian_trace_norm(diff)
@@ -318,13 +319,11 @@ def _project_to_feasible(
         else:
             lo = mid
     t = hi
-    corr = DensityOperator(
-        res.zeta_marginal.space, avg + diff / t, validate=False
-    ).clamped()
-    member = tensor(
-        maximally_mixed(signal_space), corr.relabeled({res.alice_label: aux})
-    )
-    member = DensityOperator(ens.space, member.matrix, validate=False)
+    # Dividing by a small t magnifies the trace's rounding error; renormalize.
+    corr = avg + diff / t
+    corr = DensityOperator(marginal.space, corr / np.trace(corr).real, validate=False)
+    mixed = np.eye(signal_space.dim) / signal_space.dim
+    member = DensityOperator(ens.space, np.kron(mixed, corr.clamped().matrix), validate=False)
     labels = list(ens.labels) + [_fresh_label(ens.labels)]
     probs = list((1.0 - t) * ens.probs) + [t]
     states = list(ens.states) + [member]
@@ -344,8 +343,9 @@ def optimize_theorem1(
     Each restart runs a penalty continuation (quadratic penalty on the
     trace-norm marginal residual, weight x4 per stage), then applies the
     exact projection and scores the projected ensemble with the true rate.
-    The returned value is always the re-evaluated rate of the returned
-    (feasible) witness.
+    A restart that began at a structured start keeps that start if it
+    scores higher.  The returned value is always the re-evaluated rate of
+    the returned (feasible) witness.
     """
     r_aux = res.phi0.space.dim_of(res.aux_label)
     signal_space = channel.input_space
@@ -353,25 +353,20 @@ def optimize_theorem1(
     k = cfg.num_labels_max or 2 * signal_space.dim * r_aux
     param = _EnsembleParam(member_space, k)
     schedule = _parse_schedule(cfg.step_schedule)
+    kernel = _CqKernel(channel, res)
 
-    inits: list[np.ndarray | None] = []
     weyl = _weyl_modulated_init(member_space, res, k)
-    if weyl is not None:
-        inits.append(param.pack(weyl))
-    inits.append(param.pack(_product_basis_init(member_space, signal_space, res, k)))
+    starts = ([weyl] if weyl is not None else []) + [
+        _product_basis_init(member_space, kernel.marginal, signal_space.dim, k)
+    ]
 
     trace: list[TracePoint] = []
-    best: tuple[float, int] | None = None
     best_ens: CqEnsemble | None = None
     best_rep: RateReport | None = None
 
     for restart in range(cfg.restarts):
         gen = np.random.default_rng([cfg.seed, restart])
-        x = (
-            inits[restart].copy()
-            if restart < len(inits)
-            else param.random(gen)
-        )
+        x = param.pack(starts[restart]) if restart < len(starts) else param.random(gen)
         iters_per_stage = max(1, cfg.max_iters // 3)
         offset = 0
         for stage in range(3):
@@ -379,9 +374,12 @@ def optimize_theorem1(
             last_eval: list[tuple[float, float]] = [(0.0, 0.0)]
 
             def objective(xv: np.ndarray) -> float:
-                rep = theorem1_rate(param.unpack(xv), channel, res)
-                last_eval[0] = (rep.rate, rep.constraint_residual)
-                return rep.rate - weight * rep.constraint_residual**2
+                members, probs = param.arrays(xv)
+                i_bb, i_ee = kernel.bob_eve(kernel.pushforward(members), probs)
+                i_ap, residual = kernel.reference_terms(members, probs)
+                rate = i_bb - max(i_ee, i_ap)
+                last_eval[0] = (rate, residual)
+                return rate - weight * residual**2
 
             def on_accept(it: int, _val: float, _off=offset, _last=last_eval) -> None:
                 trace.append(TracePoint(restart, _off + it, _last[0][0], _last[0][1]))
@@ -391,16 +389,21 @@ def optimize_theorem1(
             )
             offset += iters_per_stage
 
-        ens = _project_to_feasible(param.unpack(x), res, signal_space)
+        ens = _project_to_feasible(param.unpack(x), res, signal_space, kernel.marginal)
         rep = theorem1_rate(ens, channel, res)
+        if restart < len(starts):
+            # The penalty trades residual for rate and projection takes the
+            # rate back: never give up a structured start for a worse witness.
+            start_rep = theorem1_rate(starts[restart], channel, res)
+            if start_rep.rate > rep.rate:
+                ens, rep = starts[restart], start_rep
         trace.append(TracePoint(restart, offset, rep.rate, rep.constraint_residual))
         if rep.constraint_residual > FEASIBILITY_THRESHOLD:
             raise OptimizationError(
                 f"projection left residual {rep.constraint_residual:.3e} > "
                 f"{FEASIBILITY_THRESHOLD} at restart {restart}"
             )
-        if best is None or rep.rate > best[0]:
-            best = (rep.rate, restart)
+        if best_rep is None or rep.rate > best_rep.rate:
             best_ens, best_rep = ens, rep
 
     assert best_ens is not None and best_rep is not None
@@ -419,15 +422,14 @@ def optimize_unassisted(channel: QuantumChannel, cfg: OptimizerConfig) -> OptRes
     param = _EnsembleParam(signal_space, k)
     schedule = _parse_schedule(cfg.step_schedule)
 
-    basis = []
-    for i in range(min(k, signal_space.dim)):
-        vec = np.zeros(signal_space.dim, dtype=np.complex128)
-        vec[i] = 1.0
-        basis.append(DensityOperator(signal_space, np.outer(vec, vec.conj()), validate=False))
-    init0 = param.pack(CqEnsemble(list(range(len(basis))), [1.0 / len(basis)] * len(basis), basis))
+    n = min(k, signal_space.dim)
+    basis = [
+        DensityOperator(signal_space, np.diag(e), validate=False)
+        for e in np.eye(signal_space.dim)[:n]
+    ]
+    init0 = param.pack(CqEnsemble(list(range(n)), [1.0 / n] * n, basis))
 
     trace: list[TracePoint] = []
-    best: tuple[float, int] | None = None
     best_ens: CqEnsemble | None = None
     best_rep: RateReport | None = None
 
@@ -448,8 +450,7 @@ def optimize_unassisted(channel: QuantumChannel, cfg: OptimizerConfig) -> OptRes
         )
         ens = param.unpack(x)
         rep = unassisted_rate(ens, channel)
-        if best is None or rep.rate > best[0]:
-            best = (rep.rate, restart)
+        if best_rep is None or rep.rate > best_rep.rate:
             best_ens, best_rep = ens, rep
 
     assert best_ens is not None and best_rep is not None
@@ -624,10 +625,6 @@ class GridOracleSpec:
     cap: int = 10_000_000
 
 
-def _n_choose_k(n: int, k: int) -> int:
-    return math.comb(n, k)
-
-
 def grid_oracle(
     channel: QuantumChannel, res: ResourceState, spec: GridOracleSpec = GridOracleSpec()
 ) -> float:
@@ -641,21 +638,16 @@ def grid_oracle(
     if signal_space.dim != 2:
         raise ValidationError("grid oracle supports two-dimensional signal spaces only")
 
-    vectors = [np.array([1.0, 0.0], dtype=np.complex128), np.array([0.0, 1.0], dtype=np.complex128)]
-    thetas = np.linspace(0.0, np.pi, spec.theta_points)[1:-1]
-    phis = np.linspace(0.0, 2 * np.pi, spec.phi_points, endpoint=False)
-    for th in thetas:
-        for ph in phis:
-            vectors.append(
-                np.array(
-                    [np.cos(th / 2), np.exp(1j * ph) * np.sin(th / 2)], dtype=np.complex128
-                )
-            )
+    vectors = [np.array([1.0, 0.0]), np.array([0.0, 1.0])] + [
+        np.array([np.cos(th / 2), np.exp(1j * ph) * np.sin(th / 2)])
+        for th in np.linspace(0.0, np.pi, spec.theta_points)[1:-1]
+        for ph in np.linspace(0.0, 2 * np.pi, spec.phi_points, endpoint=False)
+    ]
 
     k = spec.num_members
     n_states = len(vectors)
-    n_member_sets = _n_choose_k(n_states + k - 1, k)
-    n_prob_vectors = _n_choose_k(spec.prob_points + k - 1, k - 1)
+    n_member_sets = math.comb(n_states + k - 1, k)
+    n_prob_vectors = math.comb(spec.prob_points + k - 1, k - 1)
     total = n_member_sets * n_prob_vectors
     if total > spec.cap:
         raise ResourceLimitError(
@@ -663,52 +655,21 @@ def grid_oracle(
             f"shrink the grid or raise the cap"
         )
 
-    aux_dim = res.phi0.space.dim_of(res.aux_label)
-    member_space = signal_space.tensor(LabeledSpace.of((res.aux_label, aux_dim)))
-    marg = res.zeta_marginal.matrix
-    members_pool = [
-        DensityOperator(member_space, np.kron(np.outer(v, v.conj()), marg), validate=False)
-        for v in vectors
-    ]
-
     # Every grid member is (pure signal) x (resource marginal), so the
-    # channel pushforward and the reference marginal can be cached per pool
-    # state; the per-combination work is only the cq assembly and entropies.
-    from .entropic import holevo_information, mutual_information
-    from .qcore import partial_trace
+    # pushforward and the marginals are computed once per pool state; each
+    # member set then costs one batched eigensolve per Holevo term, over all
+    # probability vectors at once.
+    kernel = _CqKernel(channel, res)
+    pool = np.stack([np.kron(np.outer(v, v.conj()), kernel.marginal.matrix) for v in vectors])
+    sides = (*kernel.marginals(kernel.pushforward(pool)), kernel.reference_marginals(pool))
 
-    signal = list(signal_space.labels)
-    pushed_pool = []
-    marg_pool = []
-    for m in members_pool:
-        out = apply(channel, m, signal)
-        pushed_pool.append(apply(res.z_channel, out, [res.aux_label]))
-        marg_pool.append(partial_trace(m, {res.aux_label}))
-    bob = {channel.output_space.labels[0], res.bob_label}
-    eve = {channel.output_space.labels[1], res.eve_label}
-
-    prob_vectors = []
-    for comp in product(range(spec.prob_points + 1), repeat=k):
-        if sum(comp) == spec.prob_points:
-            prob_vectors.append(np.array(comp, dtype=float) / spec.prob_points)
+    probs = np.array(
+        [c for c in product(range(spec.prob_points + 1), repeat=k) if sum(c) == spec.prob_points],
+        dtype=float,
+    ) / spec.prob_points
 
     best = -np.inf
     for combo in combinations_with_replacement(range(n_states), k):
-        for q in prob_vectors:
-            keep = q > 0
-            if not np.any(keep):
-                continue
-            labels = [i for i, f in enumerate(keep) if f]
-            probs = q[keep]
-            gamma = cq_state(
-                CqEnsemble(labels, probs, [pushed_pool[combo[i]] for i in labels])
-            )
-            i_bb = mutual_information(gamma, {"U"}, bob).value
-            i_ee = mutual_information(gamma, {"U"}, eve).value
-            i_ap = holevo_information(
-                CqEnsemble(labels, probs, [marg_pool[combo[i]] for i in labels])
-            )
-            rate = i_bb - max(i_ee, i_ap)
-            if rate > best:
-                best = rate
+        i_bb, i_ee, i_ap = (_holevo(x[list(combo)], probs) for x in sides)
+        best = max(best, float(np.max(i_bb - np.maximum(i_ee, i_ap))))
     return float(best)

@@ -97,6 +97,10 @@ class LabeledSpace:
         for lab, dim in factors:
             if dim < 1:
                 raise ValidationError(f"subsystem {lab!r} has dimension {dim} < 1")
+        # Read on every state operation: computed once, outside the fields, so
+        # equality, hashing and repr still see ``factors`` alone.
+        object.__setattr__(self, "_dims", tuple(dim for _, dim in factors))
+        object.__setattr__(self, "_dim", math.prod(self._dims))
 
     @classmethod
     def of(cls, *factors: tuple[str, int]) -> "LabeledSpace":
@@ -108,11 +112,11 @@ class LabeledSpace:
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.factors)
+        return self._dims
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims, dtype=np.int64)) if self.factors else 1
+        return self._dim
 
     def index(self, label: str) -> int:
         for i, (lab, _) in enumerate(self.factors):

@@ -301,3 +301,65 @@ def test_cli_subprocess_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "trivial.json").exists()
+
+
+def test_rate_optimize_witness_file_reloads_after_projection(tmp_path, capsys):
+    # At these settings the searched restarts end on repair members of
+    # weight ~2e-9; whichever witness wins, its file must load as a valid
+    # ensemble that meets the average-marginal constraint.
+    from wiretap.channels import ensemble_from_json
+    from wiretap.rates import FEASIBILITY_THRESHOLD, marginal_constraint_residual
+
+    sc = build_gallery("superdense")
+    sc_path = tmp_path / "superdense.json"
+    save_scenario(sc, sc_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 1, "restarts": 2, "max_iters": 60}))
+    out_dir = tmp_path / "opt"
+    code, _, _ = run_cli(
+        capsys, "rate-optimize", "--scenario", str(sc_path), "--mode", "theorem1",
+        "--config", str(cfg_path), "--out", str(out_dir),
+    )
+    assert code == 0
+    witness = ensemble_from_json(json.loads((out_dir / "witness_ensemble.json").read_text()))
+    residual = marginal_constraint_residual(witness, sc.resource_state())
+    assert residual <= FEASIBILITY_THRESHOLD
+
+
+def test_cli_import_does_not_load_scipy():
+    import os
+
+    import wiretap
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wiretap.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, wiretap.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_code_sim_refuses_oversized_dense_run(tmp_path, capsys, monkeypatch):
+    # Superdense at n = 5 passes the dimension cap (4^5 = 1024 per side) but
+    # its 512 dense bin averages would need ~16 GiB: refused before allocating.
+    import wiretap.codesim
+
+    def no_alloc(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("bin averages allocated before the byte check")
+
+    monkeypatch.setattr(wiretap.codesim, "_bin_average", no_alloc)
+    sc_path = tmp_path / "superdense.json"
+    save_scenario(build_gallery("superdense"), sc_path)
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps({"n": [5], "epsilon": 0.1, "trials": 1}))
+    code, _, err = run_cli(
+        capsys, "code-sim", "--scenario", str(sc_path), "--config", str(cfg_path),
+        "--seed", "1", "--out", str(tmp_path),
+    )
+    assert code == 3
+    payload = json.loads(err.splitlines()[0])
+    assert payload["type"] == "resource-limit"
+    assert "GiB" in payload["error"]

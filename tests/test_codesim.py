@@ -353,3 +353,19 @@ def test_sim_report_validation():
         SimReport(1, 1, 1, 0.5, 1.5, 0.0, 0.0, 0.0, 1, 0.0)
     with pytest.raises(ValidationError):
         SimReport(1, 1, 1, 0.5, 0.5, 2.5, 0.0, 0.0, 1, 0.0)
+
+
+def test_run_experiment_refuses_by_bytes_before_allocating(monkeypatch):
+    import wiretap.codesim as codesim
+
+    def no_alloc(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("bin averages allocated before the byte check")
+
+    monkeypatch.setattr(codesim, "_bin_average", no_alloc)
+    sc = gallery_superdense()
+    assert code_parameters(sc.ensemble, sc.channel, sc.resource_state(), 5, 0.1).M == 512
+    with pytest.raises(ResourceLimitError, match="GiB"):
+        run_experiment(sc, [5], 0.1, trials=1, seed=1)
+    # The same block length also stops a list that starts with a small one.
+    with pytest.raises(ResourceLimitError, match="block length 5"):
+        run_experiment(sc, [1, 5], 0.1, trials=1, seed=1)

@@ -1,0 +1,359 @@
+"""The batched cq-rate kernel against the block-diagonal reference path.
+
+Every fast path in `rates` (the three rate functionals), `optimize`
+(the grid oracle) and `codesim` (the one-letter member outputs) runs on
+`rates._CqKernel`.  The reference here is the construction the kernel
+replaced: push each member through `apply`, assemble the cq-state with
+`cq_state`, and read each I(U:X) off `mutual_information`.
+"""
+
+from itertools import combinations_with_replacement, product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    bell_resource_state,
+    broadcast_copy_channel,
+    identity_qubit_wiretap,
+    random_kraus,
+    random_state,
+    rng,
+)
+from wiretap.channels import (
+    CqEnsemble,
+    QuantumChannel,
+    apply,
+    channel_from_resource_state,
+    cq_state,
+    trivial_resource,
+)
+from wiretap.codesim import _member_outputs
+from wiretap.entropic import holevo_information, mutual_information
+from wiretap.optimize import (
+    GridOracleSpec,
+    OptimizerConfig,
+    _weyl_modulated_init,
+    grid_oracle,
+    optimize_theorem1,
+)
+from wiretap.qcore import DensityOperator, LabeledSpace, partial_trace
+from wiretap.rates import (
+    build_beta,
+    build_gamma,
+    classical_embed,
+    marginal_constraint_residual,
+    theorem1_rate,
+    trivial_rate,
+    unassisted_rate,
+)
+from wiretap.scenario import build_gallery, correlated_bits_pmf, gallery_classical
+
+TOL = 1e-12
+
+
+def report_fields(rep):
+    return np.array(
+        [rep.i_u_bb, rep.i_u_ee, rep.i_u_aprime, rep.rate, rep.constraint_residual]
+    )
+
+
+def bob_eve(ch, res):
+    if res is None:
+        return {ch.output_space.labels[0]}, {ch.output_space.labels[1]}
+    return (
+        {ch.output_space.labels[0], res.bob_label},
+        {ch.output_space.labels[1], res.eve_label},
+    )
+
+
+def reference_theorem1(ens, ch, res):
+    aux = res.aux_label
+    margs = [partial_trace(s, {aux}).matrix for s in ens.states]
+    if all(np.array_equal(margs[0], m) for m in margs[1:]):
+        i_ap = 0.0
+    else:
+        i_ap = mutual_information(build_beta(ens), {"U"}, {aux}).value
+    gamma = build_gamma(ens, ch, res)
+    bob, eve = bob_eve(ch, res)
+    i_bb = mutual_information(gamma, {"U"}, bob).value
+    i_ee = mutual_information(gamma, {"U"}, eve).value
+    residual = marginal_constraint_residual(ens, res)
+    return np.array([i_bb, i_ee, i_ap, i_bb - max(i_ee, i_ap), residual])
+
+
+def reference_unassisted(ens, ch):
+    pushed = [apply(ch, s, on=list(ens.space.labels)) for s in ens.states]
+    gamma = cq_state(CqEnsemble(ens.labels, ens.probs, pushed))
+    bob, eve = bob_eve(ch, None)
+    i_bb = mutual_information(gamma, {"U"}, bob).value
+    i_ee = mutual_information(gamma, {"U"}, eve).value
+    return np.array([i_bb, i_ee, 0.0, i_bb - i_ee, 0.0])
+
+
+def reference_trivial(probs, mods, ch, res):
+    members, avg = [], 0
+    for q, mod in zip(probs, mods):
+        w = apply(mod, res.zeta, on=[res.alice_label])
+        members.append(apply(ch, w, on=list(mod.output_space.labels)))
+        eta = apply(mod, res.phi0, on=[res.alice_label])
+        avg = avg + q * partial_trace(eta, {res.aux_label}).matrix
+    residual = float(np.sum(np.abs(np.linalg.eigvalsh(avg - res.zeta_marginal.matrix))))
+    gamma = cq_state(CqEnsemble(list(range(len(members))), probs, members))
+    bob, eve = bob_eve(ch, res)
+    i_bb = mutual_information(gamma, {"U"}, bob).value
+    i_ee = mutual_information(gamma, {"U"}, eve).value
+    return np.array([i_bb, i_ee, 0.0, i_bb - i_ee, residual])
+
+
+def reference_member_outputs(ens, ch, res):
+    signal = [lab for lab in ens.space.labels if lab != res.aux_label]
+    bob, eve = bob_eve(ch, res)
+    bobs, eves = [], []
+    for s in ens.states:
+        g = apply(res.z_channel, apply(ch, s, on=signal), on=[res.aux_label])
+        bobs.append(partial_trace(g, bob))
+        eves.append(partial_trace(g, eve))
+    return bobs, eves
+
+
+def reference_grid_oracle(ch, res, spec):
+    vectors = [np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)]
+    for th in np.linspace(0.0, np.pi, spec.theta_points)[1:-1]:
+        for ph in np.linspace(0.0, 2 * np.pi, spec.phi_points, endpoint=False):
+            vectors.append(np.array([np.cos(th / 2), np.exp(1j * ph) * np.sin(th / 2)]))
+    aux_dim = res.phi0.space.dim_of(res.aux_label)
+    space = ch.input_space.tensor(LabeledSpace.of((res.aux_label, aux_dim)))
+    marg = res.zeta_marginal.matrix
+    pool = [
+        DensityOperator(space, np.kron(np.outer(v, v.conj()), marg), validate=False)
+        for v in vectors
+    ]
+    signal = list(ch.input_space.labels)
+    pushed = [apply(res.z_channel, apply(ch, m, signal), [res.aux_label]) for m in pool]
+    margs = [partial_trace(m, {res.aux_label}) for m in pool]
+    bob, eve = bob_eve(ch, res)
+    k = spec.num_members
+    best = -np.inf
+    for combo in combinations_with_replacement(range(len(pool)), k):
+        for comp in product(range(spec.prob_points + 1), repeat=k):
+            if sum(comp) != spec.prob_points:
+                continue
+            q = np.array(comp, dtype=float) / spec.prob_points
+            labels = [i for i in range(k) if q[i] > 0]
+            gamma = cq_state(CqEnsemble(labels, q[labels], [pushed[combo[i]] for i in labels]))
+            i_bb = mutual_information(gamma, {"U"}, bob).value
+            i_ee = mutual_information(gamma, {"U"}, eve).value
+            i_ap = holevo_information(
+                CqEnsemble(labels, q[labels], [margs[combo[i]] for i in labels])
+            )
+            best = max(best, i_bb - max(i_ee, i_ap))
+    return best
+
+
+# ---------------------------------------------------------------------------
+# Random instances
+# ---------------------------------------------------------------------------
+
+
+def random_wiretap(gen, d_b, d_e, n_kraus):
+    """Random channel A -> (B, E) with a non-trivial Eve."""
+    return QuantumChannel(
+        LabeledSpace.of(("A", 2)),
+        LabeledSpace.of(("B", d_b), ("E", d_e)),
+        random_kraus(gen, 2, d_b * d_e, n_kraus),
+    )
+
+
+def random_resource(gen, rank):
+    """Random (Ap, Bp, Ep) resource; rank 1 makes Alice's marginal rank deficient."""
+    space = LabeledSpace.of(("Ap", 2), ("Bp", 2), ("Ep", 2))
+    if rank == 1:
+        # Alice's share is |0> with probability one: her marginal has rank 1.
+        rest = random_state(gen, LabeledSpace.of(("Bp", 2), ("Ep", 2)))
+        zeta = DensityOperator(space, np.kron(np.diag([1.0, 0.0]), rest.matrix))
+    else:
+        zeta = random_state(gen, space, rank=rank)
+    return channel_from_resource_state(zeta)
+
+
+def random_ensemble(gen, space, k):
+    probs = gen.dirichlet(np.ones(k))
+    states = [random_state(gen, space, rank=int(gen.integers(1, space.dim + 1))) for _ in range(k)]
+    return CqEnsemble(list(range(k)), probs, states)
+
+
+instances = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 2**31 - 1),
+        "k": st.integers(1, 8),
+        "d_b": st.sampled_from([2, 3]),
+        "d_e": st.sampled_from([2, 3]),
+        "n_kraus": st.integers(1, 3),
+        "rank": st.sampled_from([1, 2, 8]),
+        "aux_first": st.booleans(),
+    }
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(instances)
+def test_theorem1_rate_matches_reference(inst):
+    gen = rng(inst["seed"])
+    ch = random_wiretap(gen, inst["d_b"], inst["d_e"], inst["n_kraus"])
+    res = random_resource(gen, inst["rank"])
+    r = res.phi0.space.dim_of(res.aux_label)
+    factors = [("A", 2), (res.aux_label, r)]
+    space = LabeledSpace(tuple(factors[::-1] if inst["aux_first"] else factors))
+    ens = random_ensemble(gen, space, inst["k"])
+    got = report_fields(theorem1_rate(ens, ch, res))
+    np.testing.assert_allclose(got, reference_theorem1(ens, ch, res), rtol=0, atol=TOL)
+
+
+def test_theorem1_rate_matches_reference_on_interleaved_signal_factors():
+    # Two signal factors with A' between them: the signal factors keep their
+    # order and are matched positionally to the channel input.
+    gen = rng(5)
+    ch = QuantumChannel(
+        LabeledSpace.of(("A1", 2), ("A2", 2)),
+        LabeledSpace.of(("B", 2), ("E", 2)),
+        random_kraus(gen, 4, 4, 3),
+    )
+    res = random_resource(gen, 8)
+    space = LabeledSpace.of(("A1", 2), (res.aux_label, 2), ("A2", 2))
+    for k in (1, 3, 8):
+        ens = random_ensemble(gen, space, k)
+        got = report_fields(theorem1_rate(ens, ch, res))
+        np.testing.assert_allclose(got, reference_theorem1(ens, ch, res), rtol=0, atol=TOL)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(instances)
+def test_unassisted_rate_matches_reference(inst):
+    gen = rng(inst["seed"])
+    ch = random_wiretap(gen, inst["d_b"], inst["d_e"], inst["n_kraus"])
+    ens = random_ensemble(gen, ch.input_space, inst["k"])
+    got = report_fields(unassisted_rate(ens, ch))
+    np.testing.assert_allclose(got, reference_unassisted(ens, ch), rtol=0, atol=TOL)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(instances)
+def test_trivial_rate_matches_reference(inst):
+    gen = rng(inst["seed"])
+    ch = random_wiretap(gen, inst["d_b"], inst["d_e"], inst["n_kraus"])
+    res = random_resource(gen, inst["rank"])
+    alice = LabeledSpace.of((res.alice_label, res.zeta.space.dim_of(res.alice_label)))
+    mods = [
+        QuantumChannel(alice, ch.input_space, random_kraus(gen, alice.dim, 2, 2))
+        for _ in range(inst["k"])
+    ]
+    probs = gen.dirichlet(np.ones(inst["k"]))
+    got = report_fields(trivial_rate(probs, mods, ch, res))
+    np.testing.assert_allclose(got, reference_trivial(probs, mods, ch, res), rtol=0, atol=TOL)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(instances)
+def test_member_outputs_match_reference(inst):
+    gen = rng(inst["seed"])
+    ch = random_wiretap(gen, inst["d_b"], inst["d_e"], inst["n_kraus"])
+    res = random_resource(gen, inst["rank"])
+    r = res.phi0.space.dim_of(res.aux_label)
+    factors = [("A", 2), (res.aux_label, r)]
+    space = LabeledSpace(tuple(factors[::-1] if inst["aux_first"] else factors))
+    ens = random_ensemble(gen, space, inst["k"])
+    for got, want in zip(_member_outputs(ens, ch, res), reference_member_outputs(ens, ch, res)):
+        for g, w in zip(got, want):
+            assert g.space == w.space
+            np.testing.assert_allclose(g.matrix, w.matrix, rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("name", ["trivial", "superdense", "broadcast", "classical"])
+def test_member_outputs_match_reference_on_galleries(name):
+    sc = build_gallery(name)
+    res = sc.resource_state()
+    got = _member_outputs(sc.ensemble, sc.channel, res)
+    want = reference_member_outputs(sc.ensemble, sc.channel, res)
+    for g_side, w_side in zip(got, want):
+        for g, w in zip(g_side, w_side):
+            assert g.space == w.space
+            np.testing.assert_allclose(g.matrix, w.matrix, rtol=0, atol=TOL)
+
+
+def test_member_outputs_stay_exactly_diagonal_on_classical_instances():
+    # The code simulator's diagonal fast path needs exact zeros off the
+    # diagonal, not rounding noise.
+    for sc in (gallery_classical(), gallery_classical(correlated_bits_pmf())):
+        bobs, eves = _member_outputs(sc.ensemble, sc.channel, sc.resource_state())
+        for m in [b.matrix for b in bobs] + [e.matrix for e in eves]:
+            assert np.array_equal(m, np.diag(np.diagonal(m).real))
+
+
+def _depolarizing_wiretap(p=0.3):
+    paulis = [
+        np.array([[0, 1], [1, 0]], dtype=complex),
+        np.array([[0, -1j], [1j, 0]], dtype=complex),
+        np.array([[1, 0], [0, -1]], dtype=complex),
+    ]
+    kraus = [np.sqrt(1 - p) * np.eye(2, dtype=complex)] + [np.sqrt(p / 3) * m for m in paulis]
+    v = np.zeros((8, 2), dtype=complex)  # Stinespring isometry onto (B, E)
+    for e, k in enumerate(kraus):
+        for b in range(2):
+            v[b * 4 + e, :] = k[b, :]
+    return QuantumChannel(LabeledSpace.of(("A", 2)), LabeledSpace.of(("B", 2), ("E", 4)), [v])
+
+
+SMALL = GridOracleSpec(theta_points=5, phi_points=4, prob_points=4)
+
+
+@pytest.mark.parametrize(
+    "make, spec",
+    [
+        (lambda: (identity_qubit_wiretap(), trivial_resource()), SMALL),
+        (lambda: (broadcast_copy_channel(), trivial_resource()), SMALL),
+        (
+            lambda: (_depolarizing_wiretap(), trivial_resource()),
+            GridOracleSpec(theta_points=7, phi_points=4, prob_points=4),
+        ),
+        (
+            lambda: (broadcast_copy_channel(), bell_resource_state()),
+            GridOracleSpec(num_members=2, theta_points=3, phi_points=2, prob_points=2),
+        ),
+        (
+            lambda: (
+                gallery_classical().channel,
+                channel_from_resource_state(classical_embed(np.full((2, 2, 1), 0.25))),
+            ),
+            SMALL,
+        ),
+        (lambda: (gallery_classical().channel, trivial_resource()), SMALL),
+    ],
+)
+def test_grid_oracle_matches_reference(make, spec):
+    ch, res = make()
+    assert abs(grid_oracle(ch, res, spec) - reference_grid_oracle(ch, res, spec)) <= TOL
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: (identity_qubit_wiretap(), bell_resource_state()),
+        lambda: (broadcast_copy_channel(), bell_resource_state()),
+        lambda: (random_wiretap(rng(17), 2, 2, 2), random_resource(rng(18), 8)),
+    ],
+)
+def test_optimize_theorem1_never_below_its_weyl_witness(make):
+    ch, res = make()
+    r = res.phi0.space.dim_of(res.aux_label)
+    space = ch.input_space.tensor(LabeledSpace.of((res.aux_label, r)))
+    cfg = OptimizerConfig(seed=3, restarts=2, max_iters=90)
+    k = 2 * ch.input_space.dim * r
+    weyl = _weyl_modulated_init(space, res, k)
+    assert weyl is not None
+    out = optimize_theorem1(ch, res, cfg)
+    assert out.best_value >= theorem1_rate(weyl, ch, res).rate - TOL
+    assert out.best_value == theorem1_rate(out.best_ensemble, ch, res).rate
+

@@ -28,6 +28,7 @@ from wiretap.optimize import (
     optimize_unassisted,
 )
 from wiretap.qcore import (
+    DensityOperator,
     LabeledSpace,
     ResourceLimitError,
     ValidationError,
@@ -314,3 +315,23 @@ def test_grid_oracle_rejects_non_qubit_signal():
     )
     with pytest.raises(ValidationError, match="two-dimensional"):
         grid_oracle(ch, trivial_resource())
+
+
+def test_projection_repair_member_has_unit_trace_at_tiny_weight():
+    # Four Bell states plus a weight-1e-8 member with a skewed reference
+    # marginal: the repair weight t is ~2e-9, so (avg + diff / t) magnifies
+    # the trace's rounding error by 1/t unless it is renormalized.
+    from wiretap.channels import ensemble_from_json, ensemble_to_json
+
+    res = bell_resource_state()
+    bell = superdense_ensemble()
+    skew = DensityOperator(bell.space, np.kron(np.eye(2) / 2, np.diag([0.6, 0.4])))
+    q = 1e-8
+    ens = CqEnsemble(
+        list(range(5)), [(1 - q) / 4] * 4 + [q], list(bell.states) + [skew]
+    )
+    fixed = _project_to_feasible(ens, res, A)
+    assert len(fixed) == 6 and fixed.probs[-1] < 1e-8
+    assert abs(np.trace(fixed.states[-1].matrix).real - 1.0) <= 1e-12
+    reloaded = ensemble_from_json(ensemble_to_json(fixed))
+    assert marginal_constraint_residual(reloaded, res) <= 1e-12

@@ -145,7 +145,7 @@ def apply(ch: QuantumChannel, rho: DensityOperator, on: Sequence[str]) -> Densit
         new_space = space.subspace(pass_labels).tensor(ch.output_space)
     else:
         new_space = ch.output_space
-    return DensityOperator(new_space, out, validate=False).clamped()
+    return DensityOperator(new_space, out, validate=False)
 
 
 def kraus_to_choi(ch: QuantumChannel, ref_label: str = "ref") -> DensityOperator:

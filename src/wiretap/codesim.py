@@ -13,6 +13,12 @@ measurement, and measure
 * the average deviation of the reference-side marginal from its target and
   the trace-norm cost of the Uhlmann repair that removes it.
 
+Each one-letter side (Bob's outputs, Eve's outputs, the A' marginals of
+the members and of the resource) runs on real diagonals when all its
+matrices are exactly diagonal, else on matrices.  The marginal residual is
+read off the bin-averaged A' marginals; only above 1e-12 are the dense
+signal-side averages built and repaired (``marginal_residual_and_fixup``).
+
 The decoder choice is a design decision: the PGM stands in for the abstract
 decoder of the coding theorem.  Reported leakage uses the fixed reference
 state, so it upper-bounds the best-reference leakage.  Codeword sampling is
@@ -399,7 +405,7 @@ def marginal_residual_and_fixup(
     member_mats = [s.matrix for s in ens.states]
     residuals, costs = [], []
     for avg_mat in _bin_average(member_mats, codebook.words):
-        eta_tilde = DensityOperator(member_space_n, avg_mat, validate=False).clamped(tol)
+        eta_tilde = DensityOperator(member_space_n, avg_mat, validate=False)
         marg = partial_trace(eta_tilde, set(aux_labels))
         residuals.append(hermitian_trace_norm(marg.matrix - target.matrix))
         eta = uhlmann_fixup(eta_tilde, target, aux_labels, tol=tol)
@@ -419,38 +425,52 @@ def _trial_seed(seed: int, n: int, trial: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Diagonal (classical) fast path
+# Trial helpers: each reads a side held as real diagonals or as matrices
 # ---------------------------------------------------------------------------
 
 
-def _diag_or_none(mats: Sequence[np.ndarray]) -> list[np.ndarray] | None:
-    """Real diagonals of exactly-diagonal matrices, or None."""
+def _diagonals(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Real diagonals when every matrix is exactly diagonal, else the matrices."""
     vecs = []
     for m in mats:
         d = np.diagonal(m)
         if np.any(m != np.diag(d)) or np.any(d.imag != 0.0):
-            return None
+            return list(mats)
         vecs.append(np.ascontiguousarray(d.real))
     return vecs
 
 
-def _pgm_error_diag(bin_vecs: list[np.ndarray]) -> float:
-    """Decoding error of the PGM for diagonal states under a uniform prior.
+def _mean_distance(side: list[np.ndarray], words: np.ndarray, reference: np.ndarray) -> float:
+    """Mean trace norm between the bin averages of ``side`` and ``reference``."""
+    norm = hermitian_trace_norm if reference.ndim == 2 else lambda x: np.abs(x).sum()
+    return float(np.mean([norm(b - reference) for b in _bin_average(side, words)]))
 
-    For commuting states the PGM elements are the likelihood ratios
-    p v_m / avg on the support of the average; the success probability is
-    the same expression the dense path computes.
+
+def _pgm_error(bins: list[np.ndarray]) -> float:
+    """Decoding error of the PGM on equiprobable bin states.
+
+    For diagonals (commuting states) the PGM elements are the likelihood
+    ratios p v_m / avg on the support of the average, and the success
+    probability is the expression ``pgm_success`` evaluates on matrices.
     """
-    m_count = len(bin_vecs)
-    prior = 1.0 / m_count
-    avg = sum(bin_vecs) * prior
+    if bins[0].ndim == 2:
+        space = LabeledSpace.of(("B", len(bins[0])))
+        states = [DensityOperator(space, m, validate=False) for m in bins]
+        return 1.0 - pgm_success(states, pgm_decoder(states))
+    prior = 1.0 / len(bins)
+    avg = sum(bins) * prior
     mask = avg > 0.0
     succ = 0.0
-    for v in bin_vecs:
+    for v in bins:
         ratio = np.zeros_like(avg)
         ratio[mask] = prior * v[mask] / avg[mask]
         succ += prior * float(np.dot(v, ratio))
     return 1.0 - min(max(succ, 0.0), 1.0)
+
+
+def _bin_bytes(side: list[np.ndarray], n: int) -> int:
+    d = len(side[0]) ** n
+    return d * 8 if side[0].ndim == 1 else d * d * 16
 
 
 def run_experiment(
@@ -477,78 +497,54 @@ def run_experiment(
     channel = scenario.channel
     res = scenario.resource_state()
 
+    # The members' A' marginals and the resource marginal are compared with
+    # each other, so they share one representation.
     bobs, eves = _member_outputs(ens, channel, res)
-    bob_mats = [b.matrix for b in bobs]
-    eve_mats = [e.matrix for e in eves]
-    member_mats = [s.matrix for s in ens.states]
+    bob = _diagonals([b.matrix for b in bobs])
+    eve = _diagonals([e.matrix for e in eves])
+    *margs, target = _diagonals(
+        [partial_trace(s, {res.aux_label}).matrix for s in ens.states]
+        + [res.zeta_marginal.matrix]
+    )
+    eve_avg = sum(q * e for q, e in zip(ens.probs, eve))
+    repairs = any(np.any(m != target) for m in margs)
 
-    # Classical instances (all diagonal matrices) run on probability
-    # vectors: same quantities, no dense eigensolves.  The dense path is
-    # the reference implementation; the two agree exactly on diagonal
-    # inputs (see the test suite).
-    bob_diag = _diag_or_none(bob_mats)
-    eve_diag = _diag_or_none(eve_mats)
-    member_diag = _diag_or_none(member_mats)
-    marg_target_diag = _diag_or_none([res.zeta_marginal.matrix])
-    diagonal = None
-    if None not in (bob_diag, eve_diag, member_diag, marg_target_diag):
-        d_aux = res.phi0.space.dim_of(res.aux_label)
-        marg_diag = [v.reshape(-1, d_aux).sum(axis=0) for v in member_diag]
-        diagonal = (bob_diag, eve_diag, marg_diag, marg_target_diag[0])
-
-    d_bob, d_eve, d_mem = bobs[0].dim, eves[0].dim, ens.space.dim
     all_params = [code_parameters(ens, channel, res, n, epsilon, rate) for n in n_list]
     for n, params in zip(n_list, all_params):
-        sizes = {"bob": d_bob**n, "eve": d_eve**n, "signal": d_mem**n}
+        sizes = {"bob": len(bob[0]) ** n, "eve": len(eve[0]) ** n, "signal": ens.space.dim**n}
         over = {k: v for k, v in sizes.items() if v > cap}
         if over:
             raise ResourceLimitError(
                 f"block length {n} exceeds the dimension cap {cap}: "
                 + ", ".join(f"{k} side {v}" for k, v in over.items())
             )
-        # Peak: M bin averages, plus M PGM elements on the dense path.
-        d = max(sizes.values())
-        need = params.M * d * 8 if diagonal is not None else 2 * params.M * d * d * 16
+        # Peak: the M bin averages of one side, plus M PGM elements on a dense
+        # Bob side; a repair holds M dense signal-side averages.
+        pgm = 1 if bob[0].ndim == 1 else 2
+        sides = (pgm * _bin_bytes(bob, n), _bin_bytes(eve, n), _bin_bytes(margs, n))
+        need = params.M * max(*sides, sizes["signal"] ** 2 * 16 if repairs else 0)
         if need > MAX_WORKING_BYTES:
             raise ResourceLimitError(
-                f"block length {n} needs ~{need / 2**30:.1f} GiB (M = {params.M}, dimension "
-                f"{d}), over the {MAX_WORKING_BYTES / 2**30:.0f} GiB limit"
+                f"block length {n} needs ~{need / 2**30:.1f} GiB (M = {params.M}), "
+                f"over the {MAX_WORKING_BYTES / 2**30:.0f} GiB limit"
             )
 
     reports = []
     for n, params in zip(n_list, all_params):
         if params.degenerate:
             warnings.warn(f"degenerate single-message code at n={n}", stacklevel=2)
+        eve_ref = _kron_chain([eve_avg] * n)
+        target_n = _kron_chain([target] * n)
         lams, mus, resids, costs = [], [], [], []
         for t in range(trials):
             cb = sample_codebook(ens, n, params.M, params.S, _trial_seed(seed, n, t))
-            if diagonal is not None:
-                b_diag, e_diag, m_diag, t_diag = diagonal
-                lams.append(_pgm_error_diag(_bin_average(b_diag, cb.words)))
-                eve_ref = _kron_chain([sum(q * v for q, v in zip(ens.probs, e_diag))] * n)
-                dists = [np.abs(b - eve_ref).sum() for b in _bin_average(e_diag, cb.words)]
-                mus.append(float(np.mean(dists)))
-                target_vec = _kron_chain([t_diag] * n)
-                dists = [np.abs(m - target_vec).sum() for m in _bin_average(m_diag, cb.words)]
-                r = float(np.mean(dists))
-                if r <= 1e-12:
-                    c = 0.0
-                else:
-                    r, c = marginal_residual_and_fixup(cb, ens, res, cap=cap)
-                resids.append(r)
-                costs.append(c)
-            else:
-                bob_space = LabeledSpace(tuple((f"b{i}", d_bob) for i in range(n)))
-                bin_states = [
-                    DensityOperator(bob_space, m, validate=False).clamped()
-                    for m in _bin_average(bob_mats, cb.words)
-                ]
-                povm = pgm_decoder(bin_states)
-                lams.append(1.0 - pgm_success(bin_states, povm))
-                mus.append(leakage(cb, ens, channel, res, cap=cap).average)
+            lams.append(_pgm_error(_bin_average(bob, cb.words)))
+            mus.append(_mean_distance(eve, cb.words, eve_ref))
+            r, c = _mean_distance(margs, cb.words, target_n), 0.0
+            if r > 1e-12:
                 r, c = marginal_residual_and_fixup(cb, ens, res, cap=cap)
-                resids.append(r)
-                costs.append(c)
+            resids.append(r)
+            costs.append(c)
         lam_arr = np.asarray(lams)
         ci = (
             1.96 * float(lam_arr.std(ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0

@@ -38,6 +38,7 @@ from .qcore import (
     DensityOperator,
     LabeledSpace,
     ValidationError,
+    _fresh_label,
     basis_state,
     partial_trace,
     permute_factors,
@@ -72,15 +73,6 @@ class EpBoundResult:
     info_term: float
     ep_average: float
     witness_flag: bool
-
-
-def _fresh(label: str, taken) -> str:
-    cand = label
-    i = 0
-    while cand in set(taken):
-        i += 1
-        cand = f"{label}{i}"
-    return cand
 
 
 def _embedding_isometry(d_in: int, d_out: int) -> np.ndarray:
@@ -129,7 +121,7 @@ def dense_coding_advantage(
     cap = dim_a_cap or d_a * d_a
     if cap < 1:
         raise ValidationError("dim_a_cap must be positive")
-    out_label = _fresh("A", zeta_ab.space.labels)
+    out_label = _fresh_label("A", zeta_ab.space.labels)
     in_space = zeta_ab.space.subspace([alice])
     out_space = LabeledSpace.of((out_label, cap))
 
@@ -165,14 +157,14 @@ def entanglement_of_purification(
     if len(rho_cd.space.factors) != 2:
         raise ValidationError("entanglement_of_purification expects a bipartite state")
     c_label, d_label = rho_cd.space.labels
-    e_label = _fresh("Epur", rho_cd.space.labels)
+    e_label = _fresh_label("Epur", rho_cd.space.labels)
     psi = purify(rho_cd, e_label)
     d_e = psi.space.dim_of(e_label)
     cap = dim_f_cap or d_e
     if cap < 1:
         raise ValidationError("dim_f_cap must be positive")
     psi_ce = partial_trace(psi, {c_label, e_label})
-    f_label = _fresh("F", rho_cd.space.labels)
+    f_label = _fresh_label("F", rho_cd.space.labels)
     in_space = psi.space.subspace([e_label])
     out_space = LabeledSpace.of((f_label, cap))
 

@@ -32,6 +32,7 @@ from .qcore import (
     LabeledSpace,
     ResourceLimitError,
     ValidationError,
+    _fresh_label,
     hermitian_trace_norm,
     partial_trace,
 )
@@ -269,16 +270,6 @@ def _product_basis_init(
     return CqEnsemble(list(range(n)), [1.0 / n] * n, members)
 
 
-def _fresh_label(labels: Sequence) -> str:
-    cand = "repair"
-    taken = {str(lab) for lab in labels}
-    i = 0
-    while cand in taken:
-        i += 1
-        cand = f"repair{i}"
-    return cand
-
-
 def _project_to_feasible(
     ens: CqEnsemble,
     res: ResourceState,
@@ -321,10 +312,9 @@ def _project_to_feasible(
     t = hi
     # Dividing by a small t magnifies the trace's rounding error; renormalize.
     corr = avg + diff / t
-    corr = DensityOperator(marginal.space, corr / np.trace(corr).real, validate=False)
     mixed = np.eye(signal_space.dim) / signal_space.dim
-    member = DensityOperator(ens.space, np.kron(mixed, corr.clamped().matrix), validate=False)
-    labels = list(ens.labels) + [_fresh_label(ens.labels)]
+    member = DensityOperator(ens.space, np.kron(mixed, corr / np.trace(corr).real), validate=False)
+    labels = list(ens.labels) + [_fresh_label("repair", ens.labels)]
     probs = list((1.0 - t) * ens.probs) + [t]
     states = list(ens.states) + [member]
     return CqEnsemble(labels, probs, states)
@@ -429,12 +419,15 @@ def optimize_unassisted(channel: QuantumChannel, cfg: OptimizerConfig) -> OptRes
     ]
     init0 = param.pack(CqEnsemble(list(range(n)), [1.0 / n] * n, basis))
 
+    kernel = _CqKernel(channel)
     trace: list[TracePoint] = []
     best_ens: CqEnsemble | None = None
     best_rep: RateReport | None = None
 
     def objective(xv: np.ndarray) -> float:
-        return unassisted_rate(param.unpack(xv), channel).rate
+        members, probs = param.arrays(xv)
+        i_b, i_e = kernel.bob_eve(kernel.pushforward(members), probs)
+        return i_b - i_e
 
     for restart in range(cfg.restarts):
         gen = np.random.default_rng([cfg.seed, restart])

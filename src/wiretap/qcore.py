@@ -235,6 +235,16 @@ class DensityOperator:
         return DensityOperator(self.space.relabeled(mapping), self.matrix, validate=False)
 
 
+def _fresh_label(base: str, taken: Iterable) -> str:
+    """The first of base, base1, base2, ... that is not in ``taken``."""
+    names = {str(lab) for lab in taken}
+    cand, i = base, 0
+    while cand in names:
+        i += 1
+        cand = f"{base}{i}"
+    return cand
+
+
 def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     """Kronecker product on the concatenated space; labels must not clash."""
     space = a.space.tensor(b.space)

@@ -43,7 +43,7 @@ A = LabeledSpace.of(("A", 2))
 
 
 def bec_copy_wiretap() -> QuantumChannel:
-    """Bob sees the bit perfectly; Eve sees it через a 50% erasure."""
+    """Bob sees the bit perfectly; Eve sees it through a 50% erasure."""
     trans = np.zeros((6, 2))  # (y, e) with e in {0, 1, erased}
     for x in range(2):
         trans[x * 3 + x, x] = 0.5
@@ -258,31 +258,69 @@ def test_run_experiment_determinism_and_report_shape():
 
 
 def test_run_experiment_diagonal_matches_dense_path():
-    # Force the dense path by adding an off-diagonal whisper to one member,
-    # then compare with the diagonal fast path on the original instance.
-    sc = gallery_classical()
-    res = sc.resource_state()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        fast = run_experiment(sc, [2, 3], 0.1, trials=4, seed=33, rate=0.3)
-    # dense reference computed manually per trial
+    # Recompute each trial on dense matrices and compare: the classical
+    # gallery runs every side on diagonals, the superdense one runs Bob on
+    # matrices and Eve and the marginals on diagonals.
     from wiretap.codesim import _bin_average, _member_outputs, _trial_seed
 
-    bobs, eves = _member_outputs(sc.ensemble, sc.channel, res)
-    for rep in fast:
-        n = rep.n
-        lam_dense, mu_dense = [], []
-        for t in range(4):
-            cb = sample_codebook(sc.ensemble, n, rep.M, rep.S, _trial_seed(33, n, t))
-            space = LabeledSpace(tuple((f"b{i}", bobs[0].dim) for i in range(n)))
-            bins = [
-                DensityOperator(space, m, validate=False)
-                for m in _bin_average([b.matrix for b in bobs], cb.words)
-            ]
-            lam_dense.append(1.0 - pgm_success(bins, pgm_decoder(bins)))
-            mu_dense.append(leakage(cb, sc.ensemble, sc.channel, res).average)
-        assert rep.lambda_hat == pytest.approx(np.mean(lam_dense), abs=1e-9)
-        assert rep.mu_hat == pytest.approx(np.mean(mu_dense), abs=1e-9)
+    for sc, rate in ((gallery_classical(), 0.3), (gallery_superdense(), 1.5)):
+        res = sc.resource_state()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fast = run_experiment(sc, [2, 3], 0.1, trials=4, seed=33, rate=rate)
+        bobs, eves = _member_outputs(sc.ensemble, sc.channel, res)
+        for rep in fast:
+            n = rep.n
+            lam_dense, mu_dense = [], []
+            for t in range(4):
+                cb = sample_codebook(sc.ensemble, n, rep.M, rep.S, _trial_seed(33, n, t))
+                space = LabeledSpace(tuple((f"b{i}", bobs[0].dim) for i in range(n)))
+                bins = [
+                    DensityOperator(space, m, validate=False)
+                    for m in _bin_average([b.matrix for b in bobs], cb.words)
+                ]
+                lam_dense.append(1.0 - pgm_success(bins, pgm_decoder(bins)))
+                mu_dense.append(leakage(cb, sc.ensemble, sc.channel, res).average)
+            assert rep.lambda_hat == pytest.approx(np.mean(lam_dense), abs=1e-9)
+            assert rep.mu_hat == pytest.approx(np.mean(mu_dense), abs=1e-9)
+            assert rep.marginal_residual <= 1e-12 and rep.fixup_cost == 0.0
+
+
+def nondiagonal_avg_feasible_scenario():
+    """Bell-pair resource with members whose A' marginals are off-diagonal
+    and differ from I/2; only their average matches the resource marginal."""
+    from wiretap.scenario import Scenario
+
+    sc = gallery_superdense()
+    space = LabeledSpace.of(("A", 2), ("App", 2))
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    members = [
+        DensityOperator(space, np.kron(np.diag(np.eye(2)[u]), np.eye(2) / 2 + sign * 0.2 * x))
+        for u, sign in ((0, 1), (1, -1))
+    ]
+    ens = CqEnsemble([0, 1], [0.5, 0.5], members)
+    return Scenario("avg-feasible", "test instance", sc.channel, sc.resource, ens)
+
+
+def test_run_experiment_repairs_nondiagonal_marginals():
+    from wiretap.codesim import _trial_seed
+
+    sc = nondiagonal_avg_feasible_scenario()
+    res = sc.resource_state()
+    reports = run_experiment(sc, [1, 2, 3], 0.1, trials=3, seed=5, rate=1.0)
+    for rep in reports:
+        got = [
+            marginal_residual_and_fixup(
+                sample_codebook(sc.ensemble, rep.n, rep.M, rep.S, _trial_seed(5, rep.n, t)),
+                sc.ensemble,
+                res,
+            )
+            for t in range(3)
+        ]
+        assert rep.marginal_residual == pytest.approx(np.mean([r for r, _ in got]), abs=1e-12)
+        assert rep.fixup_cost == pytest.approx(np.mean([c for _, c in got]), abs=1e-12)
+        assert rep.marginal_residual > 1e-3
+        assert 0.0 < rep.fixup_cost <= 4 * np.sqrt(rep.marginal_residual) + 1e-9
 
 
 def test_run_experiment_superdense_trend():
@@ -369,3 +407,21 @@ def test_run_experiment_refuses_by_bytes_before_allocating(monkeypatch):
     # The same block length also stops a list that starts with a small one.
     with pytest.raises(ResourceLimitError, match="block length 5"):
         run_experiment(sc, [1, 5], 0.1, trials=1, seed=1)
+
+
+def test_run_experiment_counts_repair_bytes_on_diagonal_instance(monkeypatch):
+    # Diagonal sides need 2 MiB at n = 6, but the members' A' marginals differ
+    # from the resource's, so a repair would build 64 dense 4096^2 averages.
+    import wiretap.codesim as codesim
+    from wiretap.scenario import Scenario
+
+    def no_alloc(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("allocated before the byte check")
+
+    monkeypatch.setattr(codesim, "_bin_average", no_alloc)
+    monkeypatch.setattr(codesim, "marginal_residual_and_fixup", no_alloc)
+    ens, res = avg_constrained_ensemble()
+    sc = Scenario("avg", "test instance", gallery_classical().channel, res.zeta, ens)
+    assert code_parameters(ens, sc.channel, sc.resource_state(), 6, 0.1, rate=1.0).M == 64
+    with pytest.raises(ResourceLimitError, match="16.0 GiB"):
+        run_experiment(sc, [6], 0.1, trials=1, seed=1, rate=1.0)

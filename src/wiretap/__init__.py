@@ -5,7 +5,6 @@ from .qcore import (
     DensityOperator,
     LabeledSpace,
     ResourceLimitError,
-    Tolerances,
     ValidationError,
     fidelity,
     partial_trace,

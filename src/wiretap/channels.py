@@ -21,11 +21,10 @@ from typing import Sequence
 import numpy as np
 
 from .qcore import (
-    DEFAULT_TOL,
     RANK_CUTOFF,
+    TOL_EQ,
     DensityOperator,
     LabeledSpace,
-    Tolerances,
     ValidationError,
     complex_matrix_from_json,
     complex_matrix_to_json,
@@ -68,6 +67,9 @@ KRAUS_TRUNCATION = 1e-12
 
 # Trace-preservation tolerance asserted at channel construction.
 TP_TOL = 1e-9
+
+# Ensemble probabilities must sum to 1 within this.
+PROB_TOL = 1e-12
 
 
 class QuantumChannel:
@@ -168,14 +170,12 @@ def kraus_to_choi(ch: QuantumChannel, ref_label: str = "ref") -> DensityOperator
 def choi_to_kraus(
     choi: DensityOperator,
     input_space: LabeledSpace,
-    tol: Tolerances = DEFAULT_TOL,
-    truncation: float = KRAUS_TRUNCATION,
 ) -> QuantumChannel:
     """Extract a Kraus family from a Choi state (reference factor first).
 
     Rejects Choi states whose reference marginal is not maximally mixed,
     which is the trace-preservation condition in this normalization.
-    Eigenvalues below ``truncation`` are dropped.
+    Eigenvalues below ``KRAUS_TRUNCATION`` are dropped.
     """
     ref = choi.space.labels[0]
     d_in = choi.space.dim_of(ref)
@@ -187,17 +187,17 @@ def choi_to_kraus(
     d_out = output_space.dim
     marg = partial_trace(choi, {ref})
     dev = float(np.max(np.abs(marg.matrix - np.eye(d_in) / d_in)))
-    if dev > tol.tol_eq:
+    if dev > TOL_EQ:
         raise ValidationError(
             f"Choi reference marginal deviates from I/d by {dev:.3e}; not trace preserving"
         )
     w, v = np.linalg.eigh(choi.matrix)
     kraus = []
     for i in range(len(w) - 1, -1, -1):
-        if w[i] <= truncation:
+        if w[i] <= KRAUS_TRUNCATION:
             break
         kraus.append(np.sqrt(d_in * w[i]) * v[:, i].reshape(d_in, d_out).T)
-    return QuantumChannel(input_space, output_space, kraus, tp_tol=tol.tol_eq)
+    return QuantumChannel(input_space, output_space, kraus, tp_tol=TOL_EQ)
 
 
 def channel_action_matrix(ch: QuantumChannel) -> np.ndarray:
@@ -205,7 +205,7 @@ def channel_action_matrix(ch: QuantumChannel) -> np.ndarray:
     return sum(np.kron(k.conj(), k) for k in ch.kraus)
 
 
-def channels_equal_in_action(a: QuantumChannel, b: QuantumChannel, tol: float = 1e-8) -> bool:
+def channels_equal_in_action(a: QuantumChannel, b: QuantumChannel, tol: float = TOL_EQ) -> bool:
     """Action equality on a spanning set of inputs (Kraus lists are non-unique)."""
     if a.input_space.dims != b.input_space.dims or a.output_space.dims != b.output_space.dims:
         return False
@@ -284,7 +284,6 @@ class CqEnsemble:
         labels: Sequence,
         probs: Sequence[float],
         states: Sequence[DensityOperator],
-        prob_tol: float = 1e-12,
     ) -> None:
         labels = tuple(labels)
         probs = np.array(probs, dtype=float)
@@ -296,7 +295,7 @@ class CqEnsemble:
         if np.any(probs < -1e-15):
             raise ValidationError(f"negative probability {probs.min():.3e}")
         probs = np.clip(probs, 0.0, None)
-        if abs(probs.sum() - 1.0) > prob_tol:
+        if abs(probs.sum() - 1.0) > PROB_TOL:
             raise ValidationError(f"probabilities sum to {probs.sum():.15g}, not 1")
         space = states[0].space
         for s in states[1:]:
@@ -423,8 +422,6 @@ def channel_from_resource_state(
     zeta: DensityOperator,
     alice: str | None = None,
     aux_label: str = "App",
-    tol: Tolerances = DEFAULT_TOL,
-    rank_cutoff: float = RANK_CUTOFF,
 ) -> ResourceState:
     """Build the resource-state channel decomposition of ``zeta``.
 
@@ -450,7 +447,7 @@ def channel_from_resource_state(
     d_rest = zp.dim // d_alice
     w, v = _descending_eigh(partial_trace(zp, {alice}).matrix)
     w = np.clip(w, 0.0, None)
-    rank = max(1, int(np.count_nonzero(w > rank_cutoff)))
+    rank = max(1, int(np.count_nonzero(w > RANK_CUTOFF)))
     fullrank = rank == d_alice
 
     if fullrank:
@@ -479,7 +476,7 @@ def channel_from_resource_state(
     choi_space = LabeledSpace.of((aux_label, rank)).tensor(zeta_r.space.subspace(others))
     choi = DensityOperator(choi_space, j, validate=False)
     try:
-        z_channel = choi_to_kraus(choi, LabeledSpace.of((aux_label, rank)), tol=tol)
+        z_channel = choi_to_kraus(choi, LabeledSpace.of((aux_label, rank)))
     except ValidationError as exc:
         raise ValidationError(
             f"resource channel reconstruction failed (marginal condition number {cond:.3e}): {exc}"
@@ -487,7 +484,7 @@ def channel_from_resource_state(
 
     rebuilt = apply(z_channel, phi0, on=[aux_label])
     residual = hermitian_trace_norm(rebuilt.matrix - zeta_r.matrix)
-    if residual > tol.tol_eq:
+    if residual > TOL_EQ:
         raise ValidationError(
             f"resource channel does not reproduce the state (residual {residual:.3e}, "
             f"marginal condition number {cond:.3e})"
@@ -507,7 +504,6 @@ def modulation_from_choi(
     eta: DensityOperator,
     zeta_marginal: DensityOperator,
     ref_label: str | None = None,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> QuantumChannel:
     """Recover the modulation E with (E x id) phi0 = eta.
 
@@ -525,7 +521,7 @@ def modulation_from_choi(
         )
     marg = partial_trace(eta, {ref})
     dev = hermitian_trace_norm(marg.matrix - zeta_marginal.matrix)
-    if dev > tol.tol_eq:
+    if dev > TOL_EQ:
         raise ValidationError(f"eta marginal deviates from the resource marginal by {dev:.3e}")
 
     lam, vecs = _descending_eigh(zeta_marginal.matrix)
@@ -540,7 +536,7 @@ def modulation_from_choi(
     choi_space = LabeledSpace.of((ref, d_ref)).tensor(out_space)
     choi = DensityOperator(choi_space, j, validate=False)
     try:
-        return choi_to_kraus(choi, zeta_marginal.space, tol=tol)
+        return choi_to_kraus(choi, zeta_marginal.space)
     except ValidationError as exc:
         raise ValidationError(
             f"modulation reconstruction failed (marginal condition number {cond:.3e}): {exc}"
@@ -569,7 +565,7 @@ def channel_to_json(ch: QuantumChannel) -> dict:
     }
 
 
-def channel_from_json(obj, tol: Tolerances = DEFAULT_TOL) -> QuantumChannel:
+def channel_from_json(obj) -> QuantumChannel:
     if not isinstance(obj, dict):
         raise ValidationError("channel object must be a JSON object")
     for key in ("input", "output", "kraus"):
@@ -594,11 +590,11 @@ def ensemble_to_json(ens: CqEnsemble) -> dict:
     }
 
 
-def ensemble_from_json(obj, tol: Tolerances = DEFAULT_TOL) -> CqEnsemble:
+def ensemble_from_json(obj) -> CqEnsemble:
     if not isinstance(obj, dict):
         raise ValidationError("ensemble object must be a JSON object")
     for key in ("labels", "probs", "states"):
         if key not in obj:
             raise ValidationError(f"ensemble object is missing {key!r}")
-    states = [state_from_json(s, tol=tol) for s in obj["states"]]
+    states = [state_from_json(s) for s in obj["states"]]
     return CqEnsemble(obj["labels"], obj["probs"], states)

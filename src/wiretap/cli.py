@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -107,15 +108,7 @@ def optimizer_config_from_json(obj, seed_override: int | None) -> OptimizerConfi
         obj = {}
     if not isinstance(obj, dict):
         raise ValidationError("optimizer config must be a JSON object")
-    known = {
-        "seed",
-        "num_labels_max",
-        "restarts",
-        "max_iters",
-        "penalty_weight",
-        "step_schedule",
-        "tolerance",
-    }
+    known = {"seed", "num_labels_max", "restarts", "max_iters"}
     unknown = set(obj) - known
     if unknown:
         raise ValidationError(f"unknown optimizer config keys: {sorted(unknown)}")
@@ -270,6 +263,14 @@ SIM_CSV_COLUMNS = [
 ]
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def cmd_code_sim(args) -> int:
     sc = _load_scenario(args.scenario)
     cfg = _load_json(args.config) if args.config else {}
@@ -286,9 +287,16 @@ def cmd_code_sim(args) -> int:
     n_list = cfg.get("n", [1])
     epsilon = cfg.get("epsilon", 0.1)
     trials = cfg.get("trials", 10)
-    reports = run_experiment(
-        sc, n_list, epsilon, trials, int(seed), rate=cfg.get("rate")
-    )
+    rate = cfg.get("rate")
+    if not (isinstance(n_list, list) and n_list and all(_is_int(n) and n >= 1 for n in n_list)):
+        raise ValidationError(f"n must be a non-empty list of integers >= 1, got {n_list!r}")
+    if not (_is_int(trials) and trials >= 1):
+        raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
+    if not (_is_int(seed) and seed >= 0):
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    if not _is_number(epsilon) or not (rate is None or _is_number(rate)):
+        raise ValidationError(f"epsilon and rate must be finite numbers, got {epsilon!r}, {rate!r}")
+    reports = run_experiment(sc, n_list, epsilon, trials, seed, rate=rate)
     rows = [
         {
             "n": r.n,

@@ -39,11 +39,10 @@ import numpy as np
 
 from .channels import CqEnsemble, QuantumChannel, ResourceState
 from .qcore import (
-    DEFAULT_TOL,
+    RANK_CUTOFF,
     DensityOperator,
     LabeledSpace,
     ResourceLimitError,
-    Tolerances,
     ValidationError,
     hermitian_trace_norm,
     partial_trace,
@@ -73,13 +72,13 @@ __all__ = [
 ]
 
 DEFAULT_MAX_DIM = 4096
-DEFAULT_WORD_CAP = 50_000_000
-# run_experiment refuses a block length whose estimated working set is larger.
+WORD_CAP = 50_000_000
+# A block length whose estimated working set is larger is refused.
 MAX_WORKING_BYTES = 2 * 2**30
 
 
 def max_dim_cap() -> int:
-    """Per-side dimension cap; override with WIRETAP_MAX_DIM."""
+    """Per-side dimension cap: WIRETAP_MAX_DIM if set (its only setting), else DEFAULT_MAX_DIM."""
     value = os.environ.get("WIRETAP_MAX_DIM")
     if value is None:
         return DEFAULT_MAX_DIM
@@ -179,6 +178,8 @@ def code_parameters(
     M = round(2^(n rate)) (used to hold a code above or below the
     functional).  S = round(2^(n max(I(U:EE'), I(U:A')) + n eps)) always.
     """
+    if n < 1:
+        raise ValidationError(f"block length n must be >= 1, got {n}")
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
     rep = theorem1_rate(ens, channel, res)
@@ -207,13 +208,11 @@ def code_parameters(
     )
 
 
-def sample_codebook(
-    ens: CqEnsemble, n: int, M: int, S: int, seed: int, word_cap: int = DEFAULT_WORD_CAP
-) -> Codebook:
+def sample_codebook(ens: CqEnsemble, n: int, M: int, S: int, seed: int) -> Codebook:
     """Draw the (M, S, n) codeword array i.i.d. from the ensemble law."""
     total = M * S * n
-    if total > word_cap:
-        raise ResourceLimitError(f"codebook would hold {total} symbols (> cap {word_cap})")
+    if total > WORD_CAP:
+        raise ResourceLimitError(f"codebook would hold {total} symbols (> cap {WORD_CAP})")
     gen = np.random.default_rng(seed)
     p = np.asarray(ens.probs, dtype=float)
     p = p / p.sum()
@@ -240,13 +239,12 @@ def codebook_chi_square(codebook: Codebook, probs: Sequence[float]) -> tuple[flo
 def pgm_decoder(
     states: Sequence[DensityOperator],
     priors: Sequence[float] | None = None,
-    support_cutoff: float = 1e-12,
 ) -> list[np.ndarray]:
     """Pretty-good-measurement POVM for the given output states.
 
     Elements are avg^{-1/2} (p_m rho_m) avg^{-1/2} with the inverse square
-    root taken on the support of the prior-weighted average state; they sum
-    to the support projector (<= identity).
+    root taken on the support (above RANK_CUTOFF) of the prior-weighted
+    average state; they sum to the support projector (<= identity).
     """
     if not states:
         raise ValidationError("pgm_decoder needs at least one state")
@@ -258,10 +256,10 @@ def pgm_decoder(
         if priors.shape != (m_count,) or np.any(priors < 0):
             raise ValidationError("priors must be nonnegative, one per state")
     avg = sum(p * s.matrix for p, s in zip(priors, states))
-    if abs(np.trace(avg)) < support_cutoff:
+    if abs(np.trace(avg)) < RANK_CUTOFF:
         raise ValidationError("average state is zero; nothing to decode")
     w, v = np.linalg.eigh(avg)
-    keep = w > support_cutoff
+    keep = w > RANK_CUTOFF
     inv_sqrt = (v[:, keep] / np.sqrt(w[keep])) @ v[:, keep].conj().T
     return [inv_sqrt @ (p * s.matrix) @ inv_sqrt for p, s in zip(priors, states)]
 
@@ -324,11 +322,24 @@ def _bin_average(matrices: list[np.ndarray], words: np.ndarray) -> list[np.ndarr
     return out
 
 
+def _bin_bytes(side: list[np.ndarray], n: int) -> int:
+    d = len(side[0]) ** n
+    return d * 8 if side[0].ndim == 1 else d * d * 16
+
+
+def _check_bytes(n: int, M: int, need: int) -> None:
+    if need > MAX_WORKING_BYTES:
+        raise ResourceLimitError(
+            f"block length {n} needs ~{need / 2**30:.1f} GiB (M = {M}), "
+            f"over the {MAX_WORKING_BYTES / 2**30:.0f} GiB limit"
+        )
+
+
 def _eve_outputs(
-    ens: CqEnsemble, channel: QuantumChannel, res: ResourceState, n: int, cap: int | None
+    ens: CqEnsemble, channel: QuantumChannel, res: ResourceState, n: int
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """One-letter Eve outputs and the n-fold power of their average (the reference)."""
-    cap = cap or max_dim_cap()
+    cap = max_dim_cap()
     eve_mats = [e.matrix for e in _member_outputs(ens, channel, res)[1]]
     d_eve = len(eve_mats[0])
     if d_eve**n > cap:
@@ -341,11 +352,15 @@ def leakage(
     ens: CqEnsemble,
     channel: QuantumChannel,
     res: ResourceState,
-    cap: int | None = None,
 ) -> LeakageStats:
     """Average and worst-case trace norm between Eve's per-message states
-    and the block-length power of the one-letter Eve marginal."""
-    eve_mats, reference = _eve_outputs(ens, channel, res, codebook.n, cap)
+    and the block-length power of the one-letter Eve marginal.
+
+    Refused, before any bin average is built, over the dimension cap or
+    MAX_WORKING_BYTES.
+    """
+    eve_mats, reference = _eve_outputs(ens, channel, res, codebook.n)
+    _check_bytes(codebook.n, codebook.M, codebook.M * _bin_bytes(eve_mats, codebook.n))
     dists = [hermitian_trace_norm(b - reference) for b in _bin_average(eve_mats, codebook.words)]
     return LeakageStats(average=float(np.mean(dists)), per_message_max=float(np.max(dists)))
 
@@ -355,14 +370,13 @@ def exact_mixture_leakage(
     channel: QuantumChannel,
     res: ResourceState,
     n: int,
-    cap: int | None = None,
 ) -> float:
     """Distance of the exactly weighted all-words mixture from the reference.
 
     This is the S -> infinity sanity case: the full mixture over all length-n
     words with their product weights reproduces the reference state.
     """
-    eve_mats, reference = _eve_outputs(ens, channel, res, n, cap)
+    eve_mats, reference = _eve_outputs(ens, channel, res, n)
     mixture = np.zeros_like(reference)
     for word in product(range(len(ens)), repeat=n):
         weight = float(np.prod(ens.probs[list(word)]))
@@ -376,8 +390,6 @@ def marginal_residual_and_fixup(
     codebook: Codebook,
     ens: CqEnsemble,
     res: ResourceState,
-    cap: int | None = None,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[float, float]:
     """Reference-marginal deviation of the bin-averaged signal states and
     the trace-norm cost of repairing it exactly.
@@ -385,15 +397,18 @@ def marginal_residual_and_fixup(
     Builds each message's bin-averaged joint state, measures how far its
     reference-side marginal sits from the block power of the resource
     marginal, applies the Uhlmann repair, and checks that the average cost
-    satisfies the 4*sqrt(residual) budget.
+    satisfies the 4*sqrt(residual) budget.  Refused up front over the
+    dimension cap or MAX_WORKING_BYTES.
     """
-    cap = cap or max_dim_cap()
+    cap = max_dim_cap()
     n = codebook.n
     d_mem = ens.space.dim
     if d_mem**n > cap:
         raise ResourceLimitError(
             f"signal-side dimension {d_mem}^{n} = {d_mem**n} exceeds cap {cap}"
         )
+    member_mats = [s.matrix for s in ens.states]
+    _check_bytes(n, codebook.M, codebook.M * _bin_bytes(member_mats, n))
     member_space_n = _power_space(ens.space, n)
     aux_labels = [f"{res.aux_label}@{i}" for i in range(n)]
     target_space = _power_space(res.zeta_marginal.space, n).relabeled(
@@ -402,13 +417,12 @@ def marginal_residual_and_fixup(
     target = DensityOperator(
         target_space, _kron_chain([res.zeta_marginal.matrix] * n), validate=False
     )
-    member_mats = [s.matrix for s in ens.states]
     residuals, costs = [], []
     for avg_mat in _bin_average(member_mats, codebook.words):
         eta_tilde = DensityOperator(member_space_n, avg_mat, validate=False)
         marg = partial_trace(eta_tilde, set(aux_labels))
         residuals.append(hermitian_trace_norm(marg.matrix - target.matrix))
-        eta = uhlmann_fixup(eta_tilde, target, aux_labels, tol=tol)
+        eta = uhlmann_fixup(eta_tilde, target, aux_labels)
         costs.append(hermitian_trace_norm(eta.matrix - eta_tilde.matrix))
     residual = float(np.mean(residuals))
     cost = float(np.mean(costs))
@@ -468,11 +482,6 @@ def _pgm_error(bins: list[np.ndarray]) -> float:
     return 1.0 - min(max(succ, 0.0), 1.0)
 
 
-def _bin_bytes(side: list[np.ndarray], n: int) -> int:
-    d = len(side[0]) ** n
-    return d * 8 if side[0].ndim == 1 else d * d * 16
-
-
 def run_experiment(
     scenario: Scenario,
     n_list: Sequence[int],
@@ -480,7 +489,6 @@ def run_experiment(
     trials: int,
     seed: int,
     rate: float | None = None,
-    cap: int | None = None,
 ) -> list[SimReport]:
     """Run the random-code experiment for each block length in ``n_list``.
 
@@ -492,7 +500,7 @@ def run_experiment(
         raise ValidationError("code simulation needs a scenario with an ensemble")
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    cap = cap or max_dim_cap()
+    cap = max_dim_cap()
     ens = scenario.ensemble
     channel = scenario.channel
     res = scenario.resource_state()
@@ -523,11 +531,7 @@ def run_experiment(
         pgm = 1 if bob[0].ndim == 1 else 2
         sides = (pgm * _bin_bytes(bob, n), _bin_bytes(eve, n), _bin_bytes(margs, n))
         need = params.M * max(*sides, sizes["signal"] ** 2 * 16 if repairs else 0)
-        if need > MAX_WORKING_BYTES:
-            raise ResourceLimitError(
-                f"block length {n} needs ~{need / 2**30:.1f} GiB (M = {params.M}), "
-                f"over the {MAX_WORKING_BYTES / 2**30:.0f} GiB limit"
-            )
+        _check_bytes(n, params.M, need)
 
     reports = []
     for n, params in zip(n_list, all_params):
@@ -542,7 +546,7 @@ def run_experiment(
             mus.append(_mean_distance(eve, cb.words, eve_ref))
             r, c = _mean_distance(margs, cb.words, target_n), 0.0
             if r > 1e-12:
-                r, c = marginal_residual_and_fixup(cb, ens, res, cap=cap)
+                r, c = marginal_residual_and_fixup(cb, ens, res)
             resids.append(r)
             costs.append(c)
         lam_arr = np.asarray(lams)

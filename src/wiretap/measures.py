@@ -35,6 +35,7 @@ from .channels import (
 from .entropic import holevo_information, von_neumann_entropy
 from .optimize import OptimizerConfig, OptResult, optimize_channel_functional
 from .qcore import (
+    TOL_EQ,
     DensityOperator,
     LabeledSpace,
     ValidationError,
@@ -53,6 +54,9 @@ __all__ = [
     "duality_residual",
     "ep_ensemble_upper_bound",
 ]
+
+# ep_ensemble_upper_bound flags a bound this far below E_P of the average.
+FLAG_SLACK = 1e-2
 
 
 @dataclass(frozen=True)
@@ -187,7 +191,6 @@ def duality_residual(
     zeta_pure: DensityOperator,
     caps: tuple[int | None, int | None] = (None, None),
     cfg: OptimizerConfig = OptimizerConfig(seed=0),
-    purity_tol: float = 1e-8,
 ) -> float:
     """|delta(A > B) + E_P(C:B) - S(B)| for a pure tripartite state.
 
@@ -196,7 +199,7 @@ def duality_residual(
     """
     if len(zeta_pure.space.factors) != 3:
         raise ValidationError("duality_residual expects a tripartite state")
-    if 1.0 - zeta_pure.purity() > purity_tol:
+    if 1.0 - zeta_pure.purity() > TOL_EQ:
         raise ValidationError(
             f"state is not pure (purity deficit {1.0 - zeta_pure.purity():.3e})"
         )
@@ -213,12 +216,11 @@ def ep_ensemble_upper_bound(
     ens: CqEnsemble,
     caps: int | None = None,
     cfg: OptimizerConfig = OptimizerConfig(seed=0),
-    flag_slack: float = 1e-2,
 ) -> EpBoundResult:
     """sum_u q(u) E_P(rho_u) + I(U:CD), an upper bound on the regularized E_P.
 
     Also evaluates E_P of the average state for comparison and flags cases
-    where the bound undercuts it by more than ``flag_slack`` (candidate
+    where the bound undercuts it by more than ``FLAG_SLACK`` (candidate
     non-additivity witnesses; both sides are best-found values, so the flag
     marks candidates, not certificates).
     """
@@ -233,5 +235,5 @@ def ep_ensemble_upper_bound(
         per_member=per_member,
         info_term=info_term,
         ep_average=ep_average,
-        witness_flag=bound < ep_average - flag_slack,
+        witness_flag=bound < ep_average - FLAG_SLACK,
     )

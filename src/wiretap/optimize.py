@@ -19,7 +19,6 @@ projection keeps them CPTP by construction.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product
 from typing import Callable, Sequence
@@ -28,6 +27,7 @@ import numpy as np
 
 from .channels import CqEnsemble, QuantumChannel, ResourceState
 from .qcore import (
+    TOL_EQ,
     DensityOperator,
     LabeledSpace,
     ResourceLimitError,
@@ -58,30 +58,43 @@ __all__ = [
 ]
 
 
+# Coordinate-search schedule: the step starts at STEP_INITIAL, shrinks by
+# STEP_SHRINK after STEP_PATIENCE consecutive rejected proposals, and a
+# search stops once it falls below STEP_MIN.
+STEP_INITIAL = 0.5
+STEP_SHRINK = 0.5
+STEP_PATIENCE = 25
+STEP_MIN = 1e-9
+# optimize_theorem1's weight on the squared marginal residual, x4 per stage.
+PENALTY_WEIGHT = 32.0
+
+
 class OptimizationError(RuntimeError):
     """Optimization could not deliver a feasible witness; carries diagnostics."""
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the coordinate random search.
+    """Search sizes and seed of the coordinate random search.
 
-    ``num_labels_max=None`` resolves to the heuristic 2 * dim(signal) *
-    dim(reference copy) at the call site; it caps the ensemble size searched
-    over, not any provable sufficiency.  ``step_schedule`` is
-    "geometric(initial, shrink, patience)": the step shrinks by ``shrink``
-    after ``patience`` consecutive rejected proposals.
+    All four are integers.  ``num_labels_max=None`` resolves to the
+    heuristic 2 * dim(signal) * dim(reference copy) at the call site; it
+    caps the ensemble size searched over, not any provable sufficiency.
+    The step schedule and the penalty are module constants.
     """
 
     seed: int
     num_labels_max: int | None = None
     restarts: int = 6
     max_iters: int = 1200
-    penalty_weight: float = 32.0
-    step_schedule: str = "geometric(0.5,0.5,25)"
-    tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
+        for name in ("seed", "num_labels_max", "restarts", "max_iters"):
+            v = getattr(self, name)
+            if v is None and name == "num_labels_max":
+                continue
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {v!r}")
         if self.seed < 0:
             raise ValidationError("seed must be a nonnegative integer")
         if self.num_labels_max is not None and self.num_labels_max < 1:
@@ -89,10 +102,6 @@ class OptimizerConfig:
         for name in ("restarts", "max_iters"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be positive")
-        for name in ("penalty_weight", "tolerance"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be positive")
-        _parse_schedule(self.step_schedule)
 
 
 @dataclass(frozen=True)
@@ -112,34 +121,17 @@ class OptResult:
     trace: tuple[TracePoint, ...] = field(default_factory=tuple)
 
 
-def _parse_schedule(text: str) -> tuple[float, float, int]:
-    m = re.fullmatch(
-        r"geometric\(\s*([0-9.eE+-]+)\s*,\s*([0-9.eE+-]+)\s*,\s*(\d+)\s*\)", text.strip()
-    )
-    if not m:
-        raise ValidationError(
-            f"step_schedule {text!r} not understood; expected geometric(initial,shrink,patience)"
-        )
-    init, shrink, patience = float(m.group(1)), float(m.group(2)), int(m.group(3))
-    if not (init > 0 and 0 < shrink < 1 and patience >= 1):
-        raise ValidationError(f"step_schedule {text!r} has out-of-range parameters")
-    return init, shrink, patience
-
-
 def _coordinate_search(
     x0: np.ndarray,
     objective: Callable[[np.ndarray], float],
     gen: np.random.Generator,
     max_iters: int,
-    schedule: tuple[float, float, int],
-    tolerance: float,
     on_accept: Callable[[int, float], None] | None = None,
 ) -> tuple[np.ndarray, float]:
     """Greedy single-coordinate random search, maximizing ``objective``."""
-    step0, shrink, patience = schedule
     x = x0.copy()
     best = objective(x)
-    step = step0
+    step = STEP_INITIAL
     stall = 0
     for it in range(max_iters):
         idx = int(gen.integers(len(x)))
@@ -159,10 +151,10 @@ def _coordinate_search(
             stall = 0
         else:
             stall += 1
-            if stall >= patience:
-                step *= shrink
+            if stall >= STEP_PATIENCE:
+                step *= STEP_SHRINK
                 stall = 0
-                if step < tolerance:
+                if step < STEP_MIN:
                     break
     return x, best
 
@@ -331,7 +323,8 @@ def optimize_theorem1(
     """Maximize the average-constrained side-information rate over ensembles.
 
     Each restart runs a penalty continuation (quadratic penalty on the
-    trace-norm marginal residual, weight x4 per stage), then applies the
+    trace-norm marginal residual, weight PENALTY_WEIGHT x4 per stage, three
+    stages of max_iters // 3 iterations), then applies the
     exact projection and scores the projected ensemble with the true rate.
     A restart that began at a structured start keeps that start if it
     scores higher.  The returned value is always the re-evaluated rate of
@@ -342,7 +335,6 @@ def optimize_theorem1(
     member_space = signal_space.tensor(LabeledSpace.of((res.aux_label, r_aux)))
     k = cfg.num_labels_max or 2 * signal_space.dim * r_aux
     param = _EnsembleParam(member_space, k)
-    schedule = _parse_schedule(cfg.step_schedule)
     kernel = _CqKernel(channel, res)
 
     weyl = _weyl_modulated_init(member_space, res, k)
@@ -360,7 +352,7 @@ def optimize_theorem1(
         iters_per_stage = max(1, cfg.max_iters // 3)
         offset = 0
         for stage in range(3):
-            weight = cfg.penalty_weight * (4.0**stage)
+            weight = PENALTY_WEIGHT * (4.0**stage)
             last_eval: list[tuple[float, float]] = [(0.0, 0.0)]
 
             def objective(xv: np.ndarray) -> float:
@@ -374,9 +366,7 @@ def optimize_theorem1(
             def on_accept(it: int, _val: float, _off=offset, _last=last_eval) -> None:
                 trace.append(TracePoint(restart, _off + it, _last[0][0], _last[0][1]))
 
-            x, _ = _coordinate_search(
-                x, objective, gen, iters_per_stage, schedule, cfg.tolerance, on_accept
-            )
+            x, _ = _coordinate_search(x, objective, gen, iters_per_stage, on_accept)
             offset += iters_per_stage
 
         ens = _project_to_feasible(param.unpack(x), res, signal_space, kernel.marginal)
@@ -410,7 +400,6 @@ def optimize_unassisted(channel: QuantumChannel, cfg: OptimizerConfig) -> OptRes
     signal_space = channel.input_space
     k = cfg.num_labels_max or 2 * signal_space.dim
     param = _EnsembleParam(signal_space, k)
-    schedule = _parse_schedule(cfg.step_schedule)
 
     n = min(k, signal_space.dim)
     basis = [
@@ -437,8 +426,6 @@ def optimize_unassisted(channel: QuantumChannel, cfg: OptimizerConfig) -> OptRes
             objective,
             gen,
             cfg.max_iters,
-            schedule,
-            cfg.tolerance,
             on_accept=lambda it, v, _r=restart: trace.append(TracePoint(_r, it, v, 0.0)),
         )
         ens = param.unpack(x)
@@ -483,7 +470,7 @@ class _StinespringParam:
         u, _, vh = np.linalg.svd(v, full_matrices=False)
         iso = u @ vh
         kraus = [iso[e * self.d_out : (e + 1) * self.d_out, :] for e in range(self.env)]
-        return QuantumChannel(self.input_space, self.output_space, kraus, tp_tol=1e-8)
+        return QuantumChannel(self.input_space, self.output_space, kraus, tp_tol=TOL_EQ)
 
     def pack(self, ch: QuantumChannel) -> np.ndarray:
         if len(ch.kraus) > self.env:
@@ -541,7 +528,6 @@ def optimize_channel_functional(
         if env_dim is not None
         else _StinespringParam(input_space, output_space, full_env)
     )
-    schedule = _parse_schedule(cfg.step_schedule)
 
     packed_inits = []
     for ch in inits:
@@ -571,8 +557,6 @@ def optimize_channel_functional(
             make_objective(param),
             gen,
             cfg.max_iters,
-            schedule,
-            cfg.tolerance,
             on_accept=lambda it, v, _r=restart: trace.append(TracePoint(_r, it, sign * v, 0.0)),
         )
         if best is None or val > best[0]:
@@ -586,8 +570,6 @@ def optimize_channel_functional(
         make_objective(best_param),
         gen,
         cfg.max_iters,
-        schedule,
-        cfg.tolerance,
         on_accept=lambda it, v: trace.append(TracePoint(cfg.restarts, it, sign * v, 0.0)),
     )
     best_ch = best_param.unpack(best_x)

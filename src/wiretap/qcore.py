@@ -20,8 +20,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOL",
+    "TOL_HERM",
+    "TOL_PSD",
+    "TOL_TRACE",
+    "TOL_EQ",
     "ValidationError",
     "ResourceLimitError",
     "LabeledSpace",
@@ -53,29 +55,17 @@ class ResourceLimitError(RuntimeError):
     """A requested computation exceeds a configured dimension or memory cap."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances used by validation and equality checks.
+# Fixed numerical policy.  TOL_HERM / TOL_TRACE guard construction, TOL_PSD
+# bounds how negative an eigenvalue may be before a matrix is rejected
+# (smaller negatives are clamped to zero and the state renormalized), TOL_EQ
+# is the tolerance of state and channel equality checks.
+TOL_HERM = 1e-10
+TOL_PSD = 1e-9
+TOL_TRACE = 1e-10
+TOL_EQ = 1e-8
 
-    tol_herm / tol_trace guard construction, tol_psd bounds how negative an
-    eigenvalue may be before a matrix is rejected (smaller negatives are
-    clamped to zero and the state renormalized), tol_eq is the default
-    tolerance for state and channel equality checks.
-    """
-
-    tol_herm: float = 1e-10
-    tol_psd: float = 1e-9
-    tol_trace: float = 1e-10
-    tol_eq: float = 1e-8
-
-    def __post_init__(self) -> None:
-        for name in ("tol_herm", "tol_psd", "tol_trace", "tol_eq"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ValidationError(f"{name} must be finite and nonnegative, got {v}")
-
-
-DEFAULT_TOL = Tolerances()
+# Negative eigenvalues above -CLAMP_FLOOR are eigensolver dust left as is.
+CLAMP_FLOOR = 1e-14
 
 # Eigenvalues below this are treated as exact zeros when ranks are needed.
 RANK_CUTOFF = 1e-12
@@ -155,7 +145,7 @@ class DensityOperator:
     """Hermitian PSD unit-trace matrix over a :class:`LabeledSpace`.
 
     The matrix is copied on construction and frozen.  Validation checks
-    Hermiticity, trace and positivity against the given tolerances; pass
+    Hermiticity, trace and positivity against the module tolerances; pass
     ``validate=False`` only for matrices known valid by construction.
     """
 
@@ -165,7 +155,6 @@ class DensityOperator:
         self,
         space: LabeledSpace,
         matrix: np.ndarray,
-        tol: Tolerances = DEFAULT_TOL,
         validate: bool = True,
     ) -> None:
         m = np.array(matrix, dtype=np.complex128)
@@ -175,13 +164,13 @@ class DensityOperator:
             )
         if validate:
             herm = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-            if herm > tol.tol_herm:
+            if herm > TOL_HERM:
                 raise ValidationError(f"matrix is not Hermitian (deviation {herm:.3e})")
             tr = m.trace()
-            if abs(tr - 1.0) > tol.tol_trace:
+            if abs(tr - 1.0) > TOL_TRACE:
                 raise ValidationError(f"trace {tr:.12g} differs from 1 beyond tolerance")
             wmin = float(np.linalg.eigvalsh(m)[0])
-            if wmin < -tol.tol_psd:
+            if wmin < -TOL_PSD:
                 raise ValidationError(f"matrix has negative eigenvalue {wmin:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "space", space)
@@ -203,28 +192,28 @@ class DensityOperator:
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
-    def is_pure(self, tol: float = 1e-10) -> bool:
-        return abs(self.purity() - 1.0) <= tol
+    def is_pure(self) -> bool:
+        return abs(self.purity() - 1.0) <= TOL_TRACE
 
-    def state_vector(self, tol: float = 1e-8) -> np.ndarray:
+    def state_vector(self) -> np.ndarray:
         """Amplitude-vector view of a rank-one state (global phase arbitrary)."""
         w, v = np.linalg.eigh(self.matrix)
-        if 1.0 - w[-1] > tol:
+        if 1.0 - w[-1] > TOL_EQ:
             raise ValidationError(f"state is not pure (largest eigenvalue {w[-1]:.6g})")
         return v[:, -1] * np.sqrt(max(w[-1], 0.0))
 
-    def clamped(self, tol: Tolerances = DEFAULT_TOL, floor: float = 1e-14) -> "DensityOperator":
+    def clamped(self) -> "DensityOperator":
         """Zero small negative eigenvalues and renormalize.
 
-        Negatives above ``-floor`` are eigensolver dust that every consumer
-        already tolerates; repairing them would inject reconstruction noise,
-        so the state is returned unchanged.  Eigenvalues below
-        ``-tol.tol_psd`` are an error, not noise.
+        Negatives above ``-CLAMP_FLOOR`` are eigensolver dust that every
+        consumer already tolerates; repairing them would inject reconstruction
+        noise, so the state is returned unchanged.  Eigenvalues below
+        ``-TOL_PSD`` are an error, not noise.
         """
         w, v = np.linalg.eigh(self.matrix)
-        if w[0] >= -floor:
+        if w[0] >= -CLAMP_FLOOR:
             return self
-        if w[0] < -tol.tol_psd:
+        if w[0] < -TOL_PSD:
             raise ValidationError(f"eigenvalue {w[0]:.3e} below clamping tolerance")
         w = np.clip(w, 0.0, None)
         w = w / w.sum()
@@ -296,7 +285,6 @@ def purify(
     rho: DensityOperator,
     aux_label: str,
     symmetric: bool = False,
-    rank_cutoff: float = RANK_CUTOFF,
 ) -> DensityOperator:
     """Rank-one extension of ``rho`` on an auxiliary factor.
 
@@ -322,7 +310,7 @@ def purify(
                 continue
             vec += np.sqrt(w[i]) * np.kron(v[:, i], v[:, i])
     else:
-        r = max(1, int(np.count_nonzero(w > rank_cutoff)))
+        r = max(1, int(np.count_nonzero(w > RANK_CUTOFF)))
         vec = np.zeros(d * r, dtype=np.complex128)
         for i in range(r):
             e = np.zeros(r, dtype=np.complex128)
@@ -365,7 +353,6 @@ def uhlmann_fixup(
     eta_tilde: DensityOperator,
     target_marginal: DensityOperator,
     marginal_labels: Iterable[str],
-    tol: Tolerances = DEFAULT_TOL,
 ) -> DensityOperator:
     """Smallest-disturbance repair of a marginal.
 
@@ -428,7 +415,7 @@ def uhlmann_fixup(
     n = n0 @ w_align
 
     phi = n.reshape(d_l * d_r, d_aux)
-    eta_fixed = DensityOperator(eta_p.space, phi @ phi.conj().T, tol=tol, validate=False)
+    eta_fixed = DensityOperator(eta_p.space, phi @ phi.conj().T, validate=False)
     return permute_factors(eta_fixed, eta_tilde.space.labels)
 
 
@@ -521,7 +508,7 @@ def state_to_json(rho: DensityOperator) -> dict:
     return {"factors": factors_to_json(rho.space), "matrix": complex_matrix_to_json(rho.matrix)}
 
 
-def state_from_json(obj, tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
+def state_from_json(obj) -> DensityOperator:
     if not isinstance(obj, dict):
         raise ValidationError("state object must be a JSON object")
     for key in ("factors", "matrix"):
@@ -529,7 +516,7 @@ def state_from_json(obj, tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
             raise ValidationError(f"state object is missing {key!r}")
     space = factors_from_json(obj["factors"])
     matrix = complex_matrix_from_json(obj["matrix"], space.dim, space.dim)
-    return DensityOperator(space, matrix, tol=tol)
+    return DensityOperator(space, matrix)
 
 
 def save_state(rho: DensityOperator, path) -> None:
@@ -537,7 +524,7 @@ def save_state(rho: DensityOperator, path) -> None:
         json.dump(state_to_json(rho), fh)
 
 
-def load_state(path, tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
+def load_state(path) -> DensityOperator:
     with open(path) as fh:
         obj = json.load(fh)
-    return state_from_json(obj, tol=tol)
+    return state_from_json(obj)

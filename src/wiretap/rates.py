@@ -161,17 +161,14 @@ class _CqKernel:
 
     Signal factors meet the channel input positionally; "rest" (any further
     channel output) is traced out of every marginal.  Without a resource,
-    A', B' and E' are one-dimensional.  ``u_label`` is the register label of
-    the reference cq-state path, refused where it clashes as it is there.
+    A', B' and E' are one-dimensional.  The kernel has no register label.
     """
 
-    def __init__(
-        self, channel: QuantumChannel, res: ResourceState | None = None, u_label: str = "U"
-    ) -> None:
+    def __init__(self, channel: QuantumChannel, res: ResourceState | None = None) -> None:
         out = channel.output_space
         z_out = res.z_channel.output_space if res else LabeledSpace(())
         self.labels = out.labels + z_out.labels
-        names = self.labels + ((res.aux_label,) if res else ()) + (u_label,)
+        names = self.labels + ((res.aux_label,) if res else ())
         if len(out.factors) < 2 or len(set(names)) < len(names):
             raise ValidationError(
                 f"channel output {list(out.labels)} needs Bob's and Eve's factors, "
@@ -252,7 +249,6 @@ def theorem1_rate(
     ens: CqEnsemble,
     channel: QuantumChannel,
     res: ResourceState,
-    u_label: str = "U",
 ) -> RateReport:
     """Side-information rate of an average-constrained signal ensemble.
 
@@ -261,7 +257,7 @@ def theorem1_rate(
     reported as an exact zero (block structure, no eigensolve).
     """
     signal = _signal_labels(ens, res, channel)
-    kernel = _CqKernel(channel, res, u_label)
+    kernel = _CqKernel(channel, res)
     members = _stack(ens.states, signal + [res.aux_label])
     i_u_bb, i_u_ee = kernel.bob_eve(kernel.pushforward(members), ens.probs)
     i_u_aprime, residual = kernel.reference_terms(members, ens.probs)
@@ -274,7 +270,6 @@ def trivial_rate(
     modulations: Sequence[QuantumChannel],
     channel: QuantumChannel,
     res: ResourceState,
-    u_label: str = "U",
 ) -> RateReport:
     """Rate of modulations applied directly to the shared resource.
 
@@ -303,21 +298,19 @@ def trivial_rate(
         avg_marg = avg_marg + q * partial_trace(eta, {res.aux_label}).matrix
     residual = hermitian_trace_norm(avg_marg - res.zeta_marginal.matrix)
 
-    kernel = _CqKernel(channel, res, u_label)
+    kernel = _CqKernel(channel, res)
     i_u_bb, i_u_ee = kernel.bob_eve(_stack(members, kernel.labels), probs)
     return RateReport(i_u_bb, i_u_ee, 0.0, i_u_bb - i_u_ee, residual, mode="trivial")
 
 
-def unassisted_rate(
-    ens: CqEnsemble, channel: QuantumChannel, u_label: str = "U"
-) -> RateReport:
+def unassisted_rate(ens: CqEnsemble, channel: QuantumChannel) -> RateReport:
     """Plain single-letter wiretap rate I(U:B) - I(U:E)."""
     if ens.space.dims != channel.input_space.dims:
         raise ValidationError(
             f"ensemble member dims {ens.space.dims} != channel input dims "
             f"{channel.input_space.dims}"
         )
-    kernel = _CqKernel(channel, u_label=u_label)
+    kernel = _CqKernel(channel)
     members = _stack(ens.states, ens.space.labels)
     i_u_bb, i_u_ee = kernel.bob_eve(kernel.pushforward(members), ens.probs)
     return RateReport(i_u_bb, i_u_ee, 0.0, i_u_bb - i_u_ee, 0.0, mode="unassisted")

@@ -363,3 +363,68 @@ def test_code_sim_refuses_oversized_dense_run(tmp_path, capsys, monkeypatch):
     payload = json.loads(err.splitlines()[0])
     assert payload["type"] == "resource-limit"
     assert "GiB" in payload["error"]
+
+
+def _rate_optimize_with_config(tmp_path, capsys, cfg: dict):
+    sc_path = tmp_path / "trivial.json"
+    save_scenario(build_gallery("trivial"), sc_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return run_cli(
+        capsys, "rate-optimize", "--scenario", str(sc_path), "--config", str(cfg_path),
+        "--out", str(tmp_path),
+    )
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("step_schedule", "geometric(0.5,0.5,25)"), ("penalty_weight", 32.0), ("tolerance", 1e-9)],
+)
+def test_rate_optimize_refuses_removed_config_keys(tmp_path, capsys, key, value):
+    code, _, err = _rate_optimize_with_config(tmp_path, capsys, {"seed": 1, key: value})
+    assert code == 2
+    payload = json.loads(err.splitlines()[0])
+    assert payload["type"] == "validation"
+    assert key in payload["error"]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"seed": 1, "restarts": "2"},
+        {"seed": "7"},
+        {"seed": 1, "max_iters": 2.5},
+        {"seed": True},
+        {"seed": 1, "num_labels_max": 1.5},
+    ],
+)
+def test_rate_optimize_refuses_non_integer_config(tmp_path, capsys, cfg):
+    code, _, err = _rate_optimize_with_config(tmp_path, capsys, cfg)
+    assert code == 2
+    assert "must be an integer" in json.loads(err.splitlines()[0])["error"]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"n": 4},
+        {"n": [0]},
+        {"n": []},
+        {"n": [True]},
+        {"trials": "3"},
+        {"seed": "abc"},
+        {"epsilon": "x"},
+        {"rate": "x"},
+    ],
+)
+def test_code_sim_refuses_ill_typed_config(tmp_path, capsys, cfg):
+    sc_path = tmp_path / "classical.json"
+    save_scenario(build_gallery("classical"), sc_path)
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps({"seed": 1, "n": [2], "trials": 1, **cfg}))
+    code, _, err = run_cli(
+        capsys, "code-sim", "--scenario", str(sc_path), "--config", str(cfg_path),
+        "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert json.loads(err.splitlines()[0])["type"] == "validation"

@@ -184,12 +184,13 @@ def test_leakage_decreases_with_bin_size_paired_seeds():
     assert np.mean(better) < np.mean(worse)
 
 
-def test_leakage_dimension_cap():
+def test_leakage_dimension_cap(monkeypatch):
     sc = gallery_classical()
     res = sc.resource_state()
     cb = sample_codebook(sc.ensemble, n=9, M=2, S=1, seed=1)
+    monkeypatch.setenv("WIRETAP_MAX_DIM", "256")
     with pytest.raises(ResourceLimitError, match="cap"):
-        leakage(cb, sc.ensemble, sc.channel, res, cap=256)
+        leakage(cb, sc.ensemble, sc.channel, res)
 
 
 def avg_constrained_ensemble() -> tuple[CqEnsemble, object]:
@@ -425,3 +426,36 @@ def test_run_experiment_counts_repair_bytes_on_diagonal_instance(monkeypatch):
     assert code_parameters(ens, sc.channel, sc.resource_state(), 6, 0.1, rate=1.0).M == 64
     with pytest.raises(ResourceLimitError, match="16.0 GiB"):
         run_experiment(sc, [6], 0.1, trials=1, seed=1, rate=1.0)
+
+
+def test_code_parameters_refuses_empty_block():
+    sc = gallery_classical()
+    with pytest.raises(ValidationError, match="block length"):
+        code_parameters(sc.ensemble, sc.channel, sc.resource_state(), 0, 0.1)
+
+
+def _forbid_bin_averages(monkeypatch):
+    import wiretap.codesim as codesim
+
+    def no_alloc(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("allocated before the byte check")
+
+    monkeypatch.setattr(codesim, "_bin_average", no_alloc)
+
+
+def test_marginal_residual_refuses_by_bytes(monkeypatch):
+    # Signal side 4^6 = 4096 passes the dimension cap; 64 dense averages need 16 GiB.
+    _forbid_bin_averages(monkeypatch)
+    ens, res = avg_constrained_ensemble()
+    cb = sample_codebook(ens, n=6, M=64, S=1, seed=1)
+    with pytest.raises(ResourceLimitError, match="16.0 GiB"):
+        marginal_residual_and_fixup(cb, ens, res)
+
+
+def test_leakage_refuses_by_bytes(monkeypatch):
+    # Eve side 2^12 = 4096 passes the dimension cap; 16 dense averages need 4 GiB.
+    _forbid_bin_averages(monkeypatch)
+    sc = gallery_classical()
+    cb = sample_codebook(sc.ensemble, n=12, M=16, S=1, seed=1)
+    with pytest.raises(ResourceLimitError, match="4.0 GiB"):
+        leakage(cb, sc.ensemble, sc.channel, sc.resource_state())

@@ -65,8 +65,6 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         OptimizerConfig(seed=1, restarts=0)
     with pytest.raises(ValidationError):
-        OptimizerConfig(seed=1, step_schedule="linear(1,2)")
-    with pytest.raises(ValidationError):
         OptimizerConfig(seed=-1)
     OptimizerConfig(seed=1)  # defaults parse
 

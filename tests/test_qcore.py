@@ -14,7 +14,6 @@ from conftest import (
 from wiretap.qcore import (
     DensityOperator,
     LabeledSpace,
-    Tolerances,
     ValidationError,
     basis_state,
     fidelity,
@@ -331,13 +330,6 @@ def test_json_errors():
     bad["matrix"][0][1] = [0.5, 0.0]  # breaks Hermiticity
     with pytest.raises(ValidationError, match="Hermitian"):
         state_from_json(bad)
-
-
-def test_tolerances_validation():
-    with pytest.raises(ValidationError):
-        Tolerances(tol_psd=-1.0)
-    with pytest.raises(ValidationError):
-        Tolerances(tol_eq=float("nan"))
 
 
 def test_pure_state_normalizes():

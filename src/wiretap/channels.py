@@ -286,12 +286,21 @@ class CqEnsemble:
         states: Sequence[DensityOperator],
     ) -> None:
         labels = tuple(labels)
-        probs = np.array(probs, dtype=float)
+        try:
+            probs = np.array(probs, dtype=float)
+        except (TypeError, ValueError):
+            raise ValidationError("probabilities must be numbers") from None
         states = tuple(states)
-        if not (len(labels) == len(probs) == len(states)) or not labels:
+        if probs.ndim != 1 or not (len(labels) == len(probs) == len(states)) or not labels:
             raise ValidationError("labels, probs and states must be non-empty and equal length")
-        if len(set(labels)) != len(labels):
+        try:
+            index = {u: i for i, u in enumerate(labels)}
+        except TypeError:
+            raise ValidationError("ensemble labels must be hashable") from None
+        if len(index) != len(labels):
             raise ValidationError("ensemble labels must be unique")
+        if not np.all(np.isfinite(probs)):
+            raise ValidationError("probabilities must be finite")
         if np.any(probs < -1e-15):
             raise ValidationError(f"negative probability {probs.min():.3e}")
         probs = np.clip(probs, 0.0, None)
@@ -305,7 +314,7 @@ class CqEnsemble:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "_index", {u: i for i, u in enumerate(labels)})
+        object.__setattr__(self, "_index", index)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("CqEnsemble is immutable")

@@ -15,7 +15,11 @@ measurement, and measure
 
 Each one-letter side (Bob's outputs, Eve's outputs, the A' marginals of
 the members and of the resource) runs on real diagonals when all its
-matrices are exactly diagonal, else on matrices.  The marginal residual is
+matrices are exactly diagonal, else on matrices.  A bin's S codeword
+products are built together, one broadcast multiply per letter position
+(``_products``), and summed over the bin one row at a time in codeword
+order, so every bin average is bit for bit the one a per-codeword
+``np.kron`` chain gives.  The marginal residual is
 read off the bin-averaged A' marginals; only above 1e-12 are the dense
 signal-side averages built and repaired (``marginal_residual_and_fixup``).
 
@@ -31,7 +35,6 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import product
 from typing import Sequence
 
@@ -292,8 +295,31 @@ def _power_space(space: LabeledSpace, n: int) -> LabeledSpace:
     return LabeledSpace(tuple(factors))
 
 
-def _kron_chain(mats: Sequence[np.ndarray]) -> np.ndarray:
-    return reduce(np.kron, mats)
+def _products(stack: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Tensor products stack[w[0]] x ... x stack[w[n-1]] for each row w of ``words``.
+
+    ``stack`` holds one-letter diagonals (k, d) or matrices (k, d, d); the
+    S rows of ``words`` (S, n) give S products of shape (d^n,) or
+    (d^n, d^n).  Factors are folded in left to right, so every entry is
+    the product ``reduce(np.kron, ...)`` forms, bit for bit.
+    """
+    prod = stack[words[:, 0]]
+    for j in range(1, words.shape[1]):
+        nxt = stack[words[:, j]]
+        s_count, d = prod.shape[:2]
+        if prod.ndim == 2:
+            prod = (prod[:, :, None] * nxt[:, None, :]).reshape(s_count, -1)
+        else:
+            dd = d * nxt.shape[1]
+            prod = (prod[:, :, None, :, None] * nxt[:, None, :, None, :]).reshape(
+                s_count, dd, dd
+            )
+    return prod
+
+
+def _power(mat: np.ndarray, n: int) -> np.ndarray:
+    """n-fold tensor power of one diagonal or matrix."""
+    return _products(mat[None], np.zeros((1, n), dtype=int))[0]
 
 
 def _member_outputs(
@@ -311,13 +337,14 @@ def _member_outputs(
 
 def _bin_average(matrices: list[np.ndarray], words: np.ndarray) -> list[np.ndarray]:
     """Per-message uniform mixture of Kronecker products (or diagonals) along each bin row."""
+    stack = np.stack(matrices)
     m_count, s_count, _ = words.shape
     out = []
     for m in range(m_count):
-        acc = None
-        for s in range(s_count):
-            prod_mat = _kron_chain([matrices[u] for u in words[m, s]])
-            acc = prod_mat if acc is None else acc + prod_mat
+        prods = _products(stack, words[m])
+        acc = prods[0]
+        for s in range(1, s_count):
+            acc = acc + prods[s]
         out.append(acc / s_count)
     return out
 
@@ -344,7 +371,7 @@ def _eve_outputs(
     d_eve = len(eve_mats[0])
     if d_eve**n > cap:
         raise ResourceLimitError(f"Eve-side dimension {d_eve}^{n} = {d_eve**n} exceeds cap {cap}")
-    return eve_mats, _kron_chain([sum(q * e for q, e in zip(ens.probs, eve_mats))] * n)
+    return eve_mats, _power(sum(q * e for q, e in zip(ens.probs, eve_mats)), n)
 
 
 def leakage(
@@ -360,7 +387,8 @@ def leakage(
     MAX_WORKING_BYTES.
     """
     eve_mats, reference = _eve_outputs(ens, channel, res, codebook.n)
-    _check_bytes(codebook.n, codebook.M, codebook.M * _bin_bytes(eve_mats, codebook.n))
+    need = (codebook.M + 2 * codebook.S) * _bin_bytes(eve_mats, codebook.n)
+    _check_bytes(codebook.n, codebook.M, need)
     dists = [hermitian_trace_norm(b - reference) for b in _bin_average(eve_mats, codebook.words)]
     return LeakageStats(average=float(np.mean(dists)), per_message_max=float(np.max(dists)))
 
@@ -377,12 +405,13 @@ def exact_mixture_leakage(
     words with their product weights reproduces the reference state.
     """
     eve_mats, reference = _eve_outputs(ens, channel, res, n)
+    stack = np.stack(eve_mats)
     mixture = np.zeros_like(reference)
     for word in product(range(len(ens)), repeat=n):
         weight = float(np.prod(ens.probs[list(word)]))
         if weight == 0.0:
             continue
-        mixture += weight * _kron_chain([eve_mats[u] for u in word])
+        mixture += weight * _products(stack, np.array([word]))[0]
     return hermitian_trace_norm(mixture - reference)
 
 
@@ -408,14 +437,14 @@ def marginal_residual_and_fixup(
             f"signal-side dimension {d_mem}^{n} = {d_mem**n} exceeds cap {cap}"
         )
     member_mats = [s.matrix for s in ens.states]
-    _check_bytes(n, codebook.M, codebook.M * _bin_bytes(member_mats, n))
+    _check_bytes(n, codebook.M, (codebook.M + 2 * codebook.S) * _bin_bytes(member_mats, n))
     member_space_n = _power_space(ens.space, n)
     aux_labels = [f"{res.aux_label}@{i}" for i in range(n)]
     target_space = _power_space(res.zeta_marginal.space, n).relabeled(
         {f"{res.alice_label}@{i}": aux_labels[i] for i in range(n)}
     )
     target = DensityOperator(
-        target_space, _kron_chain([res.zeta_marginal.matrix] * n), validate=False
+        target_space, _power(res.zeta_marginal.matrix, n), validate=False
     )
     residuals, costs = [], []
     for avg_mat in _bin_average(member_mats, codebook.words):
@@ -527,18 +556,21 @@ def run_experiment(
                 + ", ".join(f"{k} side {v}" for k, v in over.items())
             )
         # Peak: the M bin averages of one side, plus M PGM elements on a dense
-        # Bob side; a repair holds M dense signal-side averages.
+        # Bob side; a repair holds M dense signal-side averages.  Each side
+        # also holds one bin's S products and a broadcast temporary.
         pgm = 1 if bob[0].ndim == 1 else 2
-        sides = (pgm * _bin_bytes(bob, n), _bin_bytes(eve, n), _bin_bytes(margs, n))
-        need = params.M * max(*sides, sizes["signal"] ** 2 * 16 if repairs else 0)
+        sides = [(pgm, _bin_bytes(bob, n)), (1, _bin_bytes(eve, n)), (1, _bin_bytes(margs, n))]
+        if repairs:
+            sides.append((1, sizes["signal"] ** 2 * 16))
+        need = max((k * params.M + 2 * params.S) * size for k, size in sides)
         _check_bytes(n, params.M, need)
 
     reports = []
     for n, params in zip(n_list, all_params):
         if params.degenerate:
             warnings.warn(f"degenerate single-message code at n={n}", stacklevel=2)
-        eve_ref = _kron_chain([eve_avg] * n)
-        target_n = _kron_chain([target] * n)
+        eve_ref = _power(eve_avg, n)
+        target_n = _power(target, n)
         lams, mus, resids, costs = [], [], [], []
         for t in range(trials):
             cb = sample_codebook(ens, n, params.M, params.S, _trial_seed(seed, n, t))

@@ -134,6 +134,27 @@ def test_rate_eval_invalid_json_cites_offset(tmp_path, capsys):
     assert "byte offset" in payload["error"]
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("labels", [[0], [1], [2], [3]], "hashable"),
+        ("probs", ["a", 0.25, 0.25, 0.25], "numbers"),
+        ("probs", [float("nan"), 0.25, 0.25, 0.25], "finite"),
+    ],
+)
+def test_rate_eval_refuses_ill_typed_ensemble(tmp_path, capsys, field, value, message):
+    from wiretap.scenario import scenario_to_json
+
+    obj = scenario_to_json(build_gallery("superdense"))
+    assert len(obj["ensemble"][field]) == 4
+    obj["ensemble"][field] = value
+    sc_path = tmp_path / "bad.json"
+    sc_path.write_text(json.dumps(obj))
+    code, _, err = run_cli(capsys, "rate-eval", "--scenario", str(sc_path))
+    assert code == 2
+    assert message in json.loads(err.splitlines()[0])["error"]
+
+
 def test_rate_optimize_superdense_and_witness_reload(tmp_path, capsys):
     sc_path = tmp_path / "superdense.json"
     save_scenario(build_gallery("superdense"), sc_path)

@@ -412,7 +412,8 @@ def test_run_experiment_refuses_by_bytes_before_allocating(monkeypatch):
 
 def test_run_experiment_counts_repair_bytes_on_diagonal_instance(monkeypatch):
     # Diagonal sides need 2 MiB at n = 6, but the members' A' marginals differ
-    # from the resource's, so a repair would build 64 dense 4096^2 averages.
+    # from the resource's, so a repair would build 64 dense 4096^2 averages
+    # (0.25 GiB each) plus 2 * S = 10 products: 74 * 0.25 = 18.5 GiB.
     import wiretap.codesim as codesim
     from wiretap.scenario import Scenario
 
@@ -424,7 +425,7 @@ def test_run_experiment_counts_repair_bytes_on_diagonal_instance(monkeypatch):
     ens, res = avg_constrained_ensemble()
     sc = Scenario("avg", "test instance", gallery_classical().channel, res.zeta, ens)
     assert code_parameters(ens, sc.channel, sc.resource_state(), 6, 0.1, rate=1.0).M == 64
-    with pytest.raises(ResourceLimitError, match="16.0 GiB"):
+    with pytest.raises(ResourceLimitError, match="18.5 GiB"):
         run_experiment(sc, [6], 0.1, trials=1, seed=1, rate=1.0)
 
 
@@ -444,18 +445,86 @@ def _forbid_bin_averages(monkeypatch):
 
 
 def test_marginal_residual_refuses_by_bytes(monkeypatch):
-    # Signal side 4^6 = 4096 passes the dimension cap; 64 dense averages need 16 GiB.
+    # Signal side 4^6 = 4096 passes the dimension cap; 64 dense averages plus
+    # 2 * S = 2 products, 0.25 GiB each, need 66 * 0.25 = 16.5 GiB.
     _forbid_bin_averages(monkeypatch)
     ens, res = avg_constrained_ensemble()
     cb = sample_codebook(ens, n=6, M=64, S=1, seed=1)
-    with pytest.raises(ResourceLimitError, match="16.0 GiB"):
+    with pytest.raises(ResourceLimitError, match="16.5 GiB"):
         marginal_residual_and_fixup(cb, ens, res)
 
 
 def test_leakage_refuses_by_bytes(monkeypatch):
-    # Eve side 2^12 = 4096 passes the dimension cap; 16 dense averages need 4 GiB.
+    # Eve side 2^12 = 4096 passes the dimension cap; 16 dense averages plus
+    # 2 * S = 2 products, 0.25 GiB each, need 18 * 0.25 = 4.5 GiB.
     _forbid_bin_averages(monkeypatch)
     sc = gallery_classical()
     cb = sample_codebook(sc.ensemble, n=12, M=16, S=1, seed=1)
-    with pytest.raises(ResourceLimitError, match="4.0 GiB"):
+    with pytest.raises(ResourceLimitError, match="4.5 GiB"):
         leakage(cb, sc.ensemble, sc.channel, sc.resource_state())
+
+
+def _kron_chain_bin_average(matrices, words):
+    """Reference: one Kronecker chain per codeword, summed over the bin in order."""
+    from functools import reduce
+
+    out = []
+    for row in words:
+        acc = reduce(np.kron, [matrices[u] for u in row[0]])
+        for word in row[1:]:
+            acc = acc + reduce(np.kron, [matrices[u] for u in word])
+        out.append(acc / len(row))
+    return out
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_bin_average_is_bitwise_the_kronecker_chain(dense):
+    from wiretap.codesim import _bin_average, _power
+
+    gen = np.random.default_rng(17)
+    for d in (1, 2, 3):
+        if dense:
+            mats = [gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d)) for _ in range(3)]
+        else:
+            mats = [gen.normal(size=d) for _ in range(3)]
+        for n in (1, 2, 3, 4):
+            (power_ref,) = _kron_chain_bin_average(mats, np.zeros((1, 1, n), dtype=int))
+            assert np.array_equal(_power(mats[0], n), power_ref)
+            for s_count in range(1, 6):
+                for m_count in (1, 2, 3):
+                    words = gen.integers(0, 3, size=(m_count, s_count, n))
+                    fast = _bin_average(mats, words)
+                    ref = _kron_chain_bin_average(mats, words)
+                    assert len(fast) == m_count
+                    assert all(np.array_equal(a, b) for a, b in zip(fast, ref))
+    # n = 1 (no fold) and S = 1 (no sum): the bin average is the letter itself.
+    words = np.array([[[2]], [[0]]])
+    assert all(np.array_equal(a, mats[u]) for a, u in zip(_bin_average(mats, words), (2, 0)))
+    words = np.array([[[1, 0, 2]]])
+    (single,) = _bin_average(mats, words)
+    assert np.array_equal(single, np.kron(np.kron(mats[1], mats[0]), mats[2]))
+
+
+def test_run_experiment_kron_calls_do_not_scale_with_codebook(monkeypatch):
+    # Bin products are built by broadcasting, not by one np.kron chain per
+    # codeword (3 sides * 2 trials * M * S * (n - 1) = 1344 calls here), so
+    # the count stays at most n whatever M * S is.
+    import wiretap.codesim as codesim
+
+    class KronCounter:
+        calls = 0
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def kron(self, a, b):
+            self.calls += 1
+            return np.kron(a, b)
+
+    counter = KronCounter()
+    monkeypatch.setattr(codesim, "np", counter)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        (rep,) = run_experiment(gallery_classical(), [8], 0.1, trials=2, seed=3)
+    assert (rep.M, rep.S) == (4, 8)
+    assert counter.calls <= 8

@@ -28,7 +28,6 @@ from .channels import (
     trivial_resource,
 )
 from .entropic import (
-    InfoQuantity,
     coherent_information,
     holevo_information,
     mutual_information,

@@ -33,6 +33,7 @@ from .qcore import (
     hermitian_trace_norm,
     partial_trace,
     permute_factors,
+    purify,
     state_from_json,
     state_to_json,
 )
@@ -274,10 +275,32 @@ def append_trivial_output(ch: QuantumChannel, label: str) -> QuantumChannel:
 # ---------------------------------------------------------------------------
 
 
+def _validated_probs(probs) -> np.ndarray:
+    """A probability vector as a 1-D float array, entries clipped at 0.
+
+    Refuses non-numeric, non-finite or negative entries (beyond -1e-15
+    rounding) and sums further than PROB_TOL from 1.
+    """
+    try:
+        p = np.array(probs, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError("probabilities must be numbers") from None
+    if p.ndim != 1:
+        raise ValidationError(f"probabilities must be a flat list, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ValidationError("probabilities must be finite")
+    if np.any(p < -1e-15):
+        raise ValidationError(f"negative probability {p.min():.3e}")
+    p = np.clip(p, 0.0, None)
+    if abs(p.sum() - 1.0) > PROB_TOL:
+        raise ValidationError(f"probabilities sum to {p.sum():.15g}, not 1")
+    return p
+
+
 class CqEnsemble:
     """Finite label set with probabilities and per-label states on one space."""
 
-    __slots__ = ("labels", "probs", "states", "_index")
+    __slots__ = ("labels", "probs", "states")
 
     def __init__(
         self,
@@ -286,26 +309,16 @@ class CqEnsemble:
         states: Sequence[DensityOperator],
     ) -> None:
         labels = tuple(labels)
-        try:
-            probs = np.array(probs, dtype=float)
-        except (TypeError, ValueError):
-            raise ValidationError("probabilities must be numbers") from None
         states = tuple(states)
-        if probs.ndim != 1 or not (len(labels) == len(probs) == len(states)) or not labels:
+        probs = _validated_probs(probs)
+        if not (len(labels) == len(probs) == len(states)) or not labels:
             raise ValidationError("labels, probs and states must be non-empty and equal length")
         try:
-            index = {u: i for i, u in enumerate(labels)}
+            unique = len(set(labels)) == len(labels)
         except TypeError:
             raise ValidationError("ensemble labels must be hashable") from None
-        if len(index) != len(labels):
+        if not unique:
             raise ValidationError("ensemble labels must be unique")
-        if not np.all(np.isfinite(probs)):
-            raise ValidationError("probabilities must be finite")
-        if np.any(probs < -1e-15):
-            raise ValidationError(f"negative probability {probs.min():.3e}")
-        probs = np.clip(probs, 0.0, None)
-        if abs(probs.sum() - 1.0) > PROB_TOL:
-            raise ValidationError(f"probabilities sum to {probs.sum():.15g}, not 1")
         space = states[0].space
         for s in states[1:]:
             if s.space != space:
@@ -314,7 +327,6 @@ class CqEnsemble:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "_index", index)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("CqEnsemble is immutable")
@@ -325,15 +337,6 @@ class CqEnsemble:
     @property
     def space(self) -> LabeledSpace:
         return self.states[0].space
-
-    def members(self):
-        return zip(self.labels, self.probs, self.states)
-
-    def state_of(self, u) -> DensityOperator:
-        return self.states[self._index[u]]
-
-    def prob_of(self, u) -> float:
-        return float(self.probs[self._index[u]])
 
     def average_state(self) -> DensityOperator:
         m = sum(q * s.matrix for q, s in zip(self.probs, self.states))
@@ -346,7 +349,7 @@ def cq_state(ens: CqEnsemble, label: str = "U") -> DensityOperator:
         raise ValidationError(f"register label {label!r} clashes with member space")
     n, d = len(ens), ens.space.dim
     out = np.zeros((n * d, n * d), dtype=np.complex128)
-    for i, (_, q, s) in enumerate(ens.members()):
+    for i, (q, s) in enumerate(zip(ens.probs, ens.states)):
         out[i * d : (i + 1) * d, i * d : (i + 1) * d] = q * s.matrix
     space = LabeledSpace.of((label, n)).tensor(ens.space)
     return DensityOperator(space, out, validate=False)
@@ -475,11 +478,7 @@ def channel_from_resource_state(
         support_isometry = iso
 
     cond = float(lam[0] / lam[-1])
-    phi_vec = np.zeros(rank * rank, dtype=np.complex128)
-    for i in range(rank):
-        phi_vec += np.sqrt(lam[i]) * np.kron(vecs[:, i], vecs[:, i])
-    phi_space = LabeledSpace.of((alice, rank), (aux_label, rank))
-    phi0 = DensityOperator(phi_space, np.outer(phi_vec, phi_vec.conj()), validate=False)
+    phi0 = purify(partial_trace(zeta_r, {alice}), aux_label, symmetric=True)
 
     j = _weighted_choi_from_blocks(zeta_r, alice, lam, vecs)
     choi_space = LabeledSpace.of((aux_label, rank)).tensor(zeta_r.space.subspace(others))

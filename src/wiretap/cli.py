@@ -18,8 +18,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .channels import ensemble_to_json, channel_to_json
 from .codesim import run_experiment
 from .measures import dense_coding_advantage, entanglement_of_purification
@@ -132,10 +130,8 @@ def opt_result_to_json(result: OptResult) -> dict:
         payload["witness_ensemble"] = ensemble_to_json(result.best_ensemble)
     if result.best_channel is not None:
         payload["witness_channel"] = channel_to_json(result.best_channel)
-    if isinstance(result.report, RateReport):
+    if result.report is not None:
         payload["report"] = report_to_json(result.report)
-    elif result.report is not None:
-        payload["report"] = result.report
     payload["trace"] = [
         [p.restart, p.iteration, p.value, p.residual] for p in result.trace
     ]
@@ -340,9 +336,7 @@ def cmd_code_sim(args) -> int:
 
 
 def cmd_gallery(args) -> int:
-    pmf = None
-    if args.pmf is not None:
-        pmf = np.asarray(_load_json(args.pmf), dtype=float)
+    pmf = _load_json(args.pmf) if args.pmf is not None else None
     sc = build_gallery(args.name, pmf)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{sc.name}.json")

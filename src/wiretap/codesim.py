@@ -64,8 +64,6 @@ __all__ = [
     "SimReport",
     "code_parameters",
     "sample_codebook",
-    "symbol_frequencies",
-    "codebook_chi_square",
     "pgm_decoder",
     "pgm_success",
     "leakage",
@@ -221,22 +219,6 @@ def sample_codebook(ens: CqEnsemble, n: int, M: int, S: int, seed: int) -> Codeb
     p = p / p.sum()
     words = gen.choice(len(ens), size=(M, S, n), p=p)
     return Codebook(n=n, M=M, S=S, words=words, seed=seed)
-
-
-def symbol_frequencies(codebook: Codebook, num_symbols: int) -> np.ndarray:
-    counts = np.bincount(codebook.words.reshape(-1), minlength=num_symbols)
-    return counts / codebook.words.size
-
-
-def codebook_chi_square(codebook: Codebook, probs: Sequence[float]) -> tuple[float, float]:
-    """Chi-square sanity check of empirical symbol counts against the law."""
-    from scipy import stats  # imported here: it costs a second on every CLI start
-    probs = np.asarray(probs, dtype=float)
-    counts = np.bincount(codebook.words.reshape(-1), minlength=len(probs)).astype(float)
-    keep = probs > 0
-    expected = probs[keep] / probs[keep].sum() * counts.sum()
-    stat, pvalue = stats.chisquare(counts[keep], expected)
-    return float(stat), float(pvalue)
 
 
 def pgm_decoder(

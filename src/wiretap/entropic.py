@@ -1,12 +1,11 @@
 """Entropy and information functionals over states and ensembles.
 
-All quantities are in bits (base-2 logarithms, fixed in one constant).
-Information quantities carry their component entropies for auditability.
+All quantities are plain floats in bits: every entropy takes ``np.log2``
+of the eigenvalues above ``ENTROPY_EIGENVALUE_CUTOFF``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -16,8 +15,6 @@ from .qcore import DensityOperator, ValidationError, partial_trace
 
 __all__ = [
     "ENTROPY_EIGENVALUE_CUTOFF",
-    "LOG_BASE",
-    "InfoQuantity",
     "von_neumann_entropy",
     "mutual_information",
     "coherent_information",
@@ -27,19 +24,6 @@ __all__ = [
 # Eigenvalues below this contribute zero entropy (0 log 0 = 0 convention,
 # applied before the logarithm can blow up on numerical dust).
 ENTROPY_EIGENVALUE_CUTOFF = 1e-14
-
-LOG_BASE = 2.0
-
-
-@dataclass(frozen=True)
-class InfoQuantity:
-    """An information value in bits plus the partial entropies forming it."""
-
-    value: float
-    components: dict[str, float] = field(default_factory=dict)
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
@@ -51,7 +35,7 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
 
 def mutual_information(
     rho: DensityOperator, part_a: Iterable[str], part_b: Iterable[str]
-) -> InfoQuantity:
+) -> float:
     """I(A:B) = S(A) + S(B) - S(AB) across the named partitions.
 
     Factors outside the two partitions are traced out first.
@@ -64,9 +48,7 @@ def mutual_information(
     s_a = von_neumann_entropy(partial_trace(joint, a))
     s_b = von_neumann_entropy(partial_trace(joint, b))
     s_ab = von_neumann_entropy(joint)
-    return InfoQuantity(
-        value=s_a + s_b - s_ab, components={"S_A": s_a, "S_B": s_b, "S_AB": s_ab}
-    )
+    return s_a + s_b - s_ab
 
 
 def coherent_information(rho: DensityOperator, bob: Iterable[str] | None = None) -> float:

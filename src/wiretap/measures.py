@@ -79,13 +79,6 @@ class EpBoundResult:
     witness_flag: bool
 
 
-def _embedding_isometry(d_in: int, d_out: int) -> np.ndarray:
-    v = np.zeros((d_out, d_in), dtype=np.complex128)
-    for i in range(d_in):
-        v[i, i] = 1.0
-    return v
-
-
 def _channel_inits(
     input_space: LabeledSpace, output_space: LabeledSpace
 ) -> list[QuantumChannel]:
@@ -94,7 +87,7 @@ def _channel_inits(
     if output_space.dim >= input_space.dim:
         inits.append(
             isometry_channel(
-                _embedding_isometry(input_space.dim, output_space.dim),
+                np.eye(output_space.dim, input_space.dim, dtype=complex),
                 input_space,
                 output_space,
             )
@@ -122,7 +115,7 @@ def dense_coding_advantage(
         raise ValidationError("dense_coding_advantage expects a bipartite state")
     alice, bob = zeta_ab.space.labels
     d_a = zeta_ab.space.dim_of(alice)
-    cap = dim_a_cap or d_a * d_a
+    cap = d_a * d_a if dim_a_cap is None else dim_a_cap
     if cap < 1:
         raise ValidationError("dim_a_cap must be positive")
     out_label = _fresh_label("A", zeta_ab.space.labels)
@@ -164,7 +157,7 @@ def entanglement_of_purification(
     e_label = _fresh_label("Epur", rho_cd.space.labels)
     psi = purify(rho_cd, e_label)
     d_e = psi.space.dim_of(e_label)
-    cap = dim_f_cap or d_e
+    cap = d_e if dim_f_cap is None else dim_f_cap
     if cap < 1:
         raise ValidationError("dim_f_cap must be positive")
     psi_ce = partial_trace(psi, {c_label, e_label})

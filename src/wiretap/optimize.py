@@ -117,7 +117,7 @@ class OptResult:
     best_value: float
     best_ensemble: CqEnsemble | None = None
     best_channel: QuantumChannel | None = None
-    report: RateReport | float | None = None
+    report: RateReport | None = None
     trace: tuple[TracePoint, ...] = field(default_factory=tuple)
 
 
@@ -503,7 +503,6 @@ def optimize_channel_functional(
     output_space: LabeledSpace,
     sense: str,
     cfg: OptimizerConfig,
-    env_dim: int | None = None,
     inits: Sequence[QuantumChannel] = (),
 ) -> OptResult:
     """Optimize a scalar functional over CPTP maps of a fixed signature.
@@ -513,21 +512,15 @@ def optimize_channel_functional(
     environment dimension; the remaining restarts cycle through a ladder of
     smaller environments (Kraus-rank caps), which explore far better while
     staying inside the same channel family.  A final polish pass re-runs
-    the search from the incumbent.  ``env_dim`` pins the environment
-    instead, disabling the ladder.
+    the search from the incumbent.
     """
     if sense not in ("max", "min"):
         raise ValidationError(f"sense must be 'max' or 'min', got {sense!r}")
     sign = 1.0 if sense == "max" else -1.0
     full_env = input_space.dim * output_space.dim
-    ladder = [env_dim] if env_dim is not None else _env_ladder(full_env)
-    ladder = [e for e in ladder if e * output_space.dim >= input_space.dim]
+    ladder = [e for e in _env_ladder(full_env) if e * output_space.dim >= input_space.dim]
     params = {e: _StinespringParam(input_space, output_space, e) for e in ladder}
-    full_param = (
-        params[ladder[-1]]
-        if env_dim is not None
-        else _StinespringParam(input_space, output_space, full_env)
-    )
+    full_param = params[full_env]
 
     packed_inits = []
     for ch in inits:
@@ -574,9 +567,7 @@ def optimize_channel_functional(
     )
     best_ch = best_param.unpack(best_x)
     value = sign * val
-    return OptResult(
-        best_value=value, best_channel=best_ch, report=value, trace=tuple(trace)
-    )
+    return OptResult(best_value=value, best_channel=best_ch, trace=tuple(trace))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ Three functionals share one report type:
   marginal: I(U:BB') - max(I(U:EE'), I(U:A')).  The I(U:A') term is the
   price of relaxing the per-letter marginal constraint to an average one
   (Gelfand-Pinsker style coding).
-* ``trivial_rate`` -- modulations applied directly to the shared resource,
-  then fed through the channel: I(U:BB') - I(U:EE').
+* ``trivial_rate`` -- modulations M_u applied directly to the shared
+  resource, then fed through the channel: I(U:BB') - I(U:EE').  This is the
+  theorem1 functional of the members eta_u = (M_u x id) phi0, without the
+  I(U:A') term.
 * ``unassisted_rate`` -- plain wiretap coding with no resource:
   I(U:B) - I(U:E).
 
@@ -36,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import CqEnsemble, QuantumChannel, ResourceState, apply, cq_state
+from .channels import CqEnsemble, QuantumChannel, ResourceState, _validated_probs, apply, cq_state
 from .entropic import ENTROPY_EIGENVALUE_CUTOFF
 from .qcore import (
     DensityOperator,
@@ -273,16 +275,16 @@ def trivial_rate(
 ) -> RateReport:
     """Rate of modulations applied directly to the shared resource.
 
-    Each modulation consumes Alice's share and produces the channel input;
-    the resource's other shares ride along to Bob and Eve.
+    Each modulation M_u consumes Alice's share and produces the channel
+    input; the resource's other shares ride along to Bob and Eve.  Since
+    (id x Z) phi0 = zeta, the kernel scores the members eta_u = (M_u x id)
+    phi0 on (signal, A').
     """
+    probs = _validated_probs(probs)
     if len(probs) != len(modulations) or not modulations:
         raise ValidationError("need matching, non-empty probs and modulations")
-    alice = res.alice_label
-    d_alice = res.zeta.space.dim_of(alice)
-    members = []
-    avg_marg = np.zeros((res.phi0.space.dim_of(res.aux_label),) * 2, dtype=np.complex128)
-    for q, mod in zip(probs, modulations):
+    d_alice = res.zeta.space.dim_of(res.alice_label)
+    for mod in modulations:
         if mod.input_space.dims != (d_alice,):
             raise ValidationError(
                 f"modulation input dims {mod.input_space.dims} != Alice share dimension {d_alice}"
@@ -292,14 +294,12 @@ def trivial_rate(
                 f"modulation output dims {mod.output_space.dims} != "
                 f"channel input dims {channel.input_space.dims}"
             )
-        w = apply(mod, res.zeta, on=[alice])  # (Bob', Eve', signal)
-        members.append(apply(channel, w, on=list(mod.output_space.labels)))
-        eta = apply(mod, res.phi0, on=[alice])  # (reference copy, signal)
-        avg_marg = avg_marg + q * partial_trace(eta, {res.aux_label}).matrix
-    residual = hermitian_trace_norm(avg_marg - res.zeta_marginal.matrix)
-
+    eye_aux = np.eye(res.phi0.space.dim_of(res.aux_label))
+    bigs = [[np.kron(k, eye_aux) for k in mod.kraus] for mod in modulations]
+    members = np.stack([sum(b @ res.phi0.matrix @ b.conj().T for b in big) for big in bigs])
     kernel = _CqKernel(channel, res)
-    i_u_bb, i_u_ee = kernel.bob_eve(_stack(members, kernel.labels), probs)
+    i_u_bb, i_u_ee = kernel.bob_eve(kernel.pushforward(members), probs)
+    residual = kernel.reference_terms(members, probs)[1]
     return RateReport(i_u_bb, i_u_ee, 0.0, i_u_bb - i_u_ee, residual, mode="trivial")
 
 
@@ -320,9 +320,14 @@ def classical_embed(
     pmf: np.ndarray, labels: tuple[str, str, str] = ("Ap", "Bp", "Ep")
 ) -> DensityOperator:
     """Diagonal embedding of a joint pmf over X x Y x Z as a resource state."""
-    p = np.asarray(pmf, dtype=float)
+    try:
+        p = np.asarray(pmf, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError("pmf entries must be numbers") from None
     if p.ndim != 3:
         raise ValidationError(f"pmf must be a 3-way array, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ValidationError("pmf entries must be finite")
     if np.any(p < 0):
         raise ValidationError(f"pmf has negative entries (min {p.min():.3e})")
     if abs(p.sum() - 1.0) > 1e-12:

@@ -13,6 +13,7 @@ from .channels import (
     CqEnsemble,
     QuantumChannel,
     ResourceState,
+    _validated_probs,
     channel_from_json,
     channel_from_resource_state,
     channel_to_json,
@@ -71,9 +72,12 @@ class Scenario:
         clash = set(self.channel.output_space.labels) & set(self.resource.space.labels)
         if clash:
             raise ValidationError(f"channel output labels {sorted(clash)} clash with resource")
-        if self.modulations is not None:
-            probs = self.modulation_probs
-            if probs is not None and len(probs) != len(self.modulations):
+        if self.modulation_probs is not None:
+            try:
+                probs = _validated_probs(self.modulation_probs)
+            except ValidationError as exc:
+                raise ValidationError(f"modulation_probs: {exc}") from exc
+            if self.modulations is not None and len(probs) != len(self.modulations):
                 raise ValidationError("modulation_probs length != number of modulations")
 
     def resource_state(self) -> ResourceState:
@@ -134,7 +138,7 @@ def scenario_from_json(obj) -> Scenario:
         resource=resource,
         ensemble=ensemble,
         modulations=modulations,
-        modulation_probs=tuple(probs) if probs is not None else None,
+        modulation_probs=tuple(probs) if isinstance(probs, list) else probs,
     )
 
 
@@ -294,7 +298,7 @@ def gallery_classical(pmf: np.ndarray | None = None) -> Scenario:
     """
     if pmf is None:
         pmf = np.ones((1, 1, 1))
-    resource = classical_embed(np.asarray(pmf, dtype=float))
+    resource = classical_embed(pmf)
     channel = classical_channel(
         _degraded_bsc_transition(0.05, 1.0 / 6.0), _A, LabeledSpace.of(("B", 2), ("E", 2))
     )

@@ -98,6 +98,16 @@ def broadcast_copy_channel() -> QuantumChannel:
     return QuantumChannel(LabeledSpace.of(("A", 2)), LabeledSpace.of(("B", 2), ("E", 2)), [v])
 
 
+def amplitude_damping_wiretap(gamma: float) -> QuantumChannel:
+    """Amplitude damping to Bob with the environment to Eve: the isometry
+    |0> -> |00>_BE, |1> -> sqrt(1 - gamma)|10>_BE + sqrt(gamma)|01>_BE."""
+    v = np.zeros((4, 2), dtype=complex)
+    v[0, 0] = 1.0
+    v[2, 1] = np.sqrt(1.0 - gamma)
+    v[1, 1] = np.sqrt(gamma)
+    return QuantumChannel(LabeledSpace.of(("A", 2)), LabeledSpace.of(("B", 2), ("E", 2)), [v])
+
+
 def bell_resource_state() -> ResourceState:
     """Bell pair between Alice and Bob, trivial Eve share."""
     zeta = tensor(

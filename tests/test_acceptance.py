@@ -467,7 +467,7 @@ def test_acceptance_8_substrate_properties():
 
         shannon_mi = h(px) + h(py) - h(pxy.reshape(-1))
         classical_dev = max(
-            classical_dev, abs(mutual_information(rho, {"X"}, {"Y"}).value - shannon_mi)
+            classical_dev, abs(mutual_information(rho, {"X"}, {"Y"}) - shannon_mi)
         )
 
     pgm_ok = True

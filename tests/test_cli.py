@@ -62,6 +62,20 @@ def test_gallery_classical_with_pmf(tmp_path, capsys):
     assert sc.ensemble is not None  # XOR-pad ensemble bundled
 
 
+@pytest.mark.parametrize(
+    "pmf, message", [([["a"]], "numbers"), ([[[float("nan")]], [[1.0]]], "finite")]
+)
+def test_gallery_classical_refuses_bad_pmf(tmp_path, capsys, pmf, message):
+    pmf_path = tmp_path / "pmf.json"
+    pmf_path.write_text(json.dumps(pmf))
+    code, out, err = run_cli(
+        capsys, "gallery", "classical", "--pmf", str(pmf_path), "--out", str(tmp_path)
+    )
+    assert code == 2 and not out
+    assert not (tmp_path / "classical.json").exists()
+    assert message in json.loads(err.splitlines()[0])["error"]
+
+
 def test_rate_eval_trivial_gallery_all_modes(tmp_path, capsys):
     sc_path = tmp_path / "trivial.json"
     save_scenario(build_gallery("trivial"), sc_path)
@@ -99,6 +113,30 @@ def test_rate_eval_superdense(tmp_path, capsys):
         capsys, "rate-eval", "--scenario", str(sc_path), "--mode", "trivial"
     )
     assert json.loads(out)["rate"] == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "probs, message",
+    [
+        ([0.9, 0.9, -0.4, -0.4], "negative"),
+        ([0.5, 0.5, 0.5, 0.5], "sum"),
+        (["a", "b", "c", "d"], "numbers"),
+        ([float("nan"), 0.25, 0.25, 0.25], "finite"),
+    ],
+)
+def test_rate_eval_refuses_bad_modulation_probs(tmp_path, capsys, probs, message):
+    from wiretap.scenario import scenario_to_json
+
+    obj = scenario_to_json(build_gallery("superdense"))
+    obj["modulation_probs"] = probs
+    sc_path = tmp_path / "bad.json"
+    sc_path.write_text(json.dumps(obj))
+    code, out, err = run_cli(
+        capsys, "rate-eval", "--scenario", str(sc_path), "--mode", "trivial"
+    )
+    assert code == 2 and not out
+    error = json.loads(err.splitlines()[0])["error"]
+    assert "modulation_probs" in error and message in error
 
 
 def test_rate_eval_table_format(tmp_path, capsys):
@@ -270,6 +308,20 @@ def test_resource_analyze_bell(tmp_path, capsys):
     assert payload["s_bprime"] == pytest.approx(1.0, abs=1e-10)
     assert payload["residual"] <= 1e-3
     assert "kraus" in payload["witnesses"]["delta"]
+
+
+def test_resource_analyze_refuses_zero_cap(tmp_path, capsys):
+    state = tensor(
+        maximally_entangled("Ap", "Bp", 2),
+        basis_state(LabeledSpace.of(("Cp", 2)), [0]),
+    )
+    path = tmp_path / "bell.json"
+    save_state(state, path)
+    code, out, err = run_cli(
+        capsys, "resource-analyze", "--state", str(path), "--seed", "5", "--dim-a-cap", "0"
+    )
+    assert code == 2 and not out
+    assert "dim_a_cap" in json.loads(err.splitlines()[0])["error"]
 
 
 def test_code_sim_csv_and_caps(tmp_path, capsys):

@@ -75,11 +75,11 @@ def reference_theorem1(ens, ch, res):
     if all(np.array_equal(margs[0], m) for m in margs[1:]):
         i_ap = 0.0
     else:
-        i_ap = mutual_information(build_beta(ens), {"U"}, {aux}).value
+        i_ap = mutual_information(build_beta(ens), {"U"}, {aux})
     gamma = build_gamma(ens, ch, res)
     bob, eve = bob_eve(ch, res)
-    i_bb = mutual_information(gamma, {"U"}, bob).value
-    i_ee = mutual_information(gamma, {"U"}, eve).value
+    i_bb = mutual_information(gamma, {"U"}, bob)
+    i_ee = mutual_information(gamma, {"U"}, eve)
     residual = marginal_constraint_residual(ens, res)
     return np.array([i_bb, i_ee, i_ap, i_bb - max(i_ee, i_ap), residual])
 
@@ -88,8 +88,8 @@ def reference_unassisted(ens, ch):
     pushed = [apply(ch, s, on=list(ens.space.labels)) for s in ens.states]
     gamma = cq_state(CqEnsemble(ens.labels, ens.probs, pushed))
     bob, eve = bob_eve(ch, None)
-    i_bb = mutual_information(gamma, {"U"}, bob).value
-    i_ee = mutual_information(gamma, {"U"}, eve).value
+    i_bb = mutual_information(gamma, {"U"}, bob)
+    i_ee = mutual_information(gamma, {"U"}, eve)
     return np.array([i_bb, i_ee, 0.0, i_bb - i_ee, 0.0])
 
 
@@ -103,8 +103,8 @@ def reference_trivial(probs, mods, ch, res):
     residual = float(np.sum(np.abs(np.linalg.eigvalsh(avg - res.zeta_marginal.matrix))))
     gamma = cq_state(CqEnsemble(list(range(len(members))), probs, members))
     bob, eve = bob_eve(ch, res)
-    i_bb = mutual_information(gamma, {"U"}, bob).value
-    i_ee = mutual_information(gamma, {"U"}, eve).value
+    i_bb = mutual_information(gamma, {"U"}, bob)
+    i_ee = mutual_information(gamma, {"U"}, eve)
     return np.array([i_bb, i_ee, 0.0, i_bb - i_ee, residual])
 
 
@@ -144,8 +144,8 @@ def reference_grid_oracle(ch, res, spec):
             q = np.array(comp, dtype=float) / spec.prob_points
             labels = [i for i in range(k) if q[i] > 0]
             gamma = cq_state(CqEnsemble(labels, q[labels], [pushed[combo[i]] for i in labels]))
-            i_bb = mutual_information(gamma, {"U"}, bob).value
-            i_ee = mutual_information(gamma, {"U"}, eve).value
+            i_bb = mutual_information(gamma, {"U"}, bob)
+            i_ee = mutual_information(gamma, {"U"}, eve)
             i_ap = holevo_information(
                 CqEnsemble(labels, q[labels], [margs[combo[i]] for i in labels])
             )

@@ -100,6 +100,15 @@ def test_ep_pure_state_gives_entropy_of_first_party():
     assert out.value == pytest.approx(want, abs=1e-4)
 
 
+def test_zero_dimension_caps_are_refused():
+    # 0 is a cap, not "unset": it must not fall back to the default dimension.
+    bell = maximally_entangled("C", "D", 2)
+    with pytest.raises(ValidationError, match="dim_a_cap"):
+        dense_coding_advantage(bell, dim_a_cap=0, cfg=cfg(restarts=1, max_iters=1))
+    with pytest.raises(ValidationError, match="dim_f_cap"):
+        entanglement_of_purification(bell, dim_f_cap=0, cfg=cfg(restarts=1, max_iters=1))
+
+
 def test_ep_classical_correlated_and_cap_monotonicity():
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = m[3, 3] = 0.5

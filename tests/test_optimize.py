@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    amplitude_damping_wiretap,
     bell_resource_state,
     broadcast_copy_channel,
     identity_qubit_wiretap,
@@ -36,6 +37,7 @@ from wiretap.qcore import (
     tensor,
 )
 from wiretap.rates import marginal_constraint_residual, theorem1_rate
+from wiretap.scenario import correlated_bits_pmf, gallery_classical
 
 A = LabeledSpace.of(("A", 2))
 
@@ -333,3 +335,47 @@ def test_projection_repair_member_has_unit_trace_at_tiny_weight():
     assert abs(np.trace(fixed.states[-1].matrix).real - 1.0) <= 1e-12
     reloaded = ensemble_from_json(ensemble_to_json(fixed))
     assert marginal_constraint_residual(reloaded, res) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Known answers at interior optima (reduced search: 2 restarts x 300 iterations)
+# ---------------------------------------------------------------------------
+
+
+def binary_entropy(x: float) -> float:
+    return float(-sum(t * np.log2(t) for t in (x, 1.0 - x) if t > 0))
+
+
+def amplitude_damping_private_capacity(gamma: float) -> float:
+    """max_p h((1 - gamma) p) - h(gamma p): the private capacity of the
+    degradable amplitude-damping channel, gamma <= 1/2 (Smith, PRA 78,
+    022306, 2008), by a grid scan refined with a ternary search."""
+
+    def f(p: float) -> float:
+        return binary_entropy((1.0 - gamma) * p) - binary_entropy(gamma * p)
+
+    grid = np.linspace(0.0, 1.0, 1001)
+    i = int(np.argmax([f(p) for p in grid]))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    for _ in range(100):
+        m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+        lo, hi = (m1, hi) if f(m1) < f(m2) else (lo, m2)
+    return f(0.5 * (lo + hi))
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.3, 0.45])
+def test_optimize_unassisted_amplitude_damping_anchor(gamma):
+    closed = amplitude_damping_private_capacity(gamma)
+    cfg = OptimizerConfig(seed=1, restarts=2, max_iters=300)
+    got = optimize_unassisted(amplitude_damping_wiretap(gamma), cfg).best_value
+    assert closed - 5e-6 <= got <= closed + 1e-9
+
+
+def test_optimize_theorem1_perfect_key_anchor():
+    # A uniform key shared with Bob alone: the XOR pad reaches the capacity
+    # of Bob's BSC(0.05), which also bounds I(U:BB') = I(U:B|B') from above.
+    sc = gallery_classical(correlated_bits_pmf())
+    cfg = OptimizerConfig(seed=1, restarts=2, max_iters=300)
+    got = optimize_theorem1(sc.channel, sc.resource_state(), cfg).best_value
+    assert got == pytest.approx(1.0 - binary_entropy(0.05), abs=1e-9)
+    assert got == pytest.approx(0.713603043, abs=1e-9)

@@ -191,6 +191,15 @@ def test_superdense_matches_pauli_modulations():
     assert rep.constraint_residual <= 1e-9
 
 
+def test_trivial_rate_refuses_bad_probabilities():
+    res = bell_resource_state()
+    n = identity_qubit_wiretap()
+    mods = [QuantumChannel(LabeledSpace.of(("Ap", 2)), A, [PAULI[s]]) for s in "IXYZ"]
+    for probs, message in [([0.9, 0.9, -0.4, -0.4], "negative"), ([0.5] * 4, "sum")]:
+        with pytest.raises(ValidationError, match=message):
+            trivial_rate(probs, mods, n, res)
+
+
 def test_exact_marginal_ensemble_equals_modulation_rate():
     # Members with per-u exact marginal correspond to modulations; rates agree.
     gen = rng(317)
@@ -320,7 +329,7 @@ def test_classical_embed_basic():
     zeta2 = classical_embed(p2)
     from wiretap.entropic import mutual_information
 
-    assert mutual_information(zeta2, {"Ap"}, {"Bp"}).value == pytest.approx(1.0, abs=1e-10)
+    assert mutual_information(zeta2, {"Ap"}, {"Bp"}) == pytest.approx(1.0, abs=1e-10)
 
     with pytest.raises(ValidationError, match="sums"):
         classical_embed(np.ones((2, 2, 2)))

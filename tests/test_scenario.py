@@ -121,3 +121,11 @@ def test_gallery_classical_pmf_marginal_check():
     # Independent uniform bits: Alice-Bob marginal is I/4.
     ab = partial_trace(sc.resource, {"Ap", "Bp"})
     assert np.allclose(ab.matrix, np.eye(4) / 4, atol=1e-14)
+
+
+def test_modulation_probs_checked_without_modulations():
+    obj = scenario_to_json(build_gallery("broadcast"))
+    assert obj["modulations"] is None
+    obj["modulation_probs"] = ["a"]
+    with pytest.raises(ValidationError, match="modulation_probs"):
+        scenario_from_json(obj)

@@ -26,11 +26,20 @@ __all__ = [
 ENTROPY_EIGENVALUE_CUTOFF = 1e-14
 
 
+def _entropies(matrices: np.ndarray) -> np.ndarray:
+    """Entropies in bits of a stack (..., d, d) of Hermitian matrices.
+
+    Eigenvalues at or below ``ENTROPY_EIGENVALUE_CUTOFF`` count as
+    0 log 0 = 0; the result is floored at 0.
+    """
+    w = np.linalg.eigvalsh(matrices)
+    w = np.where(w > ENTROPY_EIGENVALUE_CUTOFF, w, 1.0)
+    return np.maximum(0.0, -np.sum(w * np.log2(w), axis=-1))
+
+
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """Entropy -Tr rho log2 rho, via eigendecomposition."""
-    w = rho.eigenvalues()
-    w = w[w > ENTROPY_EIGENVALUE_CUTOFF]
-    return float(max(0.0, -np.sum(w * np.log2(w))))
+    return float(_entropies(rho.matrix))
 
 
 def mutual_information(

@@ -28,11 +28,10 @@ import numpy as np
 from .channels import (
     CqEnsemble,
     QuantumChannel,
-    apply,
     constant_channel,
     isometry_channel,
 )
-from .entropic import holevo_information, von_neumann_entropy
+from .entropic import _entropies, holevo_information, von_neumann_entropy
 from .optimize import OptimizerConfig, OptResult, optimize_channel_functional
 from .qcore import (
     TOL_EQ,
@@ -79,6 +78,32 @@ class EpBoundResult:
     witness_flag: bool
 
 
+class _ChannelKernel:
+    """Maps (env, d_out, d_in) Kraus stacks on one factor of a bipartite
+    state to the output state on (passthrough, output) and its entropy.
+
+    The twin of ``rates._CqKernel`` for the channel searches: the state is
+    held once as a (pass, in, pass, in) array, and each candidate costs two
+    ``einsum``s and one eigensolve.  It keeps no state between calls.
+    """
+
+    def __init__(self, rho: DensityOperator, on: str) -> None:
+        (pass_label,) = [lab for lab in rho.space.labels if lab != on]
+        d_pass, d_in = rho.space.dim_of(pass_label), rho.space.dim_of(on)
+        rho_p = permute_factors(rho, [pass_label, on]).matrix
+        self.rho = rho_p.reshape(d_pass, d_in, d_pass, d_in)
+
+    def omega(self, kraus: np.ndarray) -> np.ndarray:
+        """sum_e (1 x K_e) rho (1 x K_e)^dagger as a (pass*out, pass*out) matrix."""
+        half = np.einsum("eoa,bacd->beocd", kraus, self.rho)
+        out = np.einsum("beocd,epd->bocp", half, kraus.conj())
+        d = out.shape[0] * out.shape[1]
+        return out.reshape(d, d)
+
+    def entropy(self, kraus: np.ndarray) -> float:
+        return float(_entropies(self.omega(kraus)))
+
+
 def _channel_inits(
     input_space: LabeledSpace, output_space: LabeledSpace
 ) -> list[QuantumChannel]:
@@ -122,10 +147,12 @@ def dense_coding_advantage(
     in_space = zeta_ab.space.subspace([alice])
     out_space = LabeledSpace.of((out_label, cap))
 
-    def objective(om: QuantumChannel) -> float:
-        omega = apply(om, zeta_ab, on=[alice])  # (bob, out)
-        s_b = von_neumann_entropy(partial_trace(omega, {bob}))
-        return s_b - von_neumann_entropy(omega)
+    # A channel on Alice's share leaves Bob's marginal, hence S(B), unchanged.
+    kernel = _ChannelKernel(zeta_ab, alice)
+    s_b = von_neumann_entropy(partial_trace(zeta_ab, {bob}))
+
+    def objective(kraus: np.ndarray) -> float:
+        return s_b - kernel.entropy(kraus)
 
     opt = optimize_channel_functional(
         objective,
@@ -165,12 +192,8 @@ def entanglement_of_purification(
     in_space = psi.space.subspace([e_label])
     out_space = LabeledSpace.of((f_label, cap))
 
-    def objective(t: QuantumChannel) -> float:
-        omega = apply(t, psi_ce, on=[e_label])  # (C, F)
-        return von_neumann_entropy(omega)
-
     opt = optimize_channel_functional(
-        objective,
+        _ChannelKernel(psi_ce, e_label).entropy,
         in_space,
         out_space,
         "min",

@@ -13,7 +13,9 @@ Ensembles are parametrized by unnormalized purification vectors (every
 member state is a partial trace of a unit vector on member x purifier) plus
 probability logits, so any real coordinate vector is a valid candidate.
 Channels are parametrized by Stinespring isometry coordinates; the polar
-projection keeps them CPTP by construction.
+projection keeps them CPTP by construction.  Channel objectives score the
+(env, d_out, d_in) Kraus stack directly; a ``QuantumChannel`` is built once,
+for the returned witness.
 """
 
 from __future__ import annotations
@@ -464,12 +466,15 @@ class _StinespringParam:
             )
         self.size = 2 * self.rows * self.d_in
 
-    def unpack(self, x: np.ndarray) -> QuantumChannel:
+    def kraus(self, x: np.ndarray) -> np.ndarray:
+        """The polar isometry of ``x`` as an (env, d_out, d_in) Kraus stack."""
         half = self.rows * self.d_in
         v = (x[:half] + 1j * x[half:]).reshape(self.rows, self.d_in)
         u, _, vh = np.linalg.svd(v, full_matrices=False)
-        iso = u @ vh
-        kraus = [iso[e * self.d_out : (e + 1) * self.d_out, :] for e in range(self.env)]
+        return (u @ vh).reshape(self.env, self.d_out, self.d_in)
+
+    def unpack(self, x: np.ndarray) -> QuantumChannel:
+        kraus = list(self.kraus(x))
         return QuantumChannel(self.input_space, self.output_space, kraus, tp_tol=TOL_EQ)
 
     def pack(self, ch: QuantumChannel) -> np.ndarray:
@@ -498,7 +503,7 @@ def _env_ladder(full: int) -> list[int]:
 
 
 def optimize_channel_functional(
-    objective: Callable[[QuantumChannel], float],
+    objective: Callable[[np.ndarray], float],
     input_space: LabeledSpace,
     output_space: LabeledSpace,
     sense: str,
@@ -507,8 +512,11 @@ def optimize_channel_functional(
 ) -> OptResult:
     """Optimize a scalar functional over CPTP maps of a fixed signature.
 
-    Stinespring coordinates guarantee feasibility: every parameter vector
-    maps to a valid channel.  ``inits`` seed the first restarts at the full
+    ``objective`` takes a channel as an (env, d_out, d_in) stack of Kraus
+    operators.  Stinespring coordinates guarantee feasibility: every
+    parameter vector maps to a valid Kraus stack, and the returned witness
+    is built as a ``QuantumChannel`` (trace preservation checked) once, at
+    the end.  ``inits`` seed the first restarts at the full
     environment dimension; the remaining restarts cycle through a ladder of
     smaller environments (Kraus-rank caps), which explore far better while
     staying inside the same channel family.  A final polish pass re-runs
@@ -533,7 +541,7 @@ def optimize_channel_functional(
 
     def make_objective(param: _StinespringParam) -> Callable[[np.ndarray], float]:
         def signed(xv: np.ndarray) -> float:
-            return sign * objective(param.unpack(xv))
+            return sign * objective(param.kraus(xv))
 
         return signed
 

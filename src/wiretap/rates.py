@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import CqEnsemble, QuantumChannel, ResourceState, _validated_probs, apply, cq_state
-from .entropic import ENTROPY_EIGENVALUE_CUTOFF
+from .entropic import _entropies
 from .qcore import (
     DensityOperator,
     LabeledSpace,
@@ -144,16 +144,14 @@ def _stack(states: Sequence[DensityOperator], order: Sequence[str]) -> np.ndarra
 def _holevo(members: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """S(sum_u q_u rho_u) - sum_u q_u S(rho_u) in bits, per row q of ``probs``.
 
-    Entropies use the ``entropic`` conventions, with one batched eigensolve
+    Entropies come from ``entropic._entropies``, one batched eigensolve
     over [averages; members].  A one-dimensional side is an exact zero, not
     the rounding of traces that differ from 1 in the last bit.
     """
     if members.shape[-1] == 1:
         return np.zeros(len(probs))
     avg = np.einsum("qk,kab->qab", probs, members)
-    w = np.linalg.eigvalsh(np.concatenate([avg, members]))
-    w = np.where(w > ENTROPY_EIGENVALUE_CUTOFF, w, 1.0)
-    s = np.maximum(0.0, -np.sum(w * np.log2(w), axis=-1))
+    s = _entropies(np.concatenate([avg, members]))
     return s[: len(avg)] - probs @ s[len(avg) :]
 
 

@@ -5,8 +5,20 @@ import sys
 import numpy as np
 import pytest
 
+from wiretap.channels import apply, channel_from_json
 from wiretap.cli import main
-from wiretap.qcore import LabeledSpace, basis_state, maximally_entangled, save_state, tensor
+from wiretap.entropic import von_neumann_entropy
+from wiretap.qcore import (
+    LabeledSpace,
+    basis_state,
+    maximally_entangled,
+    partial_trace,
+    permute_factors,
+    pure_state,
+    purify,
+    save_state,
+    tensor,
+)
 from wiretap.scenario import build_gallery, gallery_names, load_scenario, save_scenario
 
 
@@ -308,6 +320,43 @@ def test_resource_analyze_bell(tmp_path, capsys):
     assert payload["s_bprime"] == pytest.approx(1.0, abs=1e-10)
     assert payload["residual"] <= 1e-3
     assert "kraus" in payload["witnesses"]["delta"]
+
+
+def test_resource_analyze_is_repeatable_and_scored_at_its_witnesses(tmp_path, capsys):
+    # The same rules a benchmark round applies: a second call in one process
+    # prints the same bytes, every value is finite, and delta and E_P are
+    # reproduced at the JSON witnesses on the canonical purification.
+    gen = np.random.default_rng(1313)
+    v = gen.standard_normal(8) + 1j * gen.standard_normal(8)
+    space = LabeledSpace.of(("A", 2), ("B", 2), ("C", 2))
+    state = pure_state(space, v / np.linalg.norm(v))
+    path = tmp_path / "psi.json"
+    save_state(state, path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"restarts": 3, "max_iters": 60}))
+    argv = ["resource-analyze", "--state", str(path), "--config", str(cfg_path), "--seed", "13"]
+    first = run_cli(capsys, *argv)
+    second = run_cli(capsys, *argv)
+    assert first[0] == second[0] == 0
+    assert first[1] == second[1]
+
+    payload = json.loads(first[1])
+    witnesses = payload.pop("witnesses")
+    assert all(np.isfinite(x) for x in payload.values())
+    delta_ch = channel_from_json(witnesses["delta"])
+    ep_ch = channel_from_json(witnesses["e_p"])
+    for ch in (delta_ch, ep_ch):
+        assert all(np.all(np.isfinite(k)) for k in ch.kraus)
+
+    s_b = von_neumann_entropy(partial_trace(state, {"B"}))
+    omega = apply(delta_ch, partial_trace(state, {"A", "B"}), on=["A"])
+    assert abs(s_b - von_neumann_entropy(omega) - payload["delta"]) <= 1e-8
+
+    (e_label,) = ep_ch.input_space.labels
+    rho_cb = permute_factors(partial_trace(state, {"C", "B"}), ["C", "B"])
+    psi_ce = partial_trace(purify(rho_cb, e_label), {"C", e_label})
+    omega = apply(ep_ch, psi_ce, on=[e_label])
+    assert abs(von_neumann_entropy(omega) - payload["e_p"]) <= 1e-8
 
 
 def test_resource_analyze_refuses_zero_cap(tmp_path, capsys):

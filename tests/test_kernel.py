@@ -1,10 +1,14 @@
-"""The batched cq-rate kernel against the block-diagonal reference path.
+"""The batched kernels against the reference paths they replaced.
 
 Every fast path in `rates` (the three rate functionals), `optimize`
 (the grid oracle) and `codesim` (the one-letter member outputs) runs on
 `rates._CqKernel`.  The reference here is the construction the kernel
 replaced: push each member through `apply`, assemble the cq-state with
 `cq_state`, and read each I(U:X) off `mutual_information`.
+
+The dense-coding and E_P channel searches run on `measures._ChannelKernel`;
+its reference is `apply` of the witness `QuantumChannel` followed by
+`von_neumann_entropy`.
 """
 
 from itertools import combinations_with_replacement, product
@@ -31,15 +35,18 @@ from wiretap.channels import (
     trivial_resource,
 )
 from wiretap.codesim import _member_outputs
-from wiretap.entropic import holevo_information, mutual_information
+from wiretap.entropic import holevo_information, mutual_information, von_neumann_entropy
+from wiretap.measures import _channel_inits, _ChannelKernel
 from wiretap.optimize import (
     GridOracleSpec,
     OptimizerConfig,
+    _env_ladder,
+    _StinespringParam,
     _weyl_modulated_init,
     grid_oracle,
     optimize_theorem1,
 )
-from wiretap.qcore import DensityOperator, LabeledSpace, partial_trace
+from wiretap.qcore import DensityOperator, LabeledSpace, partial_trace, purify
 from wiretap.rates import (
     build_beta,
     build_gamma,
@@ -357,3 +364,67 @@ def test_optimize_theorem1_never_below_its_weyl_witness(make):
     assert out.best_value >= theorem1_rate(weyl, ch, res).rate - TOL
     assert out.best_value == theorem1_rate(out.best_ensemble, ch, res).rate
 
+
+
+# ---------------------------------------------------------------------------
+# Channel kernel of the dense-coding and E_P searches
+# ---------------------------------------------------------------------------
+
+
+def delta_shape(gen, rank):
+    """Dense coding: the channel acts on Ap of a state on (Ap, Bp), output
+    dimension dim(Ap)^2; the passthrough is Bp."""
+    zeta = random_state(gen, LabeledSpace.of(("Ap", 2), ("Bp", 2)), rank=rank)
+    return zeta, "Ap", LabeledSpace.of(("A~", 4))
+
+
+def ep_shape(gen, rank):
+    """E_P: the channel acts on the purifier of rho on (C, D), output
+    dimension = purifier dimension; the passthrough is C."""
+    rho = random_state(gen, LabeledSpace.of(("C", 2), ("D", 2)), rank=rank)
+    psi = purify(rho, "Epur")
+    return partial_trace(psi, {"C", "Epur"}), "Epur", LabeledSpace.of(("F", psi.space.dim_of("Epur")))
+
+
+def assert_kernel_matches_apply(kernel, state, on, ch, kraus):
+    reference = apply(ch, state, on=[on])
+    omega = kernel.omega(kraus)
+    value = kernel.entropy(kraus)
+    assert np.abs(omega - reference.matrix).max() <= TOL
+    assert np.isfinite(value)
+    assert abs(value - von_neumann_entropy(reference)) <= TOL
+
+
+@pytest.mark.parametrize("rank", [1, 2, 4])
+@pytest.mark.parametrize("shape", [delta_shape, ep_shape])
+def test_channel_kernel_matches_apply_at_every_env_rung(shape, rank):
+    gen = rng(1300 + rank)
+    state, on, out_space = shape(gen, rank)
+    in_space = state.space.subspace([on])
+    kernel = _ChannelKernel(state, on)
+    rungs = [
+        e for e in _env_ladder(in_space.dim * out_space.dim) if e * out_space.dim >= in_space.dim
+    ]
+    assert rungs[-1] == in_space.dim * out_space.dim
+    for env in rungs:
+        param = _StinespringParam(in_space, out_space, env)
+        for _ in range(3):
+            x = param.random(gen)
+            assert_kernel_matches_apply(kernel, state, on, param.unpack(x), param.kraus(x))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 4])
+@pytest.mark.parametrize("shape", [delta_shape, ep_shape])
+def test_channel_kernel_is_finite_at_structured_inits(shape, rank):
+    # The identity embedding and the constant |0> channel give a
+    # rank-deficient output, whose zero eigenvalues come back as +-1e-17
+    # dust: the entropy must apply the cutoff, not take log2 of the dust.
+    state, on, out_space = shape(rng(1310 + rank), rank)
+    in_space = state.space.subspace([on])
+    kernel = _ChannelKernel(state, on)
+    param = _StinespringParam(in_space, out_space, in_space.dim * out_space.dim)
+    inits = _channel_inits(in_space, out_space)
+    assert len(inits) == 2
+    for ch in inits:
+        x = param.pack(ch)
+        assert_kernel_matches_apply(kernel, state, on, param.unpack(x), param.kraus(x))

@@ -20,6 +20,7 @@ from wiretap.qcore import (
     maximally_mixed,
     partial_trace,
     pure_state,
+    purify,
     tensor,
 )
 
@@ -75,6 +76,20 @@ def test_delta_witness_reproduces_value():
     omega = apply(om, rho, on=["Ap"])
     redo = von_neumann_entropy(partial_trace(omega, {"Bp"})) - von_neumann_entropy(omega)
     assert abs(redo - out.value) <= 1e-6
+
+
+def test_ep_witness_reproduces_value_on_canonical_purification():
+    # A full-rank product state: beating S(C) takes a witness on the
+    # four-dimensional purifier that is neither unitary nor constant, so
+    # the value at the witness depends on the purifier's basis, and it
+    # must be the one `purify` gives.
+    rho = tensor(mixed_qubit(513, "C"), mixed_qubit(517, "D"))
+    out = entanglement_of_purification(rho, cfg=cfg(seed=1, restarts=4, max_iters=300))
+    (e_label,) = out.witness_channel.input_space.labels
+    psi_ce = partial_trace(purify(rho, e_label), {"C", e_label})
+    redo = von_neumann_entropy(apply(out.witness_channel, psi_ce, on=[e_label]))
+    assert abs(redo - out.value) <= 1e-10
+    assert out.value < von_neumann_entropy(partial_trace(rho, {"C"})) - 1e-3
 
 
 def test_ep_product_mixed_times_pure():

@@ -13,7 +13,6 @@ from conftest import (
 from wiretap.channels import (
     CqEnsemble,
     QuantumChannel,
-    apply,
     trivial_resource,
 )
 from wiretap.entropic import von_neumann_entropy
@@ -40,6 +39,7 @@ from wiretap.rates import marginal_constraint_residual, theorem1_rate
 from wiretap.scenario import correlated_bits_pmf, gallery_classical
 
 A = LabeledSpace.of(("A", 2))
+F = LabeledSpace.of(("F", 2))
 
 
 def small_cfg(seed=7, **kw):
@@ -178,7 +178,7 @@ def test_penalty_weight_change_keeps_feasible_objective():
 
 def test_optimize_channel_functional_constant_objective():
     out = optimize_channel_functional(
-        lambda ch: 0.75, A, LabeledSpace.of(("F", 2)), "max", small_cfg(seed=31, max_iters=30)
+        lambda kraus: 0.75, A, F, "max", small_cfg(seed=31, max_iters=30)
     )
     assert out.best_value == 0.75
     assert out.best_channel is not None
@@ -186,15 +186,14 @@ def test_optimize_channel_functional_constant_objective():
 
 def test_optimize_channel_functional_max_output_entropy():
     # max over channels of S(T(|0><0|)) = 1, at any channel with mixed output.
-    ket0 = basis_state(A, [0])
-
-    def objective(ch: QuantumChannel) -> float:
-        return von_neumann_entropy(apply(ch, ket0, ["A"]))
+    def objective(kraus: np.ndarray) -> float:
+        col = kraus[:, :, 0]  # K_e |0>, one row per Kraus operator
+        return von_neumann_entropy(DensityOperator(F, col.T @ col.conj(), validate=False))
 
     out = optimize_channel_functional(
         objective,
         A,
-        LabeledSpace.of(("F", 2)),
+        F,
         "max",
         small_cfg(seed=37, restarts=4, max_iters=1500),
     )
@@ -379,3 +378,17 @@ def test_optimize_theorem1_perfect_key_anchor():
     got = optimize_theorem1(sc.channel, sc.resource_state(), cfg).best_value
     assert got == pytest.approx(1.0 - binary_entropy(0.05), abs=1e-9)
     assert got == pytest.approx(0.713603043, abs=1e-9)
+
+
+@pytest.mark.parametrize("q", [0.1, 0.3])
+def test_optimize_theorem1_noisy_key_anchor(q):
+    # Eve holds the key through a BSC(q): the XOR pad reaches
+    # h(0.2 * q) - h(0.05), with a * b = a(1 - b) + b(1 - a) the binary
+    # convolution.  Whether the pad is the one-letter optimum is open, so
+    # the only upper bound asserted is the perfect-key value 1 - h(0.05).
+    a = 0.2
+    closed = binary_entropy(a * (1.0 - q) + q * (1.0 - a)) - binary_entropy(0.05)
+    sc = gallery_classical(correlated_bits_pmf(q))
+    cfg = OptimizerConfig(seed=1, restarts=2, max_iters=300)
+    got = optimize_theorem1(sc.channel, sc.resource_state(), cfg).best_value
+    assert closed - 1e-8 <= got <= 1.0 - binary_entropy(0.05) + 1e-9

@@ -3,26 +3,27 @@
 The search engine is a coordinate random search with shrinking steps and
 independent restarts.  Every restart owns a deterministic RNG sub-stream
 derived from (seed, restart index), so results are reproducible and adding
-restarts can only improve the best value.  Restart 0 (and 1, where
-applicable) start from structured candidates -- a discrete-Weyl modulated
-reference state for the assisted problem, a computational-basis ensemble
-for the unassisted one, identity/constant isometries for channel searches
--- so the optimizer never reports worse than these known-good witnesses.
+restarts can only improve the best value.  The first restarts start from
+structured candidates -- a discrete-Weyl modulated reference state for the
+assisted problem, a computational-basis ensemble, identity/constant
+isometries for channel searches -- so the optimizer never reports worse
+than these known-good witnesses.
 
-Ensembles are parametrized by unnormalized purification vectors (every
-member state is a partial trace of a unit vector on member x purifier) plus
-probability logits, so any real coordinate vector is a valid candidate.
-Channels are parametrized by Stinespring isometry coordinates; the polar
-projection keeps them CPTP by construction.  Channel objectives score the
-(env, d_out, d_in) Kraus stack directly; a ``QuantumChannel`` is built once,
-for the returned witness.
+Both searches run on Stinespring isometry coordinates; the polar
+projection keeps each candidate CPTP by construction.  Channel objectives
+score the (env, d_out, d_in) Kraus stack directly; a ``QuantumChannel`` is
+built once, for the returned witness.  Ensembles are instruments from
+Alice's share to (U, signal) applied to the purification phi0 of her
+marginal: q_u eta_u = (N_u x id) phi0.  By channel-state duality these are
+exactly the ensembles whose average A' marginal is the resource's, so the
+ensemble searches need neither a penalty nor a repair step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,9 +35,6 @@ from .qcore import (
     LabeledSpace,
     ResourceLimitError,
     ValidationError,
-    _fresh_label,
-    hermitian_trace_norm,
-    partial_trace,
 )
 from .rates import (
     FEASIBILITY_THRESHOLD,
@@ -67,8 +65,6 @@ STEP_INITIAL = 0.5
 STEP_SHRINK = 0.5
 STEP_PATIENCE = 25
 STEP_MIN = 1e-9
-# optimize_theorem1's weight on the squared marginal residual, x4 per stage.
-PENALTY_WEIGHT = 32.0
 
 
 class OptimizationError(RuntimeError):
@@ -81,8 +77,9 @@ class OptimizerConfig:
 
     All four are integers.  ``num_labels_max=None`` resolves to the
     heuristic 2 * dim(signal) * dim(reference copy) at the call site; it
-    caps the ensemble size searched over, not any provable sufficiency.
-    The step schedule and the penalty are module constants.
+    caps the number of instrument outcomes (ensemble members) searched
+    over, not any provable sufficiency.  The step schedule is a module
+    constant.
     """
 
     seed: int
@@ -159,289 +156,6 @@ def _coordinate_search(
                 if step < STEP_MIN:
                     break
     return x, best
-
-
-# ---------------------------------------------------------------------------
-# Ensemble parametrization
-# ---------------------------------------------------------------------------
-
-
-class _EnsembleParam:
-    """Members as partial traces of unit vectors on member x purifier."""
-
-    def __init__(self, member_space: LabeledSpace, k: int) -> None:
-        self.space = member_space
-        self.d = member_space.dim
-        self.k = k
-        self.block = 2 * self.d * self.d  # real coords of one purification vector
-        self.size = k * self.block + k  # plus one logit per member
-
-    def arrays(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked (k, d, d) member matrices and the probability vector."""
-        dd = self.d * self.d
-        blk = x[: self.k * self.block].reshape(self.k, 2, dd)
-        v = blk[:, 0] + 1j * blk[:, 1]
-        norm = np.linalg.norm(v, axis=1)
-        small = norm < 1e-12
-        v[small] = np.eye(1, dd)  # a vanishing block stands for |0><0|
-        norm[small] = 1.0
-        m = (v / norm[:, None]).reshape(self.k, self.d, self.d)
-        logits = x[self.k * self.block :]
-        z = np.exp(logits - logits.max())
-        return m @ m.conj().transpose(0, 2, 1), z / z.sum()
-
-    def unpack(self, x: np.ndarray) -> CqEnsemble:
-        members, probs = self.arrays(x)
-        states = [DensityOperator(self.space, m, validate=False) for m in members]
-        return CqEnsemble(list(range(self.k)), probs, states)
-
-    def pack(self, ens: CqEnsemble) -> np.ndarray:
-        if len(ens) > self.k or ens.space.dim != self.d:
-            raise ValidationError("ensemble does not fit this parametrization")
-        x = np.zeros(self.size)
-        probs = np.full(self.k, 1e-9)
-        for u in range(self.k):
-            if u < len(ens):
-                w, v = np.linalg.eigh(ens.states[u].matrix)
-                m = v * np.sqrt(np.clip(w, 0.0, None))
-                probs[u] = max(float(ens.probs[u]), 1e-12)
-            else:
-                m = np.zeros((self.d, self.d))
-                m[0, 0] = 1.0
-            vec = m.reshape(-1)
-            x[u * self.block : u * self.block + self.d * self.d] = vec.real
-            x[u * self.block + self.d * self.d : (u + 1) * self.block] = vec.imag
-        x[self.k * self.block :] = np.log(probs)
-        return x
-
-    def random(self, gen: np.random.Generator) -> np.ndarray:
-        return gen.standard_normal(self.size)
-
-
-def _discrete_weyl(dim: int) -> list[np.ndarray]:
-    """The dim^2 shift/phase unitaries X^a Z^b."""
-    omega = np.exp(2j * np.pi / dim)
-    shift = np.zeros((dim, dim), dtype=np.complex128)
-    for j in range(dim):
-        shift[(j + 1) % dim, j] = 1.0
-    phase = np.diag(omega ** np.arange(dim))
-    out = []
-    for a in range(dim):
-        for b in range(dim):
-            out.append(np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(phase, b))
-    return out
-
-
-def _weyl_modulated_init(
-    member_space: LabeledSpace, res: ResourceState, k: int
-) -> CqEnsemble | None:
-    """Reference state modulated by discrete-Weyl unitaries; feasible by construction."""
-    r = res.phi0.space.dim_of(res.aux_label)
-    d_sig = member_space.dim // res.phi0.space.dim_of(res.aux_label)
-    if d_sig != r or k < 1:
-        return None
-    unitaries = _discrete_weyl(r)[: min(k, r * r)]
-    members = []
-    eye_aux = np.eye(r)
-    for u in unitaries:
-        big = np.kron(u, eye_aux)
-        members.append(
-            DensityOperator(member_space, big @ res.phi0.matrix @ big.conj().T, validate=False)
-        )
-    n = len(members)
-    return CqEnsemble(list(range(n)), [1.0 / n] * n, members)
-
-
-def _product_basis_init(
-    member_space: LabeledSpace, marginal: DensityOperator, d_sig: int, k: int
-) -> CqEnsemble:
-    """Computational-basis signals tensored with the resource marginal."""
-    n = min(k, d_sig)
-    members = [
-        DensityOperator(member_space, np.kron(np.diag(e), marginal.matrix), validate=False)
-        for e in np.eye(d_sig)[:n]
-    ]
-    return CqEnsemble(list(range(n)), [1.0 / n] * n, members)
-
-
-def _project_to_feasible(
-    ens: CqEnsemble,
-    res: ResourceState,
-    signal_space: LabeledSpace,
-    marginal: DensityOperator | None = None,
-) -> CqEnsemble:
-    """Exact average-marginal repair by mixing in one corrective member.
-
-    Finds the smallest mixing weight t such that (target - (1-t) achieved)/t
-    is a state, and appends (maximally mixed signal) x that state.  The
-    repaired average marginal matches the target up to matmul noise.
-    ``marginal`` is the resource's A' marginal, read from ``res`` if omitted.
-    """
-    if marginal is None:
-        marginal = res.zeta_marginal
-    target, aux = marginal.matrix, res.aux_label
-    avg = sum(q * partial_trace(s, {aux}).matrix for q, s in zip(ens.probs, ens.states))
-    diff = target - avg
-    resid = hermitian_trace_norm(diff)
-    if resid <= 1e-12:
-        return ens
-
-    def min_eig(t: float) -> float:
-        return float(np.linalg.eigvalsh(avg + diff / t)[0])
-
-    margin = 1e-14
-    hi = 1.0
-    lo = min(1.0, resid / 4.0)
-    while lo > 1e-12 and min_eig(lo) >= margin:
-        hi = lo
-        lo /= 2.0
-    if min_eig(hi) < margin:
-        hi = 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if min_eig(mid) >= margin:
-            hi = mid
-        else:
-            lo = mid
-    t = hi
-    # Dividing by a small t magnifies the trace's rounding error; renormalize.
-    corr = avg + diff / t
-    mixed = np.eye(signal_space.dim) / signal_space.dim
-    member = DensityOperator(ens.space, np.kron(mixed, corr / np.trace(corr).real), validate=False)
-    labels = list(ens.labels) + [_fresh_label("repair", ens.labels)]
-    probs = list((1.0 - t) * ens.probs) + [t]
-    states = list(ens.states) + [member]
-    return CqEnsemble(labels, probs, states)
-
-
-# ---------------------------------------------------------------------------
-# Ensemble optimizers
-# ---------------------------------------------------------------------------
-
-
-def optimize_theorem1(
-    channel: QuantumChannel, res: ResourceState, cfg: OptimizerConfig
-) -> OptResult:
-    """Maximize the average-constrained side-information rate over ensembles.
-
-    Each restart runs a penalty continuation (quadratic penalty on the
-    trace-norm marginal residual, weight PENALTY_WEIGHT x4 per stage, three
-    stages of max_iters // 3 iterations), then applies the
-    exact projection and scores the projected ensemble with the true rate.
-    A restart that began at a structured start keeps that start if it
-    scores higher.  The returned value is always the re-evaluated rate of
-    the returned (feasible) witness.
-    """
-    r_aux = res.phi0.space.dim_of(res.aux_label)
-    signal_space = channel.input_space
-    member_space = signal_space.tensor(LabeledSpace.of((res.aux_label, r_aux)))
-    k = cfg.num_labels_max or 2 * signal_space.dim * r_aux
-    param = _EnsembleParam(member_space, k)
-    kernel = _CqKernel(channel, res)
-
-    weyl = _weyl_modulated_init(member_space, res, k)
-    starts = ([weyl] if weyl is not None else []) + [
-        _product_basis_init(member_space, kernel.marginal, signal_space.dim, k)
-    ]
-
-    trace: list[TracePoint] = []
-    best_ens: CqEnsemble | None = None
-    best_rep: RateReport | None = None
-
-    for restart in range(cfg.restarts):
-        gen = np.random.default_rng([cfg.seed, restart])
-        x = param.pack(starts[restart]) if restart < len(starts) else param.random(gen)
-        iters_per_stage = max(1, cfg.max_iters // 3)
-        offset = 0
-        for stage in range(3):
-            weight = PENALTY_WEIGHT * (4.0**stage)
-            last_eval: list[tuple[float, float]] = [(0.0, 0.0)]
-
-            def objective(xv: np.ndarray) -> float:
-                members, probs = param.arrays(xv)
-                i_bb, i_ee = kernel.bob_eve(kernel.pushforward(members), probs)
-                i_ap, residual = kernel.reference_terms(members, probs)
-                rate = i_bb - max(i_ee, i_ap)
-                last_eval[0] = (rate, residual)
-                return rate - weight * residual**2
-
-            def on_accept(it: int, _val: float, _off=offset, _last=last_eval) -> None:
-                trace.append(TracePoint(restart, _off + it, _last[0][0], _last[0][1]))
-
-            x, _ = _coordinate_search(x, objective, gen, iters_per_stage, on_accept)
-            offset += iters_per_stage
-
-        ens = _project_to_feasible(param.unpack(x), res, signal_space, kernel.marginal)
-        rep = theorem1_rate(ens, channel, res)
-        if restart < len(starts):
-            # The penalty trades residual for rate and projection takes the
-            # rate back: never give up a structured start for a worse witness.
-            start_rep = theorem1_rate(starts[restart], channel, res)
-            if start_rep.rate > rep.rate:
-                ens, rep = starts[restart], start_rep
-        trace.append(TracePoint(restart, offset, rep.rate, rep.constraint_residual))
-        if rep.constraint_residual > FEASIBILITY_THRESHOLD:
-            raise OptimizationError(
-                f"projection left residual {rep.constraint_residual:.3e} > "
-                f"{FEASIBILITY_THRESHOLD} at restart {restart}"
-            )
-        if best_rep is None or rep.rate > best_rep.rate:
-            best_ens, best_rep = ens, rep
-
-    assert best_ens is not None and best_rep is not None
-    return OptResult(
-        best_value=best_rep.rate,
-        best_ensemble=best_ens,
-        report=best_rep,
-        trace=tuple(trace),
-    )
-
-
-def optimize_unassisted(channel: QuantumChannel, cfg: OptimizerConfig) -> OptResult:
-    """Maximize the plain single-letter wiretap rate over input ensembles."""
-    signal_space = channel.input_space
-    k = cfg.num_labels_max or 2 * signal_space.dim
-    param = _EnsembleParam(signal_space, k)
-
-    n = min(k, signal_space.dim)
-    basis = [
-        DensityOperator(signal_space, np.diag(e), validate=False)
-        for e in np.eye(signal_space.dim)[:n]
-    ]
-    init0 = param.pack(CqEnsemble(list(range(n)), [1.0 / n] * n, basis))
-
-    kernel = _CqKernel(channel)
-    trace: list[TracePoint] = []
-    best_ens: CqEnsemble | None = None
-    best_rep: RateReport | None = None
-
-    def objective(xv: np.ndarray) -> float:
-        members, probs = param.arrays(xv)
-        i_b, i_e = kernel.bob_eve(kernel.pushforward(members), probs)
-        return i_b - i_e
-
-    for restart in range(cfg.restarts):
-        gen = np.random.default_rng([cfg.seed, restart])
-        x = init0.copy() if restart == 0 else param.random(gen)
-        x, val = _coordinate_search(
-            x,
-            objective,
-            gen,
-            cfg.max_iters,
-            on_accept=lambda it, v, _r=restart: trace.append(TracePoint(_r, it, v, 0.0)),
-        )
-        ens = param.unpack(x)
-        rep = unassisted_rate(ens, channel)
-        if best_rep is None or rep.rate > best_rep.rate:
-            best_ens, best_rep = ens, rep
-
-    assert best_ens is not None and best_rep is not None
-    return OptResult(
-        best_value=best_rep.rate,
-        best_ensemble=best_ens,
-        report=best_rep,
-        trace=tuple(trace),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +293,181 @@ def optimize_channel_functional(
 
 
 # ---------------------------------------------------------------------------
+# Ensemble optimizers
+# ---------------------------------------------------------------------------
+
+
+def _discrete_weyl(dim: int) -> list[np.ndarray]:
+    """The dim^2 shift/phase unitaries X^a Z^b."""
+    omega = np.exp(2j * np.pi / dim)
+    shift = np.zeros((dim, dim), dtype=np.complex128)
+    for j in range(dim):
+        shift[(j + 1) % dim, j] = 1.0
+    phase = np.diag(omega ** np.arange(dim))
+    out = []
+    for a in range(dim):
+        for b in range(dim):
+            out.append(np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(phase, b))
+    return out
+
+
+def _instrument_param(d_sig: int, r: int, k: int) -> _StinespringParam:
+    """Isometries from Alice's r-dimensional share to (U, signal), U of size k.
+
+    The environment d_sig * r gives every outcome enough Kraus operators
+    for any map from the share to the signal.
+    """
+    return _StinespringParam(
+        LabeledSpace.of(("share", r)), LabeledSpace.of(("outcome_signal", k * d_sig)), d_sig * r
+    )
+
+
+def _instrument(kraus: np.ndarray, psi: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Members eta_u and probabilities q_u of q_u eta_u = sum_e (K_ue x 1) phi0 (K_ue x 1)^+.
+
+    ``kraus`` is an (env, k * d_sig, r) stack from Alice's share to
+    (U, signal) and ``psi`` phi0's (r, r) amplitude matrix on (share, A').
+    Since sum K^+ K = 1, the q_u sum to 1 and the average A' marginal is
+    phi0's, the resource's.  An outcome with q_u = 0 has a zero member.
+    """
+    env, rows, r = kraus.shape
+    v = (kraus.reshape(env * rows, r) @ psi).reshape(env, k, -1).transpose(1, 2, 0)
+    weighted = v @ v.conj().transpose(0, 2, 1)
+    probs = np.trace(weighted, axis1=1, axis2=2).real
+    return weighted / np.where(probs > 0, probs, 1.0)[:, None, None], probs
+
+
+def _weyl_start(k: int, d_sig: int, r: int) -> np.ndarray | None:
+    """The isometry sum_u |u> x W_u / sqrt(n) over the first n = min(k, r^2)
+    discrete-Weyl unitaries W_u: phi0 modulated uniformly (needs d_sig = r)."""
+    if d_sig != r:
+        return None
+    unitaries = _discrete_weyl(r)[: min(k, r * r)]
+    iso = np.zeros((k, d_sig, r), dtype=np.complex128)
+    iso[: len(unitaries)] = np.array(unitaries) / np.sqrt(len(unitaries))
+    return iso.reshape(1, k * d_sig, r)
+
+
+def _basis_start(k: int, d_sig: int, r: int) -> np.ndarray:
+    """Kraus operators K_a = sum_i |i>|i><a| / sqrt(n), a < r, i < n = min(k, d_sig):
+    computational-basis signals tensored with the A' marginal, uniform."""
+    n = min(k, d_sig)
+    kraus = np.zeros((r, k, d_sig, r), dtype=np.complex128)
+    for i in range(n):
+        kraus[:, i, i, :] = np.eye(r) / np.sqrt(n)
+    return kraus.reshape(r, k * d_sig, r)
+
+
+def _search_instruments(
+    score: Callable[[np.ndarray, np.ndarray], float],
+    rescore: Callable[[CqEnsemble], RateReport],
+    member_space: LabeledSpace,
+    psi: np.ndarray,
+    k: int,
+    cfg: OptimizerConfig,
+) -> OptResult:
+    """Restart loop shared by the ensemble searches.
+
+    ``score`` maps stacked members and probabilities to the rate.  The
+    first restarts begin at the structured starts (Weyl, then basis), the
+    rest at random coordinates.  The best point is unpacked once, with its
+    q_u = 0 outcomes dropped, and re-scored by ``rescore``.
+    """
+    r = len(psi)
+    d_sig = member_space.dim // r
+    param = _instrument_param(d_sig, r, k)
+    starts = [
+        param.pack(QuantumChannel(param.input_space, param.output_space, list(s)))
+        for s in (_weyl_start(k, d_sig, r), _basis_start(k, d_sig, r))
+        if s is not None
+    ]
+
+    def objective(xv: np.ndarray) -> float:
+        return score(*_instrument(param.kraus(xv), psi, k))
+
+    trace: list[TracePoint] = []
+    best_x: np.ndarray | None = None
+    best_val = -np.inf
+    for restart in range(cfg.restarts):
+        gen = np.random.default_rng([cfg.seed, restart])
+        x0 = starts[restart] if restart < len(starts) else param.random(gen)
+        x, val = _coordinate_search(
+            x0,
+            objective,
+            gen,
+            cfg.max_iters,
+            on_accept=lambda it, v, _r=restart: trace.append(TracePoint(_r, it, v, 0.0)),
+        )
+        if best_x is None or val > best_val:
+            best_x, best_val = x, val
+
+    assert best_x is not None
+    members, probs = _instrument(param.kraus(best_x), psi, k)
+    keep = np.flatnonzero(probs > 0)
+    ens = CqEnsemble(
+        [int(u) for u in keep],
+        probs[keep],
+        [DensityOperator(member_space, members[u], validate=False) for u in keep],
+    )
+    rep = rescore(ens)
+    if rep.constraint_residual > FEASIBILITY_THRESHOLD:
+        raise OptimizationError(
+            f"witness residual {rep.constraint_residual:.3e} > {FEASIBILITY_THRESHOLD}"
+        )
+    return OptResult(best_value=rep.rate, best_ensemble=ens, report=rep, trace=tuple(trace))
+
+
+def optimize_theorem1(
+    channel: QuantumChannel, res: ResourceState, cfg: OptimizerConfig
+) -> OptResult:
+    """Maximize the average-constrained side-information rate over ensembles.
+
+    The search runs over instruments {N_u} from Alice's share to the
+    signal, with q_u eta_u = (N_u x id) phi0.  Every such ensemble meets
+    the average A' constraint by construction, and every feasible ensemble
+    is one of them, so the objective is the rate itself.  The returned
+    value is the rate of the returned witness, re-scored by
+    ``theorem1_rate``.
+    """
+    r = res.phi0.space.dim_of(res.aux_label)
+    signal_space = channel.input_space
+    member_space = signal_space.tensor(LabeledSpace.of((res.aux_label, r)))
+    kernel = _CqKernel(channel, res)
+
+    def score(members: np.ndarray, probs: np.ndarray) -> float:
+        i_bb, i_ee = kernel.bob_eve(kernel.pushforward(members), probs)
+        i_ap = float(_holevo(kernel.reference_marginals(members), probs[None])[0])
+        return i_bb - max(i_ee, i_ap)
+
+    return _search_instruments(
+        score,
+        lambda ens: theorem1_rate(ens, channel, res),
+        member_space,
+        res.phi0.state_vector().reshape(r, r),
+        cfg.num_labels_max or 2 * signal_space.dim * r,
+        cfg,
+    )
+
+
+def optimize_unassisted(channel: QuantumChannel, cfg: OptimizerConfig) -> OptResult:
+    """Maximize the plain single-letter wiretap rate over input ensembles."""
+    kernel = _CqKernel(channel)
+
+    def score(members: np.ndarray, probs: np.ndarray) -> float:
+        i_b, i_e = kernel.bob_eve(kernel.pushforward(members), probs)
+        return i_b - i_e
+
+    return _search_instruments(
+        score,
+        lambda ens: unassisted_rate(ens, channel),
+        channel.input_space,
+        np.ones((1, 1)),
+        cfg.num_labels_max or 2 * channel.input_space.dim,
+        cfg,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Brute-force oracle
 # ---------------------------------------------------------------------------
 
@@ -597,6 +486,18 @@ class GridOracleSpec:
     phi_points: int = 6
     prob_points: int = 8
     cap: int = 10_000_000
+
+
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """Every way to write ``total`` as ``parts`` nonnegative integers, one
+    per row, in lexicographic order: stars and bars, each choice of
+    parts - 1 bar positions among total + parts - 1 slots is one row."""
+    slots = total + parts - 1
+    bars = np.array(list(combinations(range(slots), parts - 1)), dtype=int)
+    edges = np.pad(
+        bars.reshape(len(bars), parts - 1), ((0, 0), (1, 1)), constant_values=((0, 0), (-1, slots))
+    )
+    return np.diff(edges, axis=1) - 1
 
 
 def grid_oracle(
@@ -637,10 +538,7 @@ def grid_oracle(
     pool = np.stack([np.kron(np.outer(v, v.conj()), kernel.marginal.matrix) for v in vectors])
     sides = (*kernel.marginals(kernel.pushforward(pool)), kernel.reference_marginals(pool))
 
-    probs = np.array(
-        [c for c in product(range(spec.prob_points + 1), repeat=k) if sum(c) == spec.prob_points],
-        dtype=float,
-    ) / spec.prob_points
+    probs = _compositions(spec.prob_points, k) / spec.prob_points
 
     best = -np.inf
     for combo in combinations_with_replacement(range(n_states), k):

@@ -492,7 +492,6 @@ def complex_matrix_to_json(m: np.ndarray) -> list:
 
 
 def complex_matrix_from_json(obj, rows: int, cols: int, what: str = "matrix") -> np.ndarray:
-    arr = np.asarray(obj, dtype=object)
     try:
         arr = np.asarray(obj, dtype=np.float64)
     except (TypeError, ValueError) as exc:

@@ -40,9 +40,9 @@ from wiretap.measures import _channel_inits, _ChannelKernel
 from wiretap.optimize import (
     GridOracleSpec,
     OptimizerConfig,
+    _discrete_weyl,
     _env_ladder,
     _StinespringParam,
-    _weyl_modulated_init,
     grid_oracle,
     optimize_theorem1,
 )
@@ -358,8 +358,10 @@ def test_optimize_theorem1_never_below_its_weyl_witness(make):
     space = ch.input_space.tensor(LabeledSpace.of((res.aux_label, r)))
     cfg = OptimizerConfig(seed=3, restarts=2, max_iters=90)
     k = 2 * ch.input_space.dim * r
-    weyl = _weyl_modulated_init(space, res, k)
-    assert weyl is not None
+    # phi0 modulated by the first min(k, r^2) discrete-Weyl unitaries, uniform
+    bigs = [np.kron(w, np.eye(r)) for w in _discrete_weyl(r)[: min(k, r * r)]]
+    members = [DensityOperator(space, b @ res.phi0.matrix @ b.conj().T) for b in bigs]
+    weyl = CqEnsemble(list(range(len(bigs))), [1.0 / len(bigs)] * len(bigs), members)
     out = optimize_theorem1(ch, res, cfg)
     assert out.best_value >= theorem1_rate(weyl, ch, res).rate - TOL
     assert out.best_value == theorem1_rate(out.best_ensemble, ch, res).rate

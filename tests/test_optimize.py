@@ -1,3 +1,6 @@
+import math
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -13,15 +16,20 @@ from conftest import (
 from wiretap.channels import (
     CqEnsemble,
     QuantumChannel,
+    channel_from_resource_state,
     trivial_resource,
 )
 from wiretap.entropic import von_neumann_entropy
 from wiretap.optimize import (
     GridOracleSpec,
     OptimizerConfig,
-    _EnsembleParam,
     _StinespringParam,
-    _project_to_feasible,
+    _basis_start,
+    _compositions,
+    _discrete_weyl,
+    _instrument,
+    _instrument_param,
+    _weyl_start,
     grid_oracle,
     optimize_channel_functional,
     optimize_theorem1,
@@ -71,19 +79,6 @@ def test_config_validation():
     OptimizerConfig(seed=1)  # defaults parse
 
 
-def test_ensemble_param_roundtrip():
-    gen = rng(401)
-    param = _EnsembleParam(LabeledSpace.of(("A", 2), ("App", 2)), 3)
-    x = param.random(gen)
-    ens = param.unpack(x)
-    assert len(ens) == 3
-    assert abs(ens.probs.sum() - 1) < 1e-12
-    back = param.unpack(param.pack(ens))
-    for s1, s2 in zip(ens.states, back.states):
-        assert np.allclose(s1.matrix, s2.matrix, atol=1e-10)
-    assert np.allclose(ens.probs, back.probs, atol=1e-10)
-
-
 def test_stinespring_param_always_cptp():
     gen = rng(409)
     param = _StinespringParam(A, LabeledSpace.of(("F", 3)), env_dim=4)
@@ -93,17 +88,72 @@ def test_stinespring_param_always_cptp():
         assert np.max(np.abs(total - np.eye(2))) <= 1e-10
 
 
-def test_projection_repairs_average_marginal():
-    gen = rng(419)
-    res = bell_resource_state()
-    space = LabeledSpace.of(("A", 2), ("App", 2))
-    ens = CqEnsemble([0, 1], [0.5, 0.5], [random_state(gen, space) for _ in range(2)])
-    before = marginal_constraint_residual(ens, res)
-    assert before > 1e-6  # random ensembles are infeasible
-    fixed = _project_to_feasible(ens, res, A)
-    after = marginal_constraint_residual(fixed, res)
-    assert after <= 1e-10
-    assert after <= before
+# ---------------------------------------------------------------------------
+# Ensembles as instruments on phi0
+# ---------------------------------------------------------------------------
+
+
+def rank_deficient_resource():
+    """Random resource whose three-dimensional Alice share has a rank-2 marginal."""
+    small = random_state(rng(431), LabeledSpace.of(("Ap", 2), ("Bp", 2), ("Ep", 2)))
+    embed = np.kron(np.eye(3)[:, :2], np.eye(4))
+    space = LabeledSpace.of(("Ap", 3), ("Bp", 2), ("Ep", 2))
+    return channel_from_resource_state(DensityOperator(space, embed @ small.matrix @ embed.T))
+
+
+# resource builder and signal dimension; the Weyl start needs d_sig = r
+INSTRUMENT_CASES = {
+    "bell": (bell_resource_state, 2),
+    "rank_deficient": (rank_deficient_resource, 3),
+    "r1": (trivial_resource, 2),
+}
+
+
+def instrument_setup(case):
+    make, d_sig = INSTRUMENT_CASES[case]
+    res = make()
+    r = res.phi0.space.dim_of(res.aux_label)
+    k = 2 * d_sig * r
+    space = LabeledSpace.of(("A", d_sig), (res.aux_label, r))
+    return res, d_sig, r, k, space, res.phi0.state_vector().reshape(r, r)
+
+
+@pytest.mark.parametrize("case", sorted(INSTRUMENT_CASES))
+def test_instrument_ensembles_are_feasible_by_construction(case):
+    res, d_sig, r, k, space, psi = instrument_setup(case)
+    param = _instrument_param(d_sig, r, k)
+    gen = rng(433)
+    for _ in range(5):
+        members, probs = _instrument(param.kraus(param.random(gen)), psi, k)
+        assert abs(probs.sum() - 1.0) <= 1e-12
+        for m in members:
+            assert abs(np.trace(m).real - 1.0) <= 1e-12
+            assert np.linalg.eigvalsh(m)[0] >= -1e-12
+        states = [DensityOperator(space, m, validate=False) for m in members]
+        ens = CqEnsemble(list(range(k)), probs, states)
+        assert marginal_constraint_residual(ens, res) <= 1e-12
+
+
+@pytest.mark.parametrize("case", sorted(INSTRUMENT_CASES))
+def test_structured_starts_round_trip_through_pack(case):
+    res, d_sig, r, k, space, psi = instrument_setup(case)
+    param = _instrument_param(d_sig, r, k)
+    marg = res.zeta_marginal.matrix
+    n = min(k, d_sig)
+    wanted = [(_basis_start(k, d_sig, r), [np.kron(np.diag(e), marg) for e in np.eye(d_sig)[:n]])]
+    weyl = _weyl_start(k, d_sig, r)
+    if d_sig == r:
+        bigs = [np.kron(w, np.eye(r)) for w in _discrete_weyl(r)[: min(k, r * r)]]
+        wanted.append((weyl, [b @ res.phi0.matrix @ b.conj().T for b in bigs]))
+    else:
+        assert weyl is None
+    for stack, members_want in wanted:
+        x = param.pack(QuantumChannel(param.input_space, param.output_space, list(stack)))
+        members, probs = _instrument(param.kraus(x), psi, k)
+        n = len(members_want)
+        probs_want = np.array([1.0 / n] * n + [0.0] * (k - n))
+        assert np.abs(probs - probs_want).max() <= 1e-12
+        assert np.abs(members[:n] - np.array(members_want)).max() <= 1e-12
 
 
 def test_optimize_unassisted_identity_channel():
@@ -306,6 +356,14 @@ def test_optimize_unassisted_constant_channel_is_zero():
     assert abs(out.best_value) <= 1e-9
 
 
+def test_compositions_match_the_filtered_product():
+    for k in range(1, 5):
+        for total in range(9):
+            old = np.array([c for c in product(range(total + 1), repeat=k) if sum(c) == total])
+            assert np.array_equal(_compositions(total, k), old)
+    assert _compositions(8, 10).shape == (math.comb(17, 9), 10)
+
+
 def test_grid_oracle_rejects_non_qubit_signal():
     ch = QuantumChannel(
         LabeledSpace.of(("A", 3)),
@@ -314,26 +372,6 @@ def test_grid_oracle_rejects_non_qubit_signal():
     )
     with pytest.raises(ValidationError, match="two-dimensional"):
         grid_oracle(ch, trivial_resource())
-
-
-def test_projection_repair_member_has_unit_trace_at_tiny_weight():
-    # Four Bell states plus a weight-1e-8 member with a skewed reference
-    # marginal: the repair weight t is ~2e-9, so (avg + diff / t) magnifies
-    # the trace's rounding error by 1/t unless it is renormalized.
-    from wiretap.channels import ensemble_from_json, ensemble_to_json
-
-    res = bell_resource_state()
-    bell = superdense_ensemble()
-    skew = DensityOperator(bell.space, np.kron(np.eye(2) / 2, np.diag([0.6, 0.4])))
-    q = 1e-8
-    ens = CqEnsemble(
-        list(range(5)), [(1 - q) / 4] * 4 + [q], list(bell.states) + [skew]
-    )
-    fixed = _project_to_feasible(ens, res, A)
-    assert len(fixed) == 6 and fixed.probs[-1] < 1e-8
-    assert abs(np.trace(fixed.states[-1].matrix).real - 1.0) <= 1e-12
-    reloaded = ensemble_from_json(ensemble_to_json(fixed))
-    assert marginal_constraint_residual(reloaded, res) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -392,3 +430,19 @@ def test_optimize_theorem1_noisy_key_anchor(q):
     cfg = OptimizerConfig(seed=1, restarts=2, max_iters=300)
     got = optimize_theorem1(sc.channel, sc.resource_state(), cfg).best_value
     assert closed - 1e-8 <= got <= 1.0 - binary_entropy(0.05) + 1e-9
+
+
+@pytest.mark.parametrize("q, floor", [(0.1, 0.71), (0.3, 1.0 - binary_entropy(0.05) - 1e-6)])
+def test_optimize_theorem1_noisy_key_reaches_the_perfect_key_value(q, floor):
+    # Separation -- privacy-amplify the shared bits into h(q) key bits,
+    # then one-time-pad a wiretap code -- reaches min(1 - h(0.05),
+    # 0.4355 + h(q)) = 1 - h(0.05) at both q, which also bounds
+    # I(U:BB') = I(U:B|B') from above.  The one-letter search beats the XOR
+    # pad's h(0.2 * q) - h(0.05) by 0.173 (q = 0.1) and 0.042 (q = 0.3).
+    sc = gallery_classical(correlated_bits_pmf(q))
+    res = sc.resource_state()
+    cfg = OptimizerConfig(seed=1, restarts=2, max_iters=300)
+    out = optimize_theorem1(sc.channel, res, cfg)
+    assert floor <= out.best_value <= 1.0 - binary_entropy(0.05) + 1e-9
+    assert out.report.constraint_residual <= 1e-12
+    assert out.best_value == theorem1_rate(out.best_ensemble, sc.channel, res).rate

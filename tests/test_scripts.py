@@ -46,3 +46,22 @@ def test_run_gallery_rates():
     lines = run_script("run_gallery_rates.py")
     assert lines[0].split() == ["gallery", "mode", "rate", "I(U:BB)", "I(U:EE)", "I(U:A)"]
     assert any(line.startswith("superdense") for line in lines[1:])
+
+
+def test_run_anchors():
+    lines = run_script("run_anchors.py", "--restarts", "1", "--max-iters", "20")
+    assert lines[0].split() == ["anchor", "target", "found", "gap", "seconds"]
+    names = [line[:20].strip() for line in lines[1:]]
+    assert names == [
+        "damping gamma=0.1",
+        "damping gamma=0.3",
+        "damping gamma=0.45",
+        "perfect key",
+        "noisy key q=0.1",
+        "noisy key q=0.3",
+    ]
+    for line in lines[1:]:
+        target, found, gap, seconds = (float(v) for v in line[20:].split())
+        # every target is an upper bound; the gap is printed to 3 digits
+        assert gap >= -1e-9 and seconds >= 0
+        assert abs(target - found - gap) <= 1e-9 + 1e-2 * abs(gap)

@@ -18,7 +18,7 @@ import math
 import os
 import sys
 
-from .channels import ensemble_to_json, channel_to_json
+from .channels import CqEnsemble, ensemble_to_json, channel_to_json
 from .codesim import run_experiment
 from .measures import dense_coding_advantage, entanglement_of_purification
 from .entropic import von_neumann_entropy
@@ -37,7 +37,7 @@ from .qcore import (
     permute_factors,
 )
 from .rates import RateReport, theorem1_rate, trivial_rate, unassisted_rate
-from .scenario import Scenario, build_gallery, save_scenario
+from .scenario import Scenario, build_gallery, save_scenario, scenario_from_json
 
 __all__ = ["main"]
 
@@ -64,8 +64,6 @@ def _load_json(path):
 def _load_scenario(path) -> Scenario:
     obj = _load_json(path)
     try:
-        from .scenario import scenario_from_json
-
         return scenario_from_json(obj)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
@@ -132,9 +130,7 @@ def opt_result_to_json(result: OptResult) -> dict:
         payload["witness_channel"] = channel_to_json(result.best_channel)
     if result.report is not None:
         payload["report"] = report_to_json(result.report)
-    payload["trace"] = [
-        [p.restart, p.iteration, p.value, p.residual] for p in result.trace
-    ]
+    payload["trace"] = [[p.restart, p.iteration, p.value] for p in result.trace]
     return payload
 
 
@@ -169,8 +165,6 @@ def cmd_rate_eval(args) -> int:
                     "unassisted mode needs ensemble members on the channel input "
                     "(extra factors must be one-dimensional)"
                 )
-            from .channels import CqEnsemble
-
             keep = [lab for lab in ens.space.labels if lab not in set(extra)]
             ens = CqEnsemble(
                 ens.labels, ens.probs, [partial_trace(s, set(keep)) for s in ens.states]

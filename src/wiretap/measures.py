@@ -25,12 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    CqEnsemble,
-    QuantumChannel,
-    constant_channel,
-    isometry_channel,
-)
+from .channels import CqEnsemble, QuantumChannel
 from .entropic import _entropies, holevo_information, von_neumann_entropy
 from .optimize import OptimizerConfig, OptResult, optimize_channel_functional
 from .qcore import (
@@ -39,7 +34,6 @@ from .qcore import (
     LabeledSpace,
     ValidationError,
     _fresh_label,
-    basis_state,
     partial_trace,
     permute_factors,
     purify,
@@ -104,23 +98,13 @@ class _ChannelKernel:
         return float(_entropies(self.omega(kraus)))
 
 
-def _channel_inits(
-    input_space: LabeledSpace, output_space: LabeledSpace
-) -> list[QuantumChannel]:
-    """Known-good starting points: isometric embedding and constant |0>."""
-    inits = []
-    if output_space.dim >= input_space.dim:
-        inits.append(
-            isometry_channel(
-                np.eye(output_space.dim, input_space.dim, dtype=complex),
-                input_space,
-                output_space,
-            )
-        )
-    inits.append(
-        constant_channel(input_space, basis_state(output_space, [0] * len(output_space.factors)))
-    )
-    return inits
+def _channel_inits(d_in: int, d_out: int) -> list[np.ndarray]:
+    """Known-good starting Kraus stacks: the isometric embedding (when
+    d_out >= d_in) and the constant |0> channel, K_a = |0><a|."""
+    const = np.zeros((d_in, d_out, d_in), dtype=np.complex128)
+    const[np.arange(d_in), 0, np.arange(d_in)] = 1.0
+    embed = [np.eye(d_out, d_in, dtype=np.complex128)[None]] if d_out >= d_in else []
+    return embed + [const]
 
 
 def dense_coding_advantage(
@@ -160,7 +144,7 @@ def dense_coding_advantage(
         out_space,
         "max",
         cfg,
-        inits=_channel_inits(in_space, out_space),
+        inits=_channel_inits(d_a, cap),
     )
     return MeasureResult(value=opt.best_value, witness_channel=opt.best_channel, diagnostics=opt)
 
@@ -198,7 +182,7 @@ def entanglement_of_purification(
         out_space,
         "min",
         cfg,
-        inits=_channel_inits(in_space, out_space),
+        inits=_channel_inits(d_e, cap),
     )
     return MeasureResult(value=opt.best_value, witness_channel=opt.best_channel, diagnostics=opt)
 

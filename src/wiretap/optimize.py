@@ -1,22 +1,24 @@
 """Derivative-free search over signal ensembles and channels.
 
-The search engine is a coordinate random search with shrinking steps and
-independent restarts.  Every restart owns a deterministic RNG sub-stream
-derived from (seed, restart index), so results are reproducible and adding
-restarts can only improve the best value.  The first restarts start from
-structured candidates -- a discrete-Weyl modulated reference state for the
-assisted problem, a computational-basis ensemble, identity/constant
-isometries for channel searches -- so the optimizer never reports worse
-than these known-good witnesses.
+Every search runs one driver, ``_restarts``, which maximizes a score of an
+(env, d_out, d_in) Kraus stack.  Candidates are Stinespring coordinates:
+the polar projection of a complex (d_out * env, d_in) matrix is an
+isometry, so every point is a CPTP map.  Each restart is a coordinate
+random search with shrinking steps on its own RNG stream (seed, restart
+index), so results are reproducible and adding restarts can only improve
+the best value.  The first restarts begin at structured Kraus stacks on
+the largest environment, so a search never reports worse than these
+known-good witnesses; the rest begin at random points and cycle through a
+ladder of environment sizes (Kraus-rank caps).
 
-Both searches run on Stinespring isometry coordinates; the polar
-projection keeps each candidate CPTP by construction.  Channel objectives
-score the (env, d_out, d_in) Kraus stack directly; a ``QuantumChannel`` is
-built once, for the returned witness.  Ensembles are instruments from
-Alice's share to (U, signal) applied to the purification phi0 of her
-marginal: q_u eta_u = (N_u x id) phi0.  By channel-state duality these are
-exactly the ensembles whose average A' marginal is the resource's, so the
-ensemble searches need neither a penalty nor a repair step.
+Channel searches pass the identity and constant channels as starts, add a
+polish pass from the incumbent, and build one ``QuantumChannel``, the
+witness, at the end.  Ensemble searches score instruments from Alice's
+share to (U, signal) applied to the purification phi0 of her marginal:
+q_u eta_u = (N_u x id) phi0, starting from a discrete-Weyl modulation of
+phi0 and a computational-basis ensemble.  By channel-state duality these
+are exactly the ensembles whose average A' marginal is the resource's, so
+the ensemble searches need neither a penalty nor a repair step.
 """
 
 from __future__ import annotations
@@ -108,7 +110,6 @@ class TracePoint:
     restart: int
     iteration: int
     value: float
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -159,26 +160,17 @@ def _coordinate_search(
 
 
 # ---------------------------------------------------------------------------
-# Channel-space optimizer
+# Stinespring coordinates and the restart driver
 # ---------------------------------------------------------------------------
 
 
 class _StinespringParam:
     """Channels as polar projections of complex (d_out * env, d_in) matrices."""
 
-    def __init__(self, input_space: LabeledSpace, output_space: LabeledSpace, env_dim: int):
-        self.input_space = input_space
-        self.output_space = output_space
-        self.d_in = input_space.dim
-        self.d_out = output_space.dim
-        self.env = env_dim
-        self.rows = self.d_out * self.env
-        if self.rows < self.d_in:
-            raise ValidationError(
-                f"environment dimension {env_dim} too small for an isometry "
-                f"({self.rows} rows < {self.d_in} columns)"
-            )
-        self.size = 2 * self.rows * self.d_in
+    def __init__(self, d_in: int, d_out: int, env: int):
+        self.d_in, self.d_out, self.env = d_in, d_out, env
+        self.rows = d_out * env
+        self.size = 2 * self.rows * d_in
 
     def kraus(self, x: np.ndarray) -> np.ndarray:
         """The polar isometry of ``x`` as an (env, d_out, d_in) Kraus stack."""
@@ -187,33 +179,66 @@ class _StinespringParam:
         u, _, vh = np.linalg.svd(v, full_matrices=False)
         return (u @ vh).reshape(self.env, self.d_out, self.d_in)
 
-    def unpack(self, x: np.ndarray) -> QuantumChannel:
-        kraus = list(self.kraus(x))
-        return QuantumChannel(self.input_space, self.output_space, kraus, tp_tol=TOL_EQ)
-
-    def pack(self, ch: QuantumChannel) -> np.ndarray:
-        if len(ch.kraus) > self.env:
-            raise ValidationError(f"channel has {len(ch.kraus)} Kraus operators > env {self.env}")
-        v = np.zeros((self.rows, self.d_in), dtype=np.complex128)
-        for e, kr in enumerate(ch.kraus):
-            v[e * self.d_out : (e + 1) * self.d_out, :] = kr
-        x = np.zeros(self.size)
-        x[: self.rows * self.d_in] = v.real.reshape(-1)
-        x[self.rows * self.d_in :] = v.imag.reshape(-1)
-        return x
+    def pack(self, kraus: np.ndarray) -> np.ndarray:
+        """Coordinates of an (n, d_out, d_in) Kraus stack, zero-padded to env."""
+        if len(kraus) > self.env or kraus.shape[1:] != (self.d_out, self.d_in):
+            want = (self.env, self.d_out, self.d_in)
+            raise ValidationError(f"Kraus stack of shape {kraus.shape} does not fit {want}")
+        v = np.zeros((self.env, self.d_out, self.d_in), dtype=np.complex128)
+        v[: len(kraus)] = kraus
+        return np.concatenate([v.real.reshape(-1), v.imag.reshape(-1)])
 
     def random(self, gen: np.random.Generator) -> np.ndarray:
         return gen.standard_normal(self.size)
 
 
-def _env_ladder(full: int) -> list[int]:
-    ladder = []
-    e = 1
-    while e < full:
-        ladder.append(e)
-        e *= 2
-    ladder.append(full)
-    return ladder
+def _env_ladder(d_in: int, d_out: int) -> list[int]:
+    """Environments 1, 2, 4, ... below d_in * d_out, then d_in * d_out,
+    keeping those with room for an isometry (env * d_out >= d_in)."""
+    full = d_in * d_out
+    ladder = [2**i for i in range(full.bit_length()) if 2**i < full] + [full]
+    return [e for e in ladder if e * d_out >= d_in]
+
+
+def _restarts(
+    score: Callable[[np.ndarray], float],
+    starts: Sequence[np.ndarray],
+    ladder: Sequence[_StinespringParam],
+    cfg: OptimizerConfig,
+    trace: list[TracePoint],
+) -> tuple[_StinespringParam, np.ndarray]:
+    """Maximize ``score`` of a Kraus stack; return the best (param, x).
+
+    Restart i draws on the RNG stream (seed, i).  It begins at the Kraus
+    stack ``starts[i]`` on ``ladder[-1]`` while starts remain, and
+    otherwise at a random point, cycling through ``ladder``.  Every
+    accepted step is appended to ``trace``.
+    """
+    best: tuple[float, _StinespringParam, np.ndarray] | None = None
+    for restart in range(cfg.restarts):
+        gen = np.random.default_rng([cfg.seed, restart])
+        if restart < len(starts):
+            param = ladder[-1]
+            x = param.pack(starts[restart])
+        else:
+            param = ladder[(restart - len(starts)) % len(ladder)]
+            x = param.random(gen)
+        x, val = _coordinate_search(
+            x,
+            lambda xv, p=param: score(p.kraus(xv)),
+            gen,
+            cfg.max_iters,
+            on_accept=lambda it, v, _r=restart: trace.append(TracePoint(_r, it, v)),
+        )
+        if best is None or val > best[0]:
+            best = (val, param, x)
+    assert best is not None
+    return best[1], best[2]
+
+
+# ---------------------------------------------------------------------------
+# Channel-space optimizer
+# ---------------------------------------------------------------------------
 
 
 def optimize_channel_functional(
@@ -222,7 +247,7 @@ def optimize_channel_functional(
     output_space: LabeledSpace,
     sense: str,
     cfg: OptimizerConfig,
-    inits: Sequence[QuantumChannel] = (),
+    inits: Sequence[np.ndarray] = (),
 ) -> OptResult:
     """Optimize a scalar functional over CPTP maps of a fixed signature.
 
@@ -230,66 +255,37 @@ def optimize_channel_functional(
     operators.  Stinespring coordinates guarantee feasibility: every
     parameter vector maps to a valid Kraus stack, and the returned witness
     is built as a ``QuantumChannel`` (trace preservation checked) once, at
-    the end.  ``inits`` seed the first restarts at the full
-    environment dimension; the remaining restarts cycle through a ladder of
-    smaller environments (Kraus-rank caps), which explore far better while
-    staying inside the same channel family.  A final polish pass re-runs
-    the search from the incumbent.
+    the end.  ``inits``, Kraus stacks of at most d_in * d_out operators,
+    seed the first restarts at the full environment dimension; the
+    remaining restarts cycle through a ladder of smaller environments
+    (Kraus-rank caps), which explore far better while staying inside the
+    same channel family.  A final polish pass re-runs the search from the
+    incumbent.  Trace values are the objective's own.
     """
     if sense not in ("max", "min"):
         raise ValidationError(f"sense must be 'max' or 'min', got {sense!r}")
     sign = 1.0 if sense == "max" else -1.0
-    full_env = input_space.dim * output_space.dim
-    ladder = [e for e in _env_ladder(full_env) if e * output_space.dim >= input_space.dim]
-    params = {e: _StinespringParam(input_space, output_space, e) for e in ladder}
-    full_param = params[full_env]
+    d_in, d_out = input_space.dim, output_space.dim
+    ladder = [_StinespringParam(d_in, d_out, e) for e in _env_ladder(d_in, d_out)]
 
-    packed_inits = []
-    for ch in inits:
-        if len(ch.kraus) <= full_param.env:
-            packed_inits.append(full_param.pack(ch))
+    def score(kraus: np.ndarray) -> float:
+        return sign * objective(kraus)
+
     trace: list[TracePoint] = []
-    best: tuple[float, int] | None = None
-    best_x: np.ndarray | None = None
-    best_param: _StinespringParam | None = None
-
-    def make_objective(param: _StinespringParam) -> Callable[[np.ndarray], float]:
-        def signed(xv: np.ndarray) -> float:
-            return sign * objective(param.kraus(xv))
-
-        return signed
-
-    for restart in range(cfg.restarts):
-        gen = np.random.default_rng([cfg.seed, restart])
-        if restart < len(packed_inits):
-            param = full_param
-            x = packed_inits[restart].copy()
-        else:
-            param = params[ladder[(restart - len(packed_inits)) % len(ladder)]]
-            x = param.random(gen)
-        x, val = _coordinate_search(
-            x,
-            make_objective(param),
-            gen,
-            cfg.max_iters,
-            on_accept=lambda it, v, _r=restart: trace.append(TracePoint(_r, it, sign * v, 0.0)),
-        )
-        if best is None or val > best[0]:
-            best = (val, restart)
-            best_x, best_param = x, param
-
-    assert best is not None and best_x is not None and best_param is not None
-    gen = np.random.default_rng([cfg.seed, cfg.restarts])
-    best_x, val = _coordinate_search(
-        best_x,
-        make_objective(best_param),
-        gen,
+    param, x = _restarts(score, tuple(inits), ladder, cfg, trace)
+    x, val = _coordinate_search(
+        x,
+        lambda xv: score(param.kraus(xv)),
+        np.random.default_rng([cfg.seed, cfg.restarts]),
         cfg.max_iters,
-        on_accept=lambda it, v: trace.append(TracePoint(cfg.restarts, it, sign * v, 0.0)),
+        on_accept=lambda it, v: trace.append(TracePoint(cfg.restarts, it, v)),
     )
-    best_ch = best_param.unpack(best_x)
-    value = sign * val
-    return OptResult(best_value=value, best_channel=best_ch, trace=tuple(trace))
+    witness = QuantumChannel(input_space, output_space, list(param.kraus(x)), tp_tol=TOL_EQ)
+    return OptResult(
+        best_value=sign * val,
+        best_channel=witness,
+        trace=tuple(TracePoint(p.restart, p.iteration, sign * p.value) for p in trace),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -309,17 +305,6 @@ def _discrete_weyl(dim: int) -> list[np.ndarray]:
         for b in range(dim):
             out.append(np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(phase, b))
     return out
-
-
-def _instrument_param(d_sig: int, r: int, k: int) -> _StinespringParam:
-    """Isometries from Alice's r-dimensional share to (U, signal), U of size k.
-
-    The environment d_sig * r gives every outcome enough Kraus operators
-    for any map from the share to the signal.
-    """
-    return _StinespringParam(
-        LabeledSpace.of(("share", r)), LabeledSpace.of(("outcome_signal", k * d_sig)), d_sig * r
-    )
 
 
 def _instrument(kraus: np.ndarray, psi: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -366,42 +351,24 @@ def _search_instruments(
     k: int,
     cfg: OptimizerConfig,
 ) -> OptResult:
-    """Restart loop shared by the ensemble searches.
+    """The instrument search shared by the ensemble optimizers.
 
     ``score`` maps stacked members and probabilities to the rate.  The
-    first restarts begin at the structured starts (Weyl, then basis), the
-    rest at random coordinates.  The best point is unpacked once, with its
-    q_u = 0 outcomes dropped, and re-scored by ``rescore``.
+    first restarts of ``_restarts`` begin at the structured starts (Weyl,
+    then basis), the rest at random coordinates.  The best point becomes an
+    ensemble once, with its q_u = 0 outcomes dropped, and is re-scored by
+    ``rescore``.
     """
     r = len(psi)
     d_sig = member_space.dim // r
-    param = _instrument_param(d_sig, r, k)
-    starts = [
-        param.pack(QuantumChannel(param.input_space, param.output_space, list(s)))
-        for s in (_weyl_start(k, d_sig, r), _basis_start(k, d_sig, r))
-        if s is not None
-    ]
-
-    def objective(xv: np.ndarray) -> float:
-        return score(*_instrument(param.kraus(xv), psi, k))
-
+    # The environment d_sig * r gives every outcome enough Kraus operators
+    # for any map from the share to the signal.
+    param = _StinespringParam(r, k * d_sig, d_sig * r)
+    starts = [s for s in (_weyl_start(k, d_sig, r), _basis_start(k, d_sig, r)) if s is not None]
     trace: list[TracePoint] = []
-    best_x: np.ndarray | None = None
-    best_val = -np.inf
-    for restart in range(cfg.restarts):
-        gen = np.random.default_rng([cfg.seed, restart])
-        x0 = starts[restart] if restart < len(starts) else param.random(gen)
-        x, val = _coordinate_search(
-            x0,
-            objective,
-            gen,
-            cfg.max_iters,
-            on_accept=lambda it, v, _r=restart: trace.append(TracePoint(_r, it, v, 0.0)),
-        )
-        if best_x is None or val > best_val:
-            best_x, best_val = x, val
-
-    assert best_x is not None
+    _, best_x = _restarts(
+        lambda kraus: score(*_instrument(kraus, psi, k)), starts, [param], cfg, trace
+    )
     members, probs = _instrument(param.kraus(best_x), psi, k)
     keep = np.flatnonzero(probs > 0)
     ens = CqEnsemble(

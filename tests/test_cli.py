@@ -267,6 +267,10 @@ def test_rate_optimize_idempotent(tmp_path, capsys):
         assert code == 0
         outs.append((out_dir / "optresult.json").read_text())
     assert outs[0] == outs[1]
+    # Trace rows are [restart, iteration, value], never above the best value.
+    payload = json.loads(outs[0])
+    rows = payload["trace"]
+    assert rows and all(len(row) == 3 and row[2] <= payload["best_value"] + 1e-9 for row in rows)
 
 
 def test_rate_optimize_broadcast_bell_reports_lower_bound(tmp_path, capsys):
@@ -426,9 +430,9 @@ def test_cli_subprocess_smoke(tmp_path):
 
 
 def test_rate_optimize_witness_file_reloads_after_projection(tmp_path, capsys):
-    # At these settings the searched restarts end on repair members of
-    # weight ~2e-9; whichever witness wins, its file must load as a valid
-    # ensemble that meets the average-marginal constraint.
+    # The witness file rate-optimize writes must load back through
+    # ensemble_from_json as a valid ensemble that meets the average-marginal
+    # constraint.
     from wiretap.channels import ensemble_from_json
     from wiretap.rates import FEASIBILITY_THRESHOLD, marginal_constraint_residual
 

@@ -31,7 +31,9 @@ from wiretap.channels import (
     QuantumChannel,
     apply,
     channel_from_resource_state,
+    constant_channel,
     cq_state,
+    isometry_channel,
     trivial_resource,
 )
 from wiretap.codesim import _member_outputs
@@ -46,7 +48,14 @@ from wiretap.optimize import (
     grid_oracle,
     optimize_theorem1,
 )
-from wiretap.qcore import DensityOperator, LabeledSpace, partial_trace, purify
+from wiretap.qcore import (
+    TOL_EQ,
+    DensityOperator,
+    LabeledSpace,
+    basis_state,
+    partial_trace,
+    purify,
+)
 from wiretap.rates import (
     build_beta,
     build_gamma,
@@ -404,15 +413,14 @@ def test_channel_kernel_matches_apply_at_every_env_rung(shape, rank):
     state, on, out_space = shape(gen, rank)
     in_space = state.space.subspace([on])
     kernel = _ChannelKernel(state, on)
-    rungs = [
-        e for e in _env_ladder(in_space.dim * out_space.dim) if e * out_space.dim >= in_space.dim
-    ]
+    rungs = _env_ladder(in_space.dim, out_space.dim)
     assert rungs[-1] == in_space.dim * out_space.dim
     for env in rungs:
-        param = _StinespringParam(in_space, out_space, env)
+        param = _StinespringParam(in_space.dim, out_space.dim, env)
         for _ in range(3):
-            x = param.random(gen)
-            assert_kernel_matches_apply(kernel, state, on, param.unpack(x), param.kraus(x))
+            kraus = param.kraus(param.random(gen))
+            ch = QuantumChannel(in_space, out_space, list(kraus), tp_tol=TOL_EQ)
+            assert_kernel_matches_apply(kernel, state, on, ch, kraus)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 4])
@@ -424,9 +432,24 @@ def test_channel_kernel_is_finite_at_structured_inits(shape, rank):
     state, on, out_space = shape(rng(1310 + rank), rank)
     in_space = state.space.subspace([on])
     kernel = _ChannelKernel(state, on)
-    param = _StinespringParam(in_space, out_space, in_space.dim * out_space.dim)
-    inits = _channel_inits(in_space, out_space)
+    param = _StinespringParam(in_space.dim, out_space.dim, in_space.dim * out_space.dim)
+    inits = _channel_inits(in_space.dim, out_space.dim)
     assert len(inits) == 2
-    for ch in inits:
-        x = param.pack(ch)
-        assert_kernel_matches_apply(kernel, state, on, param.unpack(x), param.kraus(x))
+    for stack in inits:
+        kraus = param.kraus(param.pack(stack))
+        ch = QuantumChannel(in_space, out_space, list(kraus), tp_tol=TOL_EQ)
+        assert_kernel_matches_apply(kernel, state, on, ch, kraus)
+
+
+@pytest.mark.parametrize("d_in, d_out", [(2, 4), (4, 4), (4, 2), (1, 3)])
+def test_channel_inits_equal_public_constructors(d_in, d_out):
+    # The starts are built as plain stacks; the public constructors are the
+    # reference, and the stacks must match them bit for bit.
+    in_space, out_space = LabeledSpace.of(("A", d_in)), LabeledSpace.of(("F", d_out))
+    want = [np.stack(constant_channel(in_space, basis_state(out_space, [0])).kraus)]
+    if d_out >= d_in:
+        embed = isometry_channel(np.eye(d_out, d_in), in_space, out_space)
+        want.insert(0, np.stack(embed.kraus))
+    got = _channel_inits(d_in, d_out)
+    assert [g.shape for g in got] == [w.shape for w in want]
+    assert all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))

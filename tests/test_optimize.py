@@ -11,7 +11,6 @@ from conftest import (
     identity_qubit_wiretap,
     random_state,
     rng,
-    superdense_ensemble,
 )
 from wiretap.channels import (
     CqEnsemble,
@@ -28,7 +27,6 @@ from wiretap.optimize import (
     _compositions,
     _discrete_weyl,
     _instrument,
-    _instrument_param,
     _weyl_start,
     grid_oracle,
     optimize_channel_functional,
@@ -81,10 +79,11 @@ def test_config_validation():
 
 def test_stinespring_param_always_cptp():
     gen = rng(409)
-    param = _StinespringParam(A, LabeledSpace.of(("F", 3)), env_dim=4)
+    param = _StinespringParam(2, 3, env=4)
     for _ in range(20):
-        ch = param.unpack(param.random(gen))  # constructor asserts CPTP at 1e-8
-        total = sum(k.conj().T @ k for k in ch.kraus)
+        kraus = param.kraus(param.random(gen))
+        assert kraus.shape == (4, 3, 2)
+        total = np.einsum("eoi,eoj->ij", kraus.conj(), kraus)
         assert np.max(np.abs(total - np.eye(2))) <= 1e-10
 
 
@@ -121,7 +120,7 @@ def instrument_setup(case):
 @pytest.mark.parametrize("case", sorted(INSTRUMENT_CASES))
 def test_instrument_ensembles_are_feasible_by_construction(case):
     res, d_sig, r, k, space, psi = instrument_setup(case)
-    param = _instrument_param(d_sig, r, k)
+    param = _StinespringParam(r, k * d_sig, d_sig * r)
     gen = rng(433)
     for _ in range(5):
         members, probs = _instrument(param.kraus(param.random(gen)), psi, k)
@@ -137,7 +136,7 @@ def test_instrument_ensembles_are_feasible_by_construction(case):
 @pytest.mark.parametrize("case", sorted(INSTRUMENT_CASES))
 def test_structured_starts_round_trip_through_pack(case):
     res, d_sig, r, k, space, psi = instrument_setup(case)
-    param = _instrument_param(d_sig, r, k)
+    param = _StinespringParam(r, k * d_sig, d_sig * r)
     marg = res.zeta_marginal.matrix
     n = min(k, d_sig)
     wanted = [(_basis_start(k, d_sig, r), [np.kron(np.diag(e), marg) for e in np.eye(d_sig)[:n]])]
@@ -148,7 +147,7 @@ def test_structured_starts_round_trip_through_pack(case):
     else:
         assert weyl is None
     for stack, members_want in wanted:
-        x = param.pack(QuantumChannel(param.input_space, param.output_space, list(stack)))
+        x = param.pack(stack)
         members, probs = _instrument(param.kraus(x), psi, k)
         n = len(members_want)
         probs_want = np.array([1.0 / n] * n + [0.0] * (k - n))
@@ -214,24 +213,21 @@ def test_optimizer_monotone_in_restarts():
     assert v4 >= v2 - 1e-12
 
 
-def test_penalty_weight_change_keeps_feasible_objective():
-    # At a feasible point the penalized objective is weight-independent up
-    # to tolerance, so continuation stages cannot degrade it.
-    res = bell_resource_state()
-    ens = superdense_ensemble()
-    rep = theorem1_rate(ens, identity_qubit_wiretap(), res)
-    w0 = 32.0
-    obj_lo = rep.rate - w0 * rep.constraint_residual**2
-    obj_hi = rep.rate - 4 * w0 * rep.constraint_residual**2
-    assert abs(obj_lo - obj_hi) <= 1e-9
-
-
 def test_optimize_channel_functional_constant_objective():
     out = optimize_channel_functional(
         lambda kraus: 0.75, A, F, "max", small_cfg(seed=31, max_iters=30)
     )
     assert out.best_value == 0.75
     assert out.best_channel is not None
+
+
+@pytest.mark.parametrize("shape", [(5, 2, 2), (1, 3, 2)])
+def test_optimize_channel_functional_refuses_ill_fitting_inits(shape):
+    # Inits are Kraus stacks of at most d_in * d_out operators of shape (d_out, d_in).
+    with pytest.raises(ValidationError, match="does not fit"):
+        optimize_channel_functional(
+            lambda kraus: 0.0, A, F, "max", small_cfg(max_iters=5), inits=[np.zeros(shape)]
+        )
 
 
 def test_optimize_channel_functional_max_output_entropy():
@@ -249,6 +245,35 @@ def test_optimize_channel_functional_max_output_entropy():
     )
     assert out.best_value >= 1.0 - 1e-3
     assert out.best_value <= 1.0 + 1e-12
+
+
+def population_of_zero(kraus: np.ndarray) -> float:
+    """<0|T(rho)|0> for rho = diag(0.7, 0.3) and T the channel with Kraus stack ``kraus``.
+
+    It lies in [0, 1] and, unlike an entropy, moves under unitaries too, so
+    every rung of the environment ladder can improve it in both senses.
+    """
+    row = kraus[:, 0, :]  # <0|K_e, one row per Kraus operator
+    return float(np.sum(np.abs(row) ** 2 * np.array([0.7, 0.3])))
+
+
+@pytest.mark.parametrize("sense", ["max", "min"])
+def test_optimize_channel_functional_trace_semantics(sense):
+    cfg = small_cfg(seed=41, restarts=3, max_iters=80)
+    out = optimize_channel_functional(population_of_zero, A, F, sense, cfg)
+    # The witness scores the best value itself, in the objective's own sign.
+    assert population_of_zero(np.stack(out.best_channel.kraus)) == out.best_value
+    better = (lambda a, b: a > b) if sense == "max" else (lambda a, b: a < b)
+    by_restart: dict[int, list[float]] = {}
+    for p in out.trace:
+        assert 0.0 <= p.value <= 1.0 + 1e-12  # a population, not its negation
+        assert not better(p.value, out.best_value)
+        by_restart.setdefault(p.restart, []).append(p.value)
+    # Restarts 0..restarts-1, then the polish pass from the incumbent.
+    assert list(by_restart) == list(range(cfg.restarts + 1))
+    for values in by_restart.values():
+        assert all(better(b, a) for a, b in zip(values, values[1:]))
+    assert by_restart[cfg.restarts][-1] == out.best_value
 
 
 def test_grid_oracle_identity_channel():

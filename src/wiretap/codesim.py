@@ -14,14 +14,18 @@ measurement, and measure
   the trace-norm cost of the Uhlmann repair that removes it.
 
 Each one-letter side (Bob's outputs, Eve's outputs, the A' marginals of
-the members and of the resource) runs on real diagonals when all its
-matrices are exactly diagonal, else on matrices.  A bin's S codeword
+the members and of the resource) is held as real diagonals when all its
+matrices are exactly diagonal, else as dense matrices.  A bin's S codeword
 products are built together, one broadcast multiply per letter position
 (``_products``), and summed over the bin one row at a time in codeword
 order, so every bin average is bit for bit the one a per-codeword
-``np.kron`` chain gives.  The marginal residual is
-read off the bin-averaged A' marginals; only above 1e-12 are the dense
-signal-side averages built and repaired (``marginal_residual_and_fixup``).
+``np.kron`` chain gives.  A dense Bob side whose M*S codewords span fewer
+product vectors than its block dimension (M*S*r^n < d^n, with r the
+largest one-letter rank) is instead decoded from the Gram matrix of those
+vectors (``_gram_pgm_error``), and its bin averages are never built.  The
+marginal residual is read off the bin-averaged A' marginals; only above
+1e-12 are the dense signal-side averages built and repaired
+(``marginal_residual_and_fixup``).
 
 The decoder choice is a design decision: the PGM stands in for the abstract
 decoder of the coding theorem.  Reported leakage uses the fixed reference
@@ -35,7 +39,6 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -67,7 +70,6 @@ __all__ = [
     "pgm_decoder",
     "pgm_success",
     "leakage",
-    "exact_mixture_leakage",
     "marginal_residual_and_fixup",
     "run_experiment",
 ]
@@ -336,6 +338,16 @@ def _bin_bytes(side: list[np.ndarray], n: int) -> int:
     return d * 8 if side[0].ndim == 1 else d * d * 16
 
 
+def _gram_bytes(count: int, size: int, n: int) -> int:
+    """Peak of ``_gram_pgm_error`` on ``count`` codewords and a size x size G.
+
+    The count^2 pair words (n integers each) live while G is folded; the
+    eigensolve then holds five arrays of G's size: G, the solver's copy, its
+    two workspaces and the eigenvectors.
+    """
+    return count * count * n * 8 + 5 * size * size * 16
+
+
 def _check_bytes(n: int, M: int, need: int) -> None:
     if need > MAX_WORKING_BYTES:
         raise ResourceLimitError(
@@ -373,28 +385,6 @@ def leakage(
     _check_bytes(codebook.n, codebook.M, need)
     dists = [hermitian_trace_norm(b - reference) for b in _bin_average(eve_mats, codebook.words)]
     return LeakageStats(average=float(np.mean(dists)), per_message_max=float(np.max(dists)))
-
-
-def exact_mixture_leakage(
-    ens: CqEnsemble,
-    channel: QuantumChannel,
-    res: ResourceState,
-    n: int,
-) -> float:
-    """Distance of the exactly weighted all-words mixture from the reference.
-
-    This is the S -> infinity sanity case: the full mixture over all length-n
-    words with their product weights reproduces the reference state.
-    """
-    eve_mats, reference = _eve_outputs(ens, channel, res, n)
-    stack = np.stack(eve_mats)
-    mixture = np.zeros_like(reference)
-    for word in product(range(len(ens)), repeat=n):
-        weight = float(np.prod(ens.probs[list(word)]))
-        if weight == 0.0:
-            continue
-        mixture += weight * _products(stack, np.array([word]))[0]
-    return hermitian_trace_norm(mixture - reference)
 
 
 def marginal_residual_and_fixup(
@@ -493,6 +483,54 @@ def _pgm_error(bins: list[np.ndarray]) -> float:
     return 1.0 - min(max(succ, 0.0), 1.0)
 
 
+def _low_rank_factors(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Stack (k, d, r) of factors V_x with V_x V_x^dagger = mats[x].
+
+    V_x holds the eigenvectors of mats[x] with eigenvalue above RANK_CUTOFF,
+    scaled by the square roots of those eigenvalues and zero-padded to the
+    largest such rank r.
+    """
+    eigs = [np.linalg.eigh(m) for m in mats]
+    keeps = [w > RANK_CUTOFF for w, _ in eigs]
+    out = np.zeros((len(mats), len(mats[0]), max(int(k.sum()) for k in keeps)), dtype=complex)
+    for x, ((w, v), keep) in enumerate(zip(eigs, keeps)):
+        out[x, :, : keep.sum()] = v[:, keep] * np.sqrt(w[keep])
+    return out
+
+
+def _gram_pgm_error(factors: np.ndarray, words: np.ndarray) -> float:
+    """Decoding error of the PGM on equiprobable bin states, from a Gram matrix.
+
+    The columns of V_{w_1} x ... x V_{w_n} over all M*S codewords w, scaled
+    by 1/sqrt(M*S), form Psi with Psi Psi^dagger the average state, and a
+    message's columns give its prior-weighted bin state.  The PGM success
+    probability is then the summed squared moduli of the message-diagonal
+    blocks of sqrt(G), G = Psi^dagger Psi (Hausladen et al., PRA 54, 1869,
+    1996).  G is built from one-letter overlaps by the left fold of
+    ``_products``, on pair words.  G and the average state share their
+    nonzero spectrum, so taking sqrt(G) on the eigenvalues above
+    RANK_CUTOFF is the support rule of ``pgm_decoder``.
+    """
+    m_count, s_count, n = words.shape
+    k, _, r = factors.shape
+    overlaps = np.einsum("xai,yaj->xyij", factors.conj(), factors).reshape(k * k, r, r)
+    flat = words.reshape(-1, n)
+    count, rank = len(flat), r**n
+    pairs = (flat[:, None, :] * k + flat[None, :, :]).reshape(-1, n)
+    blocks = _products(overlaps, pairs).reshape(count, count, rank, rank)
+    del pairs
+    gram = blocks.transpose(0, 2, 1, 3).reshape(count * rank, count * rank)
+    del blocks
+    gram /= count
+    w, v = np.linalg.eigh(gram)
+    del gram
+    keep = w > RANK_CUTOFF
+    v = v[:, keep].reshape(m_count, s_count * rank, -1)
+    diag_blocks = (v * np.sqrt(w[keep])) @ v.conj().transpose(0, 2, 1)
+    succ = float(np.sum(diag_blocks.real**2 + diag_blocks.imag**2))
+    return 1.0 - min(max(succ, 0.0), 1.0)
+
+
 def run_experiment(
     scenario: Scenario,
     n_list: Sequence[int],
@@ -527,8 +565,10 @@ def run_experiment(
     )
     eve_avg = sum(q * e for q, e in zip(ens.probs, eve))
     repairs = any(np.any(m != target) for m in margs)
+    factors = _low_rank_factors(bob) if bob[0].ndim == 2 else None
 
     all_params = [code_parameters(ens, channel, res, n, epsilon, rate) for n in n_list]
+    grams = []  # Gram-matrix size M*S*r^n per block length when Bob is decoded that way
     for n, params in zip(n_list, all_params):
         sizes = {"bob": len(bob[0]) ** n, "eve": len(eve[0]) ** n, "signal": ens.space.dim**n}
         over = {k: v for k, v in sizes.items() if v > cap}
@@ -537,18 +577,26 @@ def run_experiment(
                 f"block length {n} exceeds the dimension cap {cap}: "
                 + ", ".join(f"{k} side {v}" for k, v in over.items())
             )
+        gram = None
+        if factors is not None and params.M * params.S * factors.shape[2] ** n < sizes["bob"]:
+            gram = params.M * params.S * factors.shape[2] ** n
+        grams.append(gram)
         # Peak: the M bin averages of one side, plus M PGM elements on a dense
         # Bob side; a repair holds M dense signal-side averages.  Each side
-        # also holds one bin's S products and a broadcast temporary.
-        pgm = 1 if bob[0].ndim == 1 else 2
-        sides = [(pgm, _bin_bytes(bob, n)), (1, _bin_bytes(eve, n)), (1, _bin_bytes(margs, n))]
+        # also holds one bin's S products and a broadcast temporary.  A Gram
+        # Bob side builds no bin average (_gram_bytes).
+        sides = [(1, _bin_bytes(eve, n)), (1, _bin_bytes(margs, n))]
+        if gram is None:
+            sides.append((1 if bob[0].ndim == 1 else 2, _bin_bytes(bob, n)))
         if repairs:
             sides.append((1, sizes["signal"] ** 2 * 16))
         need = max((k * params.M + 2 * params.S) * size for k, size in sides)
+        if gram is not None:
+            need = max(need, _gram_bytes(params.M * params.S, gram, n))
         _check_bytes(n, params.M, need)
 
     reports = []
-    for n, params in zip(n_list, all_params):
+    for n, params, gram in zip(n_list, all_params, grams):
         if params.degenerate:
             warnings.warn(f"degenerate single-message code at n={n}", stacklevel=2)
         eve_ref = _power(eve_avg, n)
@@ -556,7 +604,10 @@ def run_experiment(
         lams, mus, resids, costs = [], [], [], []
         for t in range(trials):
             cb = sample_codebook(ens, n, params.M, params.S, _trial_seed(seed, n, t))
-            lams.append(_pgm_error(_bin_average(bob, cb.words)))
+            if gram is None:
+                lams.append(_pgm_error(_bin_average(bob, cb.words)))
+            else:
+                lams.append(_gram_pgm_error(factors, cb.words))
             mus.append(_mean_distance(eve, cb.words, eve_ref))
             r, c = _mean_distance(margs, cb.words, target_n), 0.0
             if r > 1e-12:

@@ -17,6 +17,7 @@ from wiretap.qcore import (
     maximally_entangled,
     tensor,
 )
+from wiretap.scenario import Scenario, gallery_superdense
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -131,3 +132,17 @@ def lift_to_reference(ens: CqEnsemble, aux_label: str = "App") -> CqEnsemble:
     """Tensor a one-dimensional reference factor onto every member."""
     one = basis_state(LabeledSpace.of((aux_label, 1)), [0])
     return CqEnsemble(ens.labels, ens.probs, [tensor(s, one) for s in ens.states])
+
+
+def noisy_superdense(visibility: float = 0.9) -> Scenario:
+    """The superdense gallery with its Bell pair mixed with white noise.
+
+    Bob's one-letter outputs are then full rank, so no codebook spans fewer
+    product vectors than his block space and code-sim decodes him densely.
+    """
+    sc = gallery_superdense()
+    bell = maximally_entangled("Ap", "Bp", 2)
+    noise = (1 - visibility) * np.eye(4) / 4
+    werner = DensityOperator(bell.space, visibility * bell.matrix + noise)
+    resource = tensor(werner, basis_state(LabeledSpace.of(("Ep", 1)), [0]))
+    return Scenario("noisy-superdense", "test instance", sc.channel, resource, sc.ensemble)

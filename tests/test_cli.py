@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import noisy_superdense
 from wiretap.channels import apply, channel_from_json
 from wiretap.cli import main
 from wiretap.entropic import von_neumann_entropy
@@ -469,16 +470,19 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_code_sim_refuses_oversized_dense_run(tmp_path, capsys, monkeypatch):
-    # Superdense at n = 5 passes the dimension cap (4^5 = 1024 per side) but
-    # its 512 dense bin averages would need ~16 GiB: refused before allocating.
+    # Superdense with a noisy Bell pair at n = 5 passes the dimension cap
+    # (4^5 = 1024 per side), but Bob's outputs are full rank, so there is no
+    # smaller Gram matrix, and its 90 dense bin averages would need ~2.8 GiB:
+    # refused before allocating.
     import wiretap.codesim
 
     def no_alloc(*args, **kwargs):  # pragma: no cover - must not run
         raise AssertionError("bin averages allocated before the byte check")
 
     monkeypatch.setattr(wiretap.codesim, "_bin_average", no_alloc)
-    sc_path = tmp_path / "superdense.json"
-    save_scenario(build_gallery("superdense"), sc_path)
+    monkeypatch.setattr(wiretap.codesim, "_gram_pgm_error", no_alloc)
+    sc_path = tmp_path / "noisy-superdense.json"
+    save_scenario(noisy_superdense(), sc_path)
     cfg_path = tmp_path / "sim.json"
     cfg_path.write_text(json.dumps({"n": [5], "epsilon": 0.1, "trials": 1}))
     code, _, err = run_cli(

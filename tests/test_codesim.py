@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import noisy_superdense, random_density_matrix
 from wiretap.channels import (
     CqEnsemble,
     QuantumChannel,
@@ -13,7 +14,6 @@ from wiretap.channels import (
 from wiretap.codesim import (
     SimReport,
     code_parameters,
-    exact_mixture_leakage,
     leakage,
     marginal_residual_and_fixup,
     max_dim_cap,
@@ -157,9 +157,22 @@ def test_pgm_rejects_empty_and_zero():
 
 
 def test_exact_mixture_leakage_is_zero():
+    # The S -> infinity sanity case: the mixture over all length-n words with
+    # their product weights reproduces the reference state.
+    from functools import reduce
+    from itertools import product
+
+    from wiretap.codesim import _eve_outputs
+    from wiretap.qcore import hermitian_trace_norm
+
     sc = gallery_classical()
-    res = sc.resource_state()
-    assert exact_mixture_leakage(sc.ensemble, sc.channel, res, n=3) <= 1e-10
+    n = 3
+    eve_mats, reference = _eve_outputs(sc.ensemble, sc.channel, sc.resource_state(), n)
+    mixture = sum(
+        float(np.prod(sc.ensemble.probs[list(word)])) * reduce(np.kron, [eve_mats[u] for u in word])
+        for word in product(range(len(sc.ensemble)), repeat=n)
+    )
+    assert hermitian_trace_norm(mixture - reference) <= 1e-10
 
 
 def test_leakage_constant_eve_channel():
@@ -403,9 +416,13 @@ def test_run_experiment_refuses_by_bytes_before_allocating(monkeypatch):
         raise AssertionError("bin averages allocated before the byte check")
 
     monkeypatch.setattr(codesim, "_bin_average", no_alloc)
-    sc = gallery_superdense()
-    assert code_parameters(sc.ensemble, sc.channel, sc.resource_state(), 5, 0.1).M == 512
-    with pytest.raises(ResourceLimitError, match="GiB"):
+    monkeypatch.setattr(codesim, "_gram_pgm_error", no_alloc)
+    # Bob's outputs are full rank, so the Gram matrix (M * 4^5 vectors) is no
+    # smaller than his 1024-dimensional block space: 2 * M = 180 dense Bob
+    # averages plus 2 * S = 2 products, 16 MiB each, need ~2.8 GiB.
+    sc = noisy_superdense()
+    assert code_parameters(sc.ensemble, sc.channel, sc.resource_state(), 5, 0.1).M == 90
+    with pytest.raises(ResourceLimitError, match="2.8 GiB"):
         run_experiment(sc, [5], 0.1, trials=1, seed=1)
     # The same block length also stops a list that starts with a small one.
     with pytest.raises(ResourceLimitError, match="block length 5"):
@@ -530,3 +547,122 @@ def test_run_experiment_kron_calls_do_not_scale_with_codebook(monkeypatch):
         (rep,) = run_experiment(gallery_classical(), [8], 0.1, trials=2, seed=3)
     assert (rep.M, rep.S) == (4, 8)
     assert counter.calls <= 8
+
+
+# ---------------------------------------------------------------------------
+# Gram-matrix PGM (Bob's outputs of low rank) against the dense reference
+# ---------------------------------------------------------------------------
+
+
+def _dense_pgm_error(mats, words):
+    """Reference: ``pgm_decoder`` and ``pgm_success`` on the dense bin averages."""
+    from wiretap.codesim import _bin_average
+
+    space = LabeledSpace.of(("B", len(mats[0]) ** words.shape[2]))
+    bins = [DensityOperator(space, m, validate=False) for m in _bin_average(mats, words)]
+    return 1.0 - pgm_success(bins, pgm_decoder(bins))
+
+
+def _superdense_bob_outputs():
+    from wiretap.codesim import _member_outputs
+
+    sc = gallery_superdense()
+    return [b.matrix for b in _member_outputs(sc.ensemble, sc.channel, sc.resource_state())[0]]
+
+
+def _forbid_dense_pgm(monkeypatch):
+    import wiretap.codesim as codesim
+
+    def no_dense(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("Bob decoded on dense bin averages")
+
+    monkeypatch.setattr(codesim, "_pgm_error", no_dense)
+
+
+def test_gram_pgm_matches_dense_reference():
+    from wiretap.codesim import _gram_pgm_error, _low_rank_factors
+
+    gen = np.random.default_rng(23)
+    superdense = _superdense_bob_outputs()  # pure: rank 1
+    mixed = [random_density_matrix(gen, 4, 2) for _ in range(3)]
+    # (outputs, rank, n, M, S), each with M * S * rank^n < 4^n as run_experiment requires.
+    cases = [
+        (superdense, 1, 3, 12, 1),
+        (superdense, 1, 3, 6, 2),
+        (superdense, 1, 4, 20, 2),
+        (mixed, 2, 3, 7, 1),
+        (mixed, 2, 3, 3, 2),
+    ]
+    for mats, rank, n, m_count, s_count in cases:
+        factors = _low_rank_factors(mats)
+        assert factors.shape == (len(mats), 4, rank)
+        for _ in range(3):
+            words = gen.integers(0, len(mats), size=(m_count, s_count, n))
+            assert _gram_pgm_error(factors, words) == pytest.approx(
+                _dense_pgm_error(mats, words), abs=1e-12
+            )
+
+
+def _pgm_closed_form(words):
+    """M (1 - lambda) for codeword states that are orthonormal or equal.
+
+    With c_w copies of codeword w in the codebook and n_mw of them in bin m,
+    the PGM succeeds with probability sum_m sum_w n_mw^2 / (c_w M S).  At
+    S = 1 that is the number of distinct codewords over M.
+    """
+    from collections import Counter
+
+    total = Counter(map(tuple, words.reshape(-1, words.shape[2])))
+    decoded = sum(
+        k * k / total[w] for row in words for w, k in Counter(map(tuple, row)).items()
+    )
+    return decoded / words.shape[1]
+
+
+def test_gram_pgm_with_repeated_codewords():
+    # Codeword (0, 1, 2) thrice and (3, 3, 0) twice: G has repeated columns,
+    # so it is rank-deficient, and its zero eigenvalues must be dropped.
+    from wiretap.codesim import _gram_pgm_error, _low_rank_factors
+
+    words = np.array([[[0, 1, 2], [0, 1, 2]], [[0, 1, 2], [3, 3, 0]], [[1, 1, 1], [3, 3, 0]]])
+    superdense = _superdense_bob_outputs()
+    mixed = [random_density_matrix(np.random.default_rng(5), 4, 2) for _ in range(4)]
+    for mats in (mixed, superdense):
+        lam = _gram_pgm_error(_low_rank_factors(mats), words)
+        assert lam == pytest.approx(_dense_pgm_error(mats, words), abs=1e-12)
+    # The last lam is superdense's, whose codeword states are orthonormal or equal.
+    assert _pgm_closed_form(words) == pytest.approx(11 / 6, abs=1e-15)
+    assert 3 * (1.0 - lam) == pytest.approx(11 / 6, abs=1e-12)
+
+
+def test_run_experiment_gram_path_is_deterministic(monkeypatch):
+    _forbid_dense_pgm(monkeypatch)
+    sc = gallery_superdense()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        a = run_experiment(sc, [3, 4], 0.1, trials=3, seed=8, rate=1.25)
+        b = run_experiment(sc, [3, 4], 0.1, trials=3, seed=8, rate=1.25)
+    assert a == b
+
+
+def test_run_experiment_superdense_closed_form_at_large_n(monkeypatch):
+    # Bell-product outputs are orthonormal or equal, so M (1 - lambda) is
+    # the closed form above: the distinct-codeword count at n = 5 (S = 1)
+    # and its multiplicity-weighted version at n = 6 (S = 2).  Densely these
+    # block lengths would hold M matrices of dimension 1024 and 4096.  The
+    # tolerance is far below the benchmark's 1e-9 * M: taking sqrt(G) on all
+    # eigenvalues clipped at 0, not above RANK_CUTOFF, moves M (1 - lambda)
+    # by up to ~5e-10 * M on these codebooks, against ~3e-15 * M here.
+    from wiretap.codesim import _trial_seed
+
+    _forbid_dense_pgm(monkeypatch)
+    sc = gallery_superdense()
+    reports = run_experiment(sc, [5, 6], 0.1, trials=3, seed=4, rate=1.25)
+    assert [(rep.M, rep.S) for rep in reports] == [(76, 1), (181, 2)]
+    for rep in reports:
+        for t, lam in enumerate(rep.lambda_trials):
+            cb = sample_codebook(sc.ensemble, rep.n, rep.M, rep.S, _trial_seed(4, rep.n, t))
+            want = _pgm_closed_form(cb.words)
+            if rep.S == 1:
+                assert want == len({tuple(w) for w in cb.words.reshape(-1, rep.n)})
+            assert abs(rep.M * (1.0 - lam) - want) <= 1e-12 * rep.M

@@ -15,9 +15,9 @@ measurement, and measure
 
 Each one-letter side (Bob's outputs, Eve's outputs, the A' marginals of
 the members and of the resource) is held as real diagonals when all its
-matrices are exactly diagonal, else as dense matrices.  A bin's S codeword
-products are built together, one broadcast multiply per letter position
-(``_products``), and summed over the bin one row at a time in codeword
+matrices are exactly diagonal, else as dense matrices.  The codeword
+products of a slab of bins are built together, in one left fold over the
+letter positions (``_products``), and each bin is summed in codeword
 order, so every bin average is bit for bit the one a per-codeword
 ``np.kron`` chain gives.  A dense Bob side whose M*S codewords span fewer
 product vectors than its block dimension (M*S*r^n < d^n, with r the
@@ -78,6 +78,8 @@ DEFAULT_MAX_DIM = 4096
 WORD_CAP = 50_000_000
 # A block length whose estimated working set is larger is refused.
 MAX_WORKING_BYTES = 2 * 2**30
+# Bytes of codeword products one ``_products`` call of ``_bin_average`` builds.
+SLAB_BYTES = 512 * 2**10
 
 
 def max_dim_cap() -> int:
@@ -283,21 +285,24 @@ def _products(stack: np.ndarray, words: np.ndarray) -> np.ndarray:
     """Tensor products stack[w[0]] x ... x stack[w[n-1]] for each row w of ``words``.
 
     ``stack`` holds one-letter diagonals (k, d) or matrices (k, d, d); the
-    S rows of ``words`` (S, n) give S products of shape (d^n,) or
+    N rows of ``words`` (N, n) give N products of shape (d^n,) or
     (d^n, d^n).  Factors are folded in left to right, so every entry is
-    the product ``reduce(np.kron, ...)`` forms, bit for bit.
+    the product ``reduce(np.kron, ...)`` forms, bit for bit.  A diagonal
+    step writes one letter value c at a time, so that numpy's inner loop
+    runs along the long axis of the partial product, not over d letters.
     """
     prod = stack[words[:, 0]]
     for j in range(1, words.shape[1]):
         nxt = stack[words[:, j]]
-        s_count, d = prod.shape[:2]
+        count, d = prod.shape[:2]
         if prod.ndim == 2:
-            prod = (prod[:, :, None] * nxt[:, None, :]).reshape(s_count, -1)
+            out = np.empty((count, d, nxt.shape[1]), prod.dtype)
+            for c in range(nxt.shape[1]):
+                np.multiply(prod, nxt[:, c, None], out=out[:, :, c])
+            prod = out.reshape(count, -1)
         else:
             dd = d * nxt.shape[1]
-            prod = (prod[:, :, None, :, None] * nxt[:, None, :, None, :]).reshape(
-                s_count, dd, dd
-            )
+            prod = (prod[:, :, None, :, None] * nxt[:, None, :, None, :]).reshape(count, dd, dd)
     return prod
 
 
@@ -319,17 +324,20 @@ def _member_outputs(
     )
 
 
-def _bin_average(matrices: list[np.ndarray], words: np.ndarray) -> list[np.ndarray]:
-    """Per-message uniform mixture of Kronecker products (or diagonals) along each bin row."""
+def _bin_average(matrices: list[np.ndarray], words: np.ndarray) -> np.ndarray:
+    """Bin averages (M, ...), one ``_products`` call per slab of bins (SLAB_BYTES, or one bin)."""
     stack = np.stack(matrices)
-    m_count, s_count, _ = words.shape
-    out = []
-    for m in range(m_count):
-        prods = _products(stack, words[m])
-        acc = prods[0]
+    m_count, s_count, n = words.shape
+    chunk = max(1, SLAB_BYTES // (s_count * _bin_bytes(matrices, n)))
+    out = np.empty((m_count, *(x**n for x in stack.shape[1:])), stack.dtype)
+    for lo in range(0, m_count, chunk):
+        prods = _products(stack, words[lo : lo + chunk].reshape(-1, n))
+        prods = prods.reshape(-1, s_count, *out.shape[1:])
+        acc = out[lo : lo + chunk]
+        acc[...] = prods[:, 0]
         for s in range(1, s_count):
-            acc = acc + prods[s]
-        out.append(acc / s_count)
+            acc += prods[:, s]
+        acc /= s_count
     return out
 
 
@@ -348,7 +356,14 @@ def _gram_bytes(count: int, size: int, n: int) -> int:
     return count * count * n * 8 + 5 * size * size * 16
 
 
-def _check_bytes(n: int, M: int, need: int) -> None:
+def _check_bytes(n: int, M: int, S: int, sides: list[tuple[int, int]], other: int = 0) -> None:
+    """Refuse block length n if its peak, in bytes, exceeds MAX_WORKING_BYTES.
+
+    A side (k, size) holds k*M arrays of ``size`` bytes while it folds one slab
+    of codeword products, the larger of SLAB_BYTES and one bin's S products,
+    with a temporary of that size.  ``other`` is a peak outside the sides.
+    """
+    need = max([other] + [k * M * size + 2 * max(S * size, SLAB_BYTES) for k, size in sides])
     if need > MAX_WORKING_BYTES:
         raise ResourceLimitError(
             f"block length {n} needs ~{need / 2**30:.1f} GiB (M = {M}), "
@@ -381,8 +396,7 @@ def leakage(
     MAX_WORKING_BYTES.
     """
     eve_mats, reference = _eve_outputs(ens, channel, res, codebook.n)
-    need = (codebook.M + 2 * codebook.S) * _bin_bytes(eve_mats, codebook.n)
-    _check_bytes(codebook.n, codebook.M, need)
+    _check_bytes(codebook.n, codebook.M, codebook.S, [(1, _bin_bytes(eve_mats, codebook.n))])
     dists = [hermitian_trace_norm(b - reference) for b in _bin_average(eve_mats, codebook.words)]
     return LeakageStats(average=float(np.mean(dists)), per_message_max=float(np.max(dists)))
 
@@ -409,7 +423,7 @@ def marginal_residual_and_fixup(
             f"signal-side dimension {d_mem}^{n} = {d_mem**n} exceeds cap {cap}"
         )
     member_mats = [s.matrix for s in ens.states]
-    _check_bytes(n, codebook.M, (codebook.M + 2 * codebook.S) * _bin_bytes(member_mats, n))
+    _check_bytes(n, codebook.M, codebook.S, [(1, _bin_bytes(member_mats, n))])
     member_space_n = _power_space(ens.space, n)
     aux_labels = [f"{res.aux_label}@{i}" for i in range(n)]
     target_space = _power_space(res.zeta_marginal.space, n).relabeled(
@@ -457,30 +471,32 @@ def _diagonals(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 def _mean_distance(side: list[np.ndarray], words: np.ndarray, reference: np.ndarray) -> float:
     """Mean trace norm between the bin averages of ``side`` and ``reference``."""
-    norm = hermitian_trace_norm if reference.ndim == 2 else lambda x: np.abs(x).sum()
-    return float(np.mean([norm(b - reference) for b in _bin_average(side, words)]))
+    bins = _bin_average(side, words)
+    if reference.ndim == 2:
+        return float(np.mean([hermitian_trace_norm(b - reference) for b in bins]))
+    return float(np.mean(np.abs(np.subtract(bins, reference, out=bins), out=bins).sum(axis=1)))
 
 
-def _pgm_error(bins: list[np.ndarray]) -> float:
+def _pgm_error(bins: np.ndarray) -> float:
     """Decoding error of the PGM on equiprobable bin states.
 
     For diagonals (commuting states) the PGM elements are the likelihood
     ratios p v_m / avg on the support of the average, and the success
     probability is the expression ``pgm_success`` evaluates on matrices.
     """
-    if bins[0].ndim == 2:
-        space = LabeledSpace.of(("B", len(bins[0])))
+    if bins.ndim == 3:
+        space = LabeledSpace.of(("B", bins.shape[1]))
         states = [DensityOperator(space, m, validate=False) for m in bins]
         return 1.0 - pgm_success(states, pgm_decoder(states))
     prior = 1.0 / len(bins)
     avg = sum(bins) * prior
     mask = avg > 0.0
-    succ = 0.0
-    for v in bins:
-        ratio = np.zeros_like(avg)
-        ratio[mask] = prior * v[mask] / avg[mask]
-        succ += prior * float(np.dot(v, ratio))
-    return 1.0 - min(max(succ, 0.0), 1.0)
+    ratio = prior * bins
+    np.divide(ratio, avg, out=ratio, where=mask)
+    ratio[:, ~mask] = 0.0
+    # One dot product per message; np.cumsum adds them in message order, np.sum would pair them.
+    succ = np.cumsum(prior * (bins[:, None, :] @ ratio[:, :, None]).ravel())[-1]
+    return 1.0 - min(max(float(succ), 0.0), 1.0)
 
 
 def _low_rank_factors(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -581,19 +597,17 @@ def run_experiment(
         if factors is not None and params.M * params.S * factors.shape[2] ** n < sizes["bob"]:
             gram = params.M * params.S * factors.shape[2] ** n
         grams.append(gram)
-        # Peak: the M bin averages of one side, plus M PGM elements on a dense
-        # Bob side; a repair holds M dense signal-side averages.  Each side
-        # also holds one bin's S products and a broadcast temporary.  A Gram
-        # Bob side builds no bin average (_gram_bytes).
+        # Peak: the M bin averages of one side, plus M PGM elements (or
+        # likelihood ratios) on Bob's side; a repair holds M dense signal-side
+        # averages.  Each side also folds one slab of codeword products
+        # (_check_bytes).  A Gram Bob side builds no bin average (_gram_bytes).
         sides = [(1, _bin_bytes(eve, n)), (1, _bin_bytes(margs, n))]
         if gram is None:
-            sides.append((1 if bob[0].ndim == 1 else 2, _bin_bytes(bob, n)))
+            sides.append((2, _bin_bytes(bob, n)))
         if repairs:
             sides.append((1, sizes["signal"] ** 2 * 16))
-        need = max((k * params.M + 2 * params.S) * size for k, size in sides)
-        if gram is not None:
-            need = max(need, _gram_bytes(params.M * params.S, gram, n))
-        _check_bytes(n, params.M, need)
+        other = 0 if gram is None else _gram_bytes(params.M * params.S, gram, n)
+        _check_bytes(n, params.M, params.S, sides, other)
 
     reports = []
     for n, params, gram in zip(n_list, all_params, grams):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -497,11 +498,25 @@ def _kron_chain_bin_average(matrices, words):
 
 
 @pytest.mark.parametrize("dense", [False, True])
-def test_bin_average_is_bitwise_the_kronecker_chain(dense):
-    from wiretap.codesim import _bin_average, _power
+def test_bin_average_is_bitwise_the_kronecker_chain(dense, monkeypatch):
+    # Each case runs at the default slab, at 200 bytes and at 1 byte.  At
+    # 200 bytes the small sides fold several bins per call, some with a last
+    # slab that is only partly full, and the larger ones one bin per call,
+    # since their S products exceed it; at 1 byte every call is one bin.
+    import wiretap.codesim as codesim
+    from wiretap.codesim import _bin_average, _bin_bytes, _power
 
+    products, built = codesim._products, []
+
+    def recording_products(stack, words):
+        built.append(products(stack, words))
+        return built[-1]
+
+    monkeypatch.setattr(codesim, "_products", recording_products)
     gen = np.random.default_rng(17)
-    for d in (1, 2, 3):
+    seen = set()
+    for slab, d in itertools.product((codesim.SLAB_BYTES, 200, 1), (1, 2, 3)):
+        monkeypatch.setattr(codesim, "SLAB_BYTES", slab)
         if dense:
             mats = [gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d)) for _ in range(3)]
         else:
@@ -509,13 +524,26 @@ def test_bin_average_is_bitwise_the_kronecker_chain(dense):
         for n in (1, 2, 3, 4):
             (power_ref,) = _kron_chain_bin_average(mats, np.zeros((1, 1, n), dtype=int))
             assert np.array_equal(_power(mats[0], n), power_ref)
-            for s_count in range(1, 6):
-                for m_count in (1, 2, 3):
-                    words = gen.integers(0, 3, size=(m_count, s_count, n))
-                    fast = _bin_average(mats, words)
-                    ref = _kron_chain_bin_average(mats, words)
-                    assert len(fast) == m_count
-                    assert all(np.array_equal(a, b) for a, b in zip(fast, ref))
+            for s_count, m_count in itertools.product(range(1, 6), (1, 2, 3, 7)):
+                chunk = max(1, slab // (s_count * _bin_bytes(mats, n)))
+                if slab == 200:
+                    seen |= {
+                        ("several slabs", m_count > chunk > 1),
+                        ("partial last slab", m_count % chunk != 0),
+                        ("one bin per call", chunk == 1 and m_count > 1),
+                    }
+                words = gen.integers(0, 3, size=(m_count, s_count, n))
+                built.clear()
+                fast = _bin_average(mats, words)
+                assert len(built) == math.ceil(m_count / chunk)
+                bound = max(s_count * _bin_bytes(mats, n), slab)
+                assert all(b.nbytes <= bound for b in built)
+                ref = _kron_chain_bin_average(mats, words)
+                assert fast.shape == (m_count, *ref[0].shape)
+                assert all(np.array_equal(a, b) for a, b in zip(fast, ref))
+    assert {k for k, hit in seen if hit} == {
+        "several slabs", "partial last slab", "one bin per call"
+    }
     # n = 1 (no fold) and S = 1 (no sum): the bin average is the letter itself.
     words = np.array([[[2]], [[0]]])
     assert all(np.array_equal(a, mats[u]) for a, u in zip(_bin_average(mats, words), (2, 0)))
@@ -524,10 +552,53 @@ def test_bin_average_is_bitwise_the_kronecker_chain(dense):
     assert np.array_equal(single, np.kron(np.kron(mats[1], mats[0]), mats[2]))
 
 
+def test_run_experiment_folds_a_slab_of_bins_per_products_call(monkeypatch):
+    # Each _bin_average call folds its M bins in ceil(M / chunk) _products
+    # calls of at most max(S * size, SLAB_BYTES) bytes each, with chunk the
+    # bins that fit one slab.  At n = 10 a bin's S = 14 products on Bob's or
+    # Eve's side (2^10 diagonals) take 112 KiB, so four bins share one call
+    # and M = 5 bins take two; the trivial resource's A' side has d = 1.
+    import wiretap.codesim as codesim
+
+    products, bin_average = codesim._products, codesim._bin_average
+    calls = []  # per _bin_average call: (M, S, size, [bytes built per _products call])
+    inside = []  # the bytes list of the _bin_average call running now, if any
+
+    def counting_products(stack, words):
+        out = products(stack, words)
+        if inside:
+            inside[-1].append(out.nbytes)
+        return out
+
+    def counting_bin_average(matrices, words):
+        m_count, s_count, n = words.shape
+        calls.append((m_count, s_count, codesim._bin_bytes(matrices, n), []))
+        inside.append(calls[-1][3])
+        try:
+            return bin_average(matrices, words)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(codesim, "_products", counting_products)
+    monkeypatch.setattr(codesim, "_bin_average", counting_bin_average)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        reps = run_experiment(gallery_classical(), [8, 10], 0.1, trials=2, seed=3)
+    assert [(r.M, r.S) for r in reps] == [(4, 8), (5, 14)]
+    # Three sides (Bob, Eve, the A' marginals) per trial.
+    assert len(calls) == 3 * 2 * len(reps)
+    for m_count, s_count, size, built in calls:
+        chunk = max(1, codesim.SLAB_BYTES // (s_count * size))
+        assert 1 <= len(built) <= math.ceil(m_count / chunk)
+        assert max(built) <= max(s_count * size, codesim.SLAB_BYTES)
+    assert {len(built) for _, _, size, built in calls if size == 2**10 * 8} == {2}
+
+
 def test_run_experiment_kron_calls_do_not_scale_with_codebook(monkeypatch):
-    # Bin products are built by broadcasting, not by one np.kron chain per
-    # codeword (3 sides * 2 trials * M * S * (n - 1) = 1344 calls here), so
-    # the count stays at most n whatever M * S is.
+    # Bin products are built a slab of bins at a time by a left fold of
+    # elementwise multiplies, not by one np.kron chain per codeword
+    # (3 sides * 2 trials * M * S * (n - 1) = 1344 calls here), so the count
+    # stays at most n whatever M * S is.
     import wiretap.codesim as codesim
 
     class KronCounter:

@@ -22,7 +22,6 @@ from .channels import (
     channel_from_resource_state,
     choi_to_kraus,
     cq_state,
-    ensemble_pushforward,
     kraus_to_choi,
     modulation_from_choi,
     trivial_resource,

@@ -47,16 +47,12 @@ __all__ = [
     "choi_to_kraus",
     "channel_from_resource_state",
     "modulation_from_choi",
-    "ensemble_pushforward",
     "cq_state",
-    "identity_channel",
     "constant_channel",
     "classical_channel",
     "isometry_channel",
-    "append_trivial_output",
     "trivial_resource",
     "channel_action_matrix",
-    "channels_equal_in_action",
     "channel_to_json",
     "channel_from_json",
     "ensemble_to_json",
@@ -206,20 +202,9 @@ def channel_action_matrix(ch: QuantumChannel) -> np.ndarray:
     return sum(np.kron(k.conj(), k) for k in ch.kraus)
 
 
-def channels_equal_in_action(a: QuantumChannel, b: QuantumChannel, tol: float = TOL_EQ) -> bool:
-    """Action equality on a spanning set of inputs (Kraus lists are non-unique)."""
-    if a.input_space.dims != b.input_space.dims or a.output_space.dims != b.output_space.dims:
-        return False
-    return float(np.max(np.abs(channel_action_matrix(a) - channel_action_matrix(b)))) <= tol
-
-
 # ---------------------------------------------------------------------------
 # Stock channels
 # ---------------------------------------------------------------------------
-
-
-def identity_channel(space: LabeledSpace) -> QuantumChannel:
-    return QuantumChannel(space, space, [np.eye(space.dim)])
 
 
 def constant_channel(input_space: LabeledSpace, output_state: DensityOperator) -> QuantumChannel:
@@ -261,13 +246,6 @@ def isometry_channel(
     v: np.ndarray, input_space: LabeledSpace, output_space: LabeledSpace
 ) -> QuantumChannel:
     return QuantumChannel(input_space, output_space, [np.asarray(v, dtype=np.complex128)])
-
-
-def append_trivial_output(ch: QuantumChannel, label: str) -> QuantumChannel:
-    """Tensor a one-dimensional factor onto the channel output (e.g. a trivial Eve)."""
-    return QuantumChannel(
-        ch.input_space, ch.output_space.tensor(LabeledSpace.of((label, 1))), ch.kraus
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +331,6 @@ def cq_state(ens: CqEnsemble, label: str = "U") -> DensityOperator:
         out[i * d : (i + 1) * d, i * d : (i + 1) * d] = q * s.matrix
     space = LabeledSpace.of((label, n)).tensor(ens.space)
     return DensityOperator(space, out, validate=False)
-
-
-def ensemble_pushforward(ens: CqEnsemble, ch: QuantumChannel, on: Sequence[str]) -> CqEnsemble:
-    """Apply ``ch`` to every member state; probabilities unchanged."""
-    return CqEnsemble(ens.labels, ens.probs, [apply(ch, s, on) for s in ens.states])
 
 
 # ---------------------------------------------------------------------------

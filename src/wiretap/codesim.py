@@ -45,11 +45,13 @@ import numpy as np
 
 from .channels import CqEnsemble, QuantumChannel, ResourceState
 from .qcore import (
+    MAX_WORKING_BYTES,
     RANK_CUTOFF,
     DensityOperator,
     LabeledSpace,
     ResourceLimitError,
     ValidationError,
+    check_working_bytes,
     hermitian_trace_norm,
     partial_trace,
     uhlmann_fixup,
@@ -76,8 +78,6 @@ __all__ = [
 
 DEFAULT_MAX_DIM = 4096
 WORD_CAP = 50_000_000
-# A block length whose estimated working set is larger is refused.
-MAX_WORKING_BYTES = 2 * 2**30
 # Bytes of codeword products one ``_products`` call of ``_bin_average`` builds.
 SLAB_BYTES = 512 * 2**10
 
@@ -317,7 +317,7 @@ def _member_outputs(
     """One-letter Bob-side and Eve-side output states per ensemble symbol."""
     kernel = _CqKernel(channel, res)
     members = _stack(ens.states, _signal_labels(ens, res) + [res.aux_label])
-    bobs, eves = kernel.marginals(kernel.pushforward(members))
+    bobs, eves = kernel.sides(members)
     return (
         [DensityOperator(kernel.bob_space, m, validate=False) for m in bobs],
         [DensityOperator(kernel.eve_space, m, validate=False) for m in eves],
@@ -364,11 +364,7 @@ def _check_bytes(n: int, M: int, S: int, sides: list[tuple[int, int]], other: in
     with a temporary of that size.  ``other`` is a peak outside the sides.
     """
     need = max([other] + [k * M * size + 2 * max(S * size, SLAB_BYTES) for k, size in sides])
-    if need > MAX_WORKING_BYTES:
-        raise ResourceLimitError(
-            f"block length {n} needs ~{need / 2**30:.1f} GiB (M = {M}), "
-            f"over the {MAX_WORKING_BYTES / 2**30:.0f} GiB limit"
-        )
+    check_working_bytes(need, f"block length {n} (M = {M})")
 
 
 def _eve_outputs(

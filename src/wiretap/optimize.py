@@ -402,7 +402,7 @@ def optimize_theorem1(
     kernel = _CqKernel(channel, res)
 
     def score(members: np.ndarray, probs: np.ndarray) -> float:
-        i_bb, i_ee = kernel.bob_eve(kernel.pushforward(members), probs)
+        i_bb, i_ee = kernel.bob_eve(members, probs)
         i_ap = float(_holevo(kernel.reference_marginals(members), probs[None])[0])
         return i_bb - max(i_ee, i_ap)
 
@@ -421,7 +421,7 @@ def optimize_unassisted(channel: QuantumChannel, cfg: OptimizerConfig) -> OptRes
     kernel = _CqKernel(channel)
 
     def score(members: np.ndarray, probs: np.ndarray) -> float:
-        i_b, i_e = kernel.bob_eve(kernel.pushforward(members), probs)
+        i_b, i_e = kernel.bob_eve(members, probs)
         return i_b - i_e
 
     return _search_instruments(
@@ -497,13 +497,13 @@ def grid_oracle(
             f"shrink the grid or raise the cap"
         )
 
-    # Every grid member is (pure signal) x (resource marginal), so the
-    # pushforward and the marginals are computed once per pool state; each
-    # member set then costs one batched eigensolve per Holevo term, over all
-    # probability vectors at once.
+    # Every grid member is (pure signal) x (resource marginal), so its Bob,
+    # Eve and A' marginals are computed once per pool state, the first two by
+    # one side-map product each; each member set then costs one batched
+    # eigensolve per Holevo term, over all probability vectors at once.
     kernel = _CqKernel(channel, res)
     pool = np.stack([np.kron(np.outer(v, v.conj()), kernel.marginal.matrix) for v in vectors])
-    sides = (*kernel.marginals(kernel.pushforward(pool)), kernel.reference_marginals(pool))
+    sides = (*kernel.sides(pool), kernel.reference_marginals(pool))
 
     probs = _compositions(spec.prob_points, k) / spec.prob_points
 

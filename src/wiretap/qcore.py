@@ -36,9 +36,7 @@ __all__ = [
     "trace_distance",
     "hermitian_trace_norm",
     "uhlmann_fixup",
-    "pure_state",
     "basis_state",
-    "maximally_mixed",
     "maximally_entangled",
     "state_to_json",
     "state_from_json",
@@ -69,6 +67,18 @@ CLAMP_FLOOR = 1e-14
 
 # Eigenvalues below this are treated as exact zeros when ranks are needed.
 RANK_CUTOFF = 1e-12
+
+# A computation whose estimated working set, in bytes, is larger is refused.
+MAX_WORKING_BYTES = 2 * 2**30
+
+
+def check_working_bytes(need: int, what: str) -> None:
+    """Refuse ``what`` when its estimated working set ``need`` exceeds MAX_WORKING_BYTES."""
+    if need > MAX_WORKING_BYTES:
+        raise ResourceLimitError(
+            f"{what} needs ~{need / 2**30:.1f} GiB, "
+            f"over the {MAX_WORKING_BYTES / 2**30:.0f} GiB limit"
+        )
 
 
 @dataclass(frozen=True)
@@ -191,9 +201,6 @@ class DensityOperator:
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
-
-    def is_pure(self) -> bool:
-        return abs(self.purity() - 1.0) <= TOL_TRACE
 
     def state_vector(self) -> np.ndarray:
         """Amplitude-vector view of a rank-one state (global phase arbitrary)."""
@@ -424,17 +431,6 @@ def uhlmann_fixup(
 # ---------------------------------------------------------------------------
 
 
-def pure_state(space: LabeledSpace, amplitudes: Sequence[complex]) -> DensityOperator:
-    vec = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-    if vec.shape != (space.dim,):
-        raise ValidationError(f"amplitude vector length {vec.size} != dimension {space.dim}")
-    norm = np.linalg.norm(vec)
-    if norm == 0:
-        raise ValidationError("amplitude vector is zero")
-    vec = vec / norm
-    return DensityOperator(space, np.outer(vec, vec.conj()), validate=False)
-
-
 def basis_state(space: LabeledSpace, indices: Sequence[int]) -> DensityOperator:
     """Computational basis state |i1 i2 ...><i1 i2 ...| on the given space."""
     dims = space.dims
@@ -448,11 +444,6 @@ def basis_state(space: LabeledSpace, indices: Sequence[int]) -> DensityOperator:
     vec = np.zeros(space.dim, dtype=np.complex128)
     vec[flat] = 1.0
     return DensityOperator(space, np.outer(vec, vec.conj()), validate=False)
-
-
-def maximally_mixed(space: LabeledSpace) -> DensityOperator:
-    d = space.dim
-    return DensityOperator(space, np.eye(d, dtype=np.complex128) / d, validate=False)
 
 
 def maximally_entangled(label_a: str, label_b: str, dim: int) -> DensityOperator:

@@ -17,10 +17,10 @@ Three functionals share one report type:
 Every I(U:X) is a Holevo quantity S(sum_u q_u rho_u) - sum_u q_u S(rho_u)
 of the members' X-side states.  All three functionals, the grid oracle and
 the code simulator's member outputs run on one kernel, ``_CqKernel``: it
-pushes a stacked (k, d, d) member array through the composite Kraus family
-K_channel x K_Z at once, takes the Bob (B B') and Eve (E E') marginals by
-reshape and trace, and evaluates each Holevo term with one batched
-eigensolve over [average; members].  The block-diagonal cq-state path
+holds one linear map per side, Bob's (Tr_{E,rest} N) x (Tr_E' Z) and Eve's
+(Tr_{B,rest} N) x (Tr_B' Z), so a stacked (k, d, d) member array reaches
+both marginals in one matrix product per side; each Holevo term is then
+one batched eigensolve over [average; members].  The block-diagonal cq-state path
 (``build_beta``, ``build_gamma``, ``cq_state``, ``mutual_information``) is
 kept as the reference that the tests compare the kernel against.
 
@@ -32,7 +32,6 @@ max(0, rate).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,6 +43,7 @@ from .qcore import (
     DensityOperator,
     LabeledSpace,
     ValidationError,
+    check_working_bytes,
     hermitian_trace_norm,
     partial_trace,
 )
@@ -155,20 +155,26 @@ def _holevo(members: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return s[: len(avg)] - probs @ s[len(avg) :]
 
 
-class _CqKernel:
-    """Maps stacked (k, d, d) members on (signal, A') to joint outputs on
-    (B, E, rest, B', E') through the Kraus family K_channel x K_Z.
+def _side_liouville(kraus: np.ndarray, dims: tuple[int, ...], keep: int) -> np.ndarray:
+    """(x, y, s, t) tensor of rho -> Tr_others sum_n K_n rho K_n^dag, keeping output ``keep``."""
+    k = np.moveaxis(kraus.reshape((len(kraus), *dims, -1)), 1 + keep, 1)
+    k = k.reshape(len(kraus), dims[keep], -1, kraus.shape[-1])
+    return np.einsum("nxrs,nyrt->xyst", k, k.conj())
 
-    Signal factors meet the channel input positionally; "rest" (any further
-    channel output) is traced out of every marginal.  Without a resource,
-    A', B' and E' are one-dimensional.  The kernel has no register label.
+
+class _CqKernel:
+    """Bob (B B') and Eve (E E') marginals of stacked (k, d, d) members on
+    (signal, A') after channel x Z: one (d_side^2, d^2) map per side, the
+    Kronecker product of the channel's and Z's Liouville tensors for it.
+    Signal factors meet the channel input positionally, and "rest" (any
+    further channel output) is traced out; without a resource, A', B' and E'
+    are one-dimensional.  A map over MAX_WORKING_BYTES is refused unbuilt.
     """
 
     def __init__(self, channel: QuantumChannel, res: ResourceState | None = None) -> None:
         out = channel.output_space
         z_out = res.z_channel.output_space if res else LabeledSpace(())
-        self.labels = out.labels + z_out.labels
-        names = self.labels + ((res.aux_label,) if res else ())
+        names = out.labels + z_out.labels + ((res.aux_label,) if res else ())
         if len(out.factors) < 2 or len(set(names)) < len(names):
             raise ValidationError(
                 f"channel output {list(out.labels)} needs Bob's and Eve's factors, "
@@ -177,33 +183,37 @@ class _CqKernel:
         self.marginal = res.zeta_marginal if res else None
         self.bob_space = LabeledSpace((out.factors[0],) + z_out.factors[:1])
         self.eve_space = LabeledSpace((out.factors[1],) + z_out.factors[1:])
-        self.shape = out.dims[:2] + (math.prod(out.dims[2:]),) + (z_out.dims or (1, 1))
         self.d_signal = channel.input_space.dim
-        z_kraus = res.z_channel.kraus if res else (np.ones((1, 1)),)
-        self.kraus = np.stack([np.kron(kc, kz) for kc in channel.kraus for kz in z_kraus])
+        d_member = self.d_signal * (res.z_channel.input_space.dim if res else 1)
+        need = 16 * max(self.bob_space.dim, self.eve_space.dim) ** 2 * d_member**2
+        check_working_bytes(need, "a side map")
+        z_kraus = np.stack(res.z_channel.kraus) if res else np.ones((1, 1, 1))
+        self.bob_map, self.eve_map = (
+            np.einsum(
+                "xyst,pqab->xpyqsatb",
+                _side_liouville(np.stack(channel.kraus), out.dims, i),
+                _side_liouville(z_kraus, z_out.dims or (1, 1), i),
+            ).reshape(side.dim**2, d_member**2)
+            for i, side in enumerate((self.bob_space, self.eve_space))
+        )
 
-    def pushforward(self, members: np.ndarray) -> np.ndarray:
-        k_h = self.kraus.conj().transpose(0, 2, 1)
-        return (self.kraus[None] @ members[:, None] @ k_h[None]).sum(axis=1)
-
-    def marginals(self, outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Bob (B B') and Eve (E E') marginals of stacked joint outputs."""
-        k, (d_b, d_e, _, d_bp, d_ep) = len(outputs), self.shape
-        t = outputs.reshape((k,) + self.shape * 2)
-        bob = np.einsum("kberpfcerqf->kbpcq", t).reshape(k, d_b * d_bp, d_b * d_bp)
-        eve = np.einsum("kberpfbgrph->kefgh", t).reshape(k, d_e * d_ep, d_e * d_ep)
-        return bob, eve
+    def sides(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bob (B B') and Eve (E E') marginals of the stacked members' outputs."""
+        flat = members.reshape(len(members), -1)
+        return (
+            (flat @ self.bob_map.T).reshape(len(flat), self.bob_space.dim, -1),
+            (flat @ self.eve_map.T).reshape(len(flat), self.eve_space.dim, -1),
+        )
 
     def reference_marginals(self, members: np.ndarray) -> np.ndarray:
         """A' marginals of stacked members."""
         k, d, r = len(members), self.d_signal, members.shape[1] // self.d_signal
         return np.einsum("ksasb->kab", members.reshape(k, d, r, d, r))
 
-    def bob_eve(self, outputs: np.ndarray, probs: Sequence[float]) -> tuple[float, float]:
-        """(I(U:BB'), I(U:EE')) of the ensemble's stacked joint outputs."""
+    def bob_eve(self, members: np.ndarray, probs: Sequence[float]) -> tuple[float, float]:
+        """(I(U:BB'), I(U:EE')) of the ensemble of stacked members."""
         q = np.asarray(probs, dtype=float)[None]
-        bob, eve = self.marginals(outputs)
-        return float(_holevo(bob, q)[0]), float(_holevo(eve, q)[0])
+        return tuple(float(_holevo(side, q)[0]) for side in self.sides(members))
 
     def reference_terms(self, members: np.ndarray, probs: np.ndarray) -> tuple[float, float]:
         """(I(U:A'), average-marginal residual) of the ensemble; I(U:A') is an
@@ -259,7 +269,7 @@ def theorem1_rate(
     signal = _signal_labels(ens, res, channel)
     kernel = _CqKernel(channel, res)
     members = _stack(ens.states, signal + [res.aux_label])
-    i_u_bb, i_u_ee = kernel.bob_eve(kernel.pushforward(members), ens.probs)
+    i_u_bb, i_u_ee = kernel.bob_eve(members, ens.probs)
     i_u_aprime, residual = kernel.reference_terms(members, ens.probs)
     rate = i_u_bb - max(i_u_ee, i_u_aprime)
     return RateReport(i_u_bb, i_u_ee, i_u_aprime, rate, residual, mode="theorem1")
@@ -296,7 +306,7 @@ def trivial_rate(
     bigs = [[np.kron(k, eye_aux) for k in mod.kraus] for mod in modulations]
     members = np.stack([sum(b @ res.phi0.matrix @ b.conj().T for b in big) for big in bigs])
     kernel = _CqKernel(channel, res)
-    i_u_bb, i_u_ee = kernel.bob_eve(kernel.pushforward(members), probs)
+    i_u_bb, i_u_ee = kernel.bob_eve(members, probs)
     residual = kernel.reference_terms(members, probs)[1]
     return RateReport(i_u_bb, i_u_ee, 0.0, i_u_bb - i_u_ee, residual, mode="trivial")
 
@@ -310,7 +320,7 @@ def unassisted_rate(ens: CqEnsemble, channel: QuantumChannel) -> RateReport:
         )
     kernel = _CqKernel(channel)
     members = _stack(ens.states, ens.space.labels)
-    i_u_bb, i_u_ee = kernel.bob_eve(kernel.pushforward(members), ens.probs)
+    i_u_bb, i_u_ee = kernel.bob_eve(members, ens.probs)
     return RateReport(i_u_bb, i_u_ee, 0.0, i_u_bb - i_u_ee, 0.0, mode="unassisted")
 
 

@@ -8,11 +8,16 @@ from wiretap.channels import (
     CqEnsemble,
     QuantumChannel,
     ResourceState,
+    apply,
+    channel_action_matrix,
     channel_from_resource_state,
 )
 from wiretap.qcore import (
+    TOL_EQ,
+    TOL_TRACE,
     DensityOperator,
     LabeledSpace,
+    ValidationError,
     basis_state,
     maximally_entangled,
     tensor,
@@ -75,6 +80,49 @@ def random_kraus(gen: np.random.Generator, d_in: int, d_out: int, n_kraus: int) 
     g = ginibre(gen, d_out * n_kraus, d_in)
     q, _ = np.linalg.qr(g)
     return [q[k * d_out : (k + 1) * d_out, :] for k in range(n_kraus)]
+
+
+# ---------------------------------------------------------------------------
+# Small builders and predicates
+# ---------------------------------------------------------------------------
+
+
+def pure_state(space: LabeledSpace, amplitudes) -> DensityOperator:
+    """The normalized projector onto ``amplitudes``."""
+    vec = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
+    norm = np.linalg.norm(vec)
+    if vec.shape != (space.dim,) or norm == 0:
+        raise ValidationError(f"need a nonzero amplitude vector of length {space.dim}")
+    return DensityOperator(space, np.outer(vec, vec.conj()) / norm**2, validate=False)
+
+
+def maximally_mixed(space: LabeledSpace) -> DensityOperator:
+    return DensityOperator(space, np.eye(space.dim, dtype=np.complex128) / space.dim)
+
+
+def is_pure(rho: DensityOperator) -> bool:
+    return abs(rho.purity() - 1.0) <= TOL_TRACE
+
+
+def identity_channel(space: LabeledSpace) -> QuantumChannel:
+    return QuantumChannel(space, space, [np.eye(space.dim)])
+
+
+def append_trivial_output(ch: QuantumChannel, label: str) -> QuantumChannel:
+    """Tensor a one-dimensional factor onto the channel output (e.g. a trivial Eve)."""
+    return QuantumChannel(ch.input_space, ch.output_space.tensor(LabeledSpace.of((label, 1))), ch.kraus)
+
+
+def channels_equal_in_action(a: QuantumChannel, b: QuantumChannel, tol: float = TOL_EQ) -> bool:
+    """Action equality on a spanning set of inputs (Kraus lists are non-unique)."""
+    if a.input_space.dims != b.input_space.dims or a.output_space.dims != b.output_space.dims:
+        return False
+    return float(np.max(np.abs(channel_action_matrix(a) - channel_action_matrix(b)))) <= tol
+
+
+def ensemble_pushforward(ens: CqEnsemble, ch: QuantumChannel, on) -> CqEnsemble:
+    """Apply ``ch`` to every member state; probabilities unchanged."""
+    return CqEnsemble(ens.labels, ens.probs, [apply(ch, s, on) for s in ens.states])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    append_trivial_output,
+    channels_equal_in_action,
+    ensemble_pushforward,
+    identity_channel,
+    maximally_mixed,
     random_full_rank_state,
     random_kraus,
     random_pure_state,
@@ -16,21 +21,17 @@ from conftest import (
 from wiretap.channels import (
     CqEnsemble,
     QuantumChannel,
-    append_trivial_output,
     apply,
     channel_action_matrix,
     channel_from_json,
     channel_from_resource_state,
     channel_to_json,
-    channels_equal_in_action,
     choi_to_kraus,
     classical_channel,
     constant_channel,
     cq_state,
     ensemble_from_json,
-    ensemble_pushforward,
     ensemble_to_json,
-    identity_channel,
     isometry_channel,
     kraus_to_choi,
     modulation_from_choi,
@@ -43,7 +44,6 @@ from wiretap.qcore import (
     basis_state,
     hermitian_trace_norm,
     maximally_entangled,
-    maximally_mixed,
     partial_trace,
     permute_factors,
     tensor,

@@ -5,22 +5,23 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import noisy_superdense
-from wiretap.channels import apply, channel_from_json
+from conftest import noisy_superdense, pure_state
+from wiretap.channels import CqEnsemble, QuantumChannel, apply, channel_from_json
 from wiretap.cli import main
 from wiretap.entropic import von_neumann_entropy
 from wiretap.qcore import (
     LabeledSpace,
+    ResourceLimitError,
     basis_state,
     maximally_entangled,
     partial_trace,
     permute_factors,
-    pure_state,
     purify,
     save_state,
     tensor,
 )
-from wiretap.scenario import build_gallery, gallery_names, load_scenario, save_scenario
+from wiretap.rates import theorem1_rate
+from wiretap.scenario import Scenario, build_gallery, gallery_names, load_scenario, save_scenario
 
 
 def run_cli(capsys, *argv):
@@ -416,6 +417,31 @@ def test_code_sim_csv_and_caps(tmp_path, capsys):
         "--out",
         str(tmp_path),
     )
+    assert code == 3
+    assert json.loads(err.splitlines()[0])["type"] == "resource-limit"
+
+
+def test_rate_eval_refuses_oversized_side_map(tmp_path, capsys, monkeypatch):
+    # The identity A(128) -> (B 128, E 1) with an empty resource: Bob's side
+    # map would take 16 * 128^4 bytes = 4 GiB, so it is refused before any
+    # Liouville tensor is built.
+    import wiretap.rates
+
+    def no_alloc(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("side map built before the byte check")
+
+    monkeypatch.setattr(wiretap.rates, "_side_liouville", no_alloc)
+    channel = QuantumChannel(
+        LabeledSpace.of(("A", 128)), LabeledSpace.of(("B", 128), ("E", 1)), [np.eye(128)]
+    )
+    resource = basis_state(LabeledSpace.of(("Ap", 1), ("Bp", 1), ("Ep", 1)), [0, 0, 0])
+    member = basis_state(LabeledSpace.of(("A", 128), ("App", 1)), [0, 0])
+    sc = Scenario("wide", "wide identity", channel, resource, CqEnsemble([0], [1.0], [member]))
+    with pytest.raises(ResourceLimitError, match="4.0 GiB"):
+        theorem1_rate(sc.ensemble, sc.channel, sc.resource_state())
+    sc_path = tmp_path / "wide.json"
+    save_scenario(sc, sc_path)
+    code, _, err = run_cli(capsys, "rate-eval", "--scenario", str(sc_path))
     assert code == 3
     assert json.loads(err.splitlines()[0])["type"] == "resource-limit"
 

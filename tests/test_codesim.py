@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import noisy_superdense, random_density_matrix
+from conftest import noisy_superdense, pure_state, random_density_matrix
 from wiretap.channels import (
     CqEnsemble,
     QuantumChannel,
@@ -29,7 +29,6 @@ from wiretap.qcore import (
     ResourceLimitError,
     ValidationError,
     basis_state,
-    pure_state,
     tensor,
 )
 from wiretap.rates import classical_embed, theorem1_rate

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_pure_state, random_state, random_unitary, rng
+from conftest import (
+    maximally_mixed,
+    pure_state,
+    random_pure_state,
+    random_state,
+    random_unitary,
+    rng,
+)
 from wiretap.channels import CqEnsemble, cq_state
 from wiretap.entropic import (
     coherent_information,
@@ -17,9 +24,7 @@ from wiretap.qcore import (
     ValidationError,
     basis_state,
     maximally_entangled,
-    maximally_mixed,
     partial_trace,
-    pure_state,
     tensor,
 )
 

@@ -174,13 +174,22 @@ def reference_grid_oracle(ch, res, spec):
 # ---------------------------------------------------------------------------
 
 
-def random_wiretap(gen, d_b, d_e, n_kraus):
-    """Random channel A -> (B, E) with a non-trivial Eve."""
-    return QuantumChannel(
-        LabeledSpace.of(("A", 2)),
-        LabeledSpace.of(("B", d_b), ("E", d_e)),
-        random_kraus(gen, 2, d_b * d_e, n_kraus),
-    )
+def random_wiretap(gen, d_b, d_e, n_kraus, rest=False):
+    """Random channel A -> (B, E) with a non-trivial Eve; with ``rest``, a
+    channel (A1, A2) -> (B, E, R) whose R every marginal traces out."""
+    if rest:
+        ins = LabeledSpace.of(("A1", 2), ("A2", 2))
+        outs = LabeledSpace.of(("B", d_b), ("E", d_e), ("R", 2))
+    else:
+        ins, outs = LabeledSpace.of(("A", 2)), LabeledSpace.of(("B", d_b), ("E", d_e))
+    return QuantumChannel(ins, outs, random_kraus(gen, ins.dim, outs.dim, n_kraus))
+
+
+def member_space(ch, res, aux_first):
+    """The channel input's factors with the reference copy first or last."""
+    signal = list(ch.input_space.factors)
+    aux = (res.aux_label, res.phi0.space.dim_of(res.aux_label))
+    return LabeledSpace(tuple([aux] + signal if aux_first else signal + [aux]))
 
 
 def random_resource(gen, rank):
@@ -210,6 +219,7 @@ instances = st.fixed_dictionaries(
         "n_kraus": st.integers(1, 3),
         "rank": st.sampled_from([1, 2, 8]),
         "aux_first": st.booleans(),
+        "rest": st.booleans(),
     }
 )
 
@@ -218,12 +228,9 @@ instances = st.fixed_dictionaries(
 @given(instances)
 def test_theorem1_rate_matches_reference(inst):
     gen = rng(inst["seed"])
-    ch = random_wiretap(gen, inst["d_b"], inst["d_e"], inst["n_kraus"])
+    ch = random_wiretap(gen, inst["d_b"], inst["d_e"], inst["n_kraus"], inst["rest"])
     res = random_resource(gen, inst["rank"])
-    r = res.phi0.space.dim_of(res.aux_label)
-    factors = [("A", 2), (res.aux_label, r)]
-    space = LabeledSpace(tuple(factors[::-1] if inst["aux_first"] else factors))
-    ens = random_ensemble(gen, space, inst["k"])
+    ens = random_ensemble(gen, member_space(ch, res, inst["aux_first"]), inst["k"])
     got = report_fields(theorem1_rate(ens, ch, res))
     np.testing.assert_allclose(got, reference_theorem1(ens, ch, res), rtol=0, atol=TOL)
 
@@ -249,7 +256,7 @@ def test_theorem1_rate_matches_reference_on_interleaved_signal_factors():
 @given(instances)
 def test_unassisted_rate_matches_reference(inst):
     gen = rng(inst["seed"])
-    ch = random_wiretap(gen, inst["d_b"], inst["d_e"], inst["n_kraus"])
+    ch = random_wiretap(gen, inst["d_b"], inst["d_e"], inst["n_kraus"], inst["rest"])
     ens = random_ensemble(gen, ch.input_space, inst["k"])
     got = report_fields(unassisted_rate(ens, ch))
     np.testing.assert_allclose(got, reference_unassisted(ens, ch), rtol=0, atol=TOL)
@@ -259,11 +266,11 @@ def test_unassisted_rate_matches_reference(inst):
 @given(instances)
 def test_trivial_rate_matches_reference(inst):
     gen = rng(inst["seed"])
-    ch = random_wiretap(gen, inst["d_b"], inst["d_e"], inst["n_kraus"])
+    ch = random_wiretap(gen, inst["d_b"], inst["d_e"], inst["n_kraus"], inst["rest"])
     res = random_resource(gen, inst["rank"])
     alice = LabeledSpace.of((res.alice_label, res.zeta.space.dim_of(res.alice_label)))
     mods = [
-        QuantumChannel(alice, ch.input_space, random_kraus(gen, alice.dim, 2, 2))
+        QuantumChannel(alice, ch.input_space, random_kraus(gen, alice.dim, ch.input_space.dim, 2))
         for _ in range(inst["k"])
     ]
     probs = gen.dirichlet(np.ones(inst["k"]))
@@ -275,12 +282,9 @@ def test_trivial_rate_matches_reference(inst):
 @given(instances)
 def test_member_outputs_match_reference(inst):
     gen = rng(inst["seed"])
-    ch = random_wiretap(gen, inst["d_b"], inst["d_e"], inst["n_kraus"])
+    ch = random_wiretap(gen, inst["d_b"], inst["d_e"], inst["n_kraus"], inst["rest"])
     res = random_resource(gen, inst["rank"])
-    r = res.phi0.space.dim_of(res.aux_label)
-    factors = [("A", 2), (res.aux_label, r)]
-    space = LabeledSpace(tuple(factors[::-1] if inst["aux_first"] else factors))
-    ens = random_ensemble(gen, space, inst["k"])
+    ens = random_ensemble(gen, member_space(ch, res, inst["aux_first"]), inst["k"])
     for got, want in zip(_member_outputs(ens, ch, res), reference_member_outputs(ens, ch, res)):
         for g, w in zip(got, want):
             assert g.space == w.space

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import random_density_matrix, random_pure_state, random_unitary, rng
+from conftest import (
+    maximally_mixed,
+    pure_state,
+    random_density_matrix,
+    random_pure_state,
+    random_unitary,
+    rng,
+)
 from wiretap.channels import apply
 from wiretap.entropic import coherent_information, von_neumann_entropy
 from wiretap.measures import (
@@ -17,9 +24,7 @@ from wiretap.qcore import (
     ValidationError,
     basis_state,
     maximally_entangled,
-    maximally_mixed,
     partial_trace,
-    pure_state,
     purify,
     tensor,
 )

@@ -9,6 +9,7 @@ from conftest import (
     bell_resource_state,
     broadcast_copy_channel,
     identity_qubit_wiretap,
+    maximally_mixed,
     random_state,
     rng,
 )
@@ -314,7 +315,7 @@ def test_grid_oracle_refuses_oversized_grids():
 
 
 def test_grid_oracle_matches_direct_functional_evaluation():
-    # The cached-pushforward evaluation must agree with theorem1_rate
+    # The cached side-marginal evaluation must agree with theorem1_rate
     # evaluated member by member over the same tiny grid.
     from itertools import combinations_with_replacement, product as iproduct
 
@@ -371,7 +372,6 @@ def test_uncorrelated_resource_grid_matches_unassisted_grid():
 
 def test_optimize_unassisted_constant_channel_is_zero():
     from wiretap.channels import constant_channel
-    from wiretap.qcore import maximally_mixed
 
     bob = constant_channel(A, maximally_mixed(LabeledSpace.of(("B", 2))))
     ch = QuantumChannel(

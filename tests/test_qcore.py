@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    is_pure,
+    maximally_mixed,
+    pure_state,
     random_full_rank_state,
     random_pure_state,
     random_state,
@@ -19,10 +22,8 @@ from wiretap.qcore import (
     fidelity,
     hermitian_trace_norm,
     maximally_entangled,
-    maximally_mixed,
     partial_trace,
     permute_factors,
-    pure_state,
     purify,
     state_from_json,
     state_to_json,
@@ -153,7 +154,7 @@ def test_permute_factors_roundtrip():
 
 def test_purify_maximally_mixed_symmetric():
     phi = purify(maximally_mixed(A), "Aux", symmetric=True)
-    assert phi.is_pure()
+    assert is_pure(phi)
     for label in ("A", "Aux"):
         assert np.allclose(partial_trace(phi, {label}).matrix, np.eye(2) / 2, atol=1e-12)
 
@@ -342,5 +343,5 @@ def test_pure_state_normalizes():
 def test_maximally_entangled_marginals():
     for d in (2, 3):
         phi = maximally_entangled("L", "R", d)
-        assert phi.is_pure()
+        assert is_pure(phi)
         assert np.allclose(partial_trace(phi, {"L"}).matrix, np.eye(d) / d, atol=1e-14)

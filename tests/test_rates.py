@@ -5,6 +5,7 @@ from conftest import (
     PAULI,
     bell_resource_state,
     broadcast_copy_channel,
+    ensemble_pushforward,
     identity_qubit_wiretap,
     lift_to_reference,
     random_full_rank_state,
@@ -21,7 +22,6 @@ from wiretap.channels import (
     classical_channel,
     constant_channel,
     cq_state,
-    ensemble_pushforward,
     modulation_from_choi,
     trivial_resource,
 )

@@ -1,16 +1,20 @@
 """CPTP maps, classical-quantum ensembles, and resource-state channels.
 
 Channels are stored as Kraus families between two labeled spaces.  The Choi
-representation used throughout is the *Choi state* (unit trace): the image
-of the maximally entangled state on (reference copy of the input) x input.
+representation of ``kraus_to_choi`` and ``choi_to_kraus`` is the *Choi
+state* (unit trace): the image of the maximally entangled state on
+(reference copy of the input) x input.  That pair is the reference path
+the tests compare against.
 
 The resource-state machinery turns a tripartite shared state zeta on
 (Alice', Bob', Eve') into the unique channel Z with (id x Z) phi0 = zeta,
-where phi0 is the symmetric purification of Alice's marginal, and converts
-signal states with the correct marginal back into modulation channels.
-Both directions are linear inversions weighted by the inverse square roots
-of the marginal's spectrum, so they require (and check) a full-rank
+where phi0 = sum_i sqrt(lam_i) v_i x v_i is the symmetric purification of
+Alice's marginal, and converts signal states with the correct marginal
+back into modulation channels.  Both directions read Kraus operators off
+the eigenvectors of the given state through the inverse of phi0's
+amplitude matrix, V diag(sqrt(lam)) V^T, so they require a full-rank
 marginal; rank-deficient inputs are first restricted to their support.
+Neither direction builds a Choi state.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .qcore import (
     hermitian_trace_norm,
     partial_trace,
     permute_factors,
-    purify,
     state_from_json,
     state_to_json,
 )
@@ -343,17 +346,17 @@ class ResourceState:
     """A tripartite resource state together with its induced channel.
 
     ``zeta`` is the (possibly support-restricted) resource state with
-    Alice's factor first, ``phi0`` the symmetric purification of Alice's
-    marginal on (alice, aux), and ``z_channel`` the unique map from the aux
-    copy to (Bob', Eve') satisfying (id x z_channel) phi0 = zeta.  When the
-    original Alice marginal was rank deficient, ``support_isometry`` holds
-    the isometry from the restricted factor into the original one.
+    Alice's factor first, ``phi0`` the symmetric purification
+    sum_i sqrt(lam_i) v_i x v_i of Alice's marginal on (alice, aux), and
+    ``z_channel`` the unique map from the aux copy to (Bob', Eve')
+    satisfying (id x z_channel) phi0 = zeta.  When the original Alice
+    marginal was rank deficient, ``support_isometry`` holds the isometry
+    from the restricted factor into the original one.
     """
 
     zeta: DensityOperator
     phi0: DensityOperator
     z_channel: QuantumChannel
-    fullrank_flag: bool
     support_isometry: np.ndarray | None
     alice_label: str
     aux_label: str
@@ -377,30 +380,40 @@ def _descending_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1], v[:, ::-1]
 
 
-def _weighted_choi_from_blocks(
-    source: DensityOperator,
-    ref_label: str,
+def _channel_through_phi0(
+    state: np.ndarray,
     lam: np.ndarray,
     vecs: np.ndarray,
-) -> np.ndarray:
-    """Choi-state matrix of the map M with (M x id) phi0 = source.
+    input_space: LabeledSpace,
+    output_space: LabeledSpace,
+    what: str,
+) -> QuantumChannel:
+    """The map M: input_space -> output_space with (id x M) phi0 = ``state``.
 
-    ``source`` has the untouched reference factor ``ref_label``; ``lam`` and
-    ``vecs`` are the spectrum and eigenbasis of the reference marginal that
-    defines phi0.  Blocks are the sandwiches <v_i| source |v_j> on the
-    reference factor, weighted by 1/sqrt(lam_i lam_j).
+    ``state`` is a matrix on (reference, output), reference first, and
+    phi0 = sum_i sqrt(lam_i) v_i x v_i has the symmetric amplitude matrix
+    Psi = V diag(sqrt(lam)) V^T.  An eigenvector of ``state`` scaled by the
+    square root of its eigenvalue, read as a (reference, output) matrix Z_k,
+    is Psi K_k^T for one Kraus family {K_k} of M, so K_k = Z_k^T Psi^-1 with
+    Psi^-1 = conj(V) diag(lam^-1/2) V^H.  Eigenvalues at or below
+    KRAUS_TRUNCATION are dropped.  Sum K_k^H K_k = 1 holds exactly when the
+    reference marginal of ``state`` is phi0's; the trace-preservation check
+    at TOL_EQ guards it, and its refusal names ``what`` and the marginal's
+    condition number.
     """
     r = len(lam)
-    others = [lab for lab in source.space.labels if lab != ref_label]
-    sp = permute_factors(source, others + [ref_label])
-    d_out = sp.dim // r
-    t = sp.matrix.reshape(d_out, r, d_out, r)
-    # blocks[i, j] = <v_i| . |v_j> / sqrt(lam_i lam_j)
-    blocks = np.einsum("ai,oapb,bj->ijop", vecs.conj(), t, vecs)
-    blocks /= np.sqrt(np.outer(lam, lam))[:, :, None, None]
-    # Choi state: (1/r) sum_ij |conj(v_i)><conj(v_j)| x blocks[i, j]
-    j = np.einsum("ai,ijop,bj->aobp", vecs.conj(), blocks, vecs) / r
-    return j.reshape(r * d_out, r * d_out)
+    psi_inv = (vecs.conj() / np.sqrt(lam)) @ vecs.conj().T
+    w, v = _descending_eigh(state)
+    keep = w > KRAUS_TRUNCATION
+    z = (v[:, keep] * np.sqrt(w[keep])).T.reshape(-1, r, output_space.dim)
+    kraus = list(z.transpose(0, 2, 1) @ psi_inv)
+    try:
+        return QuantumChannel(input_space, output_space, kraus, tp_tol=TOL_EQ)
+    except ValidationError as exc:
+        cond = lam[0] / lam[-1]
+        raise ValidationError(
+            f"{what} reconstruction failed (marginal condition number {cond:.3e}): {exc}"
+        ) from exc
 
 
 def channel_from_resource_state(
@@ -411,11 +424,12 @@ def channel_from_resource_state(
     """Build the resource-state channel decomposition of ``zeta``.
 
     Restricts Alice's factor to the support of her marginal (recording the
-    isometry), builds the symmetric purification phi0 of the marginal, and
-    solves for the unique channel Z with (id x Z) phi0 = zeta by linear
-    inversion on the marginal's eigenbasis.  Raises if the reconstructed map
-    fails to be CPTP beyond tolerance, which signals a numerically
-    degenerate marginal spectrum.
+    isometry), builds phi0 = sum_i sqrt(lam_i) v_i x v_i from the
+    marginal's spectrum, and reads the unique channel Z with
+    (id x Z) phi0 = zeta off the eigenvectors of zeta through phi0's
+    amplitude matrix (``_channel_through_phi0``).  Raises if Z fails to be
+    trace preserving or to reproduce zeta beyond tolerance, which signals a
+    numerically degenerate marginal spectrum.
     """
     space = zeta.space
     if len(space.factors) != 3:
@@ -433,9 +447,8 @@ def channel_from_resource_state(
     w, v = _descending_eigh(partial_trace(zp, {alice}).matrix)
     w = np.clip(w, 0.0, None)
     rank = max(1, int(np.count_nonzero(w > RANK_CUTOFF)))
-    fullrank = rank == d_alice
 
-    if fullrank:
+    if rank == d_alice:
         zeta_r = zp
         lam, vecs = w, v
         support_isometry = None
@@ -450,31 +463,24 @@ def channel_from_resource_state(
         lam, vecs = _descending_eigh(partial_trace(zeta_r, {alice}).matrix)
         support_isometry = iso
 
-    cond = float(lam[0] / lam[-1])
-    phi0 = purify(partial_trace(zeta_r, {alice}), aux_label, symmetric=True)
-
-    j = _weighted_choi_from_blocks(zeta_r, alice, lam, vecs)
-    choi_space = LabeledSpace.of((aux_label, rank)).tensor(zeta_r.space.subspace(others))
-    choi = DensityOperator(choi_space, j, validate=False)
-    try:
-        z_channel = choi_to_kraus(choi, LabeledSpace.of((aux_label, rank)))
-    except ValidationError as exc:
-        raise ValidationError(
-            f"resource channel reconstruction failed (marginal condition number {cond:.3e}): {exc}"
-        ) from exc
-
+    phi_vec = ((vecs * np.sqrt(lam)) @ vecs.T).reshape(-1)
+    aux = LabeledSpace.of((aux_label, rank))
+    phi0_space = LabeledSpace.of((alice, rank)).tensor(aux)
+    phi0 = DensityOperator(phi0_space, np.outer(phi_vec, phi_vec.conj()), validate=False)
+    z_channel = _channel_through_phi0(
+        zeta_r.matrix, lam, vecs, aux, zeta_r.space.subspace(others), "resource channel"
+    )
     rebuilt = apply(z_channel, phi0, on=[aux_label])
     residual = hermitian_trace_norm(rebuilt.matrix - zeta_r.matrix)
     if residual > TOL_EQ:
         raise ValidationError(
             f"resource channel does not reproduce the state (residual {residual:.3e}, "
-            f"marginal condition number {cond:.3e})"
+            f"marginal condition number {lam[0] / lam[-1]:.3e})"
         )
     return ResourceState(
         zeta=zeta_r,
         phi0=phi0,
         z_channel=z_channel,
-        fullrank_flag=fullrank,
         support_isometry=support_isometry,
         alice_label=alice,
         aux_label=aux_label,
@@ -490,7 +496,9 @@ def modulation_from_choi(
 
     ``eta`` must carry the untouched reference copy as its factor
     ``ref_label`` (default: last factor), with marginal equal to
-    ``zeta_marginal``, which must be full rank.
+    ``zeta_marginal``, which must be full rank.  phi0 is symmetric under
+    swapping its two factors, so E is read off eta permuted to
+    (reference, signal) by the same inversion that yields Z.
     """
     ref = ref_label or eta.space.labels[-1]
     if len(zeta_marginal.space.factors) != 1:
@@ -509,19 +517,10 @@ def modulation_from_choi(
     lam = np.clip(lam, 0.0, None)
     if lam[-1] <= RANK_CUTOFF:
         raise ValidationError("zeta_marginal is not full rank; restrict support first")
-    cond = float(lam[0] / lam[-1])
-
-    j = _weighted_choi_from_blocks(eta, ref, lam, vecs)
     others = [lab for lab in eta.space.labels if lab != ref]
+    state = permute_factors(eta, [ref] + others).matrix
     out_space = eta.space.subspace(others)
-    choi_space = LabeledSpace.of((ref, d_ref)).tensor(out_space)
-    choi = DensityOperator(choi_space, j, validate=False)
-    try:
-        return choi_to_kraus(choi, zeta_marginal.space)
-    except ValidationError as exc:
-        raise ValidationError(
-            f"modulation reconstruction failed (marginal condition number {cond:.3e}): {exc}"
-        ) from exc
+    return _channel_through_phi0(state, lam, vecs, zeta_marginal.space, out_space, "modulation")
 
 
 def trivial_resource(

@@ -36,7 +36,6 @@ not restricted to typical sequences.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -60,9 +59,8 @@ from .rates import _CqKernel, _signal_labels, _stack, theorem1_rate
 from .scenario import Scenario
 
 __all__ = [
-    "DEFAULT_MAX_DIM",
+    "MAX_DIM",
     "MAX_WORKING_BYTES",
-    "max_dim_cap",
     "Codebook",
     "CodeParams",
     "LeakageStats",
@@ -76,24 +74,11 @@ __all__ = [
     "run_experiment",
 ]
 
-DEFAULT_MAX_DIM = 4096
+# Per-side dimension cap on a block space; read at call time.
+MAX_DIM = 4096
 WORD_CAP = 50_000_000
 # Bytes of codeword products one ``_products`` call of ``_bin_average`` builds.
 SLAB_BYTES = 512 * 2**10
-
-
-def max_dim_cap() -> int:
-    """Per-side dimension cap: WIRETAP_MAX_DIM if set (its only setting), else DEFAULT_MAX_DIM."""
-    value = os.environ.get("WIRETAP_MAX_DIM")
-    if value is None:
-        return DEFAULT_MAX_DIM
-    try:
-        cap = int(value)
-    except ValueError:
-        raise ValidationError(f"WIRETAP_MAX_DIM={value!r} is not an integer") from None
-    if cap < 1:
-        raise ValidationError(f"WIRETAP_MAX_DIM={cap} must be positive")
-    return cap
 
 
 def _round_half_up(x: float) -> int:
@@ -225,46 +210,27 @@ def sample_codebook(ens: CqEnsemble, n: int, M: int, S: int, seed: int) -> Codeb
     return Codebook(n=n, M=M, S=S, words=words, seed=seed)
 
 
-def pgm_decoder(
-    states: Sequence[DensityOperator],
-    priors: Sequence[float] | None = None,
-) -> list[np.ndarray]:
-    """Pretty-good-measurement POVM for the given output states.
+def pgm_decoder(states: Sequence[DensityOperator]) -> list[np.ndarray]:
+    """Pretty-good-measurement POVM for equiprobable output states.
 
-    Elements are avg^{-1/2} (p_m rho_m) avg^{-1/2} with the inverse square
-    root taken on the support (above RANK_CUTOFF) of the prior-weighted
-    average state; they sum to the support projector (<= identity).
+    Elements are avg^{-1/2} (rho_m / M) avg^{-1/2} with the inverse square
+    root taken on the support (above RANK_CUTOFF) of the average state;
+    they sum to the support projector (<= identity).
     """
     if not states:
         raise ValidationError("pgm_decoder needs at least one state")
-    m_count = len(states)
-    if priors is None:
-        priors = np.full(m_count, 1.0 / m_count)
-    else:
-        priors = np.asarray(priors, dtype=float)
-        if priors.shape != (m_count,) or np.any(priors < 0):
-            raise ValidationError("priors must be nonnegative, one per state")
-    avg = sum(p * s.matrix for p, s in zip(priors, states))
-    if abs(np.trace(avg)) < RANK_CUTOFF:
-        raise ValidationError("average state is zero; nothing to decode")
+    p = 1.0 / len(states)
+    avg = sum(p * s.matrix for s in states)
     w, v = np.linalg.eigh(avg)
     keep = w > RANK_CUTOFF
     inv_sqrt = (v[:, keep] / np.sqrt(w[keep])) @ v[:, keep].conj().T
-    return [inv_sqrt @ (p * s.matrix) @ inv_sqrt for p, s in zip(priors, states)]
+    return [inv_sqrt @ (p * s.matrix) @ inv_sqrt for s in states]
 
 
-def pgm_success(
-    states: Sequence[DensityOperator],
-    povm: Sequence[np.ndarray],
-    priors: Sequence[float] | None = None,
-) -> float:
-    """Success probability sum_m p_m Tr(rho_m D_m)."""
-    m_count = len(states)
-    if priors is None:
-        priors = np.full(m_count, 1.0 / m_count)
-    total = sum(
-        float(np.real(np.trace(s.matrix @ d))) * p for p, s, d in zip(priors, states, povm)
-    )
+def pgm_success(states: Sequence[DensityOperator], povm: Sequence[np.ndarray]) -> float:
+    """Success probability (1/M) sum_m Tr(rho_m D_m)."""
+    p = 1.0 / len(states)
+    total = sum(float(np.real(np.trace(s.matrix @ d))) * p for s, d in zip(states, povm))
     return min(max(total, 0.0), 1.0)
 
 
@@ -371,11 +337,12 @@ def _eve_outputs(
     ens: CqEnsemble, channel: QuantumChannel, res: ResourceState, n: int
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """One-letter Eve outputs and the n-fold power of their average (the reference)."""
-    cap = max_dim_cap()
     eve_mats = [e.matrix for e in _member_outputs(ens, channel, res)[1]]
     d_eve = len(eve_mats[0])
-    if d_eve**n > cap:
-        raise ResourceLimitError(f"Eve-side dimension {d_eve}^{n} = {d_eve**n} exceeds cap {cap}")
+    if d_eve**n > MAX_DIM:
+        raise ResourceLimitError(
+            f"Eve-side dimension {d_eve}^{n} = {d_eve**n} exceeds cap {MAX_DIM}"
+        )
     return eve_mats, _power(sum(q * e for q, e in zip(ens.probs, eve_mats)), n)
 
 
@@ -411,12 +378,11 @@ def marginal_residual_and_fixup(
     satisfies the 4*sqrt(residual) budget.  Refused up front over the
     dimension cap or MAX_WORKING_BYTES.
     """
-    cap = max_dim_cap()
     n = codebook.n
     d_mem = ens.space.dim
-    if d_mem**n > cap:
+    if d_mem**n > MAX_DIM:
         raise ResourceLimitError(
-            f"signal-side dimension {d_mem}^{n} = {d_mem**n} exceeds cap {cap}"
+            f"signal-side dimension {d_mem}^{n} = {d_mem**n} exceeds cap {MAX_DIM}"
         )
     member_mats = [s.matrix for s in ens.states]
     _check_bytes(n, codebook.M, codebook.S, [(1, _bin_bytes(member_mats, n))])
@@ -561,7 +527,6 @@ def run_experiment(
         raise ValidationError("code simulation needs a scenario with an ensemble")
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    cap = max_dim_cap()
     ens = scenario.ensemble
     channel = scenario.channel
     res = scenario.resource_state()
@@ -583,10 +548,10 @@ def run_experiment(
     grams = []  # Gram-matrix size M*S*r^n per block length when Bob is decoded that way
     for n, params in zip(n_list, all_params):
         sizes = {"bob": len(bob[0]) ** n, "eve": len(eve[0]) ** n, "signal": ens.space.dim**n}
-        over = {k: v for k, v in sizes.items() if v > cap}
+        over = {k: v for k, v in sizes.items() if v > MAX_DIM}
         if over:
             raise ResourceLimitError(
-                f"block length {n} exceeds the dimension cap {cap}: "
+                f"block length {n} exceeds the dimension cap {MAX_DIM}: "
                 + ", ".join(f"{k} side {v}" for k, v in over.items())
             )
         gram = None

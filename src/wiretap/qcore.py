@@ -288,19 +288,12 @@ def permute_factors(rho: DensityOperator, order: Sequence[str]) -> DensityOperat
     return DensityOperator(new_space, t.reshape(space.dim, space.dim), validate=False)
 
 
-def purify(
-    rho: DensityOperator,
-    aux_label: str,
-    symmetric: bool = False,
-) -> DensityOperator:
+def purify(rho: DensityOperator, aux_label: str) -> DensityOperator:
     """Rank-one extension of ``rho`` on an auxiliary factor.
 
-    The default purification uses an auxiliary dimension equal to the rank
-    of ``rho`` and the computational basis on the auxiliary factor, so a
-    pure input returns (up to phase) itself tensored with |0>.  With
-    ``symmetric=True`` the auxiliary dimension equals dim(rho) and the
-    auxiliary basis is the eigenbasis of ``rho`` itself, which makes *both*
-    marginals of the purification equal to ``rho``.
+    The auxiliary dimension equals the rank of ``rho`` and the auxiliary
+    basis is the computational one, so a pure input returns (up to phase)
+    itself tensored with |0>.
     """
     if aux_label in rho.space.labels:
         raise ValidationError(f"auxiliary label {aux_label!r} already in use")
@@ -309,20 +302,12 @@ def purify(
     w = np.clip(w, 0.0, None)
     order = np.argsort(w)[::-1]
     w, v = w[order], v[:, order]
-    if symmetric:
-        r = d
-        vec = np.zeros(d * r, dtype=np.complex128)
-        for i in range(d):
-            if w[i] <= 0.0:
-                continue
-            vec += np.sqrt(w[i]) * np.kron(v[:, i], v[:, i])
-    else:
-        r = max(1, int(np.count_nonzero(w > RANK_CUTOFF)))
-        vec = np.zeros(d * r, dtype=np.complex128)
-        for i in range(r):
-            e = np.zeros(r, dtype=np.complex128)
-            e[i] = 1.0
-            vec += np.sqrt(w[i]) * np.kron(v[:, i], e)
+    r = max(1, int(np.count_nonzero(w > RANK_CUTOFF)))
+    vec = np.zeros(d * r, dtype=np.complex128)
+    for i in range(r):
+        e = np.zeros(r, dtype=np.complex128)
+        e[i] = 1.0
+        vec += np.sqrt(w[i]) * np.kron(v[:, i], e)
     space = rho.space.tensor(LabeledSpace.of((aux_label, r)))
     return DensityOperator(space, np.outer(vec, vec.conj()), validate=False)
 

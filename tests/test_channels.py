@@ -10,6 +10,7 @@ from conftest import (
     channels_equal_in_action,
     ensemble_pushforward,
     identity_channel,
+    is_pure,
     maximally_mixed,
     random_full_rank_state,
     random_kraus,
@@ -214,7 +215,6 @@ def bell_resource() -> DensityOperator:
 
 def test_resource_channel_bell():
     res = channel_from_resource_state(bell_resource())
-    assert res.fullrank_flag
     assert res.support_isometry is None
     assert np.allclose(res.zeta_marginal.matrix, np.eye(2) / 2, atol=1e-12)
     # Z should act as an isometry moving the aux copy to Bob'.
@@ -256,28 +256,68 @@ def test_resource_channel_support_restriction():
     sigma = random_state(gen, LabeledSpace.of(("Bp", 2), ("Ep", 2)))
     zeta = tensor(basis_state(LabeledSpace.of(("Ap", 2)), [0]), sigma)
     res = channel_from_resource_state(zeta)
-    assert not res.fullrank_flag
     assert res.support_isometry is not None and res.support_isometry.shape == (2, 1)
     assert res.zeta.space.dim_of("Ap") == 1
     rebuilt = apply(res.z_channel, res.phi0, on=["App"])
     assert hermitian_trace_norm(rebuilt.matrix - res.zeta.matrix) <= 1e-8
 
 
+def test_resource_phi0_bell_marginals_maximally_mixed():
+    phi0 = channel_from_resource_state(bell_resource()).phi0
+    assert is_pure(phi0)
+    assert phi0.space.dim_of("App") == 2
+    for label in ("Ap", "App"):
+        assert np.allclose(partial_trace(phi0, {label}).matrix, np.eye(2) / 2, atol=1e-12)
+
+
+def test_resource_phi0_random_marginal_both_marginals():
+    # phi0 is the symmetric purification of Alice's marginal: the aux copy has
+    # her dimension and both of its marginals equal that marginal.
+    gen = rng(29)
+    rho = random_state(gen, LabeledSpace.of(("Ap", 2)))
+    sigma = random_state(gen, LabeledSpace.of(("Bp", 2), ("Ep", 2)))
+    phi0 = channel_from_resource_state(tensor(rho, sigma)).phi0
+    assert is_pure(phi0)
+    assert phi0.space.dim_of("App") == 2
+    for label in ("Ap", "App"):
+        assert hermitian_trace_norm(partial_trace(phi0, {label}).matrix - rho.matrix) <= 1e-10
+
+
 def test_state_from_channel_then_channel_from_state():
-    # Build zeta' = (id x Z') phi0 from a random channel; extraction recovers its action.
+    # Build zeta' = (id x Z') phi0 from a random channel; extraction recovers its
+    # action.  On a rank-deficient marginal it recovers Z' o J, where J is the
+    # isometry from the restricted aux copy with (iso x J) res.phi0 = phi0.
     gen = rng(151)
     out_space = LabeledSpace.of(("Bp", 2), ("Ep", 2))
-    for _ in range(10):
-        marg_m = random_full_rank_state(gen, LabeledSpace.of(("Ap", 2))).matrix
+    for d, rank in [(2, 2)] * 10 + [(3, 3)] * 5 + [(3, 2)] * 5:
+        share = LabeledSpace.of(("Ap", d))
+        if rank == d:
+            marg_m = random_full_rank_state(gen, share).matrix
+        else:
+            marg_m = random_state(gen, share, rank=rank).matrix
         w, v = np.linalg.eigh(marg_m)
-        vec = sum(np.sqrt(w[i]) * np.kron(v[:, i], v[:, i]) for i in range(2))
+        psi = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+        vec = psi.reshape(-1)
         phi0 = DensityOperator(
-            LabeledSpace.of(("Ap", 2), ("App", 2)), np.outer(vec, vec.conj())
+            LabeledSpace.of(("Ap", d), ("App", d)), np.outer(vec, vec.conj())
         )
-        zprime = QuantumChannel(LabeledSpace.of(("App", 2)), out_space, random_kraus(gen, 2, 4, 3))
+        zprime = QuantumChannel(LabeledSpace.of(("App", d)), out_space, random_kraus(gen, d, 4, 3))
         zeta = apply(zprime, phi0, on=["App"])  # on (Ap, Bp, Ep)
         res = channel_from_resource_state(zeta)
-        assert channels_equal_in_action(res.z_channel, zprime, tol=1e-8)
+        if rank == d:
+            assert res.support_isometry is None
+            assert channels_equal_in_action(res.z_channel, zprime, tol=1e-8)
+            continue
+        iso = res.support_isometry
+        assert iso.shape == (d, rank)
+        w_r, v_r = np.linalg.eigh(res.phi0.matrix)
+        psi_r = (np.sqrt(w_r[-1]) * v_r[:, -1]).reshape(rank, rank)
+        j = np.linalg.solve(psi_r, iso.conj().T @ psi).T
+        assert np.allclose(j.conj().T @ j, np.eye(rank), atol=1e-8)
+        want = QuantumChannel(
+            res.z_channel.input_space, out_space, [k @ j for k in zprime.kraus]
+        )
+        assert channels_equal_in_action(res.z_channel, want, tol=1e-8)
 
 
 def test_modulation_from_choi_identity_and_constant():
@@ -309,12 +349,41 @@ def test_modulation_from_choi_pauli_twirl():
     assert channels_equal_in_action(e, want, tol=1e-8)
 
 
+def test_modulation_from_choi_roundtrip_random_marginals():
+    # E -> (E x id) phi0 -> E on non-uniform full-rank marginals, with a signal
+    # dimension different from the share's and the reference in either position.
+    gen = rng(173)
+    for d_share, d_sig in [(2, 3)] * 5 + [(3, 2)] * 5:
+        space = LabeledSpace.of(("Ap", d_share), ("Bp", 2), ("Ep", 1))
+        res = channel_from_resource_state(random_full_rank_state(gen, space))
+        mod = QuantumChannel(
+            LabeledSpace.of(("Ap", d_share)),
+            LabeledSpace.of(("A", d_sig)),
+            random_kraus(gen, d_share, d_sig, int(gen.integers(1, 4))),
+        )
+        eta = apply(mod, res.phi0, on=["Ap"])  # on (App, A)
+        for eta_p, ref in ((eta, "App"), (permute_factors(eta, ["A", "App"]), None)):
+            back = modulation_from_choi(eta_p, res.zeta_marginal, ref_label=ref)
+            assert channels_equal_in_action(back, mod, tol=1e-8)
+
+
 def test_modulation_from_choi_marginal_mismatch():
     gen = rng(163)
     res = channel_from_resource_state(bell_resource())
     eta_bad = random_state(gen, LabeledSpace.of(("A", 2), ("App", 2)))
     with pytest.raises(ValidationError, match="marginal"):
         modulation_from_choi(eta_bad, res.zeta_marginal)
+
+
+def test_modulation_from_choi_refuses_non_tp_inversion_with_condition_number():
+    # A marginal off by 2e-9 in trace norm passes the marginal check, but
+    # divided by lambda_min = 1e-10 it breaks trace preservation.
+    lam = np.diag([1.0 - 1e-10, 1e-10]).astype(complex)
+    marginal = DensityOperator(LabeledSpace.of(("Ap", 2)), lam)
+    off = DensityOperator(LabeledSpace.of(("App", 2)), lam + np.diag([-1e-9, 1e-9]))
+    eta = tensor(random_state(rng(179), A), off)
+    with pytest.raises(ValidationError, match="condition number 1.000e\\+10.*trace preserving"):
+        modulation_from_choi(eta, marginal)
 
 
 def test_eta_z_swap_identity():
@@ -337,7 +406,7 @@ def test_eta_z_swap_identity():
 def test_trivial_resource():
     res = trivial_resource()
     assert res.zeta.space.dims == (1, 1, 1)
-    assert res.fullrank_flag
+    assert res.support_isometry is None
     assert np.allclose(res.zeta.matrix, [[1.0]])
 
 

@@ -152,13 +152,6 @@ def test_permute_factors_roundtrip():
     assert np.allclose(swapped.matrix, np.kron(b.matrix, a.matrix), atol=1e-14)
 
 
-def test_purify_maximally_mixed_symmetric():
-    phi = purify(maximally_mixed(A), "Aux", symmetric=True)
-    assert is_pure(phi)
-    for label in ("A", "Aux"):
-        assert np.allclose(partial_trace(phi, {label}).matrix, np.eye(2) / 2, atol=1e-12)
-
-
 def test_purify_pure_input_is_trivial():
     gen = rng(19)
     psi = random_pure_state(gen, A)
@@ -173,15 +166,6 @@ def test_purify_roundtrip_rank3():
     rho = random_full_rank_state(gen, q)
     back = partial_trace(purify(rho, "Aux"), {"Q"})
     assert hermitian_trace_norm(back.matrix - rho.matrix) <= 1e-10
-
-
-def test_purify_symmetric_both_marginals():
-    gen = rng(29)
-    rho = random_state(gen, A)
-    phi = purify(rho, "Aux", symmetric=True)
-    assert phi.space.dim_of("Aux") == 2
-    for label in ("A", "Aux"):
-        assert hermitian_trace_norm(partial_trace(phi, {label}).matrix - rho.matrix) <= 1e-10
 
 
 def test_purify_rejects_used_label():

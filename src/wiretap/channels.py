@@ -14,7 +14,8 @@ back into modulation channels.  Both directions read Kraus operators off
 the eigenvectors of the given state through the inverse of phi0's
 amplitude matrix, V diag(sqrt(lam)) V^T, so they require a full-rank
 marginal; rank-deficient inputs are first restricted to their support.
-Neither direction builds a Choi state.
+Neither direction builds a Choi state.  Every support here, of a marginal
+or of a state read as Kraus operators, is ``qcore.support_eigh``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from .qcore import (
-    RANK_CUTOFF,
     TOL_EQ,
     DensityOperator,
     LabeledSpace,
@@ -39,6 +39,7 @@ from .qcore import (
     permute_factors,
     state_from_json,
     state_to_json,
+    support_eigh,
 )
 
 __all__ = [
@@ -61,9 +62,6 @@ __all__ = [
     "ensemble_to_json",
     "ensemble_from_json",
 ]
-
-# Choi eigenvalues below this are dropped when extracting Kraus operators.
-KRAUS_TRUNCATION = 1e-12
 
 # Trace-preservation tolerance asserted at channel construction.
 TP_TOL = 1e-9
@@ -175,7 +173,7 @@ def choi_to_kraus(
 
     Rejects Choi states whose reference marginal is not maximally mixed,
     which is the trace-preservation condition in this normalization.
-    Eigenvalues below ``KRAUS_TRUNCATION`` are dropped.
+    One Kraus operator per support eigenpair (``support_eigh``), largest first.
     """
     ref = choi.space.labels[0]
     d_in = choi.space.dim_of(ref)
@@ -191,12 +189,8 @@ def choi_to_kraus(
         raise ValidationError(
             f"Choi reference marginal deviates from I/d by {dev:.3e}; not trace preserving"
         )
-    w, v = np.linalg.eigh(choi.matrix)
-    kraus = []
-    for i in range(len(w) - 1, -1, -1):
-        if w[i] <= KRAUS_TRUNCATION:
-            break
-        kraus.append(np.sqrt(d_in * w[i]) * v[:, i].reshape(d_in, d_out).T)
+    w, v = support_eigh(choi.matrix)
+    kraus = list((v * np.sqrt(d_in * w)).T.reshape(-1, d_in, d_out).transpose(0, 2, 1))
     return QuantumChannel(input_space, output_space, kraus, tp_tol=TOL_EQ)
 
 
@@ -211,16 +205,9 @@ def channel_action_matrix(ch: QuantumChannel) -> np.ndarray:
 
 
 def constant_channel(input_space: LabeledSpace, output_state: DensityOperator) -> QuantumChannel:
-    """Discard the input and prepare ``output_state``."""
-    w, v = np.linalg.eigh(output_state.matrix)
-    kraus = []
-    for i in range(len(w)):
-        if w[i] <= RANK_CUTOFF:
-            continue
-        for a in range(input_space.dim):
-            bra = np.zeros((1, input_space.dim), dtype=np.complex128)
-            bra[0, a] = 1.0
-            kraus.append(np.sqrt(w[i]) * v[:, i].reshape(-1, 1) @ bra)
+    """Discard the input and prepare ``output_state`` (Kraus |sqrt(w_i) v_i><a|)."""
+    w, v = support_eigh(output_state.matrix)
+    kraus = [np.outer(ket, bra) for ket in (v * np.sqrt(w)).T for bra in np.eye(input_space.dim)]
     return QuantumChannel(input_space, output_state.space, kraus)
 
 
@@ -375,11 +362,6 @@ class ResourceState:
         return partial_trace(self.zeta, {self.alice_label})
 
 
-def _descending_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w, v = np.linalg.eigh(matrix)
-    return w[::-1], v[:, ::-1]
-
-
 def _channel_through_phi0(
     state: np.ndarray,
     lam: np.ndarray,
@@ -395,17 +377,16 @@ def _channel_through_phi0(
     Psi = V diag(sqrt(lam)) V^T.  An eigenvector of ``state`` scaled by the
     square root of its eigenvalue, read as a (reference, output) matrix Z_k,
     is Psi K_k^T for one Kraus family {K_k} of M, so K_k = Z_k^T Psi^-1 with
-    Psi^-1 = conj(V) diag(lam^-1/2) V^H.  Eigenvalues at or below
-    KRAUS_TRUNCATION are dropped.  Sum K_k^H K_k = 1 holds exactly when the
-    reference marginal of ``state`` is phi0's; the trace-preservation check
-    at TOL_EQ guards it, and its refusal names ``what`` and the marginal's
-    condition number.
+    Psi^-1 = conj(V) diag(lam^-1/2) V^H.  The eigenpairs are the support
+    of ``state`` (``support_eigh``).  Sum K_k^H K_k = 1 holds exactly when
+    the reference marginal of ``state`` is phi0's; the trace-preservation
+    check at TOL_EQ guards it, and its refusal names ``what`` and the
+    marginal's condition number.
     """
     r = len(lam)
     psi_inv = (vecs.conj() / np.sqrt(lam)) @ vecs.conj().T
-    w, v = _descending_eigh(state)
-    keep = w > KRAUS_TRUNCATION
-    z = (v[:, keep] * np.sqrt(w[keep])).T.reshape(-1, r, output_space.dim)
+    w, v = support_eigh(state)
+    z = (v * np.sqrt(w)).T.reshape(-1, r, output_space.dim)
     kraus = list(z.transpose(0, 2, 1) @ psi_inv)
     try:
         return QuantumChannel(input_space, output_space, kraus, tp_tol=TOL_EQ)
@@ -444,24 +425,19 @@ def channel_from_resource_state(
     zp = permute_factors(zeta, [alice] + others)
     d_alice = zp.space.dim_of(alice)
     d_rest = zp.dim // d_alice
-    w, v = _descending_eigh(partial_trace(zp, {alice}).matrix)
-    w = np.clip(w, 0.0, None)
-    rank = max(1, int(np.count_nonzero(w > RANK_CUTOFF)))
+    lam, vecs = support_eigh(partial_trace(zp, {alice}).matrix)
+    rank = len(lam)
 
-    if rank == d_alice:
-        zeta_r = zp
-        lam, vecs = w, v
-        support_isometry = None
-    else:
-        iso = v[:, :rank]
-        big = np.kron(iso, np.eye(d_rest))
+    zeta_r, support_isometry = zp, None
+    if rank < d_alice:
+        support_isometry = vecs
+        big = np.kron(vecs, np.eye(d_rest))
         m = big.conj().T @ zp.matrix @ big
         m = m / np.real(np.trace(m))
         restricted_space = LabeledSpace.of((alice, rank)).tensor(zp.space.subspace(others))
         zeta_r = DensityOperator(restricted_space, m, validate=False)
         # In the restricted frame the marginal is diagonal in the computational basis.
-        lam, vecs = _descending_eigh(partial_trace(zeta_r, {alice}).matrix)
-        support_isometry = iso
+        lam, vecs = support_eigh(partial_trace(zeta_r, {alice}).matrix)
 
     phi_vec = ((vecs * np.sqrt(lam)) @ vecs.T).reshape(-1)
     aux = LabeledSpace.of((aux_label, rank))
@@ -513,9 +489,8 @@ def modulation_from_choi(
     if dev > TOL_EQ:
         raise ValidationError(f"eta marginal deviates from the resource marginal by {dev:.3e}")
 
-    lam, vecs = _descending_eigh(zeta_marginal.matrix)
-    lam = np.clip(lam, 0.0, None)
-    if lam[-1] <= RANK_CUTOFF:
+    lam, vecs = support_eigh(zeta_marginal.matrix)
+    if len(lam) < zeta_marginal.dim:
         raise ValidationError("zeta_marginal is not full rank; restrict support first")
     others = [lab for lab in eta.space.labels if lab != ref]
     state = permute_factors(eta, [ref] + others).matrix

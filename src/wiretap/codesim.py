@@ -13,9 +13,8 @@ measurement, and measure
 * the average deviation of the reference-side marginal from its target and
   the trace-norm cost of the Uhlmann repair that removes it.
 
-Each one-letter side (Bob's outputs, Eve's outputs, the A' marginals of
-the members and of the resource) is held as real diagonals when all its
-matrices are exactly diagonal, else as dense matrices.  The codeword
+Each one-letter output side (Bob's, Eve's) is held as real diagonals when
+all its matrices are exactly diagonal, else as dense matrices.  The codeword
 products of a slab of bins are built together, in one left fold over the
 letter positions (``_products``), and each bin is summed in codeword
 order, so every bin average is bit for bit the one a per-codeword
@@ -23,9 +22,10 @@ order, so every bin average is bit for bit the one a per-codeword
 product vectors than its block dimension (M*S*r^n < d^n, with r the
 largest one-letter rank) is instead decoded from the Gram matrix of those
 vectors (``_gram_pgm_error``), and its bin averages are never built.  The
-marginal residual is read off the bin-averaged A' marginals; only above
-1e-12 are the dense signal-side averages built and repaired
-(``marginal_residual_and_fixup``).
+dense signal-side averages are built and repaired
+(``marginal_residual_and_fixup``) only when some member's A' marginal
+differs from the resource's; otherwise every bin's marginal is the target
+and the residual and repair cost are exactly 0.
 
 The decoder choice is a design decision: the PGM stands in for the abstract
 decoder of the coding theorem.  Reported leakage uses the fixed reference
@@ -45,7 +45,6 @@ import numpy as np
 from .channels import CqEnsemble, QuantumChannel, ResourceState
 from .qcore import (
     MAX_WORKING_BYTES,
-    RANK_CUTOFF,
     DensityOperator,
     LabeledSpace,
     ResourceLimitError,
@@ -53,6 +52,7 @@ from .qcore import (
     check_working_bytes,
     hermitian_trace_norm,
     partial_trace,
+    support_eigh,
     uhlmann_fixup,
 )
 from .rates import _CqKernel, _signal_labels, _stack, theorem1_rate
@@ -167,9 +167,12 @@ def code_parameters(
     one-letter functional; an explicit ``rate`` overrides the exponent to
     M = round(2^(n rate)) (used to hold a code above or below the
     functional).  S = round(2^(n max(I(U:EE'), I(U:A')) + n eps)) always.
+    An exponent of 1024 or more, where 2^x overflows a float, is refused.
     """
     if n < 1:
         raise ValidationError(f"block length n must be >= 1, got {n}")
+    if not math.isfinite(epsilon) or not (rate is None or math.isfinite(rate)):
+        raise ValidationError(f"epsilon and rate must be finite, got {epsilon!r}, {rate!r}")
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
     rep = theorem1_rate(ens, channel, res)
@@ -179,6 +182,9 @@ def code_parameters(
         m_exponent = n * (rep.rate - 2 * epsilon)
     else:
         m_exponent = n * rate
+    top = max(m_exponent, s_exponent)
+    if top >= 1024:
+        raise ResourceLimitError(f"block length {n}: code size 2^{top:.6g} overflows a float")
     m = max(1, _round_half_up(2.0**m_exponent))
     s = max(1, _round_half_up(2.0**s_exponent))
     degenerate = m == 1 and m_exponent <= 0.0
@@ -214,16 +220,15 @@ def pgm_decoder(states: Sequence[DensityOperator]) -> list[np.ndarray]:
     """Pretty-good-measurement POVM for equiprobable output states.
 
     Elements are avg^{-1/2} (rho_m / M) avg^{-1/2} with the inverse square
-    root taken on the support (above RANK_CUTOFF) of the average state;
+    root taken on the support of the average state (``support_eigh``);
     they sum to the support projector (<= identity).
     """
     if not states:
         raise ValidationError("pgm_decoder needs at least one state")
     p = 1.0 / len(states)
     avg = sum(p * s.matrix for s in states)
-    w, v = np.linalg.eigh(avg)
-    keep = w > RANK_CUTOFF
-    inv_sqrt = (v[:, keep] / np.sqrt(w[keep])) @ v[:, keep].conj().T
+    w, v = support_eigh(avg)
+    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
     return [inv_sqrt @ (p * s.matrix) @ inv_sqrt for s in states]
 
 
@@ -464,15 +469,14 @@ def _pgm_error(bins: np.ndarray) -> float:
 def _low_rank_factors(mats: Sequence[np.ndarray]) -> np.ndarray:
     """Stack (k, d, r) of factors V_x with V_x V_x^dagger = mats[x].
 
-    V_x holds the eigenvectors of mats[x] with eigenvalue above RANK_CUTOFF,
-    scaled by the square roots of those eigenvalues and zero-padded to the
-    largest such rank r.
+    V_x holds the support eigenvectors of mats[x] (``support_eigh``, largest
+    eigenvalue first), scaled by the square roots of their eigenvalues and
+    zero-padded to the largest such rank r.
     """
-    eigs = [np.linalg.eigh(m) for m in mats]
-    keeps = [w > RANK_CUTOFF for w, _ in eigs]
-    out = np.zeros((len(mats), len(mats[0]), max(int(k.sum()) for k in keeps)), dtype=complex)
-    for x, ((w, v), keep) in enumerate(zip(eigs, keeps)):
-        out[x, :, : keep.sum()] = v[:, keep] * np.sqrt(w[keep])
+    eigs = [support_eigh(m) for m in mats]
+    out = np.zeros((len(mats), len(mats[0]), max(len(w) for w, _ in eigs)), dtype=complex)
+    for x, (w, v) in enumerate(eigs):
+        out[x, :, : len(w)] = v * np.sqrt(w)
     return out
 
 
@@ -486,8 +490,8 @@ def _gram_pgm_error(factors: np.ndarray, words: np.ndarray) -> float:
     blocks of sqrt(G), G = Psi^dagger Psi (Hausladen et al., PRA 54, 1869,
     1996).  G is built from one-letter overlaps by the left fold of
     ``_products``, on pair words.  G and the average state share their
-    nonzero spectrum, so taking sqrt(G) on the eigenvalues above
-    RANK_CUTOFF is the support rule of ``pgm_decoder``.
+    nonzero spectrum, so taking sqrt(G) on its support (``support_eigh``)
+    is the support rule of ``pgm_decoder``.
     """
     m_count, s_count, n = words.shape
     k, _, r = factors.shape
@@ -500,11 +504,10 @@ def _gram_pgm_error(factors: np.ndarray, words: np.ndarray) -> float:
     gram = blocks.transpose(0, 2, 1, 3).reshape(count * rank, count * rank)
     del blocks
     gram /= count
-    w, v = np.linalg.eigh(gram)
+    w, v = support_eigh(gram)
     del gram
-    keep = w > RANK_CUTOFF
-    v = v[:, keep].reshape(m_count, s_count * rank, -1)
-    diag_blocks = (v * np.sqrt(w[keep])) @ v.conj().transpose(0, 2, 1)
+    v = v.reshape(m_count, s_count * rank, -1)
+    diag_blocks = (v * np.sqrt(w)) @ v.conj().transpose(0, 2, 1)
     succ = float(np.sum(diag_blocks.real**2 + diag_blocks.imag**2))
     return 1.0 - min(max(succ, 0.0), 1.0)
 
@@ -531,23 +534,21 @@ def run_experiment(
     channel = scenario.channel
     res = scenario.resource_state()
 
-    # The members' A' marginals and the resource marginal are compared with
-    # each other, so they share one representation.
     bobs, eves = _member_outputs(ens, channel, res)
     bob = _diagonals([b.matrix for b in bobs])
     eve = _diagonals([e.matrix for e in eves])
-    *margs, target = _diagonals(
-        [partial_trace(s, {res.aux_label}).matrix for s in ens.states]
-        + [res.zeta_marginal.matrix]
-    )
     eve_avg = sum(q * e for q, e in zip(ens.probs, eve))
-    repairs = any(np.any(m != target) for m in margs)
+    # A repair can run only when some member's A' marginal is not the resource's.
+    target = res.zeta_marginal.matrix
+    repairs = any(np.any(partial_trace(s, {res.aux_label}).matrix != target) for s in ens.states)
     factors = _low_rank_factors(bob) if bob[0].ndim == 2 else None
 
     all_params = [code_parameters(ens, channel, res, n, epsilon, rate) for n in n_list]
     grams = []  # Gram-matrix size M*S*r^n per block length when Bob is decoded that way
     for n, params in zip(n_list, all_params):
-        sizes = {"bob": len(bob[0]) ** n, "eve": len(eve[0]) ** n, "signal": ens.space.dim**n}
+        sizes = {"bob": len(bob[0]) ** n, "eve": len(eve[0]) ** n}
+        if repairs:
+            sizes["signal"] = ens.space.dim**n
         over = {k: v for k, v in sizes.items() if v > MAX_DIM}
         if over:
             raise ResourceLimitError(
@@ -562,7 +563,7 @@ def run_experiment(
         # likelihood ratios) on Bob's side; a repair holds M dense signal-side
         # averages.  Each side also folds one slab of codeword products
         # (_check_bytes).  A Gram Bob side builds no bin average (_gram_bytes).
-        sides = [(1, _bin_bytes(eve, n)), (1, _bin_bytes(margs, n))]
+        sides = [(1, _bin_bytes(eve, n))]
         if gram is None:
             sides.append((2, _bin_bytes(bob, n)))
         if repairs:
@@ -575,7 +576,6 @@ def run_experiment(
         if params.degenerate:
             warnings.warn(f"degenerate single-message code at n={n}", stacklevel=2)
         eve_ref = _power(eve_avg, n)
-        target_n = _power(target, n)
         lams, mus, resids, costs = [], [], [], []
         for t in range(trials):
             cb = sample_codebook(ens, n, params.M, params.S, _trial_seed(seed, n, t))
@@ -584,9 +584,7 @@ def run_experiment(
             else:
                 lams.append(_gram_pgm_error(factors, cb.words))
             mus.append(_mean_distance(eve, cb.words, eve_ref))
-            r, c = _mean_distance(margs, cb.words, target_n), 0.0
-            if r > 1e-12:
-                r, c = marginal_residual_and_fixup(cb, ens, res)
+            r, c = marginal_residual_and_fixup(cb, ens, res) if repairs else (0.0, 0.0)
             resids.append(r)
             costs.append(c)
         lam_arr = np.asarray(lams)

@@ -65,7 +65,7 @@ TOL_EQ = 1e-8
 # Negative eigenvalues above -CLAMP_FLOOR are eigensolver dust left as is.
 CLAMP_FLOOR = 1e-14
 
-# Eigenvalues below this are treated as exact zeros when ranks are needed.
+# Eigenvalues at or below this lie outside a PSD operator's support.
 RANK_CUTOFF = 1e-12
 
 # A computation whose estimated working set, in bytes, is larger is refused.
@@ -79,6 +79,13 @@ def check_working_bytes(need: int, what: str) -> None:
             f"{what} needs ~{need / 2**30:.1f} GiB, "
             f"over the {MAX_WORKING_BYTES / 2**30:.0f} GiB limit"
         )
+
+
+def support_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a Hermitian matrix with eigenvalue above RANK_CUTOFF, largest first."""
+    w, v = np.linalg.eigh(matrix)
+    keep = w > RANK_CUTOFF
+    return w[keep][::-1], v[:, keep][:, ::-1]
 
 
 @dataclass(frozen=True)
@@ -297,18 +304,9 @@ def purify(rho: DensityOperator, aux_label: str) -> DensityOperator:
     """
     if aux_label in rho.space.labels:
         raise ValidationError(f"auxiliary label {aux_label!r} already in use")
-    d = rho.dim
-    w, v = np.linalg.eigh(rho.matrix)
-    w = np.clip(w, 0.0, None)
-    order = np.argsort(w)[::-1]
-    w, v = w[order], v[:, order]
-    r = max(1, int(np.count_nonzero(w > RANK_CUTOFF)))
-    vec = np.zeros(d * r, dtype=np.complex128)
-    for i in range(r):
-        e = np.zeros(r, dtype=np.complex128)
-        e[i] = 1.0
-        vec += np.sqrt(w[i]) * np.kron(v[:, i], e)
-    space = rho.space.tensor(LabeledSpace.of((aux_label, r)))
+    w, v = support_eigh(rho.matrix)
+    vec = (v * np.sqrt(w)).reshape(-1)
+    space = rho.space.tensor(LabeledSpace.of((aux_label, len(w))))
     return DensityOperator(space, np.outer(vec, vec.conj()), validate=False)
 
 
@@ -378,27 +376,14 @@ def uhlmann_fixup(
     d_l = sub.dim
     d_r = eta_p.dim // d_l
 
-    w, v = np.linalg.eigh(eta_p.matrix)
-    w = np.clip(w, 0.0, None)
-    order = np.argsort(w)[::-1]
-    w, v = w[order], v[:, order]
-    rank_eta = max(1, int(np.count_nonzero(w > RANK_CUTOFF)))
+    w, v = support_eigh(eta_p.matrix)
+    mu, u = support_eigh(target_marginal.matrix)
+    d_aux = max(len(w), -(-len(mu) // d_r))  # ceil(len(mu) / d_r)
 
-    mu, u = np.linalg.eigh(target_marginal.matrix)
-    mu = np.clip(mu, 0.0, None)
-    m_order = np.argsort(mu)[::-1]
-    mu, u = mu[m_order], u[:, m_order]
-    rank_m = max(1, int(np.count_nonzero(mu > RANK_CUTOFF)))
-
-    d_aux = max(rank_eta, -(-rank_m // d_r))  # ceil(rank_m / d_r)
-
-    # |psi~> as a (d_l, d_r * d_aux) coefficient matrix.
-    psi = (v[:, :d_aux] * np.sqrt(w[:d_aux])).reshape(d_l, d_r, d_aux)
-    m_coeff = psi.reshape(d_l, d_r * d_aux)
-
-    # Canonical purification of the target on the same right-hand space.
-    n0 = np.zeros((d_l, d_r * d_aux), dtype=np.complex128)
-    n0[:, :rank_m] = u[:, :rank_m] * np.sqrt(mu[:rank_m])
+    # |psi~> and the canonical purification of the target, each zero-padded
+    # to a (d_l, d_r * d_aux) coefficient matrix on the same right-hand space.
+    m_coeff = np.pad(v * np.sqrt(w), ((0, 0), (0, d_aux - len(w)))).reshape(d_l, d_r * d_aux)
+    n0 = np.pad(u * np.sqrt(mu), ((0, 0), (0, d_r * d_aux - len(mu))))
 
     # Uhlmann alignment: maximize |Tr(A W)| over unitaries W.
     a = m_coeff.conj().T @ n0

@@ -521,6 +521,24 @@ def test_code_sim_refuses_oversized_dense_run(tmp_path, capsys, monkeypatch):
     assert "GiB" in payload["error"]
 
 
+@pytest.mark.parametrize(
+    "cfg", [{"n": [1], "epsilon": 2000}, {"n": [2], "rate": 1100}, {"n": [1], "epsilon": 1e308}]
+)
+def test_code_sim_refuses_code_sizes_beyond_a_float(tmp_path, capsys, cfg):
+    sc_path = tmp_path / "classical.json"
+    save_scenario(build_gallery("classical"), sc_path)
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps({"seed": 1, "trials": 1, **cfg}))
+    code, _, err = run_cli(
+        capsys, "code-sim", "--scenario", str(sc_path), "--config", str(cfg_path),
+        "--out", str(tmp_path),
+    )
+    assert code == 3
+    payload = json.loads(err.splitlines()[0])
+    assert payload["type"] == "resource-limit"
+    assert f"block length {cfg['n'][0]}" in payload["error"]
+
+
 def _rate_optimize_with_config(tmp_path, capsys, cfg: dict):
     sc_path = tmp_path / "trivial.json"
     save_scenario(build_gallery("trivial"), sc_path)

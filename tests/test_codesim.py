@@ -94,6 +94,19 @@ def test_code_parameters_degenerate():
         code_parameters(ens, ch, res, n=2, epsilon=0.0)
 
 
+def test_code_parameters_refuses_overflow_and_non_finite_inputs():
+    # I(U:E) = 1/2, so S = round(2^(n (1/2 + eps))); 2^x overflows a float at x = 1024.
+    ens, res, ch = lifted_bits_ensemble(), trivial_resource(), bec_copy_wiretap()
+    for n, eps, rate in [(1, 2000.0, None), (2, 0.1, 1100.0), (1, 1e308, None), (2, 0.1, 512.0)]:
+        with pytest.raises(ResourceLimitError, match=f"block length {n}"):
+            code_parameters(ens, ch, res, n, eps, rate)
+    params = code_parameters(ens, ch, res, 1, 0.1, rate=1023.5)
+    assert params.M == round(2.0**1023.5) and params.S == 2
+    for eps, rate in [(math.nan, None), (math.inf, None), (0.1, math.nan), (0.1, -math.inf)]:
+        with pytest.raises(ValidationError, match="finite"):
+            code_parameters(ens, ch, res, 1, eps, rate)
+
+
 def test_sample_codebook_determinism_and_frequencies():
     ens = lifted_bits_ensemble()
     cb1 = sample_codebook(ens, n=8, M=100, S=10, seed=99)
@@ -356,6 +369,36 @@ def test_run_experiment_above_capacity_has_high_error():
     assert reports[-1].lambda_hat >= 0.5
 
 
+def test_run_experiment_caps_signal_side_only_when_a_repair_can_run(monkeypatch):
+    # A' holds a key bit k, shared with Bob', and a private bit j: p[2k + j, k, 0] = 1/4.
+    # The XOR-pad members on k have the resource's A' marginal, so no repair
+    # runs, and the 8^5 = 32768-dimensional signal side is never built; Bob's
+    # side is 4^5 = 1024 and Eve's 2^5 = 32.
+    import wiretap.codesim as codesim
+    from wiretap.scenario import Scenario
+
+    def no_repair(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("repair ran without a differing marginal")
+
+    monkeypatch.setattr(codesim, "marginal_residual_and_fixup", no_repair)
+    pmf = np.zeros((4, 2, 1))
+    for k, j in itertools.product(range(2), range(2)):
+        pmf[2 * k + j, k, 0] = 0.25
+    space = LabeledSpace.of(("A", 2), ("App", 4))
+    members = []
+    for x in range(2):
+        diag = np.zeros(8)
+        for k, j in itertools.product(range(2), range(2)):
+            diag[((x + k) % 2) * 4 + 2 * k + j] = 0.25
+        members.append(DensityOperator(space, np.diag(diag).astype(complex)))
+    ens = CqEnsemble([0, 1], [0.5, 0.5], members)
+    sc = Scenario("key", "test instance", gallery_classical().channel, classical_embed(pmf), ens)
+    (rep,) = run_experiment(sc, [5], 0.1, trials=2, seed=1)
+    assert (rep.M, rep.S) == (6, 1)
+    assert rep.marginal_residual == 0.0 and rep.fixup_cost == 0.0
+    assert rep.mu_hat <= 1e-12  # Eve sees x + k with k uniform
+
+
 def test_run_experiment_caps_and_validation():
     sc = gallery_classical()
     with pytest.raises(ResourceLimitError, match="cap"):
@@ -545,7 +588,8 @@ def test_run_experiment_folds_a_slab_of_bins_per_products_call(monkeypatch):
     # calls of at most max(S * size, SLAB_BYTES) bytes each, with chunk the
     # bins that fit one slab.  At n = 10 a bin's S = 14 products on Bob's or
     # Eve's side (2^10 diagonals) take 112 KiB, so four bins share one call
-    # and M = 5 bins take two; the trivial resource's A' side has d = 1.
+    # and M = 5 bins take two.  The trivial resource needs no repair, so
+    # no A' side is folded.
     import wiretap.codesim as codesim
 
     products, bin_average = codesim._products, codesim._bin_average
@@ -573,8 +617,8 @@ def test_run_experiment_folds_a_slab_of_bins_per_products_call(monkeypatch):
         warnings.simplefilter("ignore")
         reps = run_experiment(gallery_classical(), [8, 10], 0.1, trials=2, seed=3)
     assert [(r.M, r.S) for r in reps] == [(4, 8), (5, 14)]
-    # Three sides (Bob, Eve, the A' marginals) per trial.
-    assert len(calls) == 3 * 2 * len(reps)
+    # Two sides (Bob, Eve) per trial.
+    assert len(calls) == 2 * 2 * len(reps)
     for m_count, s_count, size, built in calls:
         chunk = max(1, codesim.SLAB_BYTES // (s_count * size))
         assert 1 <= len(built) <= math.ceil(m_count / chunk)
@@ -585,7 +629,7 @@ def test_run_experiment_folds_a_slab_of_bins_per_products_call(monkeypatch):
 def test_run_experiment_kron_calls_do_not_scale_with_codebook(monkeypatch):
     # Bin products are built a slab of bins at a time by a left fold of
     # elementwise multiplies, not by one np.kron chain per codeword
-    # (3 sides * 2 trials * M * S * (n - 1) = 1344 calls here), so the count
+    # (2 sides * 2 trials * M * S * (n - 1) = 896 calls here), so the count
     # stays at most n whatever M * S is.
     import wiretap.codesim as codesim
 

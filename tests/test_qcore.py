@@ -15,6 +15,7 @@ from conftest import (
     rng,
 )
 from wiretap.qcore import (
+    RANK_CUTOFF,
     DensityOperator,
     LabeledSpace,
     ValidationError,
@@ -27,6 +28,7 @@ from wiretap.qcore import (
     purify,
     state_from_json,
     state_to_json,
+    support_eigh,
     tensor,
     trace_distance,
     uhlmann_fixup,
@@ -284,6 +286,47 @@ def test_uhlmann_fixup_middle_factor_and_rank_deficient():
     delta = trace_distance(partial_trace(eta_tilde, {"Y"}), target)
     budget = 2 * np.sqrt(max(0.0, 2 * delta - delta * delta))
     assert hermitian_trace_norm(eta.matrix - eta_tilde.matrix) <= budget + 1e-9
+
+
+@pytest.mark.parametrize("d_l, d_r", [(4, 2), (6, 2)])
+def test_uhlmann_fixup_pads_the_aux_factor(d_l, d_r):
+    # A pure eta_tilde and a full-rank target of rank d_l > d_r * rank(eta_tilde)
+    # need an aux factor larger than eta_tilde's rank: the repaired state is
+    # mixed, and its fidelity with eta_tilde is the marginals' fidelity
+    # (Uhlmann), not only within the trace-norm budget.
+    gen = rng(67)
+    space = LabeledSpace.of(("L", d_l), ("R", d_r))
+    for _ in range(5):
+        eta_tilde = random_pure_state(gen, space)
+        target = random_full_rank_state(gen, LabeledSpace.of(("L", d_l)))
+        current = partial_trace(eta_tilde, {"L"})
+        eta = uhlmann_fixup(eta_tilde, target, {"L"})
+        assert eta.space == space
+        assert np.max(np.abs(partial_trace(eta, {"L"}).matrix - target.matrix)) <= 1e-12
+        assert fidelity(eta_tilde, eta) == pytest.approx(fidelity(current, target), abs=1e-7)
+        delta = trace_distance(current, target)
+        budget = 2 * np.sqrt(max(0.0, 2 * delta - delta * delta))
+        assert hermitian_trace_norm(eta.matrix - eta_tilde.matrix) <= budget + 1e-9
+
+
+def test_support_eigh_descending_and_complete():
+    gen = rng(71)
+    for d in (1, 2, 5):
+        m = random_full_rank_state(gen, LabeledSpace.of(("X", d))).matrix
+        w, v = support_eigh(m)
+        assert len(w) == d and v.shape == (d, d)
+        assert np.all(np.diff(w) <= 0)
+        assert np.max(np.abs((v * w) @ v.conj().T - m)) <= 1e-12
+        assert np.max(np.abs(v.conj().T @ v - np.eye(d))) <= 1e-12
+
+
+def test_support_eigh_cutoff_is_strict():
+    # A permuted diagonal: eigh returns its entries exactly.
+    above = np.nextafter(RANK_CUTOFF, 1.0)
+    m = np.diag([0.25, RANK_CUTOFF, 0.5, above, 0.0, -1e-15]).astype(complex)
+    w, v = support_eigh(m)
+    assert w.tolist() == [0.5, 0.25, above]
+    assert np.array_equal(np.abs(v), np.eye(6)[:, [2, 0, 3]])
 
 
 def test_state_vector_view():

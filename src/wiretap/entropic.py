@@ -34,7 +34,7 @@ def _entropies(matrices: np.ndarray) -> np.ndarray:
     """
     w = np.linalg.eigvalsh(matrices)
     w = np.where(w > ENTROPY_EIGENVALUE_CUTOFF, w, 1.0)
-    return np.maximum(0.0, -np.sum(w * np.log2(w), axis=-1))
+    return np.maximum(0.0, -(w * np.log2(w)).sum(axis=-1))
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:

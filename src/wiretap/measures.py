@@ -34,9 +34,11 @@ from .qcore import (
     LabeledSpace,
     ValidationError,
     _fresh_label,
+    check_working_bytes,
     partial_trace,
     permute_factors,
     purify,
+    support_eigh,
 )
 
 __all__ = [
@@ -73,29 +75,50 @@ class EpBoundResult:
 
 
 class _ChannelKernel:
-    """Maps (env, d_out, d_in) Kraus stacks on one factor of a bipartite
-    state to the output state on (passthrough, output) and its entropy.
+    """Maps (..., env, d_out, d_in) Kraus stacks on one factor of a
+    bipartite state to the output states on (passthrough, output) and their
+    entropies.
 
-    The twin of ``rates._CqKernel`` for the channel searches: the state is
-    held once as a (pass, in, pass, in) array, and each candidate costs two
-    ``einsum``s and one eigensolve.  It keeps no state between calls.
+    The twin of ``rates._CqKernel`` for the channel searches.  The state is
+    factored once as rho = R R^dagger on its support (``support_eigh``),
+    with R held as an (in, pass * rank) matrix.  A stack of candidates then
+    costs one matmul y = K R, a transpose of y into Z on (pass * out,
+    env * rank), one more matmul omega = Z Z^dagger and one batched
+    eigensolve.  It keeps no state between calls.
     """
 
     def __init__(self, rho: DensityOperator, on: str) -> None:
         (pass_label,) = [lab for lab in rho.space.labels if lab != on]
-        d_pass, d_in = rho.space.dim_of(pass_label), rho.space.dim_of(on)
-        rho_p = permute_factors(rho, [pass_label, on]).matrix
-        self.rho = rho_p.reshape(d_pass, d_in, d_pass, d_in)
+        self.d_pass, self.d_in = rho.space.dim_of(pass_label), rho.space.dim_of(on)
+        w, v = support_eigh(permute_factors(rho, [pass_label, on]).matrix)
+        self.rank = len(w)
+        r = (v * np.sqrt(w)).reshape(self.d_pass, self.d_in, self.rank)
+        self.factor = r.transpose(1, 0, 2).reshape(self.d_in, self.d_pass * self.rank)
+
+    def search_bytes(self, d_out: int) -> int:
+        """Estimated peak bytes of one scored pair of candidates on the top
+        rung, env = d_in * d_out: per candidate, four complex (rows, in)
+        arrays of the Stinespring step (coordinates, matrix, polar factors),
+        y, Z and its adjoint on (rows, pass * rank), and omega with its
+        eigensolver copy."""
+        rows = d_out * self.d_in * d_out
+        per = rows * (4 * self.d_in + 3 * self.d_pass * self.rank) + 2 * (self.d_pass * d_out) ** 2
+        return 2 * 16 * per
 
     def omega(self, kraus: np.ndarray) -> np.ndarray:
-        """sum_e (1 x K_e) rho (1 x K_e)^dagger as a (pass*out, pass*out) matrix."""
-        half = np.einsum("eoa,bacd->beocd", kraus, self.rho)
-        out = np.einsum("beocd,epd->bocp", half, kraus.conj())
-        d = out.shape[0] * out.shape[1]
-        return out.reshape(d, d)
+        """sum_e (1 x K_e) rho (1 x K_e)^dagger as (..., pass*out, pass*out) matrices."""
+        *lead, env, d_out, d_in = kraus.shape
+        n = len(lead)
+        y = kraus.reshape(*lead, env * d_out, d_in) @ self.factor
+        z = y.reshape(*lead, env, d_out, self.d_pass, self.rank).transpose(
+            *range(n), n + 2, n + 1, n, n + 3
+        )
+        z = z.reshape(*lead, self.d_pass * d_out, env * self.rank)
+        return z @ z.conj().swapaxes(-1, -2)
 
-    def entropy(self, kraus: np.ndarray) -> float:
-        return float(_entropies(self.omega(kraus)))
+    def entropy(self, kraus: np.ndarray) -> np.ndarray:
+        """Entropies in bits of the output states, of shape (...)."""
+        return _entropies(self.omega(kraus))
 
 
 def _channel_inits(d_in: int, d_out: int) -> list[np.ndarray]:
@@ -133,9 +156,10 @@ def dense_coding_advantage(
 
     # A channel on Alice's share leaves Bob's marginal, hence S(B), unchanged.
     kernel = _ChannelKernel(zeta_ab, alice)
+    check_working_bytes(kernel.search_bytes(cap), f"the dense-coding search at dim_a_cap {cap}")
     s_b = von_neumann_entropy(partial_trace(zeta_ab, {bob}))
 
-    def objective(kraus: np.ndarray) -> float:
+    def objective(kraus: np.ndarray) -> np.ndarray:
         return s_b - kernel.entropy(kraus)
 
     opt = optimize_channel_functional(
@@ -176,8 +200,10 @@ def entanglement_of_purification(
     in_space = psi.space.subspace([e_label])
     out_space = LabeledSpace.of((f_label, cap))
 
+    kernel = _ChannelKernel(psi_ce, e_label)
+    check_working_bytes(kernel.search_bytes(cap), f"the E_P search at dim_f_cap {cap}")
     opt = optimize_channel_functional(
-        _ChannelKernel(psi_ce, e_label).entropy,
+        kernel.entropy,
         in_space,
         out_space,
         "min",

@@ -37,6 +37,7 @@ from .qcore import (
     LabeledSpace,
     ResourceLimitError,
     ValidationError,
+    check_working_bytes,
 )
 from .rates import (
     FEASIBILITY_THRESHOLD,
@@ -123,32 +124,34 @@ class OptResult:
 
 def _coordinate_search(
     x0: np.ndarray,
-    objective: Callable[[np.ndarray], float],
+    objective: Callable[[np.ndarray], np.ndarray],
     gen: np.random.Generator,
     max_iters: int,
     on_accept: Callable[[int, float], None] | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Greedy single-coordinate random search, maximizing ``objective``."""
+    """Greedy single-coordinate random search, maximizing ``objective``.
+
+    ``objective`` scores a (b, n) stack of points as b values.  Each
+    iteration scores x + delta e_i and x - delta e_i in one call and takes
+    the + step if it improves, else the - step if that improves.
+    """
     x = x0.copy()
-    best = objective(x)
+    best = float(objective(x[None])[0])
     step = STEP_INITIAL
     stall = 0
     for it in range(max_iters):
         idx = int(gen.integers(len(x)))
         delta = step * float(gen.standard_normal())
-        improved = False
-        for sign in (1.0, -1.0):
-            y = x.copy()
-            y[idx] += sign * delta
-            val = objective(y)
-            if val > best:
-                x, best = y, val
-                improved = True
-                if on_accept is not None:
-                    on_accept(it, best)
-                break
-        if improved:
+        pair = np.repeat(x[None], 2, axis=0)
+        pair[0, idx] += delta
+        pair[1, idx] += -delta
+        vals = objective(pair)
+        if vals[0] > best or vals[1] > best:
+            j = 0 if vals[0] > best else 1
+            x, best = pair[j], float(vals[j])
             stall = 0
+            if on_accept is not None:
+                on_accept(it, best)
         else:
             stall += 1
             if stall >= STEP_PATIENCE:
@@ -173,11 +176,11 @@ class _StinespringParam:
         self.size = 2 * self.rows * d_in
 
     def kraus(self, x: np.ndarray) -> np.ndarray:
-        """The polar isometry of ``x`` as an (env, d_out, d_in) Kraus stack."""
-        half = self.rows * self.d_in
-        v = (x[:half] + 1j * x[half:]).reshape(self.rows, self.d_in)
+        """The polar isometry of each (..., size) point, as (..., env, d_out, d_in) Kraus stacks."""
+        half, lead = self.rows * self.d_in, x.shape[:-1]
+        v = (x[..., :half] + 1j * x[..., half:]).reshape(*lead, self.rows, self.d_in)
         u, _, vh = np.linalg.svd(v, full_matrices=False)
-        return (u @ vh).reshape(self.env, self.d_out, self.d_in)
+        return (u @ vh).reshape(*lead, self.env, self.d_out, self.d_in)
 
     def pack(self, kraus: np.ndarray) -> np.ndarray:
         """Coordinates of an (n, d_out, d_in) Kraus stack, zero-padded to env."""
@@ -201,7 +204,7 @@ def _env_ladder(d_in: int, d_out: int) -> list[int]:
 
 
 def _restarts(
-    score: Callable[[np.ndarray], float],
+    score: Callable[[np.ndarray], np.ndarray],
     starts: Sequence[np.ndarray],
     ladder: Sequence[_StinespringParam],
     cfg: OptimizerConfig,
@@ -209,10 +212,11 @@ def _restarts(
 ) -> tuple[_StinespringParam, np.ndarray]:
     """Maximize ``score`` of a Kraus stack; return the best (param, x).
 
-    Restart i draws on the RNG stream (seed, i).  It begins at the Kraus
-    stack ``starts[i]`` on ``ladder[-1]`` while starts remain, and
-    otherwise at a random point, cycling through ``ladder``.  Every
-    accepted step is appended to ``trace``.
+    ``score`` maps an (..., env, d_out, d_in) array of Kraus stacks to
+    values of shape (...).  Restart i draws on the RNG stream (seed, i).
+    It begins at the Kraus stack ``starts[i]`` on ``ladder[-1]`` while
+    starts remain, and otherwise at a random point, cycling through
+    ``ladder``.  Every accepted step is appended to ``trace``.
     """
     best: tuple[float, _StinespringParam, np.ndarray] | None = None
     for restart in range(cfg.restarts):
@@ -242,25 +246,28 @@ def _restarts(
 
 
 def optimize_channel_functional(
-    objective: Callable[[np.ndarray], float],
+    objective: Callable[[np.ndarray], np.ndarray],
     input_space: LabeledSpace,
     output_space: LabeledSpace,
     sense: str,
     cfg: OptimizerConfig,
     inits: Sequence[np.ndarray] = (),
 ) -> OptResult:
-    """Optimize a scalar functional over CPTP maps of a fixed signature.
+    """Optimize a real functional over CPTP maps of a fixed signature.
 
-    ``objective`` takes a channel as an (env, d_out, d_in) stack of Kraus
-    operators.  Stinespring coordinates guarantee feasibility: every
-    parameter vector maps to a valid Kraus stack, and the returned witness
-    is built as a ``QuantumChannel`` (trace preservation checked) once, at
-    the end.  ``inits``, Kraus stacks of at most d_in * d_out operators,
+    ``objective`` scores channels in batches: it maps an (..., env, d_out,
+    d_in) array, each (env, d_out, d_in) slice the Kraus operators of one
+    channel, to an array of values of shape (...).  The search scores the
+    two signs of each coordinate step in one call, with leading shape (2,).
+    Stinespring coordinates guarantee feasibility: every parameter vector
+    maps to a valid Kraus stack, and the returned witness is built as a
+    ``QuantumChannel`` (trace preservation checked) once, at the end.  ``inits``, Kraus stacks of at most d_in * d_out operators,
     seed the first restarts at the full environment dimension; the
     remaining restarts cycle through a ladder of smaller environments
     (Kraus-rank caps), which explore far better while staying inside the
     same channel family.  A final polish pass re-runs the search from the
-    incumbent.  Trace values are the objective's own.
+    incumbent.  Trace values and ``best_value`` are the objective's own,
+    as Python floats.
     """
     if sense not in ("max", "min"):
         raise ValidationError(f"sense must be 'max' or 'min', got {sense!r}")
@@ -268,7 +275,7 @@ def optimize_channel_functional(
     d_in, d_out = input_space.dim, output_space.dim
     ladder = [_StinespringParam(d_in, d_out, e) for e in _env_ladder(d_in, d_out)]
 
-    def score(kraus: np.ndarray) -> float:
+    def score(kraus: np.ndarray) -> np.ndarray:
         return sign * objective(kraus)
 
     trace: list[TracePoint] = []
@@ -310,16 +317,19 @@ def _discrete_weyl(dim: int) -> list[np.ndarray]:
 def _instrument(kraus: np.ndarray, psi: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Members eta_u and probabilities q_u of q_u eta_u = sum_e (K_ue x 1) phi0 (K_ue x 1)^+.
 
-    ``kraus`` is an (env, k * d_sig, r) stack from Alice's share to
-    (U, signal) and ``psi`` phi0's (r, r) amplitude matrix on (share, A').
+    ``kraus`` is an (..., env, k * d_sig, r) stack from Alice's share to
+    (U, signal) and ``psi`` phi0's (r, r) amplitude matrix on (share, A');
+    the members come back as (..., k, d, d) and the q_u as (..., k).
     Since sum K^+ K = 1, the q_u sum to 1 and the average A' marginal is
     phi0's, the resource's.  An outcome with q_u = 0 has a zero member.
     """
-    env, rows, r = kraus.shape
-    v = (kraus.reshape(env * rows, r) @ psi).reshape(env, k, -1).transpose(1, 2, 0)
-    weighted = v @ v.conj().transpose(0, 2, 1)
-    probs = np.trace(weighted, axis1=1, axis2=2).real
-    return weighted / np.where(probs > 0, probs, 1.0)[:, None, None], probs
+    *lead, env, rows, r = kraus.shape
+    n = len(lead)
+    v = (kraus.reshape(*lead, env * rows, r) @ psi).reshape(*lead, env, k, -1)
+    v = v.transpose(*range(n), n + 1, n + 2, n)
+    weighted = v @ v.conj().swapaxes(-1, -2)
+    probs = np.trace(weighted, axis1=-2, axis2=-1).real
+    return weighted / np.where(probs > 0, probs, 1.0)[..., None, None], probs
 
 
 def _weyl_start(k: int, d_sig: int, r: int) -> np.ndarray | None:
@@ -344,8 +354,9 @@ def _basis_start(k: int, d_sig: int, r: int) -> np.ndarray:
 
 
 def _search_instruments(
-    score: Callable[[np.ndarray, np.ndarray], float],
+    score: Callable[[np.ndarray, np.ndarray], np.ndarray],
     rescore: Callable[[CqEnsemble], RateReport],
+    kernel: _CqKernel,
     member_space: LabeledSpace,
     psi: np.ndarray,
     k: int,
@@ -353,14 +364,24 @@ def _search_instruments(
 ) -> OptResult:
     """The instrument search shared by the ensemble optimizers.
 
-    ``score`` maps stacked members and probabilities to the rate.  The
-    first restarts of ``_restarts`` begin at the structured starts (Weyl,
-    then basis), the rest at random coordinates.  The best point becomes an
-    ensemble once, with its q_u = 0 outcomes dropped, and is re-scored by
-    ``rescore``.
+    ``score`` maps (..., k, d, d) members and (..., k) probabilities to
+    rates of shape (...).  The first restarts of ``_restarts`` begin at the
+    structured starts (Weyl, then basis), the rest at random coordinates.
+    The best point becomes an ensemble once, with its q_u = 0 outcomes
+    dropped, and is re-scored by ``rescore``.  A search whose scored pair
+    of candidates would exceed MAX_WORKING_BYTES is refused before any
+    start is built.
     """
     r = len(psi)
     d_sig = member_space.dim // r
+    # Per candidate: four complex arrays of k * d^2 entries in the
+    # Stinespring step (rows * r = k * d^2), five in the instrument (v, its
+    # transposed and conjugated copies, the weighted and the normalized
+    # members), and three (k, side, side) arrays per side through the
+    # Holevo terms (Bob's, Eve's and the A' marginals).
+    sides = kernel.bob_space.dim**2 + kernel.eve_space.dim**2 + r * r
+    need = 2 * 16 * k * (9 * member_space.dim**2 + 3 * sides)
+    check_working_bytes(need, f"an instrument search with {k} outcomes")
     # The environment d_sig * r gives every outcome enough Kraus operators
     # for any map from the share to the signal.
     param = _StinespringParam(r, k * d_sig, d_sig * r)
@@ -401,14 +422,15 @@ def optimize_theorem1(
     member_space = signal_space.tensor(LabeledSpace.of((res.aux_label, r)))
     kernel = _CqKernel(channel, res)
 
-    def score(members: np.ndarray, probs: np.ndarray) -> float:
+    def score(members: np.ndarray, probs: np.ndarray) -> np.ndarray:
         i_bb, i_ee = kernel.bob_eve(members, probs)
-        i_ap = float(_holevo(kernel.reference_marginals(members), probs[None])[0])
-        return i_bb - max(i_ee, i_ap)
+        i_ap = _holevo(kernel.reference_marginals(members), probs)
+        return i_bb - np.maximum(i_ee, i_ap)
 
     return _search_instruments(
         score,
         lambda ens: theorem1_rate(ens, channel, res),
+        kernel,
         member_space,
         res.phi0.state_vector().reshape(r, r),
         cfg.num_labels_max or 2 * signal_space.dim * r,
@@ -420,13 +442,14 @@ def optimize_unassisted(channel: QuantumChannel, cfg: OptimizerConfig) -> OptRes
     """Maximize the plain single-letter wiretap rate over input ensembles."""
     kernel = _CqKernel(channel)
 
-    def score(members: np.ndarray, probs: np.ndarray) -> float:
+    def score(members: np.ndarray, probs: np.ndarray) -> np.ndarray:
         i_b, i_e = kernel.bob_eve(members, probs)
         return i_b - i_e
 
     return _search_instruments(
         score,
         lambda ens: unassisted_rate(ens, channel),
+        kernel,
         channel.input_space,
         np.ones((1, 1)),
         cfg.num_labels_max or 2 * channel.input_space.dim,

@@ -142,17 +142,23 @@ def _stack(states: Sequence[DensityOperator], order: Sequence[str]) -> np.ndarra
 
 
 def _holevo(members: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """S(sum_u q_u rho_u) - sum_u q_u S(rho_u) in bits, per row q of ``probs``.
+    """S(sum_u q_u rho_u) - sum_u q_u S(rho_u) in bits.
 
-    Entropies come from ``entropic._entropies``, one batched eigensolve
-    over [averages; members].  A one-dimensional side is an exact zero, not
-    the rounding of traces that differ from 1 in the last bit.
+    ``members`` is (..., k, d, d) and ``probs`` (..., k); their leading
+    axes broadcast, and so does the result.  Members shared by several
+    rows of ``probs`` have their entropies computed once.  Entropies come
+    from ``entropic._entropies``, one batched eigensolve over [averages;
+    members].  A one-dimensional side is an exact zero, not the rounding
+    of traces that differ from 1 in the last bit.
     """
+    lead = np.broadcast_shapes(members.shape[:-3], probs.shape[:-1])
     if members.shape[-1] == 1:
-        return np.zeros(len(probs))
-    avg = np.einsum("qk,kab->qab", probs, members)
-    s = _entropies(np.concatenate([avg, members]))
-    return s[: len(avg)] - probs @ s[len(avg) :]
+        return np.zeros(lead)
+    d = members.shape[-1]
+    avg = np.einsum("...k,...kab->...ab", probs, members).reshape(-1, d, d)
+    s = _entropies(np.concatenate([avg, members.reshape(-1, d, d)]))
+    s_members = s[len(avg) :].reshape(members.shape[:-2])
+    return s[: len(avg)].reshape(lead) - (probs[..., None, :] @ s_members[..., None])[..., 0, 0]
 
 
 def _side_liouville(kraus: np.ndarray, dims: tuple[int, ...], keep: int) -> np.ndarray:
@@ -198,22 +204,26 @@ class _CqKernel:
         )
 
     def sides(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Bob (B B') and Eve (E E') marginals of the stacked members' outputs."""
-        flat = members.reshape(len(members), -1)
+        """Bob (B B') and Eve (E E') marginals of (..., d, d) stacked members' outputs."""
+        lead = members.shape[:-2]
+        flat = members.reshape(-1, members.shape[-1] ** 2)
         return (
-            (flat @ self.bob_map.T).reshape(len(flat), self.bob_space.dim, -1),
-            (flat @ self.eve_map.T).reshape(len(flat), self.eve_space.dim, -1),
+            (flat @ self.bob_map.T).reshape(*lead, self.bob_space.dim, -1),
+            (flat @ self.eve_map.T).reshape(*lead, self.eve_space.dim, -1),
         )
 
     def reference_marginals(self, members: np.ndarray) -> np.ndarray:
-        """A' marginals of stacked members."""
-        k, d, r = len(members), self.d_signal, members.shape[1] // self.d_signal
-        return np.einsum("ksasb->kab", members.reshape(k, d, r, d, r))
+        """A' marginals of (..., d, d) stacked members."""
+        d, r = self.d_signal, members.shape[-1] // self.d_signal
+        return np.einsum("...sasb->...ab", members.reshape(*members.shape[:-2], d, r, d, r))
 
-    def bob_eve(self, members: np.ndarray, probs: Sequence[float]) -> tuple[float, float]:
-        """(I(U:BB'), I(U:EE')) of the ensemble of stacked members."""
-        q = np.asarray(probs, dtype=float)[None]
-        return tuple(float(_holevo(side, q)[0]) for side in self.sides(members))
+    def bob_eve(
+        self, members: np.ndarray, probs: Sequence[float] | np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(I(U:BB'), I(U:EE')) of (..., k, d, d) members with (..., k) probabilities,
+        each of shape (...)."""
+        q = np.asarray(probs, dtype=float)
+        return tuple(_holevo(side, q) for side in self.sides(members))
 
     def reference_terms(self, members: np.ndarray, probs: np.ndarray) -> tuple[float, float]:
         """(I(U:A'), average-marginal residual) of the ensemble; I(U:A') is an
@@ -222,7 +232,7 @@ class _CqKernel:
         residual = hermitian_trace_norm(np.einsum("k,kab->ab", probs, margs) - self.marginal.matrix)
         if np.all(margs == margs[0]):
             return 0.0, residual
-        return float(_holevo(margs, np.asarray(probs)[None])[0]), residual
+        return float(_holevo(margs, np.asarray(probs))), residual
 
 
 def build_beta(ens: CqEnsemble, u_label: str = "U") -> DensityOperator:
@@ -269,7 +279,7 @@ def theorem1_rate(
     signal = _signal_labels(ens, res, channel)
     kernel = _CqKernel(channel, res)
     members = _stack(ens.states, signal + [res.aux_label])
-    i_u_bb, i_u_ee = kernel.bob_eve(members, ens.probs)
+    i_u_bb, i_u_ee = map(float, kernel.bob_eve(members, ens.probs))
     i_u_aprime, residual = kernel.reference_terms(members, ens.probs)
     rate = i_u_bb - max(i_u_ee, i_u_aprime)
     return RateReport(i_u_bb, i_u_ee, i_u_aprime, rate, residual, mode="theorem1")
@@ -306,7 +316,7 @@ def trivial_rate(
     bigs = [[np.kron(k, eye_aux) for k in mod.kraus] for mod in modulations]
     members = np.stack([sum(b @ res.phi0.matrix @ b.conj().T for b in big) for big in bigs])
     kernel = _CqKernel(channel, res)
-    i_u_bb, i_u_ee = kernel.bob_eve(members, probs)
+    i_u_bb, i_u_ee = map(float, kernel.bob_eve(members, probs))
     residual = kernel.reference_terms(members, probs)[1]
     return RateReport(i_u_bb, i_u_ee, 0.0, i_u_bb - i_u_ee, residual, mode="trivial")
 
@@ -320,7 +330,7 @@ def unassisted_rate(ens: CqEnsemble, channel: QuantumChannel) -> RateReport:
         )
     kernel = _CqKernel(channel)
     members = _stack(ens.states, ens.space.labels)
-    i_u_bb, i_u_ee = kernel.bob_eve(members, ens.probs)
+    i_u_bb, i_u_ee = map(float, kernel.bob_eve(members, ens.probs))
     return RateReport(i_u_bb, i_u_ee, 0.0, i_u_bb - i_u_ee, 0.0, mode="unassisted")
 
 

@@ -602,3 +602,61 @@ def test_code_sim_refuses_ill_typed_config(tmp_path, capsys, cfg):
     )
     assert code == 2
     assert json.loads(err.splitlines()[0])["type"] == "validation"
+
+
+def random_three_qubit_file(tmp_path, seed):
+    gen = np.random.default_rng(seed)
+    v = gen.standard_normal(8) + 1j * gen.standard_normal(8)
+    space = LabeledSpace.of(("A", 2), ("B", 2), ("C", 2))
+    path = tmp_path / "psi.json"
+    save_state(pure_state(space, v / np.linalg.norm(v)), path)
+    return path
+
+
+def test_search_outputs_are_json_with_float_values(tmp_path, capsys):
+    # The searches score candidates in numpy batches; the files and lines the
+    # CLI writes must still parse as JSON, with plain numbers.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"restarts": 2, "max_iters": 30}))
+    state = random_three_qubit_file(tmp_path, 1414)
+    code, out, _ = run_cli(
+        capsys, "resource-analyze", "--state", str(state), "--config", str(cfg_path), "--seed", "2"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert all(type(payload[k]) is float for k in ("delta", "e_p", "s_bprime", "residual"))
+
+    sc_path = tmp_path / "superdense.json"
+    save_scenario(build_gallery("superdense"), sc_path)
+    argv = ["--config", str(cfg_path), "--seed", "2", "--out", str(tmp_path / "opt")]
+    code, out, _ = run_cli(capsys, "rate-optimize", "--scenario", str(sc_path), *argv)
+    assert code == 0
+    payload = json.loads((tmp_path / "opt" / "optresult.json").read_text())
+    assert payload["best_value"] == json.loads(out)["best_value"]
+    assert type(payload["best_value"]) is float
+    assert all(type(row[2]) is float for row in payload["trace"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["resource-analyze", "--dim-a-cap", "4096"],
+        ["resource-analyze", "--dim-f-cap", "4096"],
+        ["rate-optimize", "--scenario", "SUPERDENSE", "--out", "OUT"],
+    ],
+)
+def test_searches_refuse_oversized_requests_with_exit_3(tmp_path, capsys, argv):
+    # Each request's byte estimate is far over the limit: refused, exit 3,
+    # and no output written.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"restarts": 1, "max_iters": 1, "num_labels_max": 10**7}))
+    sc_path = tmp_path / "superdense.json"
+    save_scenario(build_gallery("superdense"), sc_path)
+    paths = {"SUPERDENSE": str(sc_path), "OUT": str(tmp_path / "opt")}
+    argv = [paths.get(a, a) for a in argv]
+    if argv[0] == "resource-analyze":
+        argv += ["--state", str(random_three_qubit_file(tmp_path, 1415))]
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg_path), "--seed", "1")
+    assert code == 3 and not out
+    assert json.loads(err.splitlines()[0])["type"] == "resource-limit"
+    assert not (tmp_path / "opt").exists()

@@ -24,8 +24,10 @@ from conftest import (
     identity_qubit_wiretap,
     random_kraus,
     random_state,
+    random_unitary,
     rng,
 )
+from wiretap import optimize
 from wiretap.channels import (
     CqEnsemble,
     QuantumChannel,
@@ -44,6 +46,7 @@ from wiretap.optimize import (
     OptimizerConfig,
     _discrete_weyl,
     _env_ladder,
+    _instrument,
     _StinespringParam,
     grid_oracle,
     optimize_theorem1,
@@ -457,3 +460,84 @@ def test_channel_inits_equal_public_constructors(d_in, d_out):
     got = _channel_inits(d_in, d_out)
     assert [g.shape for g in got] == [w.shape for w in want]
     assert all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def dusty_delta_shape(gen):
+    """Dense coding on a state whose third eigenvalue, 3e-15, lies below
+    RANK_CUTOFF: the kernel's support factor drops it, so its rank is 2."""
+    u = random_unitary(gen, 4)
+    rho = (u * [0.7, 0.3 - 3e-15, 3e-15, 0.0]) @ u.conj().T
+    zeta = DensityOperator(LabeledSpace.of(("Ap", 2), ("Bp", 2)), rho)
+    return zeta, "Ap", LabeledSpace.of(("A~", 4))
+
+
+STACK_SHAPES = [(shape, rank) for shape in (delta_shape, ep_shape) for rank in (1, 2, 4)]
+
+
+@pytest.mark.parametrize(
+    "make", [lambda gen, s=s, r=r: s(gen, r) for s, r in STACK_SHAPES] + [dusty_delta_shape]
+)
+def test_channel_kernel_scores_stacks_like_single_candidates(make):
+    # A (3, env, d_out, d_in) stack of random candidates on every rung, and the
+    # two structured inits as one stack on the top rung: each slice scores as
+    # its own call does, and as apply + von_neumann_entropy of its channel.
+    gen = rng(1320)
+    state, on, out_space = make(gen)
+    in_space = state.space.subspace([on])
+    d_in, d_out = in_space.dim, out_space.dim
+    kernel = _ChannelKernel(state, on)
+    if make is dusty_delta_shape:
+        assert kernel.rank == 2
+    top = _StinespringParam(d_in, d_out, d_in * d_out)
+    inits = np.stack([top.kraus(top.pack(s)) for s in _channel_inits(d_in, d_out)])
+    for env in _env_ladder(d_in, d_out):
+        param = _StinespringParam(d_in, d_out, env)
+        stacks = [param.kraus(np.stack([param.random(gen) for _ in range(3)]))]
+        if env == top.env:
+            stacks.append(inits)
+        for stack in stacks:
+            values, omegas = kernel.entropy(stack), kernel.omega(stack)
+            assert values.shape == stack.shape[:1]
+            for kraus, value, omega in zip(stack, values, omegas):
+                assert abs(value - kernel.entropy(kraus)) <= 1e-14
+                assert np.abs(omega - kernel.omega(kraus)).max() <= 1e-14
+                ch = QuantumChannel(in_space, out_space, list(kraus), tp_tol=TOL_EQ)
+                reference = apply(ch, state, on=[on])
+                assert np.abs(omega - reference.matrix).max() <= TOL
+                assert abs(value - von_neumann_entropy(reference)) <= TOL
+
+
+@pytest.mark.parametrize("mode", ["theorem1", "unassisted"])
+def test_instrument_scores_on_a_stack_match_rate_rescores(mode, monkeypatch):
+    # The score each ensemble search maximizes, taken on a stack of three
+    # instruments, against the public rate of each instrument's ensemble.
+    ch = random_wiretap(rng(1330), 2, 3, 2)
+    res = random_resource(rng(1331), 8)
+    seen = {}
+    search = optimize._search_instruments
+
+    def capture(score, rescore, kernel, member_space, psi, k, cfg):
+        seen.update(score=score, member_space=member_space, psi=psi, k=k)
+        return search(score, rescore, kernel, member_space, psi, k, cfg)
+
+    monkeypatch.setattr(optimize, "_search_instruments", capture)
+    cfg = OptimizerConfig(seed=1, restarts=1, max_iters=1)
+    if mode == "theorem1":
+        optimize_theorem1(ch, res, cfg)
+    else:
+        optimize.optimize_unassisted(ch, cfg)
+    space, psi, k = seen["member_space"], seen["psi"], seen["k"]
+    r = len(psi)
+    d_sig = space.dim // r
+    param = _StinespringParam(r, k * d_sig, d_sig * r)
+    points = np.stack([param.random(rng(1332 + i)) for i in range(3)])
+    members, probs = _instrument(param.kraus(points), psi, k)
+    values = seen["score"](members, probs)
+    assert values.shape == (3,)
+    for value, stack, q in zip(values, members, probs):
+        ens = CqEnsemble(list(range(k)), q, [DensityOperator(space, m) for m in stack])
+        if mode == "theorem1":
+            want = theorem1_rate(ens, ch, res).rate
+        else:
+            want = unassisted_rate(ens, ch).rate
+        assert abs(value - want) <= TOL

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from conftest import (
     random_unitary,
     rng,
 )
+from wiretap import measures
 from wiretap.channels import apply
 from wiretap.entropic import coherent_information, von_neumann_entropy
 from wiretap.measures import (
@@ -21,10 +24,12 @@ from wiretap.optimize import OptimizerConfig
 from wiretap.qcore import (
     DensityOperator,
     LabeledSpace,
+    ResourceLimitError,
     ValidationError,
     basis_state,
     maximally_entangled,
     partial_trace,
+    permute_factors,
     purify,
     tensor,
 )
@@ -227,3 +232,51 @@ def test_ep_bound_orthogonal_entangled_members():
     want = 0.5 * 1.0 + 0.5 * 1.0 + holevo_information(ens)
     assert res.bound == pytest.approx(want, abs=1e-3)
     assert res.per_member[0] == pytest.approx(1.0, abs=1e-3)
+
+
+def three_qubit_marginals(seed):
+    """The (A, B) and (C, B) marginals of a random pure 3-qubit state."""
+    psi = random_pure_state(rng(seed), LabeledSpace.of(("A", 2), ("B", 2), ("C", 2)))
+    rho_cb = permute_factors(partial_trace(psi, {"C", "B"}), ["C", "B"])
+    return partial_trace(psi, {"A", "B"}), rho_cb
+
+
+def test_measure_values_are_python_floats():
+    zeta_ab, rho_cb = three_qubit_marginals(240)
+    small = cfg(restarts=2, max_iters=20)
+    for result in (
+        dense_coding_advantage(zeta_ab, cfg=small),
+        entanglement_of_purification(rho_cb, cfg=small),
+    ):
+        assert type(result.value) is float
+        assert type(result.diagnostics.best_value) is float
+
+
+@pytest.mark.parametrize("measure", [dense_coding_advantage, entanglement_of_purification])
+def test_channel_searches_refuse_oversized_caps_before_allocating(measure):
+    # At cap 4096 the estimate alone is tens of GiB; the refusal must come
+    # before any start, coordinate or Kraus stack is built.
+    state = three_qubit_marginals(241)[measure is entanglement_of_purification]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="search at dim_._cap 4096 needs"):
+            measure(state, 4096, cfg(restarts=1, max_iters=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("measure", [dense_coding_advantage, entanglement_of_purification])
+def test_channel_search_byte_estimate_covers_the_measured_peak(measure, monkeypatch):
+    state = three_qubit_marginals(242)[measure is entanglement_of_purification]
+    needs = []
+    monkeypatch.setattr(measures, "check_working_bytes", lambda need, what: needs.append(need))
+    for cap in (32, 64):
+        tracemalloc.start()
+        try:
+            measure(state, cap, cfg(restarts=2, max_iters=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= needs[-1] <= 3 * peak

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -13,6 +14,7 @@ from conftest import (
     random_state,
     rng,
 )
+from wiretap import optimize
 from wiretap.channels import (
     CqEnsemble,
     QuantumChannel,
@@ -21,8 +23,13 @@ from wiretap.channels import (
 )
 from wiretap.entropic import von_neumann_entropy
 from wiretap.optimize import (
+    STEP_INITIAL,
+    STEP_MIN,
+    STEP_PATIENCE,
+    STEP_SHRINK,
     GridOracleSpec,
     OptimizerConfig,
+    _coordinate_search,
     _StinespringParam,
     _basis_start,
     _compositions,
@@ -42,8 +49,8 @@ from wiretap.qcore import (
     basis_state,
     tensor,
 )
-from wiretap.rates import marginal_constraint_residual, theorem1_rate
-from wiretap.scenario import correlated_bits_pmf, gallery_classical
+from wiretap.rates import marginal_constraint_residual, theorem1_rate, trivial_rate, unassisted_rate
+from wiretap.scenario import correlated_bits_pmf, gallery_classical, gallery_superdense
 
 A = LabeledSpace.of(("A", 2))
 F = LabeledSpace.of(("F", 2))
@@ -86,6 +93,73 @@ def test_stinespring_param_always_cptp():
         assert kraus.shape == (4, 3, 2)
         total = np.einsum("eoi,eoj->ij", kraus.conj(), kraus)
         assert np.max(np.abs(total - np.eye(2))) <= 1e-10
+
+
+def sequential_search(x0, objective, gen, max_iters):
+    """The coordinate search with one objective call per candidate: x + delta
+    e_i first, then x - delta e_i.  Returns the final x, the accepted
+    (iteration, value) rows, the iterations run, and how many iterations had
+    both signs improving (where the order of the two tries decides)."""
+    x = x0.copy()
+    best = objective(x[None])[0]
+    step, stall, rows, both = STEP_INITIAL, 0, [], 0
+    for it in range(max_iters):
+        idx = int(gen.integers(len(x)))
+        delta = step * float(gen.standard_normal())
+        improved = False
+        for sign in (1.0, -1.0):
+            y = x.copy()
+            y[idx] += sign * delta
+            val = objective(y[None])[0]
+            if val > best:
+                minus = x.copy()
+                minus[idx] -= delta
+                both += sign > 0 and objective(minus[None])[0] > best
+                x, best = y, val
+                improved = True
+                rows.append((it, best))
+                break
+        if improved:
+            stall = 0
+        else:
+            stall += 1
+            if stall >= STEP_PATIENCE:
+                step *= STEP_SHRINK
+                stall = 0
+                if step < STEP_MIN:
+                    break
+    return x, rows, it + 1, both
+
+
+def bumpy(xs: np.ndarray) -> np.ndarray:
+    """A fixed smooth function of each row of ``xs``, with local minima where
+    both signs of a step improve."""
+    return np.sum(np.cos(3.0 * xs) - 0.05 * xs**2, axis=-1)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_coordinate_search_pairs_keep_the_sequential_rule(seed):
+    # Scoring both signs in one call takes + when it improves and - only
+    # otherwise, exactly as one call per sign did.  Near pi/3 every
+    # coordinate starts close to a minimum of cos(3x), where both improve.
+    x0 = np.pi / 3 + 0.05 * rng(seed).standard_normal(6)
+    want_x, want_rows, iterations, both = sequential_search(x0, bumpy, rng(100 + seed), 2000)
+    assert both > 0  # the order of the two tries matters in this run
+
+    batches, rows = [], []
+
+    def counted(xs):
+        batches.append(len(xs))
+        return bumpy(xs)
+
+    x, best = _coordinate_search(
+        x0, counted, rng(100 + seed), 2000, on_accept=lambda it, v: rows.append((it, v))
+    )
+    assert rows == want_rows
+    assert x.tobytes() == want_x.tobytes()
+    assert best == want_rows[-1][1]
+    assert len(batches) == 1 + iterations
+    assert batches[0] == 1 and set(batches[1:]) == {2}
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +290,11 @@ def test_optimizer_monotone_in_restarts():
 
 def test_optimize_channel_functional_constant_objective():
     out = optimize_channel_functional(
-        lambda kraus: 0.75, A, F, "max", small_cfg(seed=31, max_iters=30)
+        lambda kraus: np.full(kraus.shape[:-3], 0.75),
+        A,
+        F,
+        "max",
+        small_cfg(seed=31, max_iters=30),
     )
     assert out.best_value == 0.75
     assert out.best_channel is not None
@@ -233,9 +311,11 @@ def test_optimize_channel_functional_refuses_ill_fitting_inits(shape):
 
 def test_optimize_channel_functional_max_output_entropy():
     # max over channels of S(T(|0><0|)) = 1, at any channel with mixed output.
-    def objective(kraus: np.ndarray) -> float:
-        col = kraus[:, :, 0]  # K_e |0>, one row per Kraus operator
-        return von_neumann_entropy(DensityOperator(F, col.T @ col.conj(), validate=False))
+    def objective(kraus: np.ndarray) -> np.ndarray:
+        col = kraus[..., 0]  # K_e |0>, one row per Kraus operator
+        outs = (col.swapaxes(-1, -2) @ col.conj()).reshape(-1, F.dim, F.dim)
+        values = [von_neumann_entropy(DensityOperator(F, m, validate=False)) for m in outs]
+        return np.reshape(values, kraus.shape[:-3])
 
     out = optimize_channel_functional(
         objective,
@@ -248,14 +328,15 @@ def test_optimize_channel_functional_max_output_entropy():
     assert out.best_value <= 1.0 + 1e-12
 
 
-def population_of_zero(kraus: np.ndarray) -> float:
-    """<0|T(rho)|0> for rho = diag(0.7, 0.3) and T the channel with Kraus stack ``kraus``.
+def population_of_zero(kraus: np.ndarray) -> np.ndarray:
+    """<0|T(rho)|0> for rho = diag(0.7, 0.3) and T each channel of an
+    (..., env, d_out, d_in) stack of Kraus stacks.
 
     It lies in [0, 1] and, unlike an entropy, moves under unitaries too, so
     every rung of the environment ladder can improve it in both senses.
     """
-    row = kraus[:, 0, :]  # <0|K_e, one row per Kraus operator
-    return float(np.sum(np.abs(row) ** 2 * np.array([0.7, 0.3])))
+    row = kraus[..., 0, :]  # <0|K_e, one row per Kraus operator
+    return np.sum(np.abs(row) ** 2 * np.array([0.7, 0.3]), axis=(-2, -1))
 
 
 @pytest.mark.parametrize("sense", ["max", "min"])
@@ -275,6 +356,60 @@ def test_optimize_channel_functional_trace_semantics(sense):
     for values in by_restart.values():
         assert all(better(b, a) for a, b in zip(values, values[1:]))
     assert by_restart[cfg.restarts][-1] == out.best_value
+
+
+def test_public_results_are_python_floats():
+    # The searches score candidates in numpy batches; what they report must
+    # still be plain floats, or the CLI's JSON writer refuses it.
+    sc = gallery_superdense()
+    res = sc.resource_state()
+    cfg = small_cfg(seed=43, restarts=2, max_iters=20)
+    outs = [optimize_theorem1(sc.channel, res, cfg), optimize_unassisted(sc.channel, cfg)]
+    reports = [out.report for out in outs] + [
+        theorem1_rate(sc.ensemble, sc.channel, res),
+        trivial_rate(sc.modulation_distribution(), sc.modulations, sc.channel, res),
+        unassisted_rate(outs[1].best_ensemble, sc.channel),
+    ]
+    for rep in reports:
+        fields = (rep.i_u_bb, rep.i_u_ee, rep.i_u_aprime, rep.rate, rep.constraint_residual)
+        assert all(type(v) is float for v in fields), (rep.mode, fields)
+    outs.append(optimize_channel_functional(population_of_zero, A, F, "min", cfg))
+    for out in outs:
+        assert type(out.best_value) is float
+        assert all(type(p.value) is float for p in out.trace)
+
+
+@pytest.mark.parametrize("mode", ["theorem1", "unassisted"])
+def test_instrument_searches_refuse_oversized_outcome_counts_before_allocating(mode):
+    sc = gallery_superdense()
+    res = sc.resource_state()
+    cfg = small_cfg(num_labels_max=10**7, restarts=1, max_iters=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="instrument search with 10000000 outcomes"):
+            if mode == "theorem1":
+                optimize_theorem1(sc.channel, res, cfg)
+            else:
+                optimize_unassisted(sc.channel, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_instrument_search_byte_estimate_covers_the_measured_peak(monkeypatch):
+    sc = gallery_superdense()
+    res = sc.resource_state()
+    needs = []
+    monkeypatch.setattr(optimize, "check_working_bytes", lambda need, what: needs.append(need))
+    for k in (512, 1024):
+        tracemalloc.start()
+        try:
+            optimize_theorem1(sc.channel, res, small_cfg(num_labels_max=k, restarts=2, max_iters=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= needs[-1] <= 3 * peak
 
 
 def test_grid_oracle_identity_channel():

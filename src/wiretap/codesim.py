@@ -21,7 +21,8 @@ order, so every bin average is bit for bit the one a per-codeword
 ``np.kron`` chain gives.  A dense Bob side whose M*S codewords span fewer
 product vectors than its block dimension (M*S*r^n < d^n, with r the
 largest one-letter rank) is instead decoded from the Gram matrix of those
-vectors (``_gram_pgm_error``), and its bin averages are never built.  The
+vectors (``_gram_pgm_error``); other dense Bob sides are decoded from the
+support eigenpairs of the average (``_pgm_error``), building no POVM.  The
 dense signal-side averages are built and repaired
 (``marginal_residual_and_fixup``) only when some member's A' marginal
 differs from the resource's; otherwise every bin's marginal is the target
@@ -79,6 +80,10 @@ MAX_DIM = 4096
 WORD_CAP = 50_000_000
 # Bytes of codeword products one ``_products`` call of ``_bin_average`` builds.
 SLAB_BYTES = 512 * 2**10
+# Bin-sized arrays that read the M bin averages, solver buffers included (measured).
+PGM_ARRAYS = 5
+REPAIR_ARRAYS = 10
+TRACE_NORM_ARRAYS = 2
 
 
 def _round_half_up(x: float) -> int:
@@ -221,7 +226,7 @@ def pgm_decoder(states: Sequence[DensityOperator]) -> list[np.ndarray]:
 
     Elements are avg^{-1/2} (rho_m / M) avg^{-1/2} with the inverse square
     root taken on the support of the average state (``support_eigh``);
-    they sum to the support projector (<= identity).
+    they sum to the support projector (<= identity); the reference for code-sim's PGM.
     """
     if not states:
         raise ValidationError("pgm_decoder needs at least one state")
@@ -233,7 +238,7 @@ def pgm_decoder(states: Sequence[DensityOperator]) -> list[np.ndarray]:
 
 
 def pgm_success(states: Sequence[DensityOperator], povm: Sequence[np.ndarray]) -> float:
-    """Success probability (1/M) sum_m Tr(rho_m D_m)."""
+    """Success probability (1/M) sum_m Tr(rho_m D_m); the reference for code-sim's PGM."""
     p = 1.0 / len(states)
     total = sum(float(np.real(np.trace(s.matrix @ d))) * p for s, d in zip(states, povm))
     return min(max(total, 0.0), 1.0)
@@ -309,6 +314,7 @@ def _bin_average(matrices: list[np.ndarray], words: np.ndarray) -> np.ndarray:
         for s in range(1, s_count):
             acc += prods[:, s]
         acc /= s_count
+        del prods  # freed before the next slab is folded
     return out
 
 
@@ -327,15 +333,15 @@ def _gram_bytes(count: int, size: int, n: int) -> int:
     return count * count * n * 8 + 5 * size * size * 16
 
 
-def _check_bytes(n: int, M: int, S: int, sides: list[tuple[int, int]], other: int = 0) -> None:
+def _check_bytes(n: int, M: int, S: int, sides: list[tuple], other: int = 0, held: int = 0) -> None:
     """Refuse block length n if its peak, in bytes, exceeds MAX_WORKING_BYTES.
 
-    A side (k, size) holds k*M arrays of ``size`` bytes while it folds one slab
-    of codeword products, the larger of SLAB_BYTES and one bin's S products,
-    with a temporary of that size.  ``other`` is a peak outside the sides.
+    A side (k, size) holds M + k arrays of ``size`` bytes and folds one slab of
+    codeword products, the larger of SLAB_BYTES and one bin's S products, with
+    a smaller temporary.  ``other`` is a peak outside the sides; ``held`` stays.
     """
-    need = max([other] + [k * M * size + 2 * max(S * size, SLAB_BYTES) for k, size in sides])
-    check_working_bytes(need, f"block length {n} (M = {M})")
+    need = max([other] + [(M + k) * size + 2 * max(S * size, SLAB_BYTES) for k, size in sides])
+    check_working_bytes(held + need, f"block length {n} (M = {M})")
 
 
 def _eve_outputs(
@@ -360,11 +366,12 @@ def leakage(
     """Average and worst-case trace norm between Eve's per-message states
     and the block-length power of the one-letter Eve marginal.
 
-    Refused, before any bin average is built, over the dimension cap or
-    MAX_WORKING_BYTES.
+    The reference for code-sim's leakage.  Refused, before any bin average
+    is built, over the dimension cap or MAX_WORKING_BYTES.
     """
     eve_mats, reference = _eve_outputs(ens, channel, res, codebook.n)
-    _check_bytes(codebook.n, codebook.M, codebook.S, [(1, _bin_bytes(eve_mats, codebook.n))])
+    size = _bin_bytes(eve_mats, codebook.n)
+    _check_bytes(codebook.n, codebook.M, codebook.S, [(TRACE_NORM_ARRAYS, size)], held=size)
     dists = [hermitian_trace_norm(b - reference) for b in _bin_average(eve_mats, codebook.words)]
     return LeakageStats(average=float(np.mean(dists)), per_message_max=float(np.max(dists)))
 
@@ -390,11 +397,11 @@ def marginal_residual_and_fixup(
             f"signal-side dimension {d_mem}^{n} = {d_mem**n} exceeds cap {MAX_DIM}"
         )
     member_mats = [s.matrix for s in ens.states]
-    _check_bytes(n, codebook.M, codebook.S, [(1, _bin_bytes(member_mats, n))])
+    _check_bytes(n, codebook.M, codebook.S, [(REPAIR_ARRAYS, _bin_bytes(member_mats, n))])
     member_space_n = _power_space(ens.space, n)
-    aux_labels = [f"{res.aux_label}@{i}" for i in range(n)]
+    aux = [f"{res.aux_label}@{i}" for i in range(n)]
     target_space = _power_space(res.zeta_marginal.space, n).relabeled(
-        {f"{res.alice_label}@{i}": aux_labels[i] for i in range(n)}
+        {f"{res.alice_label}@{i}": aux[i] for i in range(n)}
     )
     target = DensityOperator(
         target_space, _power(res.zeta_marginal.matrix, n), validate=False
@@ -402,10 +409,9 @@ def marginal_residual_and_fixup(
     residuals, costs = [], []
     for avg_mat in _bin_average(member_mats, codebook.words):
         eta_tilde = DensityOperator(member_space_n, avg_mat, validate=False)
-        marg = partial_trace(eta_tilde, set(aux_labels))
+        marg = partial_trace(eta_tilde, set(aux))
         residuals.append(hermitian_trace_norm(marg.matrix - target.matrix))
-        eta = uhlmann_fixup(eta_tilde, target, aux_labels)
-        costs.append(hermitian_trace_norm(eta.matrix - eta_tilde.matrix))
+        costs.append(hermitian_trace_norm(uhlmann_fixup(eta_tilde, target, aux).matrix - avg_mat))
     residual = float(np.mean(residuals))
     cost = float(np.mean(costs))
     if cost > 4.0 * math.sqrt(residual) + 1e-9:
@@ -447,15 +453,17 @@ def _mean_distance(side: list[np.ndarray], words: np.ndarray, reference: np.ndar
 def _pgm_error(bins: np.ndarray) -> float:
     """Decoding error of the PGM on equiprobable bin states.
 
-    For diagonals (commuting states) the PGM elements are the likelihood
-    ratios p v_m / avg on the support of the average, and the success
-    probability is the expression ``pgm_success`` evaluates on matrices.
+    With R = V diag(w^-1/4) from the average's support eigenpairs (R R^dagger
+    its inverse root), ``pgm_success`` of ``pgm_decoder`` is (1/M^2) sum_m
+    ||R^dagger rho_m R||_F^2.  For diagonals (commuting states) the PGM elements
+    are the likelihood ratios p v_m / avg on the support of the average.
     """
-    if bins.ndim == 3:
-        space = LabeledSpace.of(("B", bins.shape[1]))
-        states = [DensityOperator(space, m, validate=False) for m in bins]
-        return 1.0 - pgm_success(states, pgm_decoder(states))
     prior = 1.0 / len(bins)
+    if bins.ndim == 3:
+        w, r = support_eigh(sum(bins) * prior)
+        r *= w**-0.25
+        succ = sum(np.linalg.norm(r.conj().T @ b @ r) ** 2 for b in bins) * prior**2
+        return 1.0 - min(max(float(succ), 0.0), 1.0)
     avg = sum(bins) * prior
     mask = avg > 0.0
     ratio = prior * bins
@@ -559,17 +567,16 @@ def run_experiment(
         if factors is not None and params.M * params.S * factors.shape[2] ** n < sizes["bob"]:
             gram = params.M * params.S * factors.shape[2] ** n
         grams.append(gram)
-        # Peak: the M bin averages of one side, plus M PGM elements (or
-        # likelihood ratios) on Bob's side; a repair holds M dense signal-side
-        # averages.  Each side also folds one slab of codeword products
+        # Peak: one side's M bin averages and what reads them (a diagonal PGM
+        # holds M likelihood ratios), with Eve's reference held throughout
         # (_check_bytes).  A Gram Bob side builds no bin average (_gram_bytes).
-        sides = [(1, _bin_bytes(eve, n))]
+        sides = [(TRACE_NORM_ARRAYS, _bin_bytes(eve, n))]
         if gram is None:
-            sides.append((2, _bin_bytes(bob, n)))
+            sides.append((PGM_ARRAYS if bob[0].ndim == 2 else params.M + 2, _bin_bytes(bob, n)))
         if repairs:
-            sides.append((1, sizes["signal"] ** 2 * 16))
+            sides.append((REPAIR_ARRAYS, sizes["signal"] ** 2 * 16))
         other = 0 if gram is None else _gram_bytes(params.M * params.S, gram, n)
-        _check_bytes(n, params.M, params.S, sides, other)
+        _check_bytes(n, params.M, params.S, sides, other, held=sides[0][1])
 
     reports = []
     for n, params, gram in zip(n_list, all_params, grams):

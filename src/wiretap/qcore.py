@@ -353,10 +353,11 @@ def uhlmann_fixup(
         || eta - eta_tilde ||_1  <=  2 sqrt(2 d - d^2),
 
     where d is the trace distance between the current and target marginals.
-    Construction: purify ``eta_tilde``, pick the purification of the target
-    marginal (on the non-marginal factors plus an auxiliary) that maximizes
-    the overlap -- the maximizing unitary comes from the polar decomposition
-    of the overlap matrix -- and trace the auxiliary back out.
+    Construction: M, the (d_l, K = d_r d_aux) amplitudes of eta_tilde's
+    purification, zero-padded to d_aux = max(rank, ceil(d_l / d_r)) so that
+    K >= d_l; the thin SVD sqrt(sigma) M = P S Q^dagger gives the target's
+    purification N = sqrt(sigma) P Q^dagger closest to it (Uhlmann), and
+    tracing the auxiliary out of N gives eta.  O(d_l^2 K) time, O(d_l K) memory.
     """
     labels = list(dict.fromkeys(marginal_labels))
     sub = eta_tilde.space.subspace(labels)
@@ -378,20 +379,11 @@ def uhlmann_fixup(
 
     w, v = support_eigh(eta_p.matrix)
     mu, u = support_eigh(target_marginal.matrix)
-    d_aux = max(len(w), -(-len(mu) // d_r))  # ceil(len(mu) / d_r)
-
-    # |psi~> and the canonical purification of the target, each zero-padded
-    # to a (d_l, d_r * d_aux) coefficient matrix on the same right-hand space.
+    d_aux = max(len(w), -(-d_l // d_r))  # ceil(d_l / d_r)
     m_coeff = np.pad(v * np.sqrt(w), ((0, 0), (0, d_aux - len(w)))).reshape(d_l, d_r * d_aux)
-    n0 = np.pad(u * np.sqrt(mu), ((0, 0), (0, d_r * d_aux - len(mu))))
-
-    # Uhlmann alignment: maximize |Tr(A W)| over unitaries W.
-    a = m_coeff.conj().T @ n0
-    us, _, vs = np.linalg.svd(a)
-    w_align = vs.conj().T @ us.conj().T
-    n = n0 @ w_align
-
-    phi = n.reshape(d_l * d_r, d_aux)
+    sqrt_sigma = (u * np.sqrt(mu)) @ u.conj().T
+    p, _, qh = np.linalg.svd(sqrt_sigma @ m_coeff, full_matrices=False)
+    phi = (sqrt_sigma @ p @ qh).reshape(d_l * d_r, d_aux)
     eta_fixed = DensityOperator(eta_p.space, phi @ phi.conj().T, validate=False)
     return permute_factors(eta_fixed, eta_tilde.space.labels)
 

@@ -182,15 +182,17 @@ def lift_to_reference(ens: CqEnsemble, aux_label: str = "App") -> CqEnsemble:
     return CqEnsemble(ens.labels, ens.probs, [tensor(s, one) for s in ens.states])
 
 
-def noisy_superdense(visibility: float = 0.9) -> Scenario:
-    """The superdense gallery with its Bell pair mixed with white noise.
+def noisy_superdense(visibility: float = 0.9, noise: np.ndarray | None = None) -> Scenario:
+    """The superdense gallery with its Bell pair mixed with full-rank noise.
 
     Bob's one-letter outputs are then full rank, so no codebook spans fewer
     product vectors than his block space and code-sim decodes him densely.
+    White noise (the default) keeps them Bell-diagonal, so they commute;
+    noise that is not Bell-diagonal makes them non-commuting.
     """
     sc = gallery_superdense()
     bell = maximally_entangled("Ap", "Bp", 2)
-    noise = (1 - visibility) * np.eye(4) / 4
-    werner = DensityOperator(bell.space, visibility * bell.matrix + noise)
+    noise = np.eye(4) / 4 if noise is None else noise
+    werner = DensityOperator(bell.space, visibility * bell.matrix + (1 - visibility) * noise)
     resource = tensor(werner, basis_state(LabeledSpace.of(("Ep", 1)), [0]))
     return Scenario("noisy-superdense", "test instance", sc.channel, resource, sc.ensemble)

@@ -496,9 +496,9 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_code_sim_refuses_oversized_dense_run(tmp_path, capsys, monkeypatch):
-    # Superdense with a noisy Bell pair at n = 5 passes the dimension cap
-    # (4^5 = 1024 per side), but Bob's outputs are full rank, so there is no
-    # smaller Gram matrix, and its 90 dense bin averages would need ~2.8 GiB:
+    # Superdense with a noisy Bell pair at n = 6 passes the dimension cap
+    # (4^6 = 4096 per side), but Bob's outputs are full rank, so there is no
+    # smaller Gram matrix, and its 220 dense bin averages would need ~57 GiB:
     # refused before allocating.
     import wiretap.codesim
 
@@ -510,7 +510,7 @@ def test_code_sim_refuses_oversized_dense_run(tmp_path, capsys, monkeypatch):
     sc_path = tmp_path / "noisy-superdense.json"
     save_scenario(noisy_superdense(), sc_path)
     cfg_path = tmp_path / "sim.json"
-    cfg_path.write_text(json.dumps({"n": [5], "epsilon": 0.1, "trials": 1}))
+    cfg_path.write_text(json.dumps({"n": [6], "epsilon": 0.1, "trials": 1}))
     code, _, err = run_cli(
         capsys, "code-sim", "--scenario", str(sc_path), "--config", str(cfg_path),
         "--seed", "1", "--out", str(tmp_path),

@@ -287,11 +287,21 @@ def test_run_experiment_determinism_and_report_shape():
 
 def test_run_experiment_diagonal_matches_dense_path():
     # Recompute each trial on dense matrices and compare: the classical
-    # gallery runs every side on diagonals, the superdense one runs Bob on
-    # matrices and Eve and the marginals on diagonals.
+    # gallery runs every side on diagonals, the superdense one decodes Bob
+    # from a Gram matrix and runs Eve and the marginals on diagonals, and the
+    # noisy superdense ones decode Bob's full-rank bin averages densely: with
+    # white noise his outputs are Bell-diagonal and commute, with an X x Z
+    # term in the noise they do not (its marginals stay I/2, so no repair).
     from wiretap.codesim import _bin_average, _member_outputs, _trial_seed
 
-    for sc, rate in ((gallery_classical(), 0.3), (gallery_superdense(), 1.5)):
+    x_z = np.kron([[0, 1], [1, 0]], [[1, 0], [0, -1]])
+    scenarios = (
+        (gallery_classical(), 0.3),
+        (gallery_superdense(), 1.5),
+        (noisy_superdense(), 1.5),
+        (noisy_superdense(noise=(np.eye(4) + 0.5 * x_z) / 4), 1.5),
+    )
+    for sc, rate in scenarios:
         res = sc.resource_state()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -309,7 +319,7 @@ def test_run_experiment_diagonal_matches_dense_path():
                 ]
                 lam_dense.append(1.0 - pgm_success(bins, pgm_decoder(bins)))
                 mu_dense.append(leakage(cb, sc.ensemble, sc.channel, res).average)
-            assert rep.lambda_hat == pytest.approx(np.mean(lam_dense), abs=1e-9)
+            assert rep.lambda_trials == pytest.approx(lam_dense, abs=1e-13)
             assert rep.mu_hat == pytest.approx(np.mean(mu_dense), abs=1e-9)
             assert rep.marginal_residual <= 1e-12 and rep.fixup_cost == 0.0
 
@@ -449,22 +459,25 @@ def test_run_experiment_refuses_by_bytes_before_allocating(monkeypatch):
 
     monkeypatch.setattr(codesim, "_bin_average", no_alloc)
     monkeypatch.setattr(codesim, "_gram_pgm_error", no_alloc)
-    # Bob's outputs are full rank, so the Gram matrix (M * 4^5 vectors) is no
-    # smaller than his 1024-dimensional block space: 2 * M = 180 dense Bob
-    # averages plus 2 * S = 2 products, 16 MiB each, need ~2.8 GiB.
+    # Bob's outputs are full rank, so the Gram matrix (M * S * 4^6 vectors) is
+    # no smaller than his 4096-dimensional block space: M = 220 dense Bob
+    # averages, 5 PGM arrays and 2 * S = 4 products, 0.25 GiB each, need
+    # 229 * 0.25 = 57.25 GiB (and a few bytes of Eve's reference).
     sc = noisy_superdense()
-    assert code_parameters(sc.ensemble, sc.channel, sc.resource_state(), 5, 0.1).M == 90
-    with pytest.raises(ResourceLimitError, match="2.8 GiB"):
-        run_experiment(sc, [5], 0.1, trials=1, seed=1)
+    params = code_parameters(sc.ensemble, sc.channel, sc.resource_state(), 6, 0.1)
+    assert (params.M, params.S) == (220, 2)
+    with pytest.raises(ResourceLimitError, match="57.3 GiB"):
+        run_experiment(sc, [6], 0.1, trials=1, seed=1)
     # The same block length also stops a list that starts with a small one.
-    with pytest.raises(ResourceLimitError, match="block length 5"):
-        run_experiment(sc, [1, 5], 0.1, trials=1, seed=1)
+    with pytest.raises(ResourceLimitError, match="block length 6"):
+        run_experiment(sc, [1, 6], 0.1, trials=1, seed=1)
 
 
 def test_run_experiment_counts_repair_bytes_on_diagonal_instance(monkeypatch):
     # Diagonal sides need 2 MiB at n = 6, but the members' A' marginals differ
     # from the resource's, so a repair would build 64 dense 4096^2 averages
-    # (0.25 GiB each) plus 2 * S = 10 products: 74 * 0.25 = 18.5 GiB.
+    # (0.25 GiB each), 10 repair arrays and 2 * S = 10 products:
+    # 84 * 0.25 = 21.0 GiB.
     import wiretap.codesim as codesim
     from wiretap.scenario import Scenario
 
@@ -476,7 +489,7 @@ def test_run_experiment_counts_repair_bytes_on_diagonal_instance(monkeypatch):
     ens, res = avg_constrained_ensemble()
     sc = Scenario("avg", "test instance", gallery_classical().channel, res.zeta, ens)
     assert code_parameters(ens, sc.channel, sc.resource_state(), 6, 0.1, rate=1.0).M == 64
-    with pytest.raises(ResourceLimitError, match="18.5 GiB"):
+    with pytest.raises(ResourceLimitError, match="21.0 GiB"):
         run_experiment(sc, [6], 0.1, trials=1, seed=1, rate=1.0)
 
 
@@ -496,23 +509,101 @@ def _forbid_bin_averages(monkeypatch):
 
 
 def test_marginal_residual_refuses_by_bytes(monkeypatch):
-    # Signal side 4^6 = 4096 passes the dimension cap; 64 dense averages plus
-    # 2 * S = 2 products, 0.25 GiB each, need 66 * 0.25 = 16.5 GiB.
+    # Signal side 4^6 = 4096 passes the dimension cap; 64 dense averages, 10
+    # repair arrays and 2 * S = 2 products, 0.25 GiB each, need
+    # 76 * 0.25 = 19.0 GiB.
     _forbid_bin_averages(monkeypatch)
     ens, res = avg_constrained_ensemble()
     cb = sample_codebook(ens, n=6, M=64, S=1, seed=1)
-    with pytest.raises(ResourceLimitError, match="16.5 GiB"):
+    with pytest.raises(ResourceLimitError, match="19.0 GiB"):
         marginal_residual_and_fixup(cb, ens, res)
 
 
 def test_leakage_refuses_by_bytes(monkeypatch):
-    # Eve side 2^12 = 4096 passes the dimension cap; 16 dense averages plus
-    # 2 * S = 2 products, 0.25 GiB each, need 18 * 0.25 = 4.5 GiB.
+    # Eve side 2^12 = 4096 passes the dimension cap; the reference, 16 dense
+    # averages, 2 trace-norm arrays and 2 * S = 2 products, 0.25 GiB each,
+    # need 21 * 0.25 = 5.25 GiB.
     _forbid_bin_averages(monkeypatch)
     sc = gallery_classical()
     cb = sample_codebook(sc.ensemble, n=12, M=16, S=1, seed=1)
-    with pytest.raises(ResourceLimitError, match="4.5 GiB"):
+    with pytest.raises(ResourceLimitError, match="5.2 GiB"):
         leakage(cb, sc.ensemble, sc.channel, sc.resource_state())
+
+
+def full_rank_repair_scenario():
+    """Full-rank members diag(sigma_u x tau_u) on (A 2, App 2), sigma_0 =
+    (0.9, 0.1) and tau_0 = (0.7, 0.3), swapped for u = 1, on the classical
+    channel with the correlated-bits resource.  Their A' marginals are not
+    the resource's, so every bin is repaired, on a full-rank state."""
+    from wiretap.scenario import Scenario
+
+    sc = gallery_classical(correlated_bits_pmf())
+    space = LabeledSpace.of(("A", 2), ("App", 2))
+    sigma, tau = np.array([0.9, 0.1]), np.array([0.7, 0.3])
+    members = [
+        DensityOperator(space, np.diag(np.kron(s, t)).astype(complex))
+        for s, t in ((sigma, tau), (sigma[::-1], tau[::-1]))
+    ]
+    ens = CqEnsemble([0, 1], [0.5, 0.5], members)
+    return Scenario("full-rank-repair", "test instance", sc.channel, sc.resource, ens)
+
+
+def _estimate_cases():
+    """Per code-sim branch: a call at block length n, and the n it is audited at."""
+    classical, repair = gallery_classical(), full_rank_repair_scenario()
+
+    def experiment(sc, rate):
+        return lambda n: run_experiment(sc, [n], 0.1, trials=1, seed=1, rate=rate)
+
+    def leakage_at(n):
+        cb = sample_codebook(classical.ensemble, n, 8, 2, seed=1)
+        return leakage(cb, classical.ensemble, classical.channel, classical.resource_state())
+
+    def marginal_at(n):
+        cb = sample_codebook(repair.ensemble, n, 8, 2, seed=1)
+        return marginal_residual_and_fixup(cb, repair.ensemble, repair.resource_state())
+
+    return {
+        "diagonal": (experiment(classical, 0.3), 8),
+        "gram": (experiment(gallery_superdense(), 1.5), 4),
+        "dense-bob": (experiment(noisy_superdense(), None), 4),
+        "repair": (experiment(repair, 1.0), 3),
+        "leakage": (leakage_at, 8),
+        "marginal": (marginal_at, 4),
+    }
+
+
+@pytest.mark.parametrize("case", list(_estimate_cases()))
+def test_byte_estimate_covers_the_traced_peak(case, monkeypatch):
+    # Each estimate passed to check_working_bytes must cover what its call
+    # allocates: the tracemalloc peak may exceed it only by 1 MiB of one-letter
+    # objects and interpreter state.  A warm-up at n = 1 keeps first-call
+    # allocations out of the measured one.
+    import tracemalloc
+
+    import wiretap.codesim as codesim
+
+    needs, check = [], codesim.check_working_bytes
+
+    def recording(need, what):
+        needs.append(need)
+        check(need, what)
+
+    monkeypatch.setattr(codesim, "check_working_bytes", recording)
+    call, n = _estimate_cases()[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        call(1)
+        needs.clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call(n)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert needs
+    assert peak <= max(needs) + 2**20, (peak / 2**20, max(needs) / 2**20)
 
 
 def _kron_chain_bin_average(matrices, words):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    ginibre,
     is_pure,
     maximally_mixed,
     pure_state,
@@ -288,16 +289,24 @@ def test_uhlmann_fixup_middle_factor_and_rank_deficient():
     assert hermitian_trace_norm(eta.matrix - eta_tilde.matrix) <= budget + 1e-9
 
 
-@pytest.mark.parametrize("d_l, d_r", [(4, 2), (6, 2)])
-def test_uhlmann_fixup_pads_the_aux_factor(d_l, d_r):
+@pytest.mark.parametrize(
+    "d_l, d_r, mixed",
+    [
+        pytest.param(4, 2, False, id="4-2"),
+        pytest.param(6, 2, False, id="6-2"),
+        pytest.param(4, 2, True, id="4-2-mixed"),
+    ],
+)
+def test_uhlmann_fixup_pads_the_aux_factor(d_l, d_r, mixed):
     # A pure eta_tilde and a full-rank target of rank d_l > d_r * rank(eta_tilde)
     # need an aux factor larger than eta_tilde's rank: the repaired state is
     # mixed, and its fidelity with eta_tilde is the marginals' fidelity
-    # (Uhlmann), not only within the trace-norm budget.
+    # (Uhlmann), not only within the trace-norm budget.  A full-rank mixed
+    # eta_tilde needs no padding and meets the same contract.
     gen = rng(67)
     space = LabeledSpace.of(("L", d_l), ("R", d_r))
     for _ in range(5):
-        eta_tilde = random_pure_state(gen, space)
+        eta_tilde = random_full_rank_state(gen, space) if mixed else random_pure_state(gen, space)
         target = random_full_rank_state(gen, LabeledSpace.of(("L", d_l)))
         current = partial_trace(eta_tilde, {"L"})
         eta = uhlmann_fixup(eta_tilde, target, {"L"})
@@ -307,6 +316,52 @@ def test_uhlmann_fixup_pads_the_aux_factor(d_l, d_r):
         delta = trace_distance(current, target)
         budget = 2 * np.sqrt(max(0.0, 2 * delta - delta * delta))
         assert hermitian_trace_norm(eta.matrix - eta_tilde.matrix) <= budget + 1e-9
+
+
+@pytest.mark.parametrize("small", [1e-6, 1e-10, 5e-12])
+def test_uhlmann_fixup_meets_the_target_near_a_singular_marginal(small):
+    # eta_tilde's L marginal has one eigenvalue at ``small``.  Aligning with
+    # the SVD of sqrt(sigma) M still meets the target to rounding; the
+    # operator form (T x 1) eta_tilde (T x 1)^dagger with
+    # T = sqrt(sigma) (sqrt(sigma) rho_L sqrt(sigma))^(-1/2) sqrt(sigma)
+    # misses it on these inputs by 1.7e-11 at 1e-6, 3.6e-7 at 1e-10 and
+    # 6.4e-6 at 5e-12.
+    gen = rng(73)
+    d_l, d_r, d_aux = 3, 2, 3
+    for _ in range(5):
+        spectrum = np.array([0.6, 0.4 - small, small])
+        u = np.linalg.qr(ginibre(gen, d_l, d_l))[0]
+        w = np.linalg.qr(ginibre(gen, d_r * d_aux, d_l))[0]
+        coeff = (u * np.sqrt(spectrum)) @ w.conj().T  # (L, R aux) amplitudes
+        phi = coeff.reshape(d_l * d_r, d_aux)
+        space = LabeledSpace.of(("L", d_l), ("R", d_r))
+        eta_tilde = DensityOperator(space, phi @ phi.conj().T)
+        assert np.min(np.linalg.eigvalsh(partial_trace(eta_tilde, {"L"}).matrix)) == (
+            pytest.approx(spectrum[2], rel=1e-3)
+        )
+        target = random_full_rank_state(gen, LabeledSpace.of(("L", d_l)))
+        eta = uhlmann_fixup(eta_tilde, target, {"L"})
+        assert np.max(np.abs(partial_trace(eta, {"L"}).matrix - target.matrix)) <= 1e-12
+
+
+def test_uhlmann_fixup_working_set_is_a_few_states():
+    # A full-rank eta_tilde on (L 8, R 8) is 64 KiB; aligning on the L side
+    # builds arrays no larger than it, so one call peaks well under 2 MiB.
+    import tracemalloc
+
+    gen = rng(79)
+    space = LabeledSpace.of(("L", 8), ("R", 8))
+    eta_tilde = random_full_rank_state(gen, space)
+    target = random_full_rank_state(gen, LabeledSpace.of(("L", 8)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        eta = uhlmann_fixup(eta_tilde, target, {"L"})
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(partial_trace(eta, {"L"}).matrix - target.matrix)) <= 1e-12
+    assert peak < 2 * 2**20
 
 
 def test_support_eigh_descending_and_complete():

@@ -25,16 +25,7 @@ def main() -> None:
                 )
             )
         if sc.ensemble is not None and res.zeta.space.dims == (1, 1, 1):
-            from wiretap.channels import CqEnsemble
-            from wiretap.qcore import partial_trace
-
-            signal = [lab for lab in sc.ensemble.space.labels if lab != res.aux_label]
-            bare = CqEnsemble(
-                sc.ensemble.labels,
-                sc.ensemble.probs,
-                [partial_trace(s, set(signal)) for s in sc.ensemble.states],
-            )
-            rows.append(("unassisted", unassisted_rate(bare, sc.channel)))
+            rows.append(("unassisted", unassisted_rate(sc.ensemble, sc.channel)))
         if not rows:
             print(f"{name:<16}{'(no signal data bundled)':<12}")
         for mode, rep in rows:

@@ -20,9 +20,7 @@ from .channels import (
     ResourceState,
     apply,
     channel_from_resource_state,
-    choi_to_kraus,
     cq_state,
-    kraus_to_choi,
     modulation_from_choi,
     trivial_resource,
 )
@@ -56,7 +54,6 @@ from .measures import (
     dense_coding_advantage,
     duality_residual,
     entanglement_of_purification,
-    ep_ensemble_upper_bound,
 )
 from .codesim import (
     Codebook,

@@ -1,10 +1,6 @@
 """CPTP maps, classical-quantum ensembles, and resource-state channels.
 
-Channels are stored as Kraus families between two labeled spaces.  The Choi
-representation of ``kraus_to_choi`` and ``choi_to_kraus`` is the *Choi
-state* (unit trace): the image of the maximally entangled state on
-(reference copy of the input) x input.  That pair is the reference path
-the tests compare against.
+Channels are stored as Kraus families between two labeled spaces.
 
 The resource-state machinery turns a tripartite shared state zeta on
 (Alice', Bob', Eve') into the unique channel Z with (id x Z) phi0 = zeta,
@@ -14,7 +10,7 @@ back into modulation channels.  Both directions read Kraus operators off
 the eigenvectors of the given state through the inverse of phi0's
 amplitude matrix, V diag(sqrt(lam)) V^T, so they require a full-rank
 marginal; rank-deficient inputs are first restricted to their support.
-Neither direction builds a Choi state.  Every support here, of a marginal
+No Choi state is built anywhere.  Every support here, of a marginal
 or of a state read as Kraus operators, is ``qcore.support_eigh``.
 """
 
@@ -47,8 +43,6 @@ __all__ = [
     "CqEnsemble",
     "ResourceState",
     "apply",
-    "kraus_to_choi",
-    "choi_to_kraus",
     "channel_from_resource_state",
     "modulation_from_choi",
     "cq_state",
@@ -146,52 +140,6 @@ def apply(ch: QuantumChannel, rho: DensityOperator, on: Sequence[str]) -> Densit
     else:
         new_space = ch.output_space
     return DensityOperator(new_space, out, validate=False)
-
-
-def kraus_to_choi(ch: QuantumChannel, ref_label: str = "ref") -> DensityOperator:
-    """Choi state of ``ch``: (id x ch) applied to the maximally entangled state.
-
-    The reference copy of the input is the first factor of the result.
-    """
-    if ref_label in ch.output_space.labels:
-        raise ValidationError(f"reference label {ref_label!r} clashes with channel output")
-    d_in = ch.input_space.dim
-    d_out = ch.output_space.dim
-    j = np.zeros((d_in * d_out,) * 2, dtype=np.complex128)
-    for k in ch.kraus:
-        v = k.T.reshape(-1) / np.sqrt(d_in)  # (id x K)|Phi>
-        j += np.outer(v, v.conj())
-    space = LabeledSpace.of((ref_label, d_in)).tensor(ch.output_space)
-    return DensityOperator(space, j, validate=False)
-
-
-def choi_to_kraus(
-    choi: DensityOperator,
-    input_space: LabeledSpace,
-) -> QuantumChannel:
-    """Extract a Kraus family from a Choi state (reference factor first).
-
-    Rejects Choi states whose reference marginal is not maximally mixed,
-    which is the trace-preservation condition in this normalization.
-    One Kraus operator per support eigenpair (``support_eigh``), largest first.
-    """
-    ref = choi.space.labels[0]
-    d_in = choi.space.dim_of(ref)
-    if d_in != input_space.dim:
-        raise ValidationError(
-            f"reference factor dimension {d_in} != input dimension {input_space.dim}"
-        )
-    output_space = choi.space.subspace(choi.space.labels[1:])
-    d_out = output_space.dim
-    marg = partial_trace(choi, {ref})
-    dev = float(np.max(np.abs(marg.matrix - np.eye(d_in) / d_in)))
-    if dev > TOL_EQ:
-        raise ValidationError(
-            f"Choi reference marginal deviates from I/d by {dev:.3e}; not trace preserving"
-        )
-    w, v = support_eigh(choi.matrix)
-    kraus = list((v * np.sqrt(d_in * w)).T.reshape(-1, d_in, d_out).transpose(0, 2, 1))
-    return QuantumChannel(input_space, output_space, kraus, tp_tol=TOL_EQ)
 
 
 def channel_action_matrix(ch: QuantumChannel) -> np.ndarray:

@@ -18,7 +18,7 @@ import math
 import os
 import sys
 
-from .channels import CqEnsemble, ensemble_to_json, channel_to_json
+from .channels import ensemble_to_json, channel_to_json
 from .codesim import run_experiment
 from .measures import dense_coding_advantage, entanglement_of_purification
 from .entropic import von_neumann_entropy
@@ -32,41 +32,19 @@ from .optimize import (
 from .qcore import (
     ResourceLimitError,
     ValidationError,
+    _read_json,
     load_state,
     partial_trace,
     permute_factors,
 )
 from .rates import RateReport, theorem1_rate, trivial_rate, unassisted_rate
-from .scenario import Scenario, build_gallery, save_scenario, scenario_from_json
+from .scenario import build_gallery, load_scenario, save_scenario
 
 __all__ = ["main"]
 
 
-def _emit_error(kind: str, message: str, byte_offset: int | None = None) -> None:
-    payload = {"error": message, "type": kind}
-    if byte_offset is not None:
-        payload["byte_offset"] = byte_offset
-    print(json.dumps(payload), file=sys.stderr)
-
-
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path}: invalid JSON at byte offset {exc.pos}: {exc.msg}"
-        ) from exc
-    except OSError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-
-
-def _load_scenario(path) -> Scenario:
-    obj = _load_json(path)
-    try:
-        return scenario_from_json(obj)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+def _emit_error(kind: str, message: str) -> None:
+    print(json.dumps({"error": message, "type": kind}), file=sys.stderr)
 
 
 def report_to_json(rep: RateReport) -> dict:
@@ -140,7 +118,7 @@ def opt_result_to_json(result: OptResult) -> dict:
 
 
 def cmd_rate_eval(args) -> int:
-    sc = _load_scenario(args.scenario)
+    sc = load_scenario(args.scenario)
     res = sc.resource_state()
     if args.mode == "theorem1":
         if sc.ensemble is None:
@@ -153,23 +131,7 @@ def cmd_rate_eval(args) -> int:
     else:
         if sc.ensemble is None:
             raise ValidationError("unassisted mode needs an ensemble in the scenario")
-        ens = sc.ensemble
-        if ens.space.dims != sc.channel.input_space.dims:
-            extra = [
-                lab
-                for lab in ens.space.labels
-                if lab not in set(sc.channel.input_space.labels)
-            ]
-            if any(ens.space.dim_of(lab) != 1 for lab in extra):
-                raise ValidationError(
-                    "unassisted mode needs ensemble members on the channel input "
-                    "(extra factors must be one-dimensional)"
-                )
-            keep = [lab for lab in ens.space.labels if lab not in set(extra)]
-            ens = CqEnsemble(
-                ens.labels, ens.probs, [partial_trace(s, set(keep)) for s in ens.states]
-            )
-        rep = unassisted_rate(ens, sc.channel)
+        rep = unassisted_rate(sc.ensemble, sc.channel)
     obj = report_to_json(rep)
     if args.format == "table":
         print(_format_table([obj]))
@@ -180,8 +142,8 @@ def cmd_rate_eval(args) -> int:
 
 
 def cmd_rate_optimize(args) -> int:
-    sc = _load_scenario(args.scenario)
-    cfg_obj = _load_json(args.config) if args.config else None
+    sc = load_scenario(args.scenario)
+    cfg_obj = _read_json(args.config) if args.config else None
     cfg = optimizer_config_from_json(cfg_obj, args.seed)
     res = sc.resource_state()
     try:
@@ -213,7 +175,7 @@ def cmd_resource_analyze(args) -> int:
     state = load_state(args.state)
     if len(state.space.factors) != 3:
         raise ValidationError("resource-analyze expects a tripartite state file")
-    cfg_obj = _load_json(args.config) if args.config else None
+    cfg_obj = _read_json(args.config) if args.config else None
     cfg = optimizer_config_from_json(cfg_obj, args.seed)
     a, b, c = state.space.labels
     zeta_ab = partial_trace(state, {a, b})
@@ -262,8 +224,8 @@ def _is_number(v) -> bool:
 
 
 def cmd_code_sim(args) -> int:
-    sc = _load_scenario(args.scenario)
-    cfg = _load_json(args.config) if args.config else {}
+    sc = load_scenario(args.scenario)
+    cfg = _read_json(args.config) if args.config else {}
     if not isinstance(cfg, dict):
         raise ValidationError("code-sim config must be a JSON object")
     unknown = set(cfg) - {"n", "epsilon", "trials", "seed", "rate"}
@@ -330,7 +292,7 @@ def cmd_code_sim(args) -> int:
 
 
 def cmd_gallery(args) -> int:
-    pmf = _load_json(args.pmf) if args.pmf is not None else None
+    pmf = _read_json(args.pmf) if args.pmf is not None else None
     sc = build_gallery(args.name, pmf)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{sc.name}.json")

@@ -109,18 +109,11 @@ class Codebook:
 
 @dataclass(frozen=True)
 class CodeParams:
-    """Message and bin counts plus the real-valued exponents behind them.
-
-    The exponents are reported alongside the rounded integers so rounding
-    is visible at small block lengths; ``rate`` is the realized log2(M)/n.
-    """
+    """Message and bin counts; ``rate`` is the realized log2(M)/n."""
 
     M: int
     S: int
     rate: float
-    m_exponent: float
-    s_exponent: float
-    ms_exponent: float
     degenerate: bool
 
 
@@ -182,31 +175,23 @@ def code_parameters(
         raise ValidationError("epsilon must be positive")
     rep = theorem1_rate(ens, channel, res)
     i_max = max(rep.i_u_ee, rep.i_u_aprime)
-    s_exponent = n * (i_max + epsilon)
+    log_s = n * (i_max + epsilon)
     if rate is None:
-        m_exponent = n * (rep.rate - 2 * epsilon)
+        log_m = n * (rep.rate - 2 * epsilon)
     else:
-        m_exponent = n * rate
-    top = max(m_exponent, s_exponent)
+        log_m = n * rate
+    top = max(log_m, log_s)
     if top >= 1024:
         raise ResourceLimitError(f"block length {n}: code size 2^{top:.6g} overflows a float")
-    m = max(1, _round_half_up(2.0**m_exponent))
-    s = max(1, _round_half_up(2.0**s_exponent))
-    degenerate = m == 1 and m_exponent <= 0.0
+    m = max(1, _round_half_up(2.0**log_m))
+    s = max(1, _round_half_up(2.0**log_s))
+    degenerate = m == 1 and log_m <= 0.0
     if degenerate and rate is None:
         warnings.warn(
             f"rate - 2*epsilon <= 0 at n={n}: degenerate single-message code",
             stacklevel=2,
         )
-    return CodeParams(
-        M=m,
-        S=s,
-        rate=math.log2(m) / n,
-        m_exponent=m_exponent,
-        s_exponent=s_exponent,
-        ms_exponent=n * (rep.i_u_bb - epsilon),
-        degenerate=degenerate,
-    )
+    return CodeParams(M=m, S=s, rate=math.log2(m) / n, degenerate=degenerate)
 
 
 def sample_codebook(ens: CqEnsemble, n: int, M: int, S: int, seed: int) -> Codebook:

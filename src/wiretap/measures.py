@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CqEnsemble, QuantumChannel
-from .entropic import _entropies, holevo_information, von_neumann_entropy
+from .channels import QuantumChannel
+from .entropic import _entropies, von_neumann_entropy
 from .optimize import OptimizerConfig, OptResult, optimize_channel_functional
 from .qcore import (
     TOL_EQ,
@@ -43,15 +43,10 @@ from .qcore import (
 
 __all__ = [
     "MeasureResult",
-    "EpBoundResult",
     "dense_coding_advantage",
     "entanglement_of_purification",
     "duality_residual",
-    "ep_ensemble_upper_bound",
 ]
-
-# ep_ensemble_upper_bound flags a bound this far below E_P of the average.
-FLAG_SLACK = 1e-2
 
 
 @dataclass(frozen=True)
@@ -61,17 +56,6 @@ class MeasureResult:
     value: float
     witness_channel: QuantumChannel
     diagnostics: OptResult
-
-
-@dataclass(frozen=True)
-class EpBoundResult:
-    """Ensemble upper bound on the regularized entanglement of purification."""
-
-    bound: float
-    per_member: tuple[float, ...]
-    info_term: float
-    ep_average: float
-    witness_flag: bool
 
 
 class _ChannelKernel:
@@ -237,29 +221,3 @@ def duality_residual(
     s_b = von_neumann_entropy(partial_trace(zeta_pure, {b}))
     return abs(delta + ep - s_b)
 
-
-def ep_ensemble_upper_bound(
-    ens: CqEnsemble,
-    caps: int | None = None,
-    cfg: OptimizerConfig = OptimizerConfig(seed=0),
-) -> EpBoundResult:
-    """sum_u q(u) E_P(rho_u) + I(U:CD), an upper bound on the regularized E_P.
-
-    Also evaluates E_P of the average state for comparison and flags cases
-    where the bound undercuts it by more than ``FLAG_SLACK`` (candidate
-    non-additivity witnesses; both sides are best-found values, so the flag
-    marks candidates, not certificates).
-    """
-    per_member = tuple(
-        entanglement_of_purification(s, caps, cfg).value for s in ens.states
-    )
-    info_term = holevo_information(ens)
-    bound = float(np.dot(ens.probs, per_member)) + info_term
-    ep_average = entanglement_of_purification(ens.average_state(), caps, cfg).value
-    return EpBoundResult(
-        bound=bound,
-        per_member=per_member,
-        info_term=info_term,
-        ep_average=ep_average,
-        witness_flag=bound < ep_average - FLAG_SLACK,
-    )

@@ -476,7 +476,24 @@ def save_state(rho: DensityOperator, path) -> None:
         json.dump(state_to_json(rho), fh)
 
 
+def _read_json(path):
+    """The JSON value in the UTF-8 file at ``path``.  A file that cannot be
+    read, is not UTF-8 or holds invalid JSON is refused with a
+    ValidationError that names the path, and the byte offset of bad input."""
+    try:
+        with open(path, "rb") as fh:
+            text = fh.read().decode()
+        return json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 at byte offset {exc.start}") from None
+    except json.JSONDecodeError as exc:
+        offset = len(text[: exc.pos].encode())
+        raise ValidationError(
+            f"{path}: invalid JSON at byte offset {offset}: {exc.msg}"
+        ) from exc
+    except OSError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
 def load_state(path) -> DensityOperator:
-    with open(path) as fh:
-        obj = json.load(fh)
-    return state_from_json(obj)
+    return state_from_json(_read_json(path))

@@ -322,14 +322,20 @@ def trivial_rate(
 
 
 def unassisted_rate(ens: CqEnsemble, channel: QuantumChannel) -> RateReport:
-    """Plain single-letter wiretap rate I(U:B) - I(U:E)."""
-    if ens.space.dims != channel.input_space.dims:
+    """Plain single-letter wiretap rate I(U:B) - I(U:E).
+
+    One-dimensional factors carry nothing and are ignored on both sides, so
+    members may keep a trivial resource's reference copy; the remaining
+    member factors meet the channel input by position.
+    """
+    dims = tuple(d for d in ens.space.dims if d > 1)
+    if dims != tuple(d for d in channel.input_space.dims if d > 1):
         raise ValidationError(
             f"ensemble member dims {ens.space.dims} != channel input dims "
-            f"{channel.input_space.dims}"
+            f"{channel.input_space.dims} (one-dimensional factors aside)"
         )
     kernel = _CqKernel(channel)
-    members = _stack(ens.states, ens.space.labels)
+    members = np.stack([s.matrix for s in ens.states])
     i_u_bb, i_u_ee = map(float, kernel.bob_eve(members, ens.probs))
     return RateReport(i_u_bb, i_u_ee, 0.0, i_u_bb - i_u_ee, 0.0, mode="unassisted")
 

@@ -26,6 +26,7 @@ from .qcore import (
     DensityOperator,
     LabeledSpace,
     ValidationError,
+    _read_json,
     basis_state,
     maximally_entangled,
     state_from_json,
@@ -143,8 +144,11 @@ def scenario_from_json(obj) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path) as fh:
-        return scenario_from_json(json.load(fh))
+    obj = _read_json(path)
+    try:
+        return scenario_from_json(obj)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def save_scenario(sc: Scenario, path) -> None:

@@ -27,14 +27,12 @@ from wiretap.channels import (
     channel_from_json,
     channel_from_resource_state,
     channel_to_json,
-    choi_to_kraus,
     classical_channel,
     constant_channel,
     cq_state,
     ensemble_from_json,
     ensemble_to_json,
     isometry_channel,
-    kraus_to_choi,
     modulation_from_choi,
     trivial_resource,
 )
@@ -117,40 +115,6 @@ def test_apply_label_and_dim_errors():
     ch_clash = QuantumChannel(A, B, [np.eye(2)])
     with pytest.raises(ValidationError, match="clash"):
         apply(ch_clash, joint, ["A"])
-
-
-def test_choi_of_identity_is_maximally_entangled():
-    choi = kraus_to_choi(identity_channel(A))
-    want = maximally_entangled("ref", "A", 2)
-    assert np.allclose(choi.matrix, want.matrix, atol=1e-14)
-
-
-def test_choi_of_dephasing():
-    deph = QuantumChannel(A, B, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    choi = kraus_to_choi(deph)
-    want = 0.5 * (
-        np.outer([1, 0, 0, 0], [1, 0, 0, 0]) + np.outer([0, 0, 0, 1], [0, 0, 0, 1])
-    ).astype(complex)
-    assert np.allclose(choi.matrix, want, atol=1e-14)
-
-
-def test_choi_kraus_roundtrip_action_on_pauli_span():
-    gen = rng(109)
-    ks = random_kraus(gen, 2, 2, 3)
-    ch = QuantumChannel(A, B, ks)
-    back = choi_to_kraus(kraus_to_choi(ch), A)
-    # Action equality on the Pauli spanning set of qubit operator space.
-    for name, sigma in PAULI.items():
-        got = sum(k @ sigma @ k.conj().T for k in back.kraus)
-        want = sum(k @ sigma @ k.conj().T for k in ch.kraus)
-        assert np.allclose(got, want, atol=1e-9), name
-    assert channels_equal_in_action(ch, back, tol=1e-9)
-
-
-def test_choi_to_kraus_rejects_non_tp_choi():
-    bad = tensor(basis_state(LabeledSpace.of(("ref", 2)), [0]), maximally_mixed(B))
-    with pytest.raises(ValidationError, match="marginal"):
-        choi_to_kraus(bad, A)
 
 
 def test_ensemble_validation():
@@ -446,18 +410,6 @@ def test_apply_preserves_trace_and_psd(seed, n_kraus):
     assert abs(np.trace(out.matrix) - 1) <= 1e-12
     assert np.min(out.eigenvalues()) >= -1e-12
     DensityOperator(out.space, out.matrix)  # full validation
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_choi_roundtrip_random(seed):
-    gen = rng(seed)
-    d_in, d_out = int(gen.integers(2, 4)), int(gen.integers(2, 4))
-    ins = LabeledSpace.of(("In", d_in))
-    outs = LabeledSpace.of(("Out", d_out))
-    ch = QuantumChannel(ins, outs, random_kraus(gen, d_in, d_out, int(gen.integers(1, 4))))
-    back = choi_to_kraus(kraus_to_choi(ch), ins)
-    assert channels_equal_in_action(ch, back, tol=1e-9)
 
 
 def test_channel_json_roundtrip():

@@ -127,6 +127,12 @@ def test_rate_eval_superdense(tmp_path, capsys):
         capsys, "rate-eval", "--scenario", str(sc_path), "--mode", "trivial"
     )
     assert json.loads(out)["rate"] == pytest.approx(2.0, abs=1e-9)
+    # The members carry the Bell pair's two-dimensional reference copy.
+    code, out, err = run_cli(
+        capsys, "rate-eval", "--scenario", str(sc_path), "--mode", "unassisted"
+    )
+    assert code == 2 and not out
+    assert "one-dimensional factors aside" in json.loads(err.splitlines()[0])["error"]
 
 
 @pytest.mark.parametrize(
@@ -377,6 +383,30 @@ def test_resource_analyze_refuses_zero_cap(tmp_path, capsys):
     )
     assert code == 2 and not out
     assert "dim_a_cap" in json.loads(err.splitlines()[0])["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["resource-analyze", "--seed", "5", "--state"], ["rate-eval", "--scenario"]],
+    ids=["resource-analyze", "rate-eval"],
+)
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ('{"é": '.encode(), "invalid JSON at byte offset 7"),  # 6 characters, 7 bytes
+        (b'{"factors": \xff}', "not UTF-8 at byte offset 12"),
+        (None, "No such file"),
+    ],
+    ids=["invalid-json", "not-utf8", "missing"],
+)
+def test_unreadable_input_file_exits_2(tmp_path, capsys, argv, content, message):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_bytes(content)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2 and not out
+    error = json.loads(err.splitlines()[0])["error"]
+    assert error.startswith(str(path)) and message in error
 
 
 def test_code_sim_csv_and_caps(tmp_path, capsys):

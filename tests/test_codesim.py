@@ -76,7 +76,6 @@ def test_code_parameters_classical_arithmetic():
     assert rep.i_u_ee == pytest.approx(0.5, abs=1e-12)
     params = code_parameters(ens, ch, res, n=4, epsilon=0.05)
     assert params.S == 5  # round(2^2.2)
-    assert round(2.0**params.ms_exponent) == 14  # round(2^3.8)
     assert params.M == 3  # round(2^1.6)
 
 

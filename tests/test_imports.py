@@ -55,3 +55,85 @@ def test_unused_imports_finds_a_dropped_use():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+ROOT = SRC.parent.parent
+
+# Public names that nothing in src/, scripts/ or perfbench/ reads, with their role.
+UNREAD_PUBLIC_NAMES = {
+    # Test references: the slow, direct paths the fast kernels are checked against.
+    "grid_oracle": "test reference for optimize_unassisted and optimize_theorem1",
+    "build_beta": "test reference for the I(U:A') term of _CqKernel",
+    "build_gamma": "test reference for the Bob and Eve side maps of _CqKernel",
+    "marginal_constraint_residual": "test reference for _CqKernel.reference_terms",
+    "holevo_information": "test reference for the batched Holevo terms of rates._holevo",
+    "coherent_information": "test reference for the dense-coding objective",
+    "fidelity": "test reference for uhlmann_fixup",
+    "channel_action_matrix": "test reference for channel equality in action",
+    # Documented entry points.
+    "modulation_from_choi": "entry point: a signal state's modulation channel",
+    "constant_channel": "entry point: a stock channel",
+    "trivial_resource": "entry point: the empty resource",
+    "save_state": "entry point: the writer of resource-analyze's state files",
+}
+
+
+def read_names(source: str, strings: bool = False) -> set[str]:
+    """Names read in ``source`` as a name or an attribute, outside the
+    top-level definition of that same name; with ``strings``, also string
+    constants (the benchmark tracer names the functions it wraps)."""
+    read = set()
+
+    def visit(node, owner):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            name = None
+        if name is not None and name != owner:
+            read.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        visit(top, owner)
+    return read
+
+
+def public_names(source: str) -> list[str]:
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def test_read_names_skips_a_name_read_only_in_its_own_definition():
+    src = (
+        "__all__ = ['f', 'g', 'C']\n"
+        "def f(n):\n"
+        "    return f(n - 1) if n else g()\n"
+        "def g():\n"
+        "    return 'C'\n"
+        "class C:\n"
+        "    def copy(self) -> 'C':\n"
+        "        return C()\n"
+    )
+    assert set(public_names(src)) - read_names(src) == {"f", "C"}
+    tracer = "SPANNED = [('pkg.mod', 'f', 'mod.f')]\n"
+    assert "f" in read_names(tracer, strings=True) and "f" not in read_names(tracer)
+
+
+def test_every_public_name_is_read_or_has_a_role():
+    read = set()
+    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
+        read |= read_names(path.read_text())
+    for path in sorted((ROOT / "perfbench").rglob("*.py")):
+        read |= read_names(path.read_text(), strings=True)
+    public = {name for module in MODULES for name in public_names((SRC / module).read_text())}
+    assert sorted(public - read) == sorted(UNREAD_PUBLIC_NAMES)

@@ -18,7 +18,6 @@ from wiretap.measures import (
     dense_coding_advantage,
     duality_residual,
     entanglement_of_purification,
-    ep_ensemble_upper_bound,
 )
 from wiretap.optimize import OptimizerConfig
 from wiretap.qcore import (
@@ -191,47 +190,6 @@ def test_duality_rejects_mixed_input():
     mixed = maximally_mixed(LabeledSpace.of(("Ap", 2), ("Bp", 2), ("Cp", 2)))
     with pytest.raises(ValidationError, match="pure"):
         duality_residual(mixed, cfg=cfg())
-
-
-def test_ep_bound_single_member_collapses():
-    from wiretap.channels import CqEnsemble
-
-    gen = rng(569)
-    rho = DensityOperator(CD, random_density_matrix(gen, 4))
-    ens = CqEnsemble(["only"], [1.0], [rho])
-    res = ep_ensemble_upper_bound(ens, cfg=cfg(restarts=3, max_iters=400))
-    assert res.info_term == 0.0
-    assert res.bound == pytest.approx(res.ep_average, abs=1e-12)
-    assert not res.witness_flag
-
-
-def test_ep_bound_product_members_reduces_to_info_term():
-    from wiretap.channels import CqEnsemble
-
-    d_space = LabeledSpace.of(("D", 2))
-    members = [
-        tensor(mixed_qubit(571, "C"), basis_state(d_space, [0])),
-        tensor(mixed_qubit(577, "C"), basis_state(d_space, [1])),
-    ]
-    ens = CqEnsemble([0, 1], [0.5, 0.5], members)
-    res = ep_ensemble_upper_bound(ens, cfg=cfg(restarts=3, max_iters=500))
-    assert max(res.per_member) <= 1e-4
-    assert res.bound == pytest.approx(res.info_term, abs=2e-4)
-
-
-def test_ep_bound_orthogonal_entangled_members():
-    from wiretap.channels import CqEnsemble
-    from wiretap.entropic import holevo_information
-
-    # Two orthogonal Bell states: per-member E_P = S(C) = 1, info term = 1.
-    phi_plus = maximally_entangled("C", "D", 2)
-    z = np.kron(np.diag([1.0, -1.0]), np.eye(2))
-    phi_minus = DensityOperator(phi_plus.space, z @ phi_plus.matrix @ z.conj().T)
-    ens = CqEnsemble([0, 1], [0.5, 0.5], [phi_plus, phi_minus])
-    res = ep_ensemble_upper_bound(ens, cfg=cfg(restarts=3, max_iters=400))
-    want = 0.5 * 1.0 + 0.5 * 1.0 + holevo_information(ens)
-    assert res.bound == pytest.approx(want, abs=1e-3)
-    assert res.per_member[0] == pytest.approx(1.0, abs=1e-3)
 
 
 def three_qubit_marginals(seed):

@@ -311,6 +311,24 @@ def test_unassisted_rate_identity_channel():
     assert unassisted_rate(ens, n).rate == pytest.approx(1.0, abs=1e-10)
 
 
+def test_unassisted_rate_ignores_a_trivial_reference_copy():
+    gen = rng(353)
+    n = random_wiretap_channel(gen)
+    ens = random_signal_ensemble(gen)
+    want = unassisted_rate(ens, n)
+    copy = basis_state(LabeledSpace.of(("App", 1)), [0])
+    for members in (
+        [tensor(copy, s) for s in ens.states],
+        [tensor(s, copy) for s in ens.states],
+    ):
+        lifted = CqEnsemble(ens.labels, ens.probs, members)
+        assert unassisted_rate(lifted, n) == want  # every field, exactly
+    wide = basis_state(LabeledSpace.of(("App", 2)), [0])
+    lifted = CqEnsemble(ens.labels, ens.probs, [tensor(s, wide) for s in ens.states])
+    with pytest.raises(ValidationError, match="one-dimensional factors aside"):
+        unassisted_rate(lifted, n)
+
+
 # ---------------------------------------------------------------------------
 # Classical embedding and the Shannon-theoretic reduction
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .entropic import (
 )
 from .rates import (
     RateReport,
-    build_beta,
     build_gamma,
     classical_embed,
     marginal_constraint_residual,

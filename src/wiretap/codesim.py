@@ -274,15 +274,10 @@ def _power(mat: np.ndarray, n: int) -> np.ndarray:
 
 def _member_outputs(
     ens: CqEnsemble, channel: QuantumChannel, res: ResourceState
-) -> tuple[list[DensityOperator], list[DensityOperator]]:
-    """One-letter Bob-side and Eve-side output states per ensemble symbol."""
-    kernel = _CqKernel(channel, res)
-    members = _stack(ens.states, _signal_labels(ens, res) + [res.aux_label])
-    bobs, eves = kernel.sides(members)
-    return (
-        [DensityOperator(kernel.bob_space, m, validate=False) for m in bobs],
-        [DensityOperator(kernel.eve_space, m, validate=False) for m in eves],
-    )
+) -> tuple[np.ndarray, np.ndarray]:
+    """One-letter Bob-side and Eve-side output states per ensemble symbol, as (k, d, d) arrays."""
+    members = _stack(ens.states, _signal_labels(ens, res, channel) + [res.aux_label])
+    return _CqKernel(channel, res).sides(members)
 
 
 def _bin_average(matrices: list[np.ndarray], words: np.ndarray) -> np.ndarray:
@@ -331,9 +326,9 @@ def _check_bytes(n: int, M: int, S: int, sides: list[tuple], other: int = 0, hel
 
 def _eve_outputs(
     ens: CqEnsemble, channel: QuantumChannel, res: ResourceState, n: int
-) -> tuple[list[np.ndarray], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One-letter Eve outputs and the n-fold power of their average (the reference)."""
-    eve_mats = [e.matrix for e in _member_outputs(ens, channel, res)[1]]
+    eve_mats = _member_outputs(ens, channel, res)[1]
     d_eve = len(eve_mats[0])
     if d_eve**n > MAX_DIM:
         raise ResourceLimitError(
@@ -528,8 +523,8 @@ def run_experiment(
     res = scenario.resource_state()
 
     bobs, eves = _member_outputs(ens, channel, res)
-    bob = _diagonals([b.matrix for b in bobs])
-    eve = _diagonals([e.matrix for e in eves])
+    bob = _diagonals(bobs)
+    eve = _diagonals(eves)
     eve_avg = sum(q * e for q, e in zip(ens.probs, eve))
     # A repair can run only when some member's A' marginal is not the resource's.
     target = res.zeta_marginal.matrix

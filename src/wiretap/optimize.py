@@ -18,7 +18,9 @@ share to (U, signal) applied to the purification phi0 of her marginal:
 q_u eta_u = (N_u x id) phi0, starting from a discrete-Weyl modulation of
 phi0 and a computational-basis ensemble.  By channel-state duality these
 are exactly the ensembles whose average A' marginal is the resource's, so
-the ensemble searches need neither a penalty nor a repair step.
+the ensemble searches need neither a penalty nor a repair step.  The
+unassisted search is the same search on the empty resource,
+``trivial_resource()``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import CqEnsemble, QuantumChannel, ResourceState
+from .channels import CqEnsemble, QuantumChannel, ResourceState, trivial_resource
 from .qcore import (
     TOL_EQ,
     DensityOperator,
@@ -354,42 +356,48 @@ def _basis_start(k: int, d_sig: int, r: int) -> np.ndarray:
 
 
 def _search_instruments(
-    score: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    channel: QuantumChannel,
+    res: ResourceState,
     rescore: Callable[[CqEnsemble], RateReport],
-    kernel: _CqKernel,
-    member_space: LabeledSpace,
-    psi: np.ndarray,
-    k: int,
     cfg: OptimizerConfig,
 ) -> OptResult:
-    """The instrument search shared by the ensemble optimizers.
-
-    ``score`` maps (..., k, d, d) members and (..., k) probabilities to
-    rates of shape (...).  The first restarts of ``_restarts`` begin at the
-    structured starts (Weyl, then basis), the rest at random coordinates.
-    The best point becomes an ensemble once, with its q_u = 0 outcomes
-    dropped, and is re-scored by ``rescore``.  A search whose scored pair
-    of candidates would exceed MAX_WORKING_BYTES is refused before any
-    start is built.
+    """Maximize I(U:BB') - max(I(U:EE'), I(U:A')) over instruments {N_u} from
+    Alice's share to the signal, q_u eta_u = (N_u x id) phi0: every such
+    ensemble meets the average A' constraint, and every feasible one is
+    such an ensemble.  The first restarts begin at the structured starts
+    (Weyl, then basis), the rest at random coordinates.  The best point
+    becomes an ensemble on (signal, A') once, with its q_u = 0 outcomes
+    dropped, and is re-scored by ``rescore``.  A search whose scored pair of
+    candidates would exceed MAX_WORKING_BYTES is refused before any start
+    is built.
     """
-    r = len(psi)
-    d_sig = member_space.dim // r
+    r = res.phi0.space.dim_of(res.aux_label)
+    d_sig = channel.input_space.dim
+    member_space = channel.input_space.tensor(LabeledSpace.of((res.aux_label, r)))
+    kernel = _CqKernel(channel, res)
+    psi = res.phi0.state_vector().reshape(r, r)
+    k = cfg.num_labels_max or 2 * d_sig * r
     # Per candidate: four complex arrays of k * d^2 entries in the
     # Stinespring step (rows * r = k * d^2), five in the instrument (v, its
     # transposed and conjugated copies, the weighted and the normalized
     # members), and three (k, side, side) arrays per side through the
     # Holevo terms (Bob's, Eve's and the A' marginals).
-    sides = kernel.bob_space.dim**2 + kernel.eve_space.dim**2 + r * r
+    sides = kernel.d_bob**2 + kernel.d_eve**2 + r * r
     need = 2 * 16 * k * (9 * member_space.dim**2 + 3 * sides)
     check_working_bytes(need, f"an instrument search with {k} outcomes")
+
+    def score(kraus: np.ndarray) -> np.ndarray:
+        members, probs = _instrument(kraus, psi, k)
+        i_bb, i_ee = kernel.bob_eve(members, probs)
+        i_ap = _holevo(kernel.reference_marginals(members), probs)
+        return i_bb - np.maximum(i_ee, i_ap)
+
     # The environment d_sig * r gives every outcome enough Kraus operators
     # for any map from the share to the signal.
     param = _StinespringParam(r, k * d_sig, d_sig * r)
     starts = [s for s in (_weyl_start(k, d_sig, r), _basis_start(k, d_sig, r)) if s is not None]
     trace: list[TracePoint] = []
-    _, best_x = _restarts(
-        lambda kraus: score(*_instrument(kraus, psi, k)), starts, [param], cfg, trace
-    )
+    _, best_x = _restarts(score, starts, [param], cfg, trace)
     members, probs = _instrument(param.kraus(best_x), psi, k)
     keep = np.flatnonzero(probs > 0)
     ens = CqEnsemble(
@@ -410,50 +418,20 @@ def optimize_theorem1(
 ) -> OptResult:
     """Maximize the average-constrained side-information rate over ensembles.
 
-    The search runs over instruments {N_u} from Alice's share to the
-    signal, with q_u eta_u = (N_u x id) phi0.  Every such ensemble meets
-    the average A' constraint by construction, and every feasible ensemble
-    is one of them, so the objective is the rate itself.  The returned
-    value is the rate of the returned witness, re-scored by
+    The returned value is the rate of the returned witness, re-scored by
     ``theorem1_rate``.
     """
-    r = res.phi0.space.dim_of(res.aux_label)
-    signal_space = channel.input_space
-    member_space = signal_space.tensor(LabeledSpace.of((res.aux_label, r)))
-    kernel = _CqKernel(channel, res)
-
-    def score(members: np.ndarray, probs: np.ndarray) -> np.ndarray:
-        i_bb, i_ee = kernel.bob_eve(members, probs)
-        i_ap = _holevo(kernel.reference_marginals(members), probs)
-        return i_bb - np.maximum(i_ee, i_ap)
-
-    return _search_instruments(
-        score,
-        lambda ens: theorem1_rate(ens, channel, res),
-        kernel,
-        member_space,
-        res.phi0.state_vector().reshape(r, r),
-        cfg.num_labels_max or 2 * signal_space.dim * r,
-        cfg,
-    )
+    return _search_instruments(channel, res, lambda ens: theorem1_rate(ens, channel, res), cfg)
 
 
 def optimize_unassisted(channel: QuantumChannel, cfg: OptimizerConfig) -> OptResult:
-    """Maximize the plain single-letter wiretap rate over input ensembles."""
-    kernel = _CqKernel(channel)
-
-    def score(members: np.ndarray, probs: np.ndarray) -> np.ndarray:
-        i_b, i_e = kernel.bob_eve(members, probs)
-        return i_b - i_e
-
+    """Maximize the plain single-letter wiretap rate over input ensembles:
+    the theorem1 search on the empty resource, where I(U:A') is zero.  The
+    witness members carry its one-dimensional reference copy, and the
+    returned value is re-scored by ``unassisted_rate``.
+    """
     return _search_instruments(
-        score,
-        lambda ens: unassisted_rate(ens, channel),
-        kernel,
-        channel.input_space,
-        np.ones((1, 1)),
-        cfg.num_labels_max or 2 * channel.input_space.dim,
-        cfg,
+        channel, trivial_resource(), lambda ens: unassisted_rate(ens, channel), cfg
     )
 
 

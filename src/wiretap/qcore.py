@@ -495,5 +495,14 @@ def _read_json(path):
         raise ValidationError(f"{path}: {exc}") from None
 
 
+def _load_json(path, parse):
+    """``parse`` of the JSON value at ``path``; a refusal names the path."""
+    obj = _read_json(path)
+    try:
+        return parse(obj)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
 def load_state(path) -> DensityOperator:
-    return state_from_json(_read_json(path))
+    return _load_json(path, state_from_json)

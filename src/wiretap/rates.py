@@ -12,7 +12,8 @@ Three functionals share one report type:
   theorem1 functional of the members eta_u = (M_u x id) phi0, without the
   I(U:A') term.
 * ``unassisted_rate`` -- plain wiretap coding with no resource:
-  I(U:B) - I(U:E).
+  I(U:B) - I(U:E).  No resource is the empty one, ``trivial_resource()``,
+  whose one-dimensional shares leave the channel's outputs as they are.
 
 Every I(U:X) is a Holevo quantity S(sum_u q_u rho_u) - sum_u q_u S(rho_u)
 of the members' X-side states.  All three functionals, the grid oracle and
@@ -21,8 +22,8 @@ holds one linear map per side, Bob's (Tr_{E,rest} N) x (Tr_E' Z) and Eve's
 (Tr_{B,rest} N) x (Tr_B' Z), so a stacked (k, d, d) member array reaches
 both marginals in one matrix product per side; each Holevo term is then
 one batched eigensolve over [average; members].  The block-diagonal cq-state path
-(``build_beta``, ``build_gamma``, ``cq_state``, ``mutual_information``) is
-kept as the reference that the tests compare the kernel against.
+(``build_gamma``, ``cq_state``, ``mutual_information``) is kept as the
+reference that the tests compare the kernel against.
 
 All functionals evaluate exactly one channel use; multi-letter evaluation
 is the caller's job (tensorize the channel and resource explicitly).
@@ -37,7 +38,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import CqEnsemble, QuantumChannel, ResourceState, _validated_probs, apply, cq_state
+from .channels import (
+    CqEnsemble,
+    QuantumChannel,
+    ResourceState,
+    _validated_probs,
+    apply,
+    cq_state,
+    trivial_resource,
+)
 from .entropic import _entropies
 from .qcore import (
     DensityOperator,
@@ -51,7 +60,6 @@ from .qcore import (
 __all__ = [
     "FEASIBILITY_THRESHOLD",
     "RateReport",
-    "build_beta",
     "build_gamma",
     "marginal_constraint_residual",
     "theorem1_rate",
@@ -172,35 +180,28 @@ class _CqKernel:
     """Bob (B B') and Eve (E E') marginals of stacked (k, d, d) members on
     (signal, A') after channel x Z: one (d_side^2, d^2) map per side, the
     Kronecker product of the channel's and Z's Liouville tensors for it.
-    Signal factors meet the channel input positionally, and "rest" (any
-    further channel output) is traced out; without a resource, A', B' and E'
-    are one-dimensional.  A map over MAX_WORKING_BYTES is refused unbuilt.
+    Signal factors meet the channel input positionally, "rest" (any further
+    channel output) is traced out, and only dimensions are read, so labels
+    may repeat across channel and resource.  A map over MAX_WORKING_BYTES is
+    refused unbuilt.
     """
 
-    def __init__(self, channel: QuantumChannel, res: ResourceState | None = None) -> None:
-        out = channel.output_space
-        z_out = res.z_channel.output_space if res else LabeledSpace(())
-        names = out.labels + z_out.labels + ((res.aux_label,) if res else ())
-        if len(out.factors) < 2 or len(set(names)) < len(names):
-            raise ValidationError(
-                f"channel output {list(out.labels)} needs Bob's and Eve's factors, "
-                f"and the labels {list(names)} must all differ"
-            )
-        self.marginal = res.zeta_marginal if res else None
-        self.bob_space = LabeledSpace((out.factors[0],) + z_out.factors[:1])
-        self.eve_space = LabeledSpace((out.factors[1],) + z_out.factors[1:])
+    def __init__(self, channel: QuantumChannel, res: ResourceState) -> None:
+        out, z_out = channel.output_space, res.z_channel.output_space
+        if len(out.factors) < 2:
+            raise ValidationError(f"channel output {list(out.labels)} needs Bob's and Eve's factors")
+        self.marginal = res.zeta_marginal
+        self.d_bob, self.d_eve = (out.dims[i] * z_out.dims[i] for i in (0, 1))
         self.d_signal = channel.input_space.dim
-        d_member = self.d_signal * (res.z_channel.input_space.dim if res else 1)
-        need = 16 * max(self.bob_space.dim, self.eve_space.dim) ** 2 * d_member**2
-        check_working_bytes(need, "a side map")
-        z_kraus = np.stack(res.z_channel.kraus) if res else np.ones((1, 1, 1))
+        d_member = self.d_signal * res.z_channel.input_space.dim
+        check_working_bytes(16 * max(self.d_bob, self.d_eve) ** 2 * d_member**2, "a side map")
         self.bob_map, self.eve_map = (
             np.einsum(
                 "xyst,pqab->xpyqsatb",
                 _side_liouville(np.stack(channel.kraus), out.dims, i),
-                _side_liouville(z_kraus, z_out.dims or (1, 1), i),
-            ).reshape(side.dim**2, d_member**2)
-            for i, side in enumerate((self.bob_space, self.eve_space))
+                _side_liouville(np.stack(res.z_channel.kraus), z_out.dims, i),
+            ).reshape(d_side**2, d_member**2)
+            for i, d_side in enumerate((self.d_bob, self.d_eve))
         )
 
     def sides(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,8 +209,8 @@ class _CqKernel:
         lead = members.shape[:-2]
         flat = members.reshape(-1, members.shape[-1] ** 2)
         return (
-            (flat @ self.bob_map.T).reshape(*lead, self.bob_space.dim, -1),
-            (flat @ self.eve_map.T).reshape(*lead, self.eve_space.dim, -1),
+            (flat @ self.bob_map.T).reshape(*lead, self.d_bob, -1),
+            (flat @ self.eve_map.T).reshape(*lead, self.d_eve, -1),
         )
 
     def reference_marginals(self, members: np.ndarray) -> np.ndarray:
@@ -235,16 +236,10 @@ class _CqKernel:
         return float(_holevo(margs, np.asarray(probs))), residual
 
 
-def build_beta(ens: CqEnsemble, u_label: str = "U") -> DensityOperator:
-    """cq-state of the signal/reference ensemble on (U, members)."""
-    return cq_state(ens, label=u_label)
-
-
 def build_gamma(
     ens: CqEnsemble,
     channel: QuantumChannel,
     res: ResourceState,
-    u_label: str = "U",
 ) -> DensityOperator:
     """cq-state after pushing every member through channel x resource channel."""
     signal = _signal_labels(ens, res, channel)
@@ -252,7 +247,7 @@ def build_gamma(
         apply(res.z_channel, apply(channel, s, on=signal), on=[res.aux_label])
         for s in ens.states
     ]
-    return cq_state(CqEnsemble(ens.labels, ens.probs, members), label=u_label)
+    return cq_state(CqEnsemble(ens.labels, ens.probs, members))
 
 
 def marginal_constraint_residual(ens: CqEnsemble, res: ResourceState) -> float:
@@ -334,7 +329,7 @@ def unassisted_rate(ens: CqEnsemble, channel: QuantumChannel) -> RateReport:
             f"ensemble member dims {ens.space.dims} != channel input dims "
             f"{channel.input_space.dims} (one-dimensional factors aside)"
         )
-    kernel = _CqKernel(channel)
+    kernel = _CqKernel(channel, trivial_resource())
     members = np.stack([s.matrix for s in ens.states])
     i_u_bb, i_u_ee = map(float, kernel.bob_eve(members, ens.probs))
     return RateReport(i_u_bb, i_u_ee, 0.0, i_u_bb - i_u_ee, 0.0, mode="unassisted")

@@ -21,12 +21,13 @@ from .channels import (
     ensemble_from_json,
     ensemble_to_json,
     isometry_channel,
+    trivial_resource,
 )
 from .qcore import (
     DensityOperator,
     LabeledSpace,
     ValidationError,
-    _read_json,
+    _load_json,
     basis_state,
     maximally_entangled,
     state_from_json,
@@ -144,11 +145,7 @@ def scenario_from_json(obj) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    obj = _read_json(path)
-    try:
-        return scenario_from_json(obj)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    return _load_json(path, scenario_from_json)
 
 
 def save_scenario(sc: Scenario, path) -> None:
@@ -183,10 +180,6 @@ def _copy_channel() -> QuantumChannel:
     return isometry_channel(v, _A, LabeledSpace.of(("B", 2), ("E", 2)))
 
 
-def _empty_resource() -> DensityOperator:
-    return classical_embed(np.ones((1, 1, 1)))
-
-
 def _lifted_basis_ensemble(aux_dim: int) -> CqEnsemble:
     aux = LabeledSpace.of(("App", aux_dim))
     members = [
@@ -208,7 +201,7 @@ def gallery_trivial() -> Scenario:
         name="trivial",
         description="Identity qubit channel to Bob, trivial Eve, empty resource.",
         channel=_identity_wiretap(),
-        resource=_empty_resource(),
+        resource=trivial_resource().zeta,
         ensemble=_lifted_basis_ensemble(1),
         modulations=mods,
     )
@@ -244,7 +237,7 @@ def gallery_broadcast() -> Scenario:
         description="Classical copy channel |x> -> |x>|x> to Bob and Eve; "
         "Bob and Eve see identical outputs, so the unassisted rate is zero.",
         channel=_copy_channel(),
-        resource=_empty_resource(),
+        resource=trivial_resource().zeta,
         ensemble=_lifted_basis_ensemble(1),
     )
 

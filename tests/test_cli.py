@@ -409,6 +409,31 @@ def test_unreadable_input_file_exits_2(tmp_path, capsys, argv, content, message)
     assert error.startswith(str(path)) and message in error
 
 
+def test_state_file_refusal_names_the_file(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"factors": [["A", 1]], "matrix": [[[1.0, 0.5]]]}))
+    code, out, err = run_cli(capsys, "resource-analyze", "--seed", "5", "--state", str(path))
+    assert code == 2 and not out
+    error = json.loads(err.splitlines()[0])["error"]
+    assert error.startswith(f"{path}: ") and "not Hermitian" in error
+
+
+@pytest.mark.parametrize("argv", [["rate-eval"], ["code-sim", "--seed", "1"]])
+def test_ensemble_that_misses_the_channel_input_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # The classical gallery's ensemble moved to a qutrit signal: the channel
+    # takes a qubit, so both commands refuse it as invalid input.
+    monkeypatch.chdir(tmp_path)  # code-sim's default --out
+    sc = build_gallery("classical")
+    space = LabeledSpace.of(("A", 3), ("App", 1))
+    members = [basis_state(space, [i, 0]) for i in range(2)]
+    ens = CqEnsemble([0, 1], [0.5, 0.5], members)
+    sc_path = tmp_path / "mismatched.json"
+    save_scenario(Scenario("mismatched", "test instance", sc.channel, sc.resource, ens), sc_path)
+    code, out, err = run_cli(capsys, *argv, "--scenario", str(sc_path))
+    assert code == 2 and not out
+    assert "channel expects (2,)" in json.loads(err.splitlines()[0])["error"]
+
+
 def test_code_sim_csv_and_caps(tmp_path, capsys):
     sc_path = tmp_path / "classical.json"
     save_scenario(build_gallery("classical"), sc_path)

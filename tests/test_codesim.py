@@ -311,10 +311,10 @@ def test_run_experiment_diagonal_matches_dense_path():
             lam_dense, mu_dense = [], []
             for t in range(4):
                 cb = sample_codebook(sc.ensemble, n, rep.M, rep.S, _trial_seed(33, n, t))
-                space = LabeledSpace(tuple((f"b{i}", bobs[0].dim) for i in range(n)))
+                space = LabeledSpace(tuple((f"b{i}", len(bobs[0])) for i in range(n)))
                 bins = [
                     DensityOperator(space, m, validate=False)
-                    for m in _bin_average([b.matrix for b in bobs], cb.words)
+                    for m in _bin_average(bobs, cb.words)
                 ]
                 lam_dense.append(1.0 - pgm_success(bins, pgm_decoder(bins)))
                 mu_dense.append(leakage(cb, sc.ensemble, sc.channel, res).average)
@@ -434,7 +434,7 @@ def test_orthogonal_message_states_decode_exactly():
         space = LabeledSpace.of(*((f"b{i}", 2) for i in range(3)))
         bins = [
             DensityOperator(space, m, validate=False)
-            for m in _bin_average([b.matrix for b in bobs], cb.words)
+            for m in _bin_average(bobs, cb.words)
         ]
         lam = 1.0 - pgm_success(bins, pgm_decoder(bins))
         assert lam <= 1e-9
@@ -760,7 +760,7 @@ def _superdense_bob_outputs():
     from wiretap.codesim import _member_outputs
 
     sc = gallery_superdense()
-    return [b.matrix for b in _member_outputs(sc.ensemble, sc.channel, sc.resource_state())[0]]
+    return list(_member_outputs(sc.ensemble, sc.channel, sc.resource_state())[0])
 
 
 def _forbid_dense_pgm(monkeypatch):

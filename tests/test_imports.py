@@ -1,4 +1,4 @@
-"""Every name a package module imports is used there or listed in its ``__all__``."""
+"""Every name a module, script or test imports is used there or listed in its ``__all__``."""
 
 import ast
 from pathlib import Path
@@ -52,18 +52,23 @@ def test_unused_imports_finds_a_dropped_use():
     assert unused_imports(src) == ["RANK_CUTOFF"]
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_no_unused_imports(module):
-    assert unused_imports((SRC / module).read_text()) == []
-
-
 ROOT = SRC.parent.parent
+# Package modules by file name, scripts and tests by their path in the repository.
+CHECKED = {m: SRC / m for m in MODULES} | {
+    str(p.relative_to(ROOT)): p
+    for p in sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+}
+
+
+@pytest.mark.parametrize("module", CHECKED)
+def test_no_unused_imports(module):
+    assert unused_imports(CHECKED[module].read_text()) == []
+
 
 # Public names that nothing in src/, scripts/ or perfbench/ reads, with their role.
 UNREAD_PUBLIC_NAMES = {
     # Test references: the slow, direct paths the fast kernels are checked against.
     "grid_oracle": "test reference for optimize_unassisted and optimize_theorem1",
-    "build_beta": "test reference for the I(U:A') term of _CqKernel",
     "build_gamma": "test reference for the Bob and Eve side maps of _CqKernel",
     "marginal_constraint_residual": "test reference for _CqKernel.reference_terms",
     "holevo_information": "test reference for the batched Holevo terms of rates._holevo",
@@ -73,7 +78,6 @@ UNREAD_PUBLIC_NAMES = {
     # Documented entry points.
     "modulation_from_choi": "entry point: a signal state's modulation channel",
     "constant_channel": "entry point: a stock channel",
-    "trivial_resource": "entry point: the empty resource",
     "save_state": "entry point: the writer of resource-analyze's state files",
 }
 

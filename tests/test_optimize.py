@@ -252,6 +252,33 @@ def test_optimize_theorem1_trivial_resource():
     assert res.report.constraint_residual <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "make",
+    [identity_qubit_wiretap, broadcast_copy_channel, lambda: amplitude_damping_wiretap(0.3)],
+    ids=["identity", "broadcast", "amplitude-damping"],
+)
+def test_optimize_unassisted_is_theorem1_on_the_empty_resource(make):
+    cfg = small_cfg(seed=37, restarts=2, max_iters=150)
+    plain = optimize_unassisted(make(), cfg)
+    empty = optimize_theorem1(make(), trivial_resource(), cfg)
+    assert plain.trace == empty.trace
+    a, b = plain.best_ensemble, empty.best_ensemble
+    assert a.space == b.space == LabeledSpace.of(("A", 2), ("App", 1))
+    assert np.array_equal(a.probs, b.probs)
+    assert all(np.array_equal(x.matrix, y.matrix) for x, y in zip(a.states, b.states))
+
+
+@pytest.mark.parametrize("outputs", [("Bp", "Ep"), ("App", "Bp")])
+def test_unassisted_takes_outputs_named_like_the_empty_resource(outputs):
+    # The empty resource's labels are not reserved: only dimensions meet.
+    ch = QuantumChannel(
+        A, LabeledSpace.of((outputs[0], 2), (outputs[1], 1)), [np.eye(2, dtype=complex)]
+    )
+    ens = CqEnsemble([0, 1], [0.5, 0.5], [basis_state(A, [0]), basis_state(A, [1])])
+    assert unassisted_rate(ens, ch).rate == pytest.approx(1.0, abs=1e-12)
+    assert optimize_unassisted(ch, small_cfg(seed=11)).best_value == pytest.approx(1.0, abs=1e-9)
+
+
 def test_optimize_theorem1_broadcast_symmetric_is_nonpositive():
     out = optimize_theorem1(
         broadcast_copy_channel(), trivial_resource(), small_cfg(seed=53, restarts=2, max_iters=150)

@@ -30,12 +30,10 @@ from wiretap.qcore import (
     LabeledSpace,
     ValidationError,
     basis_state,
-    partial_trace,
     tensor,
 )
 from wiretap.rates import (
     RateReport,
-    build_beta,
     build_gamma,
     classical_embed,
     marginal_constraint_residual,
@@ -82,28 +80,8 @@ def test_rate_report_invariants():
 
 
 # ---------------------------------------------------------------------------
-# beta / gamma / residual
+# gamma / residual
 # ---------------------------------------------------------------------------
-
-
-def test_build_beta_single_member():
-    res = bell_resource_state()
-    phi = res.phi0.relabeled({"Ap": "A"})
-    ens = CqEnsemble(["only"], [1.0], [phi])
-    beta = build_beta(ens)
-    want = tensor(basis_state(LabeledSpace.of(("U", 1)), [0]), phi)
-    assert np.allclose(beta.matrix, want.matrix, atol=1e-14)
-
-
-def test_build_beta_marginal_is_mixture():
-    gen = rng(301)
-    space = LabeledSpace.of(("A", 2), ("App", 2))
-    states = [random_state(gen, space) for _ in range(2)]
-    ens = CqEnsemble([0, 1], [0.4, 0.6], states)
-    beta = build_beta(ens)
-    marg = partial_trace(beta, {"A", "App"})
-    want = 0.4 * states[0].matrix + 0.6 * states[1].matrix
-    assert np.allclose(marg.matrix, want, atol=1e-12)
 
 
 def test_build_gamma_matches_pushforward_composition():

@@ -49,13 +49,11 @@ from .optimize import (
     optimize_unassisted,
 )
 from .measures import (
-    MeasureResult,
     dense_coding_advantage,
     duality_residual,
     entanglement_of_purification,
 )
 from .codesim import (
-    Codebook,
     SimReport,
     code_parameters,
     leakage,

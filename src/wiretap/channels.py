@@ -48,7 +48,6 @@ __all__ = [
     "cq_state",
     "constant_channel",
     "classical_channel",
-    "isometry_channel",
     "trivial_resource",
     "channel_action_matrix",
     "channel_to_json",
@@ -90,7 +89,7 @@ class QuantumChannel:
             ops.append(m)
         total = sum(k.conj().T @ k for k in ops)
         dev = float(np.max(np.abs(total - np.eye(d_in))))
-        if dev > tp_tol:
+        if not dev <= tp_tol:  # a NaN deviation is refused too
             raise ValidationError(
                 f"Kraus family is not trace preserving: sum K'K deviates from identity by {dev:.3e}"
             )
@@ -180,12 +179,6 @@ def classical_channel(
     return QuantumChannel(input_space, output_space, kraus)
 
 
-def isometry_channel(
-    v: np.ndarray, input_space: LabeledSpace, output_space: LabeledSpace
-) -> QuantumChannel:
-    return QuantumChannel(input_space, output_space, [np.asarray(v, dtype=np.complex128)])
-
-
 # ---------------------------------------------------------------------------
 # Classical-quantum ensembles
 # ---------------------------------------------------------------------------
@@ -259,15 +252,15 @@ class CqEnsemble:
         return DensityOperator(self.space, m, validate=False)
 
 
-def cq_state(ens: CqEnsemble, label: str = "U") -> DensityOperator:
-    """Block-diagonal state sum_u q(u) |u><u| x rho_u, classical register first."""
-    if label in ens.space.labels:
-        raise ValidationError(f"register label {label!r} clashes with member space")
+def cq_state(ens: CqEnsemble) -> DensityOperator:
+    """Block-diagonal state sum_u q(u) |u><u| x rho_u, classical register "U" first."""
+    if "U" in ens.space.labels:
+        raise ValidationError("register label 'U' clashes with member space")
     n, d = len(ens), ens.space.dim
     out = np.zeros((n * d, n * d), dtype=np.complex128)
     for i, (q, s) in enumerate(zip(ens.probs, ens.states)):
         out[i * d : (i + 1) * d, i * d : (i + 1) * d] = q * s.matrix
-    space = LabeledSpace.of((label, n)).tensor(ens.space)
+    space = LabeledSpace.of(("U", n)).tensor(ens.space)
     return DensityOperator(space, out, validate=False)
 
 
@@ -295,14 +288,6 @@ class ResourceState:
     support_isometry: np.ndarray | None
     alice_label: str
     aux_label: str
-
-    @property
-    def bob_label(self) -> str:
-        return self.zeta.space.labels[1]
-
-    @property
-    def eve_label(self) -> str:
-        return self.zeta.space.labels[2]
 
     @property
     def zeta_marginal(self) -> DensityOperator:
@@ -345,44 +330,37 @@ def _channel_through_phi0(
         ) from exc
 
 
-def channel_from_resource_state(
-    zeta: DensityOperator,
-    alice: str | None = None,
-    aux_label: str = "App",
-) -> ResourceState:
+def channel_from_resource_state(zeta: DensityOperator) -> ResourceState:
     """Build the resource-state channel decomposition of ``zeta``.
 
-    Restricts Alice's factor to the support of her marginal (recording the
-    isometry), builds phi0 = sum_i sqrt(lam_i) v_i x v_i from the
-    marginal's spectrum, and reads the unique channel Z with
-    (id x Z) phi0 = zeta off the eigenvectors of zeta through phi0's
-    amplitude matrix (``_channel_through_phi0``).  Raises if Z fails to be
+    Alice's share is the first factor of ``zeta``, and phi0's copy of it
+    is named "App".  Restricts Alice's factor to the support of her
+    marginal (recording the isometry), builds phi0 = sum_i sqrt(lam_i)
+    v_i x v_i from the marginal's spectrum, and reads the unique channel
+    Z with (id x Z) phi0 = zeta off the eigenvectors of zeta through
+    phi0's amplitude matrix (``_channel_through_phi0``).  Raises if Z fails to be
     trace preserving or to reproduce zeta beyond tolerance, which signals a
     numerically degenerate marginal spectrum.
     """
-    space = zeta.space
+    space, aux_label = zeta.space, "App"
     if len(space.factors) != 3:
         raise ValidationError(f"resource state must have exactly 3 factors, got {len(space.factors)}")
-    alice = alice or space.labels[0]
-    others = [lab for lab in space.labels if lab != alice]
-    if len(others) != 2:
-        raise ValidationError(f"alice label {alice!r} not found in {list(space.labels)}")
+    alice, *others = space.labels
     if aux_label in space.labels:
         raise ValidationError(f"auxiliary label {aux_label!r} clashes with resource labels")
 
-    zp = permute_factors(zeta, [alice] + others)
-    d_alice = zp.space.dim_of(alice)
-    d_rest = zp.dim // d_alice
-    lam, vecs = support_eigh(partial_trace(zp, {alice}).matrix)
+    d_alice = space.dim_of(alice)
+    d_rest = zeta.dim // d_alice
+    lam, vecs = support_eigh(partial_trace(zeta, {alice}).matrix)
     rank = len(lam)
 
-    zeta_r, support_isometry = zp, None
+    zeta_r, support_isometry = zeta, None
     if rank < d_alice:
         support_isometry = vecs
         big = np.kron(vecs, np.eye(d_rest))
-        m = big.conj().T @ zp.matrix @ big
+        m = big.conj().T @ zeta.matrix @ big
         m = m / np.real(np.trace(m))
-        restricted_space = LabeledSpace.of((alice, rank)).tensor(zp.space.subspace(others))
+        restricted_space = LabeledSpace.of((alice, rank)).tensor(space.subspace(others))
         zeta_r = DensityOperator(restricted_space, m, validate=False)
         # In the restricted frame the marginal is diagonal in the computational basis.
         lam, vecs = support_eigh(partial_trace(zeta_r, {alice}).matrix)
@@ -446,13 +424,11 @@ def modulation_from_choi(
     return _channel_through_phi0(state, lam, vecs, zeta_marginal.space, out_space, "modulation")
 
 
-def trivial_resource(
-    alice: str = "Ap", bob: str = "Bp", eve: str = "Ep"
-) -> ResourceState:
-    """The empty resource: one-dimensional shares for all three parties."""
-    space = LabeledSpace.of((alice, 1), (bob, 1), (eve, 1))
+def trivial_resource() -> ResourceState:
+    """The empty resource: one-dimensional shares Ap, Bp and Ep."""
+    space = LabeledSpace.of(("Ap", 1), ("Bp", 1), ("Ep", 1))
     zeta = DensityOperator(space, np.array([[1.0 + 0j]]), validate=False)
-    return channel_from_resource_state(zeta, alice=alice)
+    return channel_from_resource_state(zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -499,5 +475,8 @@ def ensemble_from_json(obj) -> CqEnsemble:
     for key in ("labels", "probs", "states"):
         if key not in obj:
             raise ValidationError(f"ensemble object is missing {key!r}")
+    for key in ("labels", "states"):
+        if not isinstance(obj[key], list):
+            raise ValidationError(f"{key} must be a list")
     states = [state_from_json(s) for s in obj["states"]]
     return CqEnsemble(obj["labels"], obj["probs"], states)

@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 
@@ -184,18 +183,18 @@ def cmd_resource_analyze(args) -> int:
     ep = entanglement_of_purification(rho_cb, args.dim_f_cap, cfg)
     s_b = von_neumann_entropy(partial_trace(state, {b}))
     payload = {
-        "delta": delta.value,
-        "e_p": ep.value,
+        "delta": delta.best_value,
+        "e_p": ep.best_value,
         "s_bprime": s_b,
-        "residual": abs(delta.value + ep.value - s_b),
+        "residual": abs(delta.best_value + ep.best_value - s_b),
         "witnesses": {
-            "delta": channel_to_json(delta.witness_channel),
-            "e_p": channel_to_json(ep.witness_channel),
+            "delta": channel_to_json(delta.best_channel),
+            "e_p": channel_to_json(ep.best_channel),
         },
     }
     print(json.dumps(payload))
     print(
-        f"delta={delta.value:.6f} e_p={ep.value:.6f} s_bprime={s_b:.6f} "
+        f"delta={delta.best_value:.6f} e_p={ep.best_value:.6f} s_bprime={s_b:.6f} "
         f"duality_residual={payload['residual']:.3e}",
         file=sys.stderr,
     )
@@ -215,14 +214,6 @@ SIM_CSV_COLUMNS = [
 ]
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
 def cmd_code_sim(args) -> int:
     sc = load_scenario(args.scenario)
     cfg = _read_json(args.config) if args.config else {}
@@ -240,14 +231,6 @@ def cmd_code_sim(args) -> int:
     epsilon = cfg.get("epsilon", 0.1)
     trials = cfg.get("trials", 10)
     rate = cfg.get("rate")
-    if not (isinstance(n_list, list) and n_list and all(_is_int(n) and n >= 1 for n in n_list)):
-        raise ValidationError(f"n must be a non-empty list of integers >= 1, got {n_list!r}")
-    if not (_is_int(trials) and trials >= 1):
-        raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
-    if not (_is_int(seed) and seed >= 0):
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
-    if not _is_number(epsilon) or not (rate is None or _is_number(rate)):
-        raise ValidationError(f"epsilon and rate must be finite numbers, got {epsilon!r}, {rate!r}")
     reports = run_experiment(sc, n_list, epsilon, trials, seed, rate=rate)
     rows = [
         {

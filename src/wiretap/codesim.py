@@ -37,6 +37,7 @@ not restricted to typical sequences.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -62,7 +63,6 @@ from .scenario import Scenario
 __all__ = [
     "MAX_DIM",
     "MAX_WORKING_BYTES",
-    "Codebook",
     "CodeParams",
     "LeakageStats",
     "SimReport",
@@ -88,23 +88,6 @@ TRACE_NORM_ARRAYS = 2
 
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
-
-
-@dataclass(frozen=True)
-class Codebook:
-    """M x S codewords of length n, sampled i.i.d. from the ensemble law."""
-
-    n: int
-    M: int
-    S: int
-    words: np.ndarray  # (M, S, n) integer indices into the ensemble labels
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.words.shape != (self.M, self.S, self.n):
-            raise ValidationError(
-                f"words shape {self.words.shape} != ({self.M}, {self.S}, {self.n})"
-            )
 
 
 @dataclass(frozen=True)
@@ -194,16 +177,16 @@ def code_parameters(
     return CodeParams(M=m, S=s, rate=math.log2(m) / n, degenerate=degenerate)
 
 
-def sample_codebook(ens: CqEnsemble, n: int, M: int, S: int, seed: int) -> Codebook:
-    """Draw the (M, S, n) codeword array i.i.d. from the ensemble law."""
+def sample_codebook(ens: CqEnsemble, n: int, M: int, S: int, seed: int) -> np.ndarray:
+    """Draw M bins of S codewords of length n i.i.d. from the ensemble law, as
+    an (M, S, n) array of indices into the ensemble's labels."""
     total = M * S * n
     if total > WORD_CAP:
         raise ResourceLimitError(f"codebook would hold {total} symbols (> cap {WORD_CAP})")
     gen = np.random.default_rng(seed)
     p = np.asarray(ens.probs, dtype=float)
     p = p / p.sum()
-    words = gen.choice(len(ens), size=(M, S, n), p=p)
-    return Codebook(n=n, M=M, S=S, words=words, seed=seed)
+    return gen.choice(len(ens), size=(M, S, n), p=p)
 
 
 def pgm_decoder(states: Sequence[DensityOperator]) -> list[np.ndarray]:
@@ -338,31 +321,34 @@ def _eve_outputs(
 
 
 def leakage(
-    codebook: Codebook,
+    words: np.ndarray,
     ens: CqEnsemble,
     channel: QuantumChannel,
     res: ResourceState,
 ) -> LeakageStats:
     """Average and worst-case trace norm between Eve's per-message states
-    and the block-length power of the one-letter Eve marginal.
+    and the block-length power of the one-letter Eve marginal, for the
+    (M, S, n) codewords ``words``.
 
     The reference for code-sim's leakage.  Refused, before any bin average
     is built, over the dimension cap or MAX_WORKING_BYTES.
     """
-    eve_mats, reference = _eve_outputs(ens, channel, res, codebook.n)
-    size = _bin_bytes(eve_mats, codebook.n)
-    _check_bytes(codebook.n, codebook.M, codebook.S, [(TRACE_NORM_ARRAYS, size)], held=size)
-    dists = [hermitian_trace_norm(b - reference) for b in _bin_average(eve_mats, codebook.words)]
+    m_count, s_count, n = words.shape
+    eve_mats, reference = _eve_outputs(ens, channel, res, n)
+    size = _bin_bytes(eve_mats, n)
+    _check_bytes(n, m_count, s_count, [(TRACE_NORM_ARRAYS, size)], held=size)
+    dists = [hermitian_trace_norm(b - reference) for b in _bin_average(eve_mats, words)]
     return LeakageStats(average=float(np.mean(dists)), per_message_max=float(np.max(dists)))
 
 
 def marginal_residual_and_fixup(
-    codebook: Codebook,
+    words: np.ndarray,
     ens: CqEnsemble,
     res: ResourceState,
 ) -> tuple[float, float]:
-    """Reference-marginal deviation of the bin-averaged signal states and
-    the trace-norm cost of repairing it exactly.
+    """Reference-marginal deviation of the bin-averaged signal states of the
+    (M, S, n) codewords ``words`` and the trace-norm cost of repairing it
+    exactly.
 
     Builds each message's bin-averaged joint state, measures how far its
     reference-side marginal sits from the block power of the resource
@@ -370,14 +356,14 @@ def marginal_residual_and_fixup(
     satisfies the 4*sqrt(residual) budget.  Refused up front over the
     dimension cap or MAX_WORKING_BYTES.
     """
-    n = codebook.n
+    m_count, s_count, n = words.shape
     d_mem = ens.space.dim
     if d_mem**n > MAX_DIM:
         raise ResourceLimitError(
             f"signal-side dimension {d_mem}^{n} = {d_mem**n} exceeds cap {MAX_DIM}"
         )
     member_mats = [s.matrix for s in ens.states]
-    _check_bytes(n, codebook.M, codebook.S, [(REPAIR_ARRAYS, _bin_bytes(member_mats, n))])
+    _check_bytes(n, m_count, s_count, [(REPAIR_ARRAYS, _bin_bytes(member_mats, n))])
     member_space_n = _power_space(ens.space, n)
     aux = [f"{res.aux_label}@{i}" for i in range(n)]
     target_space = _power_space(res.zeta_marginal.space, n).relabeled(
@@ -387,7 +373,7 @@ def marginal_residual_and_fixup(
         target_space, _power(res.zeta_marginal.matrix, n), validate=False
     )
     residuals, costs = [], []
-    for avg_mat in _bin_average(member_mats, codebook.words):
+    for avg_mat in _bin_average(member_mats, words):
         eta_tilde = DensityOperator(member_space_n, avg_mat, validate=False)
         marg = partial_trace(eta_tilde, set(aux))
         residuals.append(hermitian_trace_norm(marg.matrix - target.matrix))
@@ -500,6 +486,14 @@ def _gram_pgm_error(factors: np.ndarray, words: np.ndarray) -> float:
     return 1.0 - min(max(succ, 0.0), 1.0)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def run_experiment(
     scenario: Scenario,
     n_list: Sequence[int],
@@ -511,13 +505,21 @@ def run_experiment(
     """Run the random-code experiment for each block length in ``n_list``.
 
     Deterministic in ``seed``: each (block length, trial) pair owns a
-    derived seed.  All requested block lengths are checked against the
-    dimension caps and, in bytes, against MAX_WORKING_BYTES up front.
+    derived seed.  The arguments' types are checked first, then all
+    requested block lengths against the dimension caps and, in bytes,
+    against MAX_WORKING_BYTES, all before the first trial.
     """
+    listed = isinstance(n_list, (Sequence, np.ndarray)) and len(n_list) > 0
+    if not (listed and all(_is_int(n) and n >= 1 for n in n_list)):
+        raise ValidationError(f"n must be a non-empty list of integers >= 1, got {n_list!r}")
+    if not (_is_int(trials) and trials >= 1):
+        raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
+    if not (_is_int(seed) and seed >= 0):
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    if not _is_number(epsilon) or not (rate is None or _is_number(rate)):
+        raise ValidationError(f"epsilon and rate must be finite numbers, got {epsilon!r}, {rate!r}")
     if scenario.ensemble is None:
         raise ValidationError("code simulation needs a scenario with an ensemble")
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
     ens = scenario.ensemble
     channel = scenario.channel
     res = scenario.resource_state()
@@ -565,13 +567,13 @@ def run_experiment(
         eve_ref = _power(eve_avg, n)
         lams, mus, resids, costs = [], [], [], []
         for t in range(trials):
-            cb = sample_codebook(ens, n, params.M, params.S, _trial_seed(seed, n, t))
+            words = sample_codebook(ens, n, params.M, params.S, _trial_seed(seed, n, t))
             if gram is None:
-                lams.append(_pgm_error(_bin_average(bob, cb.words)))
+                lams.append(_pgm_error(_bin_average(bob, words)))
             else:
-                lams.append(_gram_pgm_error(factors, cb.words))
-            mus.append(_mean_distance(eve, cb.words, eve_ref))
-            r, c = marginal_residual_and_fixup(cb, ens, res) if repairs else (0.0, 0.0)
+                lams.append(_gram_pgm_error(factors, words))
+            mus.append(_mean_distance(eve, words, eve_ref))
+            r, c = marginal_residual_and_fixup(words, ens, res) if repairs else (0.0, 0.0)
             resids.append(r)
             costs.append(c)
         lam_arr = np.asarray(lams)

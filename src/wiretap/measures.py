@@ -21,11 +21,8 @@ best-found bounds, not certified optima).  For any pure state on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channels import QuantumChannel
 from .entropic import _entropies, von_neumann_entropy
 from .optimize import OptimizerConfig, OptResult, optimize_channel_functional
 from .qcore import (
@@ -42,20 +39,10 @@ from .qcore import (
 )
 
 __all__ = [
-    "MeasureResult",
     "dense_coding_advantage",
     "entanglement_of_purification",
     "duality_residual",
 ]
-
-
-@dataclass(frozen=True)
-class MeasureResult:
-    """Best value found, the channel witnessing it, and the optimizer trace."""
-
-    value: float
-    witness_channel: QuantumChannel
-    diagnostics: OptResult
 
 
 class _ChannelKernel:
@@ -118,14 +105,15 @@ def dense_coding_advantage(
     zeta_ab: DensityOperator,
     dim_a_cap: int | None = None,
     cfg: OptimizerConfig = OptimizerConfig(seed=0),
-) -> MeasureResult:
+) -> OptResult:
     """Maximal coherent information after pre-processing the first share.
 
     The search runs at output dimension exactly ``dim_a_cap`` (default:
     dim(A)^2); any channel with a smaller output embeds isometrically with
     the same objective, so the cap loses nothing.  The identity embedding
     is one of the starting points, so the result is never below the plain
-    coherent information when the cap allows it.
+    coherent information when the cap allows it.  The search's ``OptResult``
+    carries the value as ``best_value`` and the witness as ``best_channel``.
     """
     if len(zeta_ab.space.factors) != 2:
         raise ValidationError("dense_coding_advantage expects a bipartite state")
@@ -146,7 +134,7 @@ def dense_coding_advantage(
     def objective(kraus: np.ndarray) -> np.ndarray:
         return s_b - kernel.entropy(kraus)
 
-    opt = optimize_channel_functional(
+    return optimize_channel_functional(
         objective,
         in_space,
         out_space,
@@ -154,21 +142,21 @@ def dense_coding_advantage(
         cfg,
         inits=_channel_inits(d_a, cap),
     )
-    return MeasureResult(value=opt.best_value, witness_channel=opt.best_channel, diagnostics=opt)
 
 
 def entanglement_of_purification(
     rho_cd: DensityOperator,
     dim_f_cap: int | None = None,
     cfg: OptimizerConfig = OptimizerConfig(seed=0),
-) -> MeasureResult:
+) -> OptResult:
     """Best-found upper bound on the entanglement of purification E_P(C:D).
 
     Purifies ``rho_cd`` canonically (purifier dimension = rank), then
     minimizes S(C, F) over post-processings of the purifier with
     dim(F) = ``dim_f_cap`` (default: the purifier dimension).  Larger caps
     can only lower the value.  This is a non-convex minimization; the
-    result is an upper bound witnessed by the returned channel.
+    result's ``best_value`` is an upper bound witnessed by its
+    ``best_channel``.
     """
     if len(rho_cd.space.factors) != 2:
         raise ValidationError("entanglement_of_purification expects a bipartite state")
@@ -186,7 +174,7 @@ def entanglement_of_purification(
 
     kernel = _ChannelKernel(psi_ce, e_label)
     check_working_bytes(kernel.search_bytes(cap), f"the E_P search at dim_f_cap {cap}")
-    opt = optimize_channel_functional(
+    return optimize_channel_functional(
         kernel.entropy,
         in_space,
         out_space,
@@ -194,13 +182,10 @@ def entanglement_of_purification(
         cfg,
         inits=_channel_inits(d_e, cap),
     )
-    return MeasureResult(value=opt.best_value, witness_channel=opt.best_channel, diagnostics=opt)
 
 
 def duality_residual(
-    zeta_pure: DensityOperator,
-    caps: tuple[int | None, int | None] = (None, None),
-    cfg: OptimizerConfig = OptimizerConfig(seed=0),
+    zeta_pure: DensityOperator, cfg: OptimizerConfig = OptimizerConfig(seed=0)
 ) -> float:
     """|delta(A > B) + E_P(C:B) - S(B)| for a pure tripartite state.
 
@@ -215,9 +200,9 @@ def duality_residual(
         )
     a, b, c = zeta_pure.space.labels
     zeta_ab = partial_trace(zeta_pure, {a, b})
-    delta = dense_coding_advantage(zeta_ab, caps[0], cfg).value
+    delta = dense_coding_advantage(zeta_ab, cfg=cfg).best_value
     rho_cb = permute_factors(partial_trace(zeta_pure, {c, b}), [c, b])
-    ep = entanglement_of_purification(rho_cb, caps[1], cfg).value
+    ep = entanglement_of_purification(rho_cb, cfg=cfg).best_value
     s_b = von_neumann_entropy(partial_trace(zeta_pure, {b}))
     return abs(delta + ep - s_b)
 

@@ -129,13 +129,14 @@ def _coordinate_search(
     objective: Callable[[np.ndarray], np.ndarray],
     gen: np.random.Generator,
     max_iters: int,
-    on_accept: Callable[[int, float], None] | None = None,
+    on_accept: Callable[[int, float], None],
 ) -> tuple[np.ndarray, float]:
     """Greedy single-coordinate random search, maximizing ``objective``.
 
     ``objective`` scores a (b, n) stack of points as b values.  Each
     iteration scores x + delta e_i and x - delta e_i in one call and takes
-    the + step if it improves, else the - step if that improves.
+    the + step if it improves, else the - step if that improves;
+    ``on_accept(iteration, value)`` sees every accepted step.
     """
     x = x0.copy()
     best = float(objective(x[None])[0])
@@ -152,8 +153,7 @@ def _coordinate_search(
             j = 0 if vals[0] > best else 1
             x, best = pair[j], float(vals[j])
             stall = 0
-            if on_accept is not None:
-                on_accept(it, best)
+            on_accept(it, best)
         else:
             stall += 1
             if stall >= STEP_PATIENCE:

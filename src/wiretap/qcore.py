@@ -180,14 +180,15 @@ class DensityOperator:
                 f"matrix shape {m.shape} does not match space dimension {space.dim}"
             )
         if validate:
+            # Written as "not dev <= tol" so that a NaN deviation is refused.
             herm = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-            if herm > TOL_HERM:
+            if not herm <= TOL_HERM:
                 raise ValidationError(f"matrix is not Hermitian (deviation {herm:.3e})")
             tr = m.trace()
-            if abs(tr - 1.0) > TOL_TRACE:
+            if not abs(tr - 1.0) <= TOL_TRACE:
                 raise ValidationError(f"trace {tr:.12g} differs from 1 beyond tolerance")
             wmin = float(np.linalg.eigvalsh(m)[0])
-            if wmin < -TOL_PSD:
+            if not wmin >= -TOL_PSD:
                 raise ValidationError(f"matrix has negative eigenvalue {wmin:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "space", space)
@@ -453,6 +454,8 @@ def complex_matrix_from_json(obj, rows: int, cols: int, what: str = "matrix") ->
         raise ValidationError(
             f"{what} has shape {arr.shape}, expected ({rows}, {cols}, 2) of [re, im] pairs"
         )
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{what} entries must be finite")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

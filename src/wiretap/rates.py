@@ -335,10 +335,8 @@ def unassisted_rate(ens: CqEnsemble, channel: QuantumChannel) -> RateReport:
     return RateReport(i_u_bb, i_u_ee, 0.0, i_u_bb - i_u_ee, 0.0, mode="unassisted")
 
 
-def classical_embed(
-    pmf: np.ndarray, labels: tuple[str, str, str] = ("Ap", "Bp", "Ep")
-) -> DensityOperator:
-    """Diagonal embedding of a joint pmf over X x Y x Z as a resource state."""
+def classical_embed(pmf: np.ndarray) -> DensityOperator:
+    """Diagonal embedding of a joint pmf over X x Y x Z as a resource state on (Ap, Bp, Ep)."""
     try:
         p = np.asarray(pmf, dtype=float)
     except (TypeError, ValueError):
@@ -351,7 +349,5 @@ def classical_embed(
         raise ValidationError(f"pmf has negative entries (min {p.min():.3e})")
     if abs(p.sum() - 1.0) > 1e-12:
         raise ValidationError(f"pmf sums to {p.sum():.15g}, not 1")
-    space = LabeledSpace.of(
-        (labels[0], p.shape[0]), (labels[1], p.shape[1]), (labels[2], p.shape[2])
-    )
+    space = LabeledSpace.of(("Ap", p.shape[0]), ("Bp", p.shape[1]), ("Ep", p.shape[2]))
     return DensityOperator(space, np.diag(p.reshape(-1)).astype(np.complex128), validate=False)

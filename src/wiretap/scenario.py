@@ -20,7 +20,6 @@ from .channels import (
     classical_channel,
     ensemble_from_json,
     ensemble_to_json,
-    isometry_channel,
     trivial_resource,
 )
 from .qcore import (
@@ -120,18 +119,19 @@ def _section(obj: dict, key: str, parse, required: bool):
         raise ValidationError(f"{key}: {exc}") from exc
 
 
+def _channels_from_json(obj) -> tuple[QuantumChannel, ...]:
+    if not isinstance(obj, list):
+        raise ValidationError("must be a list of channel objects")
+    return tuple(channel_from_json(m) for m in obj)
+
+
 def scenario_from_json(obj) -> Scenario:
     if not isinstance(obj, dict):
         raise ValidationError("scenario must be a JSON object")
     channel = _section(obj, "channel", channel_from_json, required=True)
     resource = _section(obj, "resource", state_from_json, required=True)
     ensemble = _section(obj, "ensemble", ensemble_from_json, required=False)
-    modulations = _section(
-        obj,
-        "modulations",
-        lambda lst: tuple(channel_from_json(m) for m in lst),
-        required=False,
-    )
+    modulations = _section(obj, "modulations", _channels_from_json, required=False)
     probs = obj.get("modulation_probs")
     return Scenario(
         name=str(obj.get("name", "")),
@@ -177,7 +177,7 @@ def _copy_channel() -> QuantumChannel:
     v = np.zeros((4, 2), dtype=complex)
     v[0, 0] = 1.0
     v[3, 1] = 1.0
-    return isometry_channel(v, _A, LabeledSpace.of(("B", 2), ("E", 2)))
+    return QuantumChannel(_A, LabeledSpace.of(("B", 2), ("E", 2)), [v])
 
 
 def _lifted_basis_ensemble(aux_dim: int) -> CqEnsemble:

@@ -263,12 +263,12 @@ def test_acceptance_6_duality_and_products():
         DensityOperator(LabeledSpace.of(("Ap", 2)), random_density_matrix(gen, 2)),
         DensityOperator(LabeledSpace.of(("Bp", 2)), random_density_matrix(gen, 2)),
     )
-    delta_prod = abs(dense_coding_advantage(prod_ab, cfg=cfg).value)
+    delta_prod = abs(dense_coding_advantage(prod_ab, cfg=cfg).best_value)
     ep_prod_state = tensor(
         DensityOperator(LabeledSpace.of(("C", 2)), random_density_matrix(gen, 2)),
         basis_state(LabeledSpace.of(("D", 2)), [1]),
     )
-    ep_prod = abs(entanglement_of_purification(ep_prod_state, cfg=cfg).value)
+    ep_prod = abs(entanglement_of_purification(ep_prod_state, cfg=cfg).best_value)
 
     elapsed = time.monotonic() - t0
     ok = (

@@ -32,7 +32,6 @@ from wiretap.channels import (
     cq_state,
     ensemble_from_json,
     ensemble_to_json,
-    isometry_channel,
     modulation_from_choi,
     trivial_resource,
 )
@@ -70,6 +69,8 @@ def test_channel_construction_asserts_trace_preservation():
         QuantumChannel(A, B, [])
     with pytest.raises(ValidationError, match="shape"):
         QuantumChannel(A, B, [np.eye(3)])
+    with pytest.raises(ValidationError, match="trace preserving"):
+        QuantumChannel(A, B, [np.array([[1.0, np.nan], [0.0, 1.0]])])
 
 
 def test_apply_identity_and_constant():
@@ -154,8 +155,9 @@ def test_cq_state_marginal_is_average():
     marg = partial_trace(gamma, {"A"})
     want = sum(q * s.matrix for q, s in zip(ens.probs, states))
     assert np.allclose(marg.matrix, want, atol=1e-12)
+    on_u = CqEnsemble([0], [1.0], [maximally_mixed(LabeledSpace.of(("U", 2)))])
     with pytest.raises(ValidationError, match="clash"):
-        cq_state(ens, label="A")
+        cq_state(on_u)
 
 
 def test_ensemble_pushforward_memberwise():
@@ -384,7 +386,7 @@ def test_stock_channels():
     # Broadcast isometry |x> -> |x>|x>.
     v = np.zeros((4, 2), dtype=complex)
     v[0, 0] = v[3, 1] = 1.0
-    bc = isometry_channel(v, A, LabeledSpace.of(("B", 2), ("E", 2)))
+    bc = QuantumChannel(A, LabeledSpace.of(("B", 2), ("E", 2)), [v])
     out = apply(bc, basis_state(A, [1]), ["A"])
     assert np.allclose(out.matrix, basis_state(out.space, [1, 1]).matrix, atol=1e-14)
 

@@ -198,6 +198,8 @@ def test_rate_eval_invalid_json_cites_offset(tmp_path, capsys):
         ("labels", [[0], [1], [2], [3]], "hashable"),
         ("probs", ["a", 0.25, 0.25, 0.25], "numbers"),
         ("probs", [float("nan"), 0.25, 0.25, 0.25], "finite"),
+        ("states", 5, "states must be a list"),
+        ("labels", 3, "labels must be a list"),
     ],
 )
 def test_rate_eval_refuses_ill_typed_ensemble(tmp_path, capsys, field, value, message):
@@ -211,6 +213,42 @@ def test_rate_eval_refuses_ill_typed_ensemble(tmp_path, capsys, field, value, me
     code, _, err = run_cli(capsys, "rate-eval", "--scenario", str(sc_path))
     assert code == 2
     assert message in json.loads(err.splitlines()[0])["error"]
+
+
+def test_rate_eval_refuses_modulations_that_are_not_a_list(tmp_path, capsys):
+    from wiretap.scenario import scenario_to_json
+
+    obj = scenario_to_json(build_gallery("superdense"))
+    obj["modulations"] = 5
+    sc_path = tmp_path / "bad.json"
+    sc_path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "rate-eval", "--scenario", str(sc_path), "--mode", "trivial")
+    assert code == 2 and not out
+    assert "modulations: must be a list" in json.loads(err.splitlines()[0])["error"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("command", ["rate-eval", "resource-analyze"])
+def test_non_finite_matrix_entries_exit_2(tmp_path, capsys, command, value):
+    # One bad entry above the diagonal used to pass every check (NaN compares
+    # false) and print numbers, or crash in an eigensolver.
+    from wiretap.qcore import state_to_json
+    from wiretap.scenario import scenario_to_json
+
+    path = tmp_path / "bad.json"
+    if command == "rate-eval":
+        obj = scenario_to_json(build_gallery("superdense"))
+        obj["channel"]["kraus"][0][0][1][0] = value
+        argv = ["--scenario", str(path)]
+    else:
+        bell = maximally_entangled("A", "B", 2)
+        obj = state_to_json(tensor(bell, basis_state(LabeledSpace.of(("C", 2)), [0])))
+        obj["matrix"][0][1][0] = value
+        argv = ["--state", str(path), "--seed", "1"]
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, command, *argv)
+    assert code == 2 and not out
+    assert "entries must be finite" in json.loads(err.splitlines()[0])["error"]
 
 
 def test_rate_optimize_superdense_and_witness_reload(tmp_path, capsys):

@@ -110,12 +110,12 @@ def test_sample_codebook_determinism_and_frequencies():
     ens = lifted_bits_ensemble()
     cb1 = sample_codebook(ens, n=8, M=100, S=10, seed=99)
     cb2 = sample_codebook(ens, n=8, M=100, S=10, seed=99)
-    assert np.array_equal(cb1.words, cb2.words)
-    counts = np.bincount(cb1.words.reshape(-1), minlength=2)
-    freqs = counts / cb1.words.size
+    assert cb1.shape == (100, 10, 8) and np.array_equal(cb1, cb2)
+    counts = np.bincount(cb1.reshape(-1), minlength=2)
+    freqs = counts / cb1.size
     assert abs(freqs[0] - 0.5) < 0.02  # binomial CI at 8000 draws
     # Chi-square goodness of fit, one degree of freedom: p = erfc(sqrt(stat / 2)).
-    expected = ens.probs * cb1.words.size
+    expected = ens.probs * cb1.size
     stat = float(np.sum((counts - expected) ** 2 / expected))
     assert math.erfc(math.sqrt(stat / 2)) > 1e-3
 
@@ -128,7 +128,7 @@ def test_sample_codebook_point_mass_and_cap():
         [tensor(basis_state(A, [i]), basis_state(aux, [0])) for i in range(2)],
     )
     cb = sample_codebook(ens, n=4, M=3, S=2, seed=5)
-    assert np.all(cb.words == 0)
+    assert np.all(cb == 0)
     with pytest.raises(ResourceLimitError):
         sample_codebook(ens, n=100, M=10**4, S=10**3, seed=1)
 
@@ -249,7 +249,7 @@ def test_marginal_residual_single_word_case():
     ens, res = avg_constrained_ensemble()
     cb = sample_codebook(ens, n=1, M=1, S=1, seed=13)
     residual, cost = marginal_residual_and_fixup(cb, ens, res)
-    u = int(cb.words[0, 0, 0])
+    u = int(cb[0, 0, 0])
     marg = np.array([0.7, 0.3]) if u == 0 else np.array([0.3, 0.7])
     want = np.abs(marg - np.array([0.5, 0.5])).sum()
     assert residual == pytest.approx(want, abs=1e-12)
@@ -314,7 +314,7 @@ def test_run_experiment_diagonal_matches_dense_path():
                 space = LabeledSpace(tuple((f"b{i}", len(bobs[0])) for i in range(n)))
                 bins = [
                     DensityOperator(space, m, validate=False)
-                    for m in _bin_average(bobs, cb.words)
+                    for m in _bin_average(bobs, cb)
                 ]
                 lam_dense.append(1.0 - pgm_success(bins, pgm_decoder(bins)))
                 mu_dense.append(leakage(cb, sc.ensemble, sc.channel, res).average)
@@ -418,6 +418,28 @@ def test_run_experiment_caps_and_validation():
         run_experiment(gallery_broadcast_bell(), [1], 0.1, trials=1, seed=1)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"n_list": [1.5]}, "n must be"),
+        ({"n_list": [True]}, "n must be"),
+        ({"n_list": []}, "n must be"),
+        ({"n_list": 2}, "n must be"),
+        ({"trials": 2.5}, "trials must be"),
+        ({"seed": -1}, "seed must be"),
+        ({"seed": 1.5}, "seed must be"),
+        ({"epsilon": "x"}, "finite numbers"),
+        ({"rate": float("nan")}, "finite numbers"),
+    ],
+)
+def test_run_experiment_refuses_ill_typed_arguments(bad, message):
+    # The library checks its own arguments: scripts get a ValidationError,
+    # not a TypeError from deep inside, and no empty report list.
+    args = {"n_list": [1], "epsilon": 0.1, "trials": 1, "seed": 1, "rate": None} | bad
+    with pytest.raises(ValidationError, match=message):
+        run_experiment(gallery_classical(), **args)
+
+
 def test_orthogonal_message_states_decode_exactly():
     # When the sampled codebook happens to give the messages orthogonal
     # output states, the simulator's error is numerically zero at any n.
@@ -429,12 +451,12 @@ def test_orthogonal_message_states_decode_exactly():
     bobs, _ = _member_outputs(sc.ensemble, sc.channel, res)
     for seed in range(50):
         cb = sample_codebook(sc.ensemble, n=3, M=2, S=1, seed=seed)
-        if np.array_equal(cb.words[0, 0], cb.words[1, 0]):
+        if np.array_equal(cb[0, 0], cb[1, 0]):
             continue  # collision: states not orthogonal
         space = LabeledSpace.of(*((f"b{i}", 2) for i in range(3)))
         bins = [
             DensityOperator(space, m, validate=False)
-            for m in _bin_average(bobs, cb.words)
+            for m in _bin_average(bobs, cb)
         ]
         lam = 1.0 - pgm_success(bins, pgm_decoder(bins))
         assert lam <= 1e-9
@@ -855,7 +877,7 @@ def test_run_experiment_superdense_closed_form_at_large_n(monkeypatch):
     for rep in reports:
         for t, lam in enumerate(rep.lambda_trials):
             cb = sample_codebook(sc.ensemble, rep.n, rep.M, rep.S, _trial_seed(4, rep.n, t))
-            want = _pgm_closed_form(cb.words)
+            want = _pgm_closed_form(cb)
             if rep.S == 1:
-                assert want == len({tuple(w) for w in cb.words.reshape(-1, rep.n)})
+                assert want == len({tuple(w) for w in cb.reshape(-1, rep.n)})
             assert abs(rep.M * (1.0 - lam) - want) <= 1e-12 * rep.M

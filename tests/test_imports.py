@@ -141,3 +141,104 @@ def test_every_public_name_is_read_or_has_a_role():
         read |= read_names(path.read_text(), strings=True)
     public = {name for module in MODULES for name in public_names((SRC / module).read_text())}
     assert sorted(public - read) == sorted(UNREAD_PUBLIC_NAMES)
+
+
+# Defaulted parameters of public functions that no call in src/, scripts/ or
+# perfbench/ passes, with their role.  Any other such parameter has one value
+# in use and should be a constant.
+UNPASSED_DEFAULTS = {
+    "modulation_from_choi.ref_label": "entry point: a reference copy that is not the last factor",
+    "coherent_information.bob": "test reference: Bob's factors of a state with more than two",
+    "grid_oracle.spec": "test reference: the grid of the oracle the searches are checked against",
+}
+
+
+def public_signatures(source: str) -> dict[str, tuple[list[str], list[str]]]:
+    """For each top-level function in ``__all__``: its positional parameter
+    names in order, and the names of its parameters that have a default."""
+    public = set(public_names(source))
+    out = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name in public:
+            a = node.args
+            positional = [p.arg for p in a.posonlyargs + a.args]
+            defaulted = positional[len(positional) - len(a.defaults) :]
+            defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            out[node.name] = (positional, defaulted)
+    return out
+
+
+def passed_parameters(source: str, signatures: dict) -> set[str]:
+    """``function.parameter`` for every parameter of ``signatures`` that a
+    call in ``source`` passes, by position or by keyword.  A call through an
+    import alias (``main as cli_main``, also when the alias is kept as an
+    attribute of that name) counts for the imported function, and a call
+    with ``*args`` or ``**kwargs`` passes every parameter."""
+    tree = ast.parse(source)
+    alias = {
+        a.asname: a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+        if a.asname
+    }
+    passed = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        name = alias.get(name, name)
+        if name not in signatures:
+            continue
+        positional, defaulted = signatures[name]
+        unpacked = any(isinstance(a, ast.Starred) for a in node.args) or any(
+            kw.arg is None for kw in node.keywords
+        )
+        given = positional + defaulted if unpacked else positional[: len(node.args)]
+        given += [kw.arg for kw in node.keywords if kw.arg]
+        passed |= {f"{name}.{p}" for p in given}
+    return passed
+
+
+def test_passed_parameters_reads_positions_keywords_and_aliases():
+    module = (
+        "__all__ = ['f', 'g', 'h', 'main']\n"
+        "def f(x, y=1, z=2): ...\n"
+        "def g(x, *, k=0): ...\n"
+        "def h(a=0, b=0): ...\n"
+        "def main(argv=None): ...\n"
+        "def _private(q=0): ...\n"
+    )
+    signatures = public_signatures(module)
+    assert signatures["f"] == (["x", "y", "z"], ["y", "z"])
+    assert signatures["g"] == (["x"], ["k"])
+    assert "_private" not in signatures
+    caller = (
+        "from pkg import main as cli_main\n"
+        "f(0, 5)\n"
+        "obj.g(0)\n"
+        "h(**opts)\n"
+        "class Runner:\n"
+        "    def run(self, argv):\n"
+        "        return self.cli_main(argv)\n"
+    )
+    defaults = {f"{n}.{p}" for n, (_, ds) in signatures.items() for p in ds}
+    passed = passed_parameters(caller, signatures)
+    assert sorted(defaults - passed) == ["f.z", "g.k"]
+    assert passed_parameters("f(0, z=3)\n", signatures) == {"f.x", "f.z"}
+
+
+def test_every_defaulted_public_parameter_is_passed_or_has_a_role():
+    signatures = {}
+    for module in MODULES:
+        signatures |= public_signatures((SRC / module).read_text())
+    defaults = {f"{n}.{p}" for n, (_, ds) in signatures.items() for p in ds}
+    passed = set()
+    for path in (
+        sorted(SRC.glob("*.py"))
+        + sorted((ROOT / "scripts").glob("*.py"))
+        + sorted((ROOT / "perfbench").rglob("*.py"))
+    ):
+        passed |= passed_parameters(path.read_text(), signatures)
+    assert sorted(defaults - passed) == sorted(UNPASSED_DEFAULTS)

@@ -35,7 +35,6 @@ from wiretap.channels import (
     channel_from_resource_state,
     constant_channel,
     cq_state,
-    isometry_channel,
     trivial_resource,
 )
 from wiretap.codesim import _member_outputs
@@ -82,8 +81,8 @@ def bob_eve(ch, res):
     if res is None:
         return {ch.output_space.labels[0]}, {ch.output_space.labels[1]}
     return (
-        {ch.output_space.labels[0], res.bob_label},
-        {ch.output_space.labels[1], res.eve_label},
+        {ch.output_space.labels[0], res.zeta.space.labels[1]},
+        {ch.output_space.labels[1], res.zeta.space.labels[2]},
     )
 
 
@@ -450,7 +449,7 @@ def test_channel_inits_equal_public_constructors(d_in, d_out):
     in_space, out_space = LabeledSpace.of(("A", d_in)), LabeledSpace.of(("F", d_out))
     want = [np.stack(constant_channel(in_space, basis_state(out_space, [0])).kraus)]
     if d_out >= d_in:
-        embed = isometry_channel(np.eye(d_out, d_in), in_space, out_space)
+        embed = QuantumChannel(in_space, out_space, [np.eye(d_out, d_in)])
         want.insert(0, np.stack(embed.kraus))
     got = _channel_inits(d_in, d_out)
     assert [g.shape for g in got] == [w.shape for w in want]

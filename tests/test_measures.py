@@ -50,13 +50,13 @@ def mixed_qubit(seed, label):
 def test_delta_product_state_is_zero():
     prod = tensor(mixed_qubit(501, "Ap"), mixed_qubit(502, "Bp"))
     out = dense_coding_advantage(prod, cfg=cfg())
-    assert abs(out.value) <= 1e-4
+    assert abs(out.best_value) <= 1e-4
 
 
 def test_delta_bell_state_is_one():
     out = dense_coding_advantage(maximally_entangled("Ap", "Bp", 2), cfg=cfg())
-    assert out.value == pytest.approx(1.0, abs=1e-3)
-    assert out.witness_channel is not None
+    assert out.best_value == pytest.approx(1.0, abs=1e-3)
+    assert out.best_channel is not None
 
 
 def test_delta_classically_correlated_is_zero():
@@ -64,7 +64,7 @@ def test_delta_classically_correlated_is_zero():
     m[0, 0] = m[3, 3] = 0.5
     cc = DensityOperator(LabeledSpace.of(("Ap", 2), ("Bp", 2)), m)
     out = dense_coding_advantage(cc, cfg=cfg())
-    assert abs(out.value) <= 1e-3
+    assert abs(out.best_value) <= 1e-3
 
 
 def test_delta_never_below_identity_witness():
@@ -75,16 +75,16 @@ def test_delta_never_below_identity_witness():
         )
         baseline = coherent_information(rho)
         out = dense_coding_advantage(rho, cfg=cfg(restarts=3, max_iters=400))
-        assert out.value >= baseline - 1e-9
+        assert out.best_value >= baseline - 1e-9
 
 
 def test_delta_witness_reproduces_value():
     rho = maximally_entangled("Ap", "Bp", 2)
     out = dense_coding_advantage(rho, cfg=cfg(restarts=2, max_iters=300))
-    om = out.witness_channel
+    om = out.best_channel
     omega = apply(om, rho, on=["Ap"])
     redo = von_neumann_entropy(partial_trace(omega, {"Bp"})) - von_neumann_entropy(omega)
-    assert abs(redo - out.value) <= 1e-6
+    assert abs(redo - out.best_value) <= 1e-6
 
 
 def test_ep_witness_reproduces_value_on_canonical_purification():
@@ -94,17 +94,17 @@ def test_ep_witness_reproduces_value_on_canonical_purification():
     # must be the one `purify` gives.
     rho = tensor(mixed_qubit(513, "C"), mixed_qubit(517, "D"))
     out = entanglement_of_purification(rho, cfg=cfg(seed=1, restarts=4, max_iters=300))
-    (e_label,) = out.witness_channel.input_space.labels
+    (e_label,) = out.best_channel.input_space.labels
     psi_ce = partial_trace(purify(rho, e_label), {"C", e_label})
-    redo = von_neumann_entropy(apply(out.witness_channel, psi_ce, on=[e_label]))
-    assert abs(redo - out.value) <= 1e-10
-    assert out.value < von_neumann_entropy(partial_trace(rho, {"C"})) - 1e-3
+    redo = von_neumann_entropy(apply(out.best_channel, psi_ce, on=[e_label]))
+    assert abs(redo - out.best_value) <= 1e-10
+    assert out.best_value < von_neumann_entropy(partial_trace(rho, {"C"})) - 1e-3
 
 
 def test_ep_product_mixed_times_pure():
     prod = tensor(mixed_qubit(511, "C"), basis_state(LabeledSpace.of(("D", 2)), [0]))
     out = entanglement_of_purification(prod, cfg=cfg(restarts=3, max_iters=400))
-    assert abs(out.value) <= 1e-6
+    assert abs(out.best_value) <= 1e-6
 
 
 def test_ep_product_mixed_times_mixed():
@@ -113,7 +113,7 @@ def test_ep_product_mixed_times_mixed():
     # demonstrated resolution here is ~1e-2.
     prod = tensor(mixed_qubit(521, "C"), mixed_qubit(523, "D"))
     out = entanglement_of_purification(prod, cfg=cfg(seed=1, restarts=10, max_iters=3000))
-    assert abs(out.value) <= 1e-2
+    assert abs(out.best_value) <= 1e-2
 
 
 def test_ep_pure_state_gives_entropy_of_first_party():
@@ -121,7 +121,7 @@ def test_ep_pure_state_gives_entropy_of_first_party():
     psi = random_pure_state(gen, CD)
     want = von_neumann_entropy(partial_trace(psi, {"C"}))
     out = entanglement_of_purification(psi, cfg=cfg(restarts=3, max_iters=300))
-    assert out.value == pytest.approx(want, abs=1e-4)
+    assert out.best_value == pytest.approx(want, abs=1e-4)
 
 
 def test_zero_dimension_caps_are_refused():
@@ -139,7 +139,7 @@ def test_ep_classical_correlated_and_cap_monotonicity():
     cc = DensityOperator(CD, m)
     values = []
     for cap in (1, 2, 4):
-        values.append(entanglement_of_purification(cc, dim_f_cap=cap, cfg=cfg()).value)
+        values.append(entanglement_of_purification(cc, dim_f_cap=cap, cfg=cfg()).best_value)
     assert values[0] >= values[1] - 1e-6
     assert values[1] >= values[2] - 1e-6
     assert values[1] == pytest.approx(1.0, abs=1e-2)
@@ -151,8 +151,8 @@ def test_measures_invariant_under_local_unitaries():
     u = np.kron(random_unitary(gen, 2), random_unitary(gen, 2))
     rotated = DensityOperator(rho.space, u @ rho.matrix @ u.conj().T)
     c = cfg(restarts=4, max_iters=1500)
-    v1 = dense_coding_advantage(rho, cfg=c).value
-    v2 = dense_coding_advantage(rotated, cfg=c).value
+    v1 = dense_coding_advantage(rho, cfg=c).best_value
+    v2 = dense_coding_advantage(rotated, cfg=c).best_value
     assert abs(v1 - v2) <= 1e-6
 
 
@@ -206,8 +206,7 @@ def test_measure_values_are_python_floats():
         dense_coding_advantage(zeta_ab, cfg=small),
         entanglement_of_purification(rho_cb, cfg=small),
     ):
-        assert type(result.value) is float
-        assert type(result.diagnostics.best_value) is float
+        assert type(result.best_value) is float
 
 
 @pytest.mark.parametrize("measure", [dense_coding_advantage, entanglement_of_purification])

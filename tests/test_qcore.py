@@ -57,6 +57,12 @@ def test_density_operator_validation():
         DensityOperator(A, np.eye(2))
     with pytest.raises(ValidationError, match="negative eigenvalue"):
         DensityOperator(A, np.diag([1.5, -0.5]))
+    # NaN compares false with everything; each check must still refuse it.
+    for i, j in ((0, 0), (0, 1), (1, 0)):
+        m = np.eye(2) / 2
+        m[i, j] = np.nan
+        with pytest.raises(ValidationError):
+            DensityOperator(A, m)
 
 
 def test_density_operator_clamps_small_negatives():
@@ -413,6 +419,11 @@ def test_json_errors():
     bad["matrix"][0][1] = [0.5, 0.0]  # breaks Hermiticity
     with pytest.raises(ValidationError, match="Hermitian"):
         state_from_json(bad)
+    for value in (float("nan"), float("inf")):
+        bad = state_to_json(maximally_mixed(A))
+        bad["matrix"] = [[[value, value]] * 2] * 2
+        with pytest.raises(ValidationError, match="finite"):
+            state_from_json(bad)
 
 
 def test_pure_state_normalizes():

@@ -94,7 +94,7 @@ def test_build_gamma_matches_pushforward_composition():
     gamma = build_gamma(ens, n, res)
     pushed = ensemble_pushforward(ens, n, ["A"])
     pushed = ensemble_pushforward(pushed, res.z_channel, ["App"])
-    want = cq_state(pushed, "U")
+    want = cq_state(pushed)
     assert np.allclose(gamma.matrix, want.matrix, atol=1e-12)
 
 

@@ -16,6 +16,7 @@ or of a state read as Kraus operators, is ``qcore.support_eigh``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -166,7 +167,7 @@ def classical_channel(
     d_in, d_out = input_space.dim, output_space.dim
     if p.shape != (d_out, d_in):
         raise ValidationError(f"transition matrix shape {p.shape}, expected ({d_out}, {d_in})")
-    if np.any(p < 0) or np.max(np.abs(p.sum(axis=0) - 1.0)) > 1e-12:
+    if not (np.all(p >= 0) and np.max(np.abs(p.sum(axis=0) - 1.0)) <= 1e-12):
         raise ValidationError("transition matrix must be column stochastic")
     kraus = []
     for x in range(d_in):
@@ -374,7 +375,7 @@ def channel_from_resource_state(zeta: DensityOperator) -> ResourceState:
     )
     rebuilt = apply(z_channel, phi0, on=[aux_label])
     residual = hermitian_trace_norm(rebuilt.matrix - zeta_r.matrix)
-    if residual > TOL_EQ:
+    if not residual <= TOL_EQ:
         raise ValidationError(
             f"resource channel does not reproduce the state (residual {residual:.3e}, "
             f"marginal condition number {lam[0] / lam[-1]:.3e})"
@@ -412,7 +413,7 @@ def modulation_from_choi(
         )
     marg = partial_trace(eta, {ref})
     dev = hermitian_trace_norm(marg.matrix - zeta_marginal.matrix)
-    if dev > TOL_EQ:
+    if not dev <= TOL_EQ:
         raise ValidationError(f"eta marginal deviates from the resource marginal by {dev:.3e}")
 
     lam, vecs = support_eigh(zeta_marginal.matrix)
@@ -424,8 +425,9 @@ def modulation_from_choi(
     return _channel_through_phi0(state, lam, vecs, zeta_marginal.space, out_space, "modulation")
 
 
+@functools.cache
 def trivial_resource() -> ResourceState:
-    """The empty resource: one-dimensional shares Ap, Bp and Ep."""
+    """The empty resource: one-dimensional shares Ap, Bp and Ep, built once."""
     space = LabeledSpace.of(("Ap", 1), ("Bp", 1), ("Ep", 1))
     zeta = DensityOperator(space, np.array([[1.0 + 0j]]), validate=False)
     return channel_from_resource_state(zeta)

@@ -19,8 +19,7 @@ import sys
 
 from .channels import ensemble_to_json, channel_to_json
 from .codesim import run_experiment
-from .measures import dense_coding_advantage, entanglement_of_purification
-from .entropic import von_neumann_entropy
+from .measures import _tripartite_split, dense_coding_advantage, entanglement_of_purification
 from .optimize import (
     OptimizationError,
     OptimizerConfig,
@@ -33,8 +32,6 @@ from .qcore import (
     ValidationError,
     _read_json,
     load_state,
-    partial_trace,
-    permute_factors,
 )
 from .rates import RateReport, theorem1_rate, trivial_rate, unassisted_rate
 from .scenario import build_gallery, load_scenario, save_scenario
@@ -176,12 +173,9 @@ def cmd_resource_analyze(args) -> int:
         raise ValidationError("resource-analyze expects a tripartite state file")
     cfg_obj = _read_json(args.config) if args.config else None
     cfg = optimizer_config_from_json(cfg_obj, args.seed)
-    a, b, c = state.space.labels
-    zeta_ab = partial_trace(state, {a, b})
+    zeta_ab, rho_cb, s_b = _tripartite_split(state)
     delta = dense_coding_advantage(zeta_ab, args.dim_a_cap, cfg)
-    rho_cb = permute_factors(partial_trace(state, {c, b}), [c, b])
     ep = entanglement_of_purification(rho_cb, args.dim_f_cap, cfg)
-    s_b = von_neumann_entropy(partial_trace(state, {b}))
     payload = {
         "delta": delta.best_value,
         "e_p": ep.best_value,

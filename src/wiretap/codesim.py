@@ -82,7 +82,7 @@ WORD_CAP = 50_000_000
 SLAB_BYTES = 512 * 2**10
 # Bin-sized arrays that read the M bin averages, solver buffers included (measured).
 PGM_ARRAYS = 5
-REPAIR_ARRAYS = 10
+REPAIR_ARRAYS = 6
 TRACE_NORM_ARRAYS = 2
 
 
@@ -357,6 +357,7 @@ def marginal_residual_and_fixup(
     dimension cap or MAX_WORKING_BYTES.
     """
     m_count, s_count, n = words.shape
+    _signal_labels(ens, res)  # the reference copy matches the resource's
     d_mem = ens.space.dim
     if d_mem**n > MAX_DIM:
         raise ResourceLimitError(
@@ -366,11 +367,8 @@ def marginal_residual_and_fixup(
     _check_bytes(n, m_count, s_count, [(REPAIR_ARRAYS, _bin_bytes(member_mats, n))])
     member_space_n = _power_space(ens.space, n)
     aux = [f"{res.aux_label}@{i}" for i in range(n)]
-    target_space = _power_space(res.zeta_marginal.space, n).relabeled(
-        {f"{res.alice_label}@{i}": aux[i] for i in range(n)}
-    )
     target = DensityOperator(
-        target_space, _power(res.zeta_marginal.matrix, n), validate=False
+        member_space_n.subspace(aux), _power(res.zeta_marginal.matrix, n), validate=False
     )
     residuals, costs = [], []
     for avg_mat in _bin_average(member_mats, words):
@@ -380,7 +378,7 @@ def marginal_residual_and_fixup(
         costs.append(hermitian_trace_norm(uhlmann_fixup(eta_tilde, target, aux).matrix - avg_mat))
     residual = float(np.mean(residuals))
     cost = float(np.mean(costs))
-    if cost > 4.0 * math.sqrt(residual) + 1e-9:
+    if not cost <= 4.0 * math.sqrt(residual) + 1e-9:
         raise ValidationError(
             f"repair cost {cost:.3e} exceeds the 4*sqrt(residual) budget "
             f"({4.0 * math.sqrt(residual):.3e})"

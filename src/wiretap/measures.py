@@ -184,6 +184,14 @@ def entanglement_of_purification(
     )
 
 
+def _tripartite_split(zeta: DensityOperator) -> tuple[DensityOperator, DensityOperator, float]:
+    """(zeta_AB, rho_CB, S(B)) of a state on (A, B, C): the arguments of
+    delta(A > B) and E_P(C:B), and the entropy that their sum meets."""
+    a, b, c = zeta.space.labels
+    rho_cb = permute_factors(partial_trace(zeta, {c, b}), [c, b])
+    return partial_trace(zeta, {a, b}), rho_cb, von_neumann_entropy(partial_trace(zeta, {b}))
+
+
 def duality_residual(
     zeta_pure: DensityOperator, cfg: OptimizerConfig = OptimizerConfig(seed=0)
 ) -> float:
@@ -194,15 +202,11 @@ def duality_residual(
     """
     if len(zeta_pure.space.factors) != 3:
         raise ValidationError("duality_residual expects a tripartite state")
-    if 1.0 - zeta_pure.purity() > TOL_EQ:
+    if not 1.0 - zeta_pure.purity() <= TOL_EQ:
         raise ValidationError(
             f"state is not pure (purity deficit {1.0 - zeta_pure.purity():.3e})"
         )
-    a, b, c = zeta_pure.space.labels
-    zeta_ab = partial_trace(zeta_pure, {a, b})
+    zeta_ab, rho_cb, s_b = _tripartite_split(zeta_pure)
     delta = dense_coding_advantage(zeta_ab, cfg=cfg).best_value
-    rho_cb = permute_factors(partial_trace(zeta_pure, {c, b}), [c, b])
     ep = entanglement_of_purification(rho_cb, cfg=cfg).best_value
-    s_b = von_neumann_entropy(partial_trace(zeta_pure, {b}))
     return abs(delta + ep - s_b)
-

@@ -406,7 +406,7 @@ def _search_instruments(
         [DensityOperator(member_space, members[u], validate=False) for u in keep],
     )
     rep = rescore(ens)
-    if rep.constraint_residual > FEASIBILITY_THRESHOLD:
+    if not rep.constraint_residual <= FEASIBILITY_THRESHOLD:
         raise OptimizationError(
             f"witness residual {rep.constraint_residual:.3e} > {FEASIBILITY_THRESHOLD}"
         )

@@ -161,9 +161,11 @@ class LabeledSpace:
 class DensityOperator:
     """Hermitian PSD unit-trace matrix over a :class:`LabeledSpace`.
 
-    The matrix is copied on construction and frozen.  Validation checks
-    Hermiticity, trace and positivity against the module tolerances; pass
-    ``validate=False`` only for matrices known valid by construction.
+    A validated matrix is copied and frozen; validation checks Hermiticity,
+    trace and positivity against the module tolerances.  ``validate=False``
+    is for matrices known valid by construction: the array is wrapped as
+    is (complex128 input is not copied) and frozen, so pass a fresh array,
+    or a view of a fresh or frozen one, that nothing writes afterwards.
     """
 
     __slots__ = ("space", "matrix")
@@ -174,7 +176,7 @@ class DensityOperator:
         matrix: np.ndarray,
         validate: bool = True,
     ) -> None:
-        m = np.array(matrix, dtype=np.complex128)
+        m = (np.array if validate else np.asarray)(matrix, dtype=np.complex128)
         if m.shape != (space.dim, space.dim):
             raise ValidationError(
                 f"matrix shape {m.shape} does not match space dimension {space.dim}"
@@ -213,8 +215,9 @@ class DensityOperator:
     def state_vector(self) -> np.ndarray:
         """Amplitude-vector view of a rank-one state (global phase arbitrary)."""
         w, v = np.linalg.eigh(self.matrix)
-        if 1.0 - w[-1] > TOL_EQ:
-            raise ValidationError(f"state is not pure (largest eigenvalue {w[-1]:.6g})")
+        top = np.max(w)  # NaN if any eigenvalue is
+        if not 1.0 - top <= TOL_EQ:
+            raise ValidationError(f"state is not pure (largest eigenvalue {top:.6g})")
         return v[:, -1] * np.sqrt(max(w[-1], 0.0))
 
     def clamped(self) -> "DensityOperator":
@@ -255,9 +258,12 @@ def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     return DensityOperator(space, np.kron(a.matrix, b.matrix), validate=False)
 
 
-def _as_tensor(rho: DensityOperator) -> np.ndarray:
-    dims = rho.space.dims
-    return rho.matrix.reshape(dims + dims)
+def _permuted(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
+    """The (..., d, d) stack ``m`` on factors of ``dims`` with its factors in the
+    order ``perm`` (factor i of the result is factor perm[i] of ``m``)."""
+    k, n = m.ndim - 2, len(dims)
+    axes = list(range(k)) + [k + p for p in perm] + [k + n + p for p in perm]
+    return m.reshape(m.shape[:k] + tuple(dims) * 2).transpose(axes).reshape(m.shape)
 
 
 def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
@@ -270,14 +276,10 @@ def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
     drop_axes = [i for i in range(len(space.factors)) if i not in keep_axes]
     if not drop_axes:
         return rho
-    n = len(space.factors)
-    perm = keep_axes + drop_axes
-    t = _as_tensor(rho).transpose(perm + [p + n for p in perm])
-    dk = int(np.prod([space.dims[i] for i in keep_axes], dtype=np.int64))
-    dd = int(np.prod([space.dims[i] for i in drop_axes], dtype=np.int64))
-    t = t.reshape(dk, dd, dk, dd)
-    out = np.einsum("ajbj->ab", t)
-    return DensityOperator(space.subspace(keep_set), out, validate=False)
+    sub = space.subspace(keep_set)
+    t = _permuted(rho.matrix, space.dims, keep_axes + drop_axes)
+    out = np.einsum("ajbj->ab", t.reshape(2 * (sub.dim, space.dim // sub.dim)))
+    return DensityOperator(sub, out, validate=False)
 
 
 def permute_factors(rho: DensityOperator, order: Sequence[str]) -> DensityOperator:
@@ -290,10 +292,8 @@ def permute_factors(rho: DensityOperator, order: Sequence[str]) -> DensityOperat
     perm = [space.index(lab) for lab in order]
     if perm == list(range(len(perm))):
         return rho
-    n = len(perm)
-    t = _as_tensor(rho).transpose(perm + [p + n for p in perm])
     new_space = LabeledSpace(tuple(space.factors[p] for p in perm))
-    return DensityOperator(new_space, t.reshape(space.dim, space.dim), validate=False)
+    return DensityOperator(new_space, _permuted(rho.matrix, space.dims, perm), validate=False)
 
 
 def purify(rho: DensityOperator, aux_label: str) -> DensityOperator:
@@ -358,35 +358,36 @@ def uhlmann_fixup(
     purification, zero-padded to d_aux = max(rank, ceil(d_l / d_r)) so that
     K >= d_l; the thin SVD sqrt(sigma) M = P S Q^dagger gives the target's
     purification N = sqrt(sigma) P Q^dagger closest to it (Uhlmann), and
-    tracing the auxiliary out of N gives eta.  O(d_l^2 K) time, O(d_l K) memory.
+    tracing the auxiliary out of N gives eta.  The factors are moved to
+    (marginal, rest) once, for the eigensolve, and back once, for eta; no
+    step holds more than three arrays of eta_tilde's size.  O(d_l^2 K) time.
     """
     labels = list(dict.fromkeys(marginal_labels))
-    sub = eta_tilde.space.subspace(labels)
+    space = eta_tilde.space
+    sub = space.subspace(labels)
     if target_marginal.space != sub:
         raise ValidationError(
             f"target marginal space {list(target_marginal.space.factors)} does not match "
             f"subspace {list(sub.factors)}"
         )
-    current = partial_trace(eta_tilde, labels)
-    delta = trace_distance(current, target_marginal)
-    if delta <= 1e-13:
+    if trace_distance(partial_trace(eta_tilde, labels), target_marginal) <= 1e-13:
         return eta_tilde
 
-    l_labels = list(sub.labels)
-    r_labels = [lab for lab in eta_tilde.space.labels if lab not in set(l_labels)]
-    eta_p = permute_factors(eta_tilde, l_labels + r_labels)
-    d_l = sub.dim
-    d_r = eta_p.dim // d_l
-
-    w, v = support_eigh(eta_p.matrix)
+    l_axes = space.axes(labels)
+    perm = list(l_axes) + [i for i in range(len(space.dims)) if i not in l_axes]
+    d_l, d_r = sub.dim, space.dim // sub.dim
+    w, v = support_eigh(_permuted(eta_tilde.matrix, space.dims, perm))
     mu, u = support_eigh(target_marginal.matrix)
     d_aux = max(len(w), -(-d_l // d_r))  # ceil(d_l / d_r)
     m_coeff = np.pad(v * np.sqrt(w), ((0, 0), (0, d_aux - len(w)))).reshape(d_l, d_r * d_aux)
+    del v
     sqrt_sigma = (u * np.sqrt(mu)) @ u.conj().T
     p, _, qh = np.linalg.svd(sqrt_sigma @ m_coeff, full_matrices=False)
+    del m_coeff
     phi = (sqrt_sigma @ p @ qh).reshape(d_l * d_r, d_aux)
-    eta_fixed = DensityOperator(eta_p.space, phi @ phi.conj().T, validate=False)
-    return permute_factors(eta_fixed, eta_tilde.space.labels)
+    del qh
+    eta = _permuted(phi @ phi.conj().T, [space.dims[i] for i in perm], np.argsort(perm))
+    return DensityOperator(space, eta, validate=False)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ from .qcore import (
     DensityOperator,
     LabeledSpace,
     ValidationError,
+    _permuted,
     check_working_bytes,
     hermitian_trace_norm,
     partial_trace,
@@ -142,11 +143,9 @@ def _signal_labels(
 
 def _stack(states: Sequence[DensityOperator], order: Sequence[str]) -> np.ndarray:
     """State matrices as one (k, d, d) array, factors permuted to ``order``."""
-    space, k = states[0].space, len(states)
+    space = states[0].space
     perm = [space.index(lab) for lab in order]
-    t = np.stack([s.matrix for s in states]).reshape((k,) + space.dims * 2)
-    t = t.transpose([0] + [1 + p for p in perm] + [1 + len(perm) + p for p in perm])
-    return t.reshape(k, space.dim, space.dim)
+    return _permuted(np.stack([s.matrix for s in states]), space.dims, perm)
 
 
 def _holevo(members: np.ndarray, probs: np.ndarray) -> np.ndarray:

@@ -374,6 +374,7 @@ def test_trivial_resource():
     assert res.zeta.space.dims == (1, 1, 1)
     assert res.support_isometry is None
     assert np.allclose(res.zeta.matrix, [[1.0]])
+    assert trivial_resource() is res  # built once
 
 
 def test_stock_channels():

@@ -497,8 +497,8 @@ def test_run_experiment_refuses_by_bytes_before_allocating(monkeypatch):
 def test_run_experiment_counts_repair_bytes_on_diagonal_instance(monkeypatch):
     # Diagonal sides need 2 MiB at n = 6, but the members' A' marginals differ
     # from the resource's, so a repair would build 64 dense 4096^2 averages
-    # (0.25 GiB each), 10 repair arrays and 2 * S = 10 products:
-    # 84 * 0.25 = 21.0 GiB.
+    # (0.25 GiB each), 6 repair arrays and 2 * S = 10 products:
+    # 80 * 0.25 = 20.0 GiB.
     import wiretap.codesim as codesim
     from wiretap.scenario import Scenario
 
@@ -510,7 +510,7 @@ def test_run_experiment_counts_repair_bytes_on_diagonal_instance(monkeypatch):
     ens, res = avg_constrained_ensemble()
     sc = Scenario("avg", "test instance", gallery_classical().channel, res.zeta, ens)
     assert code_parameters(ens, sc.channel, sc.resource_state(), 6, 0.1, rate=1.0).M == 64
-    with pytest.raises(ResourceLimitError, match="21.0 GiB"):
+    with pytest.raises(ResourceLimitError, match="20.0 GiB"):
         run_experiment(sc, [6], 0.1, trials=1, seed=1, rate=1.0)
 
 
@@ -530,13 +530,25 @@ def _forbid_bin_averages(monkeypatch):
 
 
 def test_marginal_residual_refuses_by_bytes(monkeypatch):
-    # Signal side 4^6 = 4096 passes the dimension cap; 64 dense averages, 10
+    # Signal side 4^6 = 4096 passes the dimension cap; 64 dense averages, 6
     # repair arrays and 2 * S = 2 products, 0.25 GiB each, need
-    # 76 * 0.25 = 19.0 GiB.
+    # 72 * 0.25 = 18.0 GiB.
     _forbid_bin_averages(monkeypatch)
     ens, res = avg_constrained_ensemble()
     cb = sample_codebook(ens, n=6, M=64, S=1, seed=1)
-    with pytest.raises(ResourceLimitError, match="19.0 GiB"):
+    with pytest.raises(ResourceLimitError, match="18.0 GiB"):
+        marginal_residual_and_fixup(cb, ens, res)
+
+
+def test_marginal_residual_refuses_a_reference_copy_unlike_the_resource(monkeypatch):
+    # A 3-dimensional App factor against the resource's 2-dimensional copy is
+    # refused by name before any bin average is built.
+    _forbid_bin_averages(monkeypatch)
+    _, res = avg_constrained_ensemble()
+    space = LabeledSpace.of(("A", 2), ("App", 3))
+    ens = CqEnsemble([0], [1.0], [DensityOperator(space, np.eye(6) / 6)])
+    cb = sample_codebook(ens, n=1, M=1, S=1, seed=1)
+    with pytest.raises(ValidationError, match="reference factor dimension 3"):
         marginal_residual_and_fixup(cb, ens, res)
 
 

@@ -65,6 +65,114 @@ def test_density_operator_validation():
             DensityOperator(A, m)
 
 
+def test_trusted_state_wraps_its_array_and_a_validated_one_copies():
+    m = np.eye(2, dtype=complex) / 2
+    trusted = DensityOperator(A, m, validate=False)
+    assert np.shares_memory(trusted.matrix, m)
+    assert not trusted.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        trusted.matrix[0, 0] = 1.0
+    m = np.eye(2, dtype=complex) / 2
+    validated = DensityOperator(A, m)
+    assert not np.shares_memory(validated.matrix, m)
+    assert not validated.matrix.flags.writeable
+    assert m.flags.writeable
+
+
+def _nan_state(space, *entries):
+    """The maximally mixed state on ``space`` with NaN at the given entries,
+    wrapped unvalidated as an internal step would."""
+    m = np.eye(space.dim, dtype=complex) / space.dim
+    for i, j in entries:
+        m[i, j] = np.nan
+    return DensityOperator(space, m, validate=False)
+
+
+def _nan_classical_channel():
+    from wiretap.channels import classical_channel
+
+    classical_channel(np.array([[np.nan, 0.0], [np.nan, 1.0]]), A, B)
+
+
+def _nan_modulation_marginal():
+    from wiretap.channels import modulation_from_choi
+
+    # NaN off the diagonal of the signal block reaches eta's reference marginal.
+    eta = _nan_state(A.tensor(LabeledSpace.of(("R", 2))), (0, 1), (1, 0))
+    modulation_from_choi(eta, maximally_mixed(LabeledSpace.of(("R", 2))))
+
+
+def _nan_duality_purity():
+    from wiretap.measures import duality_residual
+
+    duality_residual(_nan_state(LabeledSpace.of(("A", 2), ("B", 2), ("C", 2)), (0, 0)))
+
+
+def _nan_state_vector():
+    m = np.diag([np.nan, 1.0]).astype(complex)
+    DensityOperator(A, m, validate=False).state_vector()
+
+
+def _nan_repair_budget(monkeypatch):
+    import wiretap.codesim as codesim
+    from wiretap.channels import CqEnsemble
+    from wiretap.scenario import correlated_bits_pmf, gallery_classical
+
+    # A repaired state of NaNs makes the repair cost NaN.
+    monkeypatch.setattr(
+        codesim,
+        "uhlmann_fixup",
+        lambda eta, target, labels: _nan_state(eta.space, (0, 1), (1, 0)),
+    )
+    sc = gallery_classical(correlated_bits_pmf())
+    members = [
+        DensityOperator(A.tensor(LabeledSpace.of(("App", 2))), np.diag(p).astype(complex))
+        for p in ([0.6, 0.4, 0.0, 0.0], [0.0, 0.0, 0.4, 0.6])
+    ]
+    ens = CqEnsemble([0, 1], [0.5, 0.5], members)
+    words = codesim.sample_codebook(ens, 1, 2, 1, seed=1)
+    codesim.marginal_residual_and_fixup(words, ens, sc.resource_state())
+
+
+def _nan_witness_residual():
+    import dataclasses
+
+    from wiretap.optimize import OptimizerConfig, _search_instruments
+    from wiretap.rates import theorem1_rate
+    from wiretap.scenario import gallery_superdense
+
+    sc = gallery_superdense()
+    res = sc.resource_state()
+    # NaN between the two values of Alice's share makes the resource marginal,
+    # and so the witness's residual, NaN.
+    d_rest = res.zeta.dim // res.zeta.space.dim_of(res.alice_label)
+    bad = dataclasses.replace(res, zeta=_nan_state(res.zeta.space, (0, d_rest), (d_rest, 0)))
+    cfg = OptimizerConfig(seed=1, restarts=1, max_iters=5)
+    _search_instruments(sc.channel, res, lambda ens: theorem1_rate(ens, sc.channel, bad), cfg)
+
+
+@pytest.mark.parametrize(
+    "case, match",
+    [
+        pytest.param(_nan_classical_channel, "column stochastic", id="classical_channel"),
+        pytest.param(
+            _nan_modulation_marginal, "deviates from the resource marginal by nan", id="modulation"
+        ),
+        pytest.param(_nan_duality_purity, "purity deficit nan", id="duality_purity"),
+        pytest.param(_nan_state_vector, "largest eigenvalue nan", id="state_vector"),
+        pytest.param(_nan_repair_budget, "repair cost nan", id="repair_budget"),
+        pytest.param(_nan_witness_residual, "witness residual nan", id="witness_residual"),
+    ],
+)
+def test_tolerance_checks_refuse_nan(case, match, monkeypatch):
+    # Each check is written "not x <= tol", which a NaN x fails.
+    from wiretap.optimize import OptimizationError
+
+    args = (monkeypatch,) if case is _nan_repair_budget else ()
+    with pytest.raises((ValidationError, OptimizationError), match=match):
+        case(*args)
+
+
 def test_density_operator_clamps_small_negatives():
     m = np.diag([1.0 + 5e-10, -5e-10])
     rho = DensityOperator(A, m).clamped()
@@ -368,6 +476,28 @@ def test_uhlmann_fixup_working_set_is_a_few_states():
         tracemalloc.stop()
     assert np.max(np.abs(partial_trace(eta, {"L"}).matrix - target.matrix)) <= 1e-12
     assert peak < 2 * 2**20
+
+
+def test_uhlmann_fixup_holds_three_states():
+    # Repairing the R marginal of a full-rank state on (L 16, R 16) moves R
+    # first and back: the permuted input, the eigensolve's vectors and their
+    # support copy, then the scaled amplitudes and their padded copy, then
+    # phi, its conjugate and the repaired state, about 3 states at a time.
+    import tracemalloc
+
+    gen = rng(83)
+    space = LabeledSpace.of(("L", 16), ("R", 16))
+    eta_tilde = random_full_rank_state(gen, space)
+    target = random_full_rank_state(gen, LabeledSpace.of(("R", 16)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        eta = uhlmann_fixup(eta_tilde, target, {"R"})
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(partial_trace(eta, {"R"}).matrix - target.matrix)) <= 1e-12
+    assert peak <= 4 * eta_tilde.matrix.nbytes, peak / eta_tilde.matrix.nbytes
 
 
 def test_support_eigh_descending_and_complete():

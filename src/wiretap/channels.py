@@ -349,6 +349,8 @@ def channel_from_resource_state(zeta: DensityOperator) -> ResourceState:
     alice, *others = space.labels
     if aux_label in space.labels:
         raise ValidationError(f"auxiliary label {aux_label!r} clashes with resource labels")
+    if not np.all(np.isfinite(zeta.matrix)):
+        raise ValidationError("resource state has non-finite entries")
 
     d_alice = space.dim_of(alice)
     d_rest = zeta.dim // d_alice

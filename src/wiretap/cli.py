@@ -73,24 +73,29 @@ def _cell(v) -> str:
     return str(v)
 
 
-def optimizer_config_from_json(obj, seed_override: int | None) -> OptimizerConfig:
-    if obj is None:
-        obj = {}
+def _seeded_config(args, what: str, known: set[str]) -> dict:
+    """The ``--config`` file's JSON object ({} without one), with only
+    ``known`` keys and ``--seed`` in place of its seed; a seed is required."""
+    obj = _read_json(args.config) if args.config else {}
     if not isinstance(obj, dict):
-        raise ValidationError("optimizer config must be a JSON object")
-    known = {"seed", "num_labels_max", "restarts", "max_iters"}
+        raise ValidationError(f"{what} config must be a JSON object")
     unknown = set(obj) - known
     if unknown:
-        raise ValidationError(f"unknown optimizer config keys: {sorted(unknown)}")
-    kwargs = dict(obj)
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
-    if "seed" not in kwargs:
+        raise ValidationError(f"unknown {what} config keys: {sorted(unknown)}")
+    cfg = dict(obj)
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+    if cfg.get("seed") is None:
         raise ValidationError(
             "a seed is required (pass --seed or put \"seed\" in the config file); "
             "there is no wall-clock seeding"
         )
-    return OptimizerConfig(**kwargs)
+    return cfg
+
+
+def _optimizer_config(args) -> OptimizerConfig:
+    known = {"seed", "num_labels_max", "restarts", "max_iters"}
+    return OptimizerConfig(**_seeded_config(args, "optimizer", known))
 
 
 def opt_result_to_json(result: OptResult) -> dict:
@@ -115,15 +120,18 @@ def opt_result_to_json(result: OptResult) -> dict:
 
 def cmd_rate_eval(args) -> int:
     sc = load_scenario(args.scenario)
-    res = sc.resource_state()
+    # The unassisted rate never reads the resource, so only the assisted
+    # modes decompose it.
     if args.mode == "theorem1":
         if sc.ensemble is None:
             raise ValidationError("theorem1 mode needs an ensemble in the scenario")
-        rep = theorem1_rate(sc.ensemble, sc.channel, res)
+        rep = theorem1_rate(sc.ensemble, sc.channel, sc.resource_state())
     elif args.mode == "trivial":
         if sc.modulations is None:
             raise ValidationError("trivial mode needs modulations in the scenario")
-        rep = trivial_rate(sc.modulation_distribution(), sc.modulations, sc.channel, res)
+        rep = trivial_rate(
+            sc.modulation_distribution(), sc.modulations, sc.channel, sc.resource_state()
+        )
     else:
         if sc.ensemble is None:
             raise ValidationError("unassisted mode needs an ensemble in the scenario")
@@ -139,16 +147,12 @@ def cmd_rate_eval(args) -> int:
 
 def cmd_rate_optimize(args) -> int:
     sc = load_scenario(args.scenario)
-    cfg_obj = _read_json(args.config) if args.config else None
-    cfg = optimizer_config_from_json(cfg_obj, args.seed)
-    res = sc.resource_state()
+    cfg = _optimizer_config(args)
     try:
         if args.mode == "unassisted":
             result = optimize_unassisted(sc.channel, cfg)
-        elif args.mode == "theorem1":
-            result = optimize_theorem1(sc.channel, res, cfg)
         else:
-            raise ValidationError("rate-optimize supports modes theorem1 and unassisted")
+            result = optimize_theorem1(sc.channel, sc.resource_state(), cfg)
     except OptimizationError as exc:
         raise ValidationError(str(exc)) from exc
     payload = opt_result_to_json(result)
@@ -171,8 +175,7 @@ def cmd_resource_analyze(args) -> int:
     state = load_state(args.state)
     if len(state.space.factors) != 3:
         raise ValidationError("resource-analyze expects a tripartite state file")
-    cfg_obj = _read_json(args.config) if args.config else None
-    cfg = optimizer_config_from_json(cfg_obj, args.seed)
+    cfg = _optimizer_config(args)
     zeta_ab, rho_cb, s_b = _tripartite_split(state)
     delta = dense_coding_advantage(zeta_ab, args.dim_a_cap, cfg)
     ep = entanglement_of_purification(rho_cb, args.dim_f_cap, cfg)
@@ -210,22 +213,11 @@ SIM_CSV_COLUMNS = [
 
 def cmd_code_sim(args) -> int:
     sc = load_scenario(args.scenario)
-    cfg = _read_json(args.config) if args.config else {}
-    if not isinstance(cfg, dict):
-        raise ValidationError("code-sim config must be a JSON object")
-    unknown = set(cfg) - {"n", "epsilon", "trials", "seed", "rate"}
-    if unknown:
-        raise ValidationError(f"unknown code-sim config keys: {sorted(unknown)}")
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    if seed is None:
-        raise ValidationError(
-            "a seed is required (pass --seed or put \"seed\" in the config file)"
-        )
+    cfg = _seeded_config(args, "code-sim", {"n", "epsilon", "trials", "seed", "rate"})
     n_list = cfg.get("n", [1])
     epsilon = cfg.get("epsilon", 0.1)
     trials = cfg.get("trials", 10)
-    rate = cfg.get("rate")
-    reports = run_experiment(sc, n_list, epsilon, trials, seed, rate=rate)
+    reports = run_experiment(sc, n_list, epsilon, trials, cfg["seed"], rate=cfg.get("rate"))
     rows = [
         {
             "n": r.n,

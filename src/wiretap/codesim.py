@@ -148,7 +148,9 @@ def code_parameters(
     one-letter functional; an explicit ``rate`` overrides the exponent to
     M = round(2^(n rate)) (used to hold a code above or below the
     functional).  S = round(2^(n max(I(U:EE'), I(U:A')) + n eps)) always.
-    An exponent of 1024 or more, where 2^x overflows a float, is refused.
+    An exponent of 1024 or more, where 2^x overflows a float, is refused;
+    an exponent log2 M <= 0 gives a degenerate single-message code and a
+    warning.
     """
     if n < 1:
         raise ValidationError(f"block length n must be >= 1, got {n}")
@@ -169,9 +171,9 @@ def code_parameters(
     m = max(1, _round_half_up(2.0**log_m))
     s = max(1, _round_half_up(2.0**log_s))
     degenerate = m == 1 and log_m <= 0.0
-    if degenerate and rate is None:
+    if degenerate:
         warnings.warn(
-            f"rate - 2*epsilon <= 0 at n={n}: degenerate single-message code",
+            f"degenerate single-message code at n={n}: log2 M = {log_m:.6g} <= 0, so M = 1",
             stacklevel=2,
         )
     return CodeParams(M=m, S=s, rate=math.log2(m) / n, degenerate=degenerate)
@@ -560,8 +562,6 @@ def run_experiment(
 
     reports = []
     for n, params, gram in zip(n_list, all_params, grams):
-        if params.degenerate:
-            warnings.warn(f"degenerate single-message code at n={n}", stacklevel=2)
         eve_ref = _power(eve_avg, n)
         lams, mus, resids, costs = [], [], [], []
         for t in range(trials):

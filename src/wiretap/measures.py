@@ -1,10 +1,13 @@
 """Resource measures of bipartite states: dense coding advantage and
 entanglement of purification.
 
-Both are channel optimizations.  The dense coding advantage maximizes the
-coherent information extractable by pre-processing the first party's share:
+Both are one channel search: minimize the output entropy S(pass, out)
+over CPTP maps on one share of a bipartite state (``_min_output_entropy``).
+The dense coding advantage is the coherent information extractable by
+pre-processing the first party's share; a channel on A leaves S(B) alone,
+so
 
-    delta(A > B) = max over CPTP maps M: A -> A~  of  I(A~ > B)
+    delta(A > B) = max over M: A -> A~  of  I(A~ > B) = S(B) - min_M S(B A~)
 
 with the output dimension capped.  The entanglement of purification
 minimizes, over post-processings T of the purifying system E of rho^{CD},
@@ -16,10 +19,12 @@ with dim(F) capped; the entropy is taken on the first-argument party
 together with F (the standard convention; dim caps make reported values
 best-found bounds, not certified optima).  For any pure state on
 (A, B, C) the two are linked by delta(A > B) + E_P(C:B) = S(B), which
-``duality_residual`` uses to cross-certify the two optimizers.
+``duality_residual`` uses to cross-certify the two searches.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -101,6 +106,31 @@ def _channel_inits(d_in: int, d_out: int) -> list[np.ndarray]:
     return embed + [const]
 
 
+def _min_output_entropy(
+    rho: DensityOperator,
+    on: str,
+    out_label: str,
+    cap: int,
+    cfg: OptimizerConfig,
+    cap_name: str,
+    what: str,
+) -> OptResult:
+    """Minimize S(pass, out) over channels from factor ``on`` of the
+    bipartite ``rho`` to ``(out_label, cap)``.  The one channel search of
+    both measures; ``cap_name`` and ``what`` word its refusals."""
+    if cap < 1:
+        raise ValidationError(f"{cap_name} must be positive")
+    kernel = _ChannelKernel(rho, on)
+    check_working_bytes(kernel.search_bytes(cap), f"the {what} search at {cap_name} {cap}")
+    return optimize_channel_functional(
+        kernel.entropy,
+        rho.space.subspace([on]),
+        LabeledSpace.of((out_label, cap)),
+        cfg,
+        inits=_channel_inits(kernel.d_in, cap),
+    )
+
+
 def dense_coding_advantage(
     zeta_ab: DensityOperator,
     dim_a_cap: int | None = None,
@@ -108,40 +138,25 @@ def dense_coding_advantage(
 ) -> OptResult:
     """Maximal coherent information after pre-processing the first share.
 
-    The search runs at output dimension exactly ``dim_a_cap`` (default:
-    dim(A)^2); any channel with a smaller output embeds isometrically with
-    the same objective, so the cap loses nothing.  The identity embedding
-    is one of the starting points, so the result is never below the plain
-    coherent information when the cap allows it.  The search's ``OptResult``
-    carries the value as ``best_value`` and the witness as ``best_channel``.
+    A channel on Alice's share leaves Bob's marginal, hence S(B), unchanged,
+    so delta(A > B) = S(B) - min S(BA~).  The search runs at output
+    dimension exactly ``dim_a_cap`` (default: dim(A)^2); any channel with a
+    smaller output embeds isometrically with the same objective, so the cap
+    loses nothing.  The identity embedding is one of the starting points, so
+    the result is never below the plain coherent information when the cap
+    allows it.  The search's ``OptResult`` carries the value as
+    ``best_value`` and the witness as ``best_channel``; its trace holds the
+    searched entropies S(BA~), not values of delta.
     """
     if len(zeta_ab.space.factors) != 2:
         raise ValidationError("dense_coding_advantage expects a bipartite state")
     alice, bob = zeta_ab.space.labels
     d_a = zeta_ab.space.dim_of(alice)
     cap = d_a * d_a if dim_a_cap is None else dim_a_cap
-    if cap < 1:
-        raise ValidationError("dim_a_cap must be positive")
     out_label = _fresh_label("A", zeta_ab.space.labels)
-    in_space = zeta_ab.space.subspace([alice])
-    out_space = LabeledSpace.of((out_label, cap))
-
-    # A channel on Alice's share leaves Bob's marginal, hence S(B), unchanged.
-    kernel = _ChannelKernel(zeta_ab, alice)
-    check_working_bytes(kernel.search_bytes(cap), f"the dense-coding search at dim_a_cap {cap}")
+    out = _min_output_entropy(zeta_ab, alice, out_label, cap, cfg, "dim_a_cap", "dense-coding")
     s_b = von_neumann_entropy(partial_trace(zeta_ab, {bob}))
-
-    def objective(kraus: np.ndarray) -> np.ndarray:
-        return s_b - kernel.entropy(kraus)
-
-    return optimize_channel_functional(
-        objective,
-        in_space,
-        out_space,
-        "max",
-        cfg,
-        inits=_channel_inits(d_a, cap),
-    )
+    return replace(out, best_value=s_b - out.best_value)
 
 
 def entanglement_of_purification(
@@ -160,28 +175,13 @@ def entanglement_of_purification(
     """
     if len(rho_cd.space.factors) != 2:
         raise ValidationError("entanglement_of_purification expects a bipartite state")
-    c_label, d_label = rho_cd.space.labels
+    c_label, _ = rho_cd.space.labels
     e_label = _fresh_label("Epur", rho_cd.space.labels)
     psi = purify(rho_cd, e_label)
-    d_e = psi.space.dim_of(e_label)
-    cap = d_e if dim_f_cap is None else dim_f_cap
-    if cap < 1:
-        raise ValidationError("dim_f_cap must be positive")
-    psi_ce = partial_trace(psi, {c_label, e_label})
+    cap = psi.space.dim_of(e_label) if dim_f_cap is None else dim_f_cap
     f_label = _fresh_label("F", rho_cd.space.labels)
-    in_space = psi.space.subspace([e_label])
-    out_space = LabeledSpace.of((f_label, cap))
-
-    kernel = _ChannelKernel(psi_ce, e_label)
-    check_working_bytes(kernel.search_bytes(cap), f"the E_P search at dim_f_cap {cap}")
-    return optimize_channel_functional(
-        kernel.entropy,
-        in_space,
-        out_space,
-        "min",
-        cfg,
-        inits=_channel_inits(d_e, cap),
-    )
+    psi_ce = partial_trace(psi, {c_label, e_label})
+    return _min_output_entropy(psi_ce, e_label, f_label, cap, cfg, "dim_f_cap", "E_P")
 
 
 def _tripartite_split(zeta: DensityOperator) -> tuple[DensityOperator, DensityOperator, float]:

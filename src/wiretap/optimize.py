@@ -251,11 +251,10 @@ def optimize_channel_functional(
     objective: Callable[[np.ndarray], np.ndarray],
     input_space: LabeledSpace,
     output_space: LabeledSpace,
-    sense: str,
     cfg: OptimizerConfig,
     inits: Sequence[np.ndarray] = (),
 ) -> OptResult:
-    """Optimize a real functional over CPTP maps of a fixed signature.
+    """Minimize a real functional over CPTP maps of a fixed signature.
 
     ``objective`` scores channels in batches: it maps an (..., env, d_out,
     d_in) array, each (env, d_out, d_in) slice the Kraus operators of one
@@ -268,17 +267,15 @@ def optimize_channel_functional(
     remaining restarts cycle through a ladder of smaller environments
     (Kraus-rank caps), which explore far better while staying inside the
     same channel family.  A final polish pass re-runs the search from the
-    incumbent.  Trace values and ``best_value`` are the objective's own,
-    as Python floats.
+    incumbent.  The driver maximizes, so it scores the negated objective;
+    trace values and ``best_value`` are the objective's own, as Python
+    floats.
     """
-    if sense not in ("max", "min"):
-        raise ValidationError(f"sense must be 'max' or 'min', got {sense!r}")
-    sign = 1.0 if sense == "max" else -1.0
     d_in, d_out = input_space.dim, output_space.dim
     ladder = [_StinespringParam(d_in, d_out, e) for e in _env_ladder(d_in, d_out)]
 
     def score(kraus: np.ndarray) -> np.ndarray:
-        return sign * objective(kraus)
+        return -objective(kraus)
 
     trace: list[TracePoint] = []
     param, x = _restarts(score, tuple(inits), ladder, cfg, trace)
@@ -291,9 +288,9 @@ def optimize_channel_functional(
     )
     witness = QuantumChannel(input_space, output_space, list(param.kraus(x)), tp_tol=TOL_EQ)
     return OptResult(
-        best_value=sign * val,
+        best_value=-val,
         best_channel=witness,
-        trace=tuple(TracePoint(p.restart, p.iteration, sign * p.value) for p in trace),
+        trace=tuple(TracePoint(p.restart, p.iteration, -p.value) for p in trace),
     )
 
 

@@ -328,7 +328,10 @@ def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
 
 
 def hermitian_trace_norm(x: np.ndarray) -> float:
-    """Trace norm of a Hermitian matrix via its eigenvalues."""
+    """Trace norm of a Hermitian matrix via its eigenvalues; NaN when its
+    diagonal holds a NaN, which the eigensolver would read as 0."""
+    if np.isnan(np.trace(x)):
+        return math.nan
     return float(np.sum(np.abs(np.linalg.eigvalsh(x))))
 
 

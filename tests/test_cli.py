@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from wiretap.channels import CqEnsemble, QuantumChannel, apply, channel_from_jso
 from wiretap.cli import main
 from wiretap.entropic import von_neumann_entropy
 from wiretap.qcore import (
+    DensityOperator,
     LabeledSpace,
     ResourceLimitError,
     basis_state,
@@ -284,6 +287,37 @@ def test_rate_optimize_superdense_and_witness_reload(tmp_path, capsys):
     assert json.loads(out)["rate"] == pytest.approx(payload["best_value"], abs=1e-9)
 
 
+def ill_conditioned_trivial_scenario(tmp_path):
+    """The trivial gallery with a resource that the resource-channel
+    reconstruction refuses: sum_i a_i |i>|u_i> with a^2 = (1 - 1e-10, 1e-10),
+    mixed with 1e-3 of |0><0| x (maximally mixed), gives Alice's marginal a
+    condition number of 1e10."""
+    bell = np.array([[1, 0, 0, 1], [0, 1, 1, 0]]) / np.sqrt(2)  # |u_0>, |u_1> on (Bp, Ep)
+    v = np.sqrt(1 - 1e-10) * np.kron([1, 0], bell[0]) + np.sqrt(1e-10) * np.kron([0, 1], bell[1])
+    product = np.kron(np.diag([1.0, 0.0]), np.eye(4) / 4)
+    resource = DensityOperator(
+        LabeledSpace.of(("Ap", 2), ("Bp", 2), ("Ep", 2)),
+        (1 - 1e-3) * np.outer(v, v) + 1e-3 * product,
+    )
+    path = tmp_path / "ill.json"
+    save_scenario(dataclasses.replace(build_gallery("trivial"), resource=resource), path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["rate-eval", "rate-optimize"])
+def test_unassisted_modes_never_decompose_the_resource(tmp_path, capsys, command):
+    sc_path = ill_conditioned_trivial_scenario(tmp_path)
+    cfg_path = tmp_path / "opt.json"
+    cfg_path.write_text(json.dumps({"seed": 1, "restarts": 1, "max_iters": 5}))
+    extra = ["--config", str(cfg_path), "--out", str(tmp_path)] if command == "rate-optimize" else []
+    code, out, _ = run_cli(capsys, command, "--scenario", str(sc_path), "--mode", "unassisted", *extra)
+    assert code == 0
+    assert json.loads(out)
+    code, _, err = run_cli(capsys, command, "--scenario", str(sc_path), "--mode", "theorem1", *extra)
+    assert code == 2
+    assert "marginal condition number 1.0" in json.loads(err.splitlines()[0])["error"]
+
+
 def test_rate_optimize_requires_seed(tmp_path, capsys):
     sc_path = tmp_path / "trivial.json"
     save_scenario(build_gallery("trivial"), sc_path)
@@ -512,6 +546,24 @@ def test_code_sim_csv_and_caps(tmp_path, capsys):
     )
     assert code == 3
     assert json.loads(err.splitlines()[0])["type"] == "resource-limit"
+
+
+def test_code_sim_warns_once_per_degenerate_block_length(tmp_path, capsys):
+    # Bob and Eve see the same copy, so every block length gives M = 1.
+    sc_path = tmp_path / "broadcast.json"
+    save_scenario(build_gallery("broadcast"), sc_path)
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps({"n": [1, 2], "trials": 2}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = run_cli(
+            capsys, "code-sim", "--scenario", str(sc_path), "--config", str(cfg_path),
+            "--seed", "1", "--out", str(tmp_path),
+        )
+    assert code == 0
+    texts = [str(w.message) for w in caught]
+    assert len(texts) == 2
+    assert all(f"degenerate single-message code at n={n}: log2 M" in t for n, t in zip((1, 2), texts))
 
 
 def test_rate_eval_refuses_oversized_side_map(tmp_path, capsys, monkeypatch):

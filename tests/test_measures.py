@@ -199,6 +199,25 @@ def three_qubit_marginals(seed):
     return partial_trace(psi, {"A", "B"}), rho_cb
 
 
+def test_measures_share_the_output_entropy_search():
+    # Both measures minimize S(pass, out) through one search: each witness
+    # re-scores to its value exactly, and no searched entropy in either
+    # trace beats its result.
+    zeta_ab, rho_cb = three_qubit_marginals(243)
+    c = cfg(restarts=3, max_iters=200)
+    s_b = von_neumann_entropy(partial_trace(zeta_ab, {"B"}))
+    delta = dense_coding_advantage(zeta_ab, cfg=c)
+    kraus = np.stack(delta.best_channel.kraus)
+    assert s_b - measures._ChannelKernel(zeta_ab, "A").entropy(kraus) == delta.best_value
+    ep = entanglement_of_purification(rho_cb, cfg=c)
+    (e_label,) = ep.best_channel.input_space.labels
+    psi_ce = partial_trace(purify(rho_cb, e_label), {"C", e_label})
+    kraus = np.stack(ep.best_channel.kraus)
+    assert measures._ChannelKernel(psi_ce, e_label).entropy(kraus) == ep.best_value
+    assert all(s_b - p.value <= delta.best_value for p in delta.trace)
+    assert all(p.value >= ep.best_value for p in ep.trace)
+
+
 def test_measure_values_are_python_floats():
     zeta_ab, rho_cb = three_qubit_marginals(240)
     small = cfg(restarts=2, max_iters=20)

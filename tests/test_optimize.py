@@ -320,7 +320,6 @@ def test_optimize_channel_functional_constant_objective():
         lambda kraus: np.full(kraus.shape[:-3], 0.75),
         A,
         F,
-        "max",
         small_cfg(seed=31, max_iters=30),
     )
     assert out.best_value == 0.75
@@ -332,27 +331,27 @@ def test_optimize_channel_functional_refuses_ill_fitting_inits(shape):
     # Inits are Kraus stacks of at most d_in * d_out operators of shape (d_out, d_in).
     with pytest.raises(ValidationError, match="does not fit"):
         optimize_channel_functional(
-            lambda kraus: 0.0, A, F, "max", small_cfg(max_iters=5), inits=[np.zeros(shape)]
+            lambda kraus: 0.0, A, F, small_cfg(max_iters=5), inits=[np.zeros(shape)]
         )
 
 
 def test_optimize_channel_functional_max_output_entropy():
-    # max over channels of S(T(|0><0|)) = 1, at any channel with mixed output.
+    # max over channels of S(T(|0><0|)) = 1, at any channel with mixed
+    # output, found by minimizing -S.
     def objective(kraus: np.ndarray) -> np.ndarray:
         col = kraus[..., 0]  # K_e |0>, one row per Kraus operator
         outs = (col.swapaxes(-1, -2) @ col.conj()).reshape(-1, F.dim, F.dim)
-        values = [von_neumann_entropy(DensityOperator(F, m, validate=False)) for m in outs]
+        values = [-von_neumann_entropy(DensityOperator(F, m, validate=False)) for m in outs]
         return np.reshape(values, kraus.shape[:-3])
 
     out = optimize_channel_functional(
         objective,
         A,
         F,
-        "max",
         small_cfg(seed=37, restarts=4, max_iters=1500),
     )
-    assert out.best_value >= 1.0 - 1e-3
-    assert out.best_value <= 1.0 + 1e-12
+    assert -out.best_value >= 1.0 - 1e-3
+    assert -out.best_value <= 1.0 + 1e-12
 
 
 def population_of_zero(kraus: np.ndarray) -> np.ndarray:
@@ -360,28 +359,33 @@ def population_of_zero(kraus: np.ndarray) -> np.ndarray:
     (..., env, d_out, d_in) stack of Kraus stacks.
 
     It lies in [0, 1] and, unlike an entropy, moves under unitaries too, so
-    every rung of the environment ladder can improve it in both senses.
+    every rung of the environment ladder can lower it.
     """
     row = kraus[..., 0, :]  # <0|K_e, one row per Kraus operator
     return np.sum(np.abs(row) ** 2 * np.array([0.7, 0.3]), axis=(-2, -1))
 
 
-@pytest.mark.parametrize("sense", ["max", "min"])
-def test_optimize_channel_functional_trace_semantics(sense):
+@pytest.mark.parametrize("goal", ["max", "min"])
+def test_optimize_channel_functional_trace_semantics(goal):
+    # The search minimizes; a maximum is the minimum of the negated objective.
+    sign = -1.0 if goal == "max" else 1.0
+
+    def objective(kraus: np.ndarray) -> np.ndarray:
+        return sign * population_of_zero(kraus)
+
     cfg = small_cfg(seed=41, restarts=3, max_iters=80)
-    out = optimize_channel_functional(population_of_zero, A, F, sense, cfg)
+    out = optimize_channel_functional(objective, A, F, cfg)
     # The witness scores the best value itself, in the objective's own sign.
-    assert population_of_zero(np.stack(out.best_channel.kraus)) == out.best_value
-    better = (lambda a, b: a > b) if sense == "max" else (lambda a, b: a < b)
+    assert objective(np.stack(out.best_channel.kraus)) == out.best_value
     by_restart: dict[int, list[float]] = {}
     for p in out.trace:
-        assert 0.0 <= p.value <= 1.0 + 1e-12  # a population, not its negation
-        assert not better(p.value, out.best_value)
+        assert 0.0 <= sign * p.value <= 1.0 + 1e-12  # the objective's values, not their negation
+        assert p.value >= out.best_value
         by_restart.setdefault(p.restart, []).append(p.value)
     # Restarts 0..restarts-1, then the polish pass from the incumbent.
     assert list(by_restart) == list(range(cfg.restarts + 1))
     for values in by_restart.values():
-        assert all(better(b, a) for a, b in zip(values, values[1:]))
+        assert all(b < a for a, b in zip(values, values[1:]))
     assert by_restart[cfg.restarts][-1] == out.best_value
 
 
@@ -400,7 +404,7 @@ def test_public_results_are_python_floats():
     for rep in reports:
         fields = (rep.i_u_bb, rep.i_u_ee, rep.i_u_aprime, rep.rate, rep.constraint_residual)
         assert all(type(v) is float for v in fields), (rep.mode, fields)
-    outs.append(optimize_channel_functional(population_of_zero, A, F, "min", cfg))
+    outs.append(optimize_channel_functional(population_of_zero, A, F, cfg))
     for out in outs:
         assert type(out.best_value) is float
         assert all(type(p.value) is float for p in out.trace)

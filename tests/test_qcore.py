@@ -94,12 +94,26 @@ def _nan_classical_channel():
     classical_channel(np.array([[np.nan, 0.0], [np.nan, 1.0]]), A, B)
 
 
-def _nan_modulation_marginal():
+def _nan_modulation_marginal(*entries):
     from wiretap.channels import modulation_from_choi
 
-    # NaN off the diagonal of the signal block reaches eta's reference marginal.
-    eta = _nan_state(A.tensor(LabeledSpace.of(("R", 2))), (0, 1), (1, 0))
+    # By default NaN off the diagonal of the signal block reaches eta's
+    # reference marginal.
+    eta = _nan_state(A.tensor(LabeledSpace.of(("R", 2))), *(entries or [(0, 1), (1, 0)]))
     modulation_from_choi(eta, maximally_mixed(LabeledSpace.of(("R", 2))))
+
+
+def _nan_modulation_diagonal():
+    # A NaN on the marginal difference's diagonal, which an eigensolver
+    # reads as 0, must still make its trace norm NaN.
+    _nan_modulation_marginal((0, 0))
+
+
+def _nan_resource_state():
+    from wiretap.channels import channel_from_resource_state
+
+    # Refused before any eigensolver sees it.
+    channel_from_resource_state(_nan_state(LabeledSpace.of(("A", 2), ("B", 2), ("E", 2)), (0, 0)))
 
 
 def _nan_duality_purity():
@@ -158,6 +172,12 @@ def _nan_witness_residual():
         pytest.param(
             _nan_modulation_marginal, "deviates from the resource marginal by nan", id="modulation"
         ),
+        pytest.param(
+            _nan_modulation_diagonal,
+            "deviates from the resource marginal by nan",
+            id="modulation_diagonal",
+        ),
+        pytest.param(_nan_resource_state, "non-finite entries", id="resource_state"),
         pytest.param(_nan_duality_purity, "purity deficit nan", id="duality_purity"),
         pytest.param(_nan_state_vector, "largest eigenvalue nan", id="state_vector"),
         pytest.param(_nan_repair_budget, "repair cost nan", id="repair_budget"),

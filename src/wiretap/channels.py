@@ -5,13 +5,14 @@ Channels are stored as Kraus families between two labeled spaces.
 The resource-state machinery turns a tripartite shared state zeta on
 (Alice', Bob', Eve') into the unique channel Z with (id x Z) phi0 = zeta,
 where phi0 = sum_i sqrt(lam_i) v_i x v_i is the symmetric purification of
-Alice's marginal, and converts signal states with the correct marginal
-back into modulation channels.  Both directions read Kraus operators off
-the eigenvectors of the given state through the inverse of phi0's
-amplitude matrix, V diag(sqrt(lam)) V^T, so they require a full-rank
-marginal; rank-deficient inputs are first restricted to their support.
-No Choi state is built anywhere.  Every support here, of a marginal
-or of a state read as Kraus operators, is ``qcore.support_eigh``.
+Alice's marginal, held as its amplitude matrix psi = V diag(sqrt(lam)) V^T,
+and converts signal states with the correct marginal back into modulation
+channels.  Both directions whiten the given state by psi^-1 on its
+reference factor and read Kraus operators off the result, the channel's
+Choi matrix, so they require a full-rank marginal; rank-deficient inputs
+are first restricted to their support.  No phi0 matrix is built anywhere.
+Every support here, of a marginal or of a state read as Kraus operators,
+is ``qcore.support_eigh``.
 """
 
 from __future__ import annotations
@@ -270,30 +271,31 @@ def cq_state(ens: CqEnsemble) -> DensityOperator:
 # ---------------------------------------------------------------------------
 
 
+# phi0's copy of Alice's share: the reference factor of every signal state.
+AUX_LABEL = "App"
+
+
 @dataclass(frozen=True)
 class ResourceState:
     """A tripartite resource state together with its induced channel.
 
     ``zeta`` is the (possibly support-restricted) resource state with
-    Alice's factor first, ``phi0`` the symmetric purification
-    sum_i sqrt(lam_i) v_i x v_i of Alice's marginal on (alice, aux), and
-    ``z_channel`` the unique map from the aux copy to (Bob', Eve')
-    satisfying (id x z_channel) phi0 = zeta.  When the original Alice
-    marginal was rank deficient, ``support_isometry`` holds the isometry
-    from the restricted factor into the original one.
+    Alice's factor first.  ``psi`` is the symmetric (r, r) amplitude matrix
+    V diag(sqrt(lam)) V^T of phi0 = sum_i sqrt(lam_i) v_i x v_i, the
+    purification of Alice's marginal on (Alice, AUX_LABEL): phi0 is
+    vec(psi), and (K x 1) phi0 = vec(K psi).  ``z_channel`` is the unique
+    map from the AUX_LABEL copy to (Bob', Eve') with (id x z_channel) phi0
+    = zeta.
     """
 
     zeta: DensityOperator
-    phi0: DensityOperator
+    psi: np.ndarray
     z_channel: QuantumChannel
-    support_isometry: np.ndarray | None
-    alice_label: str
-    aux_label: str
 
     @property
     def zeta_marginal(self) -> DensityOperator:
         """Alice's marginal of the (restricted) resource state."""
-        return partial_trace(self.zeta, {self.alice_label})
+        return partial_trace(self.zeta, {self.zeta.space.labels[0]})
 
 
 def _channel_through_phi0(
@@ -308,20 +310,22 @@ def _channel_through_phi0(
 
     ``state`` is a matrix on (reference, output), reference first, and
     phi0 = sum_i sqrt(lam_i) v_i x v_i has the symmetric amplitude matrix
-    Psi = V diag(sqrt(lam)) V^T.  An eigenvector of ``state`` scaled by the
-    square root of its eigenvalue, read as a (reference, output) matrix Z_k,
-    is Psi K_k^T for one Kraus family {K_k} of M, so K_k = Z_k^T Psi^-1 with
-    Psi^-1 = conj(V) diag(lam^-1/2) V^H.  The eigenpairs are the support
-    of ``state`` (``support_eigh``).  Sum K_k^H K_k = 1 holds exactly when
-    the reference marginal of ``state`` is phi0's; the trace-preservation
-    check at TOL_EQ guards it, and its refusal names ``what`` and the
-    marginal's condition number.
+    Psi = V diag(sqrt(lam)) V^T, so ``state`` = sum_k vec(Psi K_k^T)
+    vec(Psi K_k^T)^H for any Kraus family {K_k} of M.  Whitening by
+    Psi^-1 = conj(V) diag(lam^-1/2) V^H leaves sum_k vec(K_k^T) vec(K_k^T)^H,
+    M's Choi matrix, whose support eigenvectors (``support_eigh``) scaled
+    by the square roots of their eigenvalues are the K_k^T.  A dropped
+    eigenvalue moves sum K_k^H K_k by at most its own size, however small
+    lam is.  Sum K_k^H K_k = 1 holds exactly when the reference marginal of
+    ``state`` is phi0's; the trace-preservation check at TOL_EQ guards it,
+    and its refusal names ``what`` and the marginal's condition number.
     """
-    r = len(lam)
+    r, d = len(lam), output_space.dim
     psi_inv = (vecs.conj() / np.sqrt(lam)) @ vecs.conj().T
-    w, v = support_eigh(state)
-    z = (v * np.sqrt(w)).T.reshape(-1, r, output_space.dim)
-    kraus = list(z.transpose(0, 2, 1) @ psi_inv)
+    # (Psi^-1 x 1) state (Psi^-1 x 1)^H: the row factor, then the column factor.
+    left = (psi_inv @ state.reshape(r, -1)).reshape(r * d, r, d)
+    w, v = support_eigh((psi_inv.conj() @ left).reshape(r * d, r * d))
+    kraus = list((v * np.sqrt(w)).T.reshape(-1, r, d).transpose(0, 2, 1))
     try:
         return QuantumChannel(input_space, output_space, kraus, tp_tol=TOL_EQ)
     except ValidationError as exc:
@@ -335,61 +339,51 @@ def channel_from_resource_state(zeta: DensityOperator) -> ResourceState:
     """Build the resource-state channel decomposition of ``zeta``.
 
     Alice's share is the first factor of ``zeta``, and phi0's copy of it
-    is named "App".  Restricts Alice's factor to the support of her
-    marginal (recording the isometry), builds phi0 = sum_i sqrt(lam_i)
-    v_i x v_i from the marginal's spectrum, and reads the unique channel
-    Z with (id x Z) phi0 = zeta off the eigenvectors of zeta through
-    phi0's amplitude matrix (``_channel_through_phi0``).  Raises if Z fails to be
-    trace preserving or to reproduce zeta beyond tolerance, which signals a
+    is AUX_LABEL.  One eigensolve of Alice's marginal gives phi0's
+    amplitude matrix; a rank-deficient marginal first restricts Alice's
+    factor to its support, in whose frame the marginal is diag(lam).  The
+    unique channel Z with (id x Z) phi0 = zeta is read off zeta whitened by
+    that amplitude matrix (``_channel_through_phi0``).  Raises if Z fails to
+    be trace preserving or to reproduce zeta beyond TOL_EQ, which signals a
     numerically degenerate marginal spectrum.
     """
-    space, aux_label = zeta.space, "App"
+    space = zeta.space
     if len(space.factors) != 3:
         raise ValidationError(f"resource state must have exactly 3 factors, got {len(space.factors)}")
     alice, *others = space.labels
-    if aux_label in space.labels:
-        raise ValidationError(f"auxiliary label {aux_label!r} clashes with resource labels")
+    if AUX_LABEL in space.labels:
+        raise ValidationError(f"auxiliary label {AUX_LABEL!r} clashes with resource labels")
     if not np.all(np.isfinite(zeta.matrix)):
         raise ValidationError("resource state has non-finite entries")
 
     d_alice = space.dim_of(alice)
-    d_rest = zeta.dim // d_alice
     lam, vecs = support_eigh(partial_trace(zeta, {alice}).matrix)
     rank = len(lam)
 
-    zeta_r, support_isometry = zeta, None
+    zeta_r = zeta
     if rank < d_alice:
-        support_isometry = vecs
-        big = np.kron(vecs, np.eye(d_rest))
+        big = np.kron(vecs, np.eye(zeta.dim // d_alice))
         m = big.conj().T @ zeta.matrix @ big
-        m = m / np.real(np.trace(m))
+        trace = np.real(np.trace(m))
         restricted_space = LabeledSpace.of((alice, rank)).tensor(space.subspace(others))
-        zeta_r = DensityOperator(restricted_space, m, validate=False)
-        # In the restricted frame the marginal is diagonal in the computational basis.
-        lam, vecs = support_eigh(partial_trace(zeta_r, {alice}).matrix)
+        zeta_r = DensityOperator(restricted_space, m / trace, validate=False)
+        lam, vecs = lam / trace, np.eye(rank)
 
-    phi_vec = ((vecs * np.sqrt(lam)) @ vecs.T).reshape(-1)
-    aux = LabeledSpace.of((aux_label, rank))
-    phi0_space = LabeledSpace.of((alice, rank)).tensor(aux)
-    phi0 = DensityOperator(phi0_space, np.outer(phi_vec, phi_vec.conj()), validate=False)
+    psi = (vecs * np.sqrt(lam)) @ vecs.T
+    aux = LabeledSpace.of((AUX_LABEL, rank))
     z_channel = _channel_through_phi0(
         zeta_r.matrix, lam, vecs, aux, zeta_r.space.subspace(others), "resource channel"
     )
-    rebuilt = apply(z_channel, phi0, on=[aux_label])
-    residual = hermitian_trace_norm(rebuilt.matrix - zeta_r.matrix)
+    # sum_k vec(psi K_k^T) vec(psi K_k^T)^H is (id x Z) phi0.
+    kraus_t = np.stack(z_channel.kraus).transpose(0, 2, 1)
+    amplitudes = (psi @ kraus_t).reshape(len(kraus_t), -1)
+    residual = hermitian_trace_norm(amplitudes.T @ amplitudes.conj() - zeta_r.matrix)
     if not residual <= TOL_EQ:
         raise ValidationError(
             f"resource channel does not reproduce the state (residual {residual:.3e}, "
             f"marginal condition number {lam[0] / lam[-1]:.3e})"
         )
-    return ResourceState(
-        zeta=zeta_r,
-        phi0=phi0,
-        z_channel=z_channel,
-        support_isometry=support_isometry,
-        alice_label=alice,
-        aux_label=aux_label,
-    )
+    return ResourceState(zeta=zeta_r, psi=psi, z_channel=z_channel)
 
 
 def modulation_from_choi(

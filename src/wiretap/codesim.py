@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import CqEnsemble, QuantumChannel, ResourceState
+from .channels import AUX_LABEL, CqEnsemble, QuantumChannel, ResourceState
 from .qcore import (
     MAX_WORKING_BYTES,
     DensityOperator,
@@ -97,7 +97,6 @@ class CodeParams:
     M: int
     S: int
     rate: float
-    degenerate: bool
 
 
 @dataclass(frozen=True)
@@ -170,13 +169,12 @@ def code_parameters(
         raise ResourceLimitError(f"block length {n}: code size 2^{top:.6g} overflows a float")
     m = max(1, _round_half_up(2.0**log_m))
     s = max(1, _round_half_up(2.0**log_s))
-    degenerate = m == 1 and log_m <= 0.0
-    if degenerate:
+    if m == 1 and log_m <= 0.0:
         warnings.warn(
             f"degenerate single-message code at n={n}: log2 M = {log_m:.6g} <= 0, so M = 1",
             stacklevel=2,
         )
-    return CodeParams(M=m, S=s, rate=math.log2(m) / n, degenerate=degenerate)
+    return CodeParams(M=m, S=s, rate=math.log2(m) / n)
 
 
 def sample_codebook(ens: CqEnsemble, n: int, M: int, S: int, seed: int) -> np.ndarray:
@@ -261,7 +259,7 @@ def _member_outputs(
     ens: CqEnsemble, channel: QuantumChannel, res: ResourceState
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-letter Bob-side and Eve-side output states per ensemble symbol, as (k, d, d) arrays."""
-    members = _stack(ens.states, _signal_labels(ens, res, channel) + [res.aux_label])
+    members = _stack(ens.states, _signal_labels(ens, res, channel) + [AUX_LABEL])
     return _CqKernel(channel, res).sides(members)
 
 
@@ -368,7 +366,7 @@ def marginal_residual_and_fixup(
     member_mats = [s.matrix for s in ens.states]
     _check_bytes(n, m_count, s_count, [(REPAIR_ARRAYS, _bin_bytes(member_mats, n))])
     member_space_n = _power_space(ens.space, n)
-    aux = [f"{res.aux_label}@{i}" for i in range(n)]
+    aux = [f"{AUX_LABEL}@{i}" for i in range(n)]
     target = DensityOperator(
         member_space_n.subspace(aux), _power(res.zeta_marginal.matrix, n), validate=False
     )
@@ -530,7 +528,7 @@ def run_experiment(
     eve_avg = sum(q * e for q, e in zip(ens.probs, eve))
     # A repair can run only when some member's A' marginal is not the resource's.
     target = res.zeta_marginal.matrix
-    repairs = any(np.any(partial_trace(s, {res.aux_label}).matrix != target) for s in ens.states)
+    repairs = any(np.any(partial_trace(s, {AUX_LABEL}).matrix != target) for s in ens.states)
     factors = _low_rank_factors(bob) if bob[0].ndim == 2 else None
 
     all_params = [code_parameters(ens, channel, res, n, epsilon, rate) for n in n_list]

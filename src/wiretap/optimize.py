@@ -15,12 +15,13 @@ Channel searches pass the identity and constant channels as starts, add a
 polish pass from the incumbent, and build one ``QuantumChannel``, the
 witness, at the end.  Ensemble searches score instruments from Alice's
 share to (U, signal) applied to the purification phi0 of her marginal:
-q_u eta_u = (N_u x id) phi0, starting from a discrete-Weyl modulation of
-phi0 and a computational-basis ensemble.  By channel-state duality these
-are exactly the ensembles whose average A' marginal is the resource's, so
-the ensemble searches need neither a penalty nor a repair step.  The
-unassisted search is the same search on the empty resource,
-``trivial_resource()``.
+q_u eta_u = (N_u x id) phi0, one product K psi per Kraus operator K with
+phi0's amplitude matrix psi (``rates._instrument``), starting from a
+discrete-Weyl modulation of phi0 and a computational-basis ensemble.  By
+channel-state duality these are exactly the ensembles whose average A'
+marginal is the resource's, so the ensemble searches need neither a
+penalty nor a repair step.  The unassisted search is the same search on
+the empty resource, ``trivial_resource()``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import CqEnsemble, QuantumChannel, ResourceState, trivial_resource
+from .channels import AUX_LABEL, CqEnsemble, QuantumChannel, ResourceState, trivial_resource
 from .qcore import (
     TOL_EQ,
     DensityOperator,
@@ -46,6 +47,7 @@ from .rates import (
     RateReport,
     _CqKernel,
     _holevo,
+    _instrument,
     theorem1_rate,
     unassisted_rate,
 )
@@ -313,24 +315,6 @@ def _discrete_weyl(dim: int) -> list[np.ndarray]:
     return out
 
 
-def _instrument(kraus: np.ndarray, psi: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Members eta_u and probabilities q_u of q_u eta_u = sum_e (K_ue x 1) phi0 (K_ue x 1)^+.
-
-    ``kraus`` is an (..., env, k * d_sig, r) stack from Alice's share to
-    (U, signal) and ``psi`` phi0's (r, r) amplitude matrix on (share, A');
-    the members come back as (..., k, d, d) and the q_u as (..., k).
-    Since sum K^+ K = 1, the q_u sum to 1 and the average A' marginal is
-    phi0's, the resource's.  An outcome with q_u = 0 has a zero member.
-    """
-    *lead, env, rows, r = kraus.shape
-    n = len(lead)
-    v = (kraus.reshape(*lead, env * rows, r) @ psi).reshape(*lead, env, k, -1)
-    v = v.transpose(*range(n), n + 1, n + 2, n)
-    weighted = v @ v.conj().swapaxes(-1, -2)
-    probs = np.trace(weighted, axis1=-2, axis2=-1).real
-    return weighted / np.where(probs > 0, probs, 1.0)[..., None, None], probs
-
-
 def _weyl_start(k: int, d_sig: int, r: int) -> np.ndarray | None:
     """The isometry sum_u |u> x W_u / sqrt(n) over the first n = min(k, r^2)
     discrete-Weyl unitaries W_u: phi0 modulated uniformly (needs d_sig = r)."""
@@ -368,11 +352,10 @@ def _search_instruments(
     candidates would exceed MAX_WORKING_BYTES is refused before any start
     is built.
     """
-    r = res.phi0.space.dim_of(res.aux_label)
+    r = len(res.psi)
     d_sig = channel.input_space.dim
-    member_space = channel.input_space.tensor(LabeledSpace.of((res.aux_label, r)))
+    member_space = channel.input_space.tensor(LabeledSpace.of((AUX_LABEL, r)))
     kernel = _CqKernel(channel, res)
-    psi = res.phi0.state_vector().reshape(r, r)
     k = cfg.num_labels_max or 2 * d_sig * r
     # Per candidate: four complex arrays of k * d^2 entries in the
     # Stinespring step (rows * r = k * d^2), five in the instrument (v, its
@@ -384,7 +367,7 @@ def _search_instruments(
     check_working_bytes(need, f"an instrument search with {k} outcomes")
 
     def score(kraus: np.ndarray) -> np.ndarray:
-        members, probs = _instrument(kraus, psi, k)
+        members, probs = _instrument(kraus, res.psi, k)
         i_bb, i_ee = kernel.bob_eve(members, probs)
         i_ap = _holevo(kernel.reference_marginals(members), probs)
         return i_bb - np.maximum(i_ee, i_ap)
@@ -395,7 +378,7 @@ def _search_instruments(
     starts = [s for s in (_weyl_start(k, d_sig, r), _basis_start(k, d_sig, r)) if s is not None]
     trace: list[TracePoint] = []
     _, best_x = _restarts(score, starts, [param], cfg, trace)
-    members, probs = _instrument(param.kraus(best_x), psi, k)
+    members, probs = _instrument(param.kraus(best_x), res.psi, k)
     keep = np.flatnonzero(probs > 0)
     ens = CqEnsemble(
         [int(u) for u in keep],

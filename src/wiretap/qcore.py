@@ -212,14 +212,6 @@ class DensityOperator:
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
-    def state_vector(self) -> np.ndarray:
-        """Amplitude-vector view of a rank-one state (global phase arbitrary)."""
-        w, v = np.linalg.eigh(self.matrix)
-        top = np.max(w)  # NaN if any eigenvalue is
-        if not 1.0 - top <= TOL_EQ:
-            raise ValidationError(f"state is not pure (largest eigenvalue {top:.6g})")
-        return v[:, -1] * np.sqrt(max(w[-1], 0.0))
-
     def clamped(self) -> "DensityOperator":
         """Zero small negative eigenvalues and renormalize.
 

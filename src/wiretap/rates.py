@@ -39,6 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import (
+    AUX_LABEL,
     CqEnsemble,
     QuantumChannel,
     ResourceState,
@@ -121,18 +122,17 @@ def _signal_labels(
 ) -> list[str]:
     """Member labels other than the reference copy, checked against the
     resource and, when given, positionally against the channel input."""
-    aux = res.aux_label
     labels = list(ens.space.labels)
-    if aux not in labels:
+    if AUX_LABEL not in labels:
         raise ValidationError(
-            f"ensemble member space {labels} lacks the reference factor {aux!r}"
+            f"ensemble member space {labels} lacks the reference factor {AUX_LABEL!r}"
         )
-    if ens.space.dim_of(aux) != res.phi0.space.dim_of(aux):
+    if ens.space.dim_of(AUX_LABEL) != len(res.psi):
         raise ValidationError(
-            f"reference factor dimension {ens.space.dim_of(aux)} != "
-            f"resource copy dimension {res.phi0.space.dim_of(aux)}"
+            f"reference factor dimension {ens.space.dim_of(AUX_LABEL)} != "
+            f"resource copy dimension {len(res.psi)}"
         )
-    signal = [lab for lab in labels if lab != aux]
+    signal = [lab for lab in labels if lab != AUX_LABEL]
     dims = tuple(ens.space.dim_of(lab) for lab in signal)
     if channel is not None and dims != channel.input_space.dims:
         raise ValidationError(
@@ -146,6 +146,25 @@ def _stack(states: Sequence[DensityOperator], order: Sequence[str]) -> np.ndarra
     space = states[0].space
     perm = [space.index(lab) for lab in order]
     return _permuted(np.stack([s.matrix for s in states]), space.dims, perm)
+
+
+def _instrument(kraus: np.ndarray, psi: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Members eta_u and weights q_u of q_u eta_u = sum_e (K_ue x 1) phi0 (K_ue x 1)^+.
+
+    ``kraus`` is an (..., env, k * d_sig, r) stack from Alice's share to
+    (U, signal) and ``psi`` phi0's (r, r) amplitude matrix on (share, A'),
+    so (K x 1) phi0 = vec(K psi); the members come back as (..., k, d, d)
+    and the q_u as (..., k).  For an instrument, sum K^+ K = 1, the q_u sum
+    to 1 and the average A' marginal is phi0's, the resource's.  An outcome
+    with q_u = 0 has a zero member.
+    """
+    *lead, env, rows, r = kraus.shape
+    n = len(lead)
+    v = (kraus.reshape(*lead, env * rows, r) @ psi).reshape(*lead, env, k, -1)
+    v = v.transpose(*range(n), n + 1, n + 2, n)
+    weighted = v @ v.conj().swapaxes(-1, -2)
+    probs = np.trace(weighted, axis1=-2, axis2=-1).real
+    return weighted / np.where(probs > 0, probs, 1.0)[..., None, None], probs
 
 
 def _holevo(members: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -243,7 +262,7 @@ def build_gamma(
     """cq-state after pushing every member through channel x resource channel."""
     signal = _signal_labels(ens, res, channel)
     members = [
-        apply(res.z_channel, apply(channel, s, on=signal), on=[res.aux_label])
+        apply(res.z_channel, apply(channel, s, on=signal), on=[AUX_LABEL])
         for s in ens.states
     ]
     return cq_state(CqEnsemble(ens.labels, ens.probs, members))
@@ -251,10 +270,9 @@ def build_gamma(
 
 def marginal_constraint_residual(ens: CqEnsemble, res: ResourceState) -> float:
     """Trace norm of (average reference marginal) - (resource marginal)."""
-    aux = res.aux_label
     _signal_labels(ens, res)  # validates presence and dimension
     avg = sum(
-        q * partial_trace(s, {aux}).matrix for q, s in zip(ens.probs, ens.states)
+        q * partial_trace(s, {AUX_LABEL}).matrix for q, s in zip(ens.probs, ens.states)
     )
     return hermitian_trace_norm(avg - res.zeta_marginal.matrix)
 
@@ -272,7 +290,7 @@ def theorem1_rate(
     """
     signal = _signal_labels(ens, res, channel)
     kernel = _CqKernel(channel, res)
-    members = _stack(ens.states, signal + [res.aux_label])
+    members = _stack(ens.states, signal + [AUX_LABEL])
     i_u_bb, i_u_ee = map(float, kernel.bob_eve(members, ens.probs))
     i_u_aprime, residual = kernel.reference_terms(members, ens.probs)
     rate = i_u_bb - max(i_u_ee, i_u_aprime)
@@ -290,25 +308,29 @@ def trivial_rate(
     Each modulation M_u consumes Alice's share and produces the channel
     input; the resource's other shares ride along to Bob and Eve.  Since
     (id x Z) phi0 = zeta, the kernel scores the members eta_u = (M_u x id)
-    phi0 on (signal, A').
+    phi0 on (signal, A'), built by ``_instrument`` from the modulations
+    stacked as the outcomes of one instrument.
     """
     probs = _validated_probs(probs)
     if len(probs) != len(modulations) or not modulations:
         raise ValidationError("need matching, non-empty probs and modulations")
-    d_alice = res.zeta.space.dim_of(res.alice_label)
+    r, d_sig = len(res.psi), channel.input_space.dim
     for mod in modulations:
-        if mod.input_space.dims != (d_alice,):
+        if mod.input_space.dims != (r,):
             raise ValidationError(
-                f"modulation input dims {mod.input_space.dims} != Alice share dimension {d_alice}"
+                f"modulation input dims {mod.input_space.dims} != Alice share dimension {r}"
             )
         if mod.output_space.dims != channel.input_space.dims:
             raise ValidationError(
                 f"modulation output dims {mod.output_space.dims} != "
                 f"channel input dims {channel.input_space.dims}"
             )
-    eye_aux = np.eye(res.phi0.space.dim_of(res.aux_label))
-    bigs = [[np.kron(k, eye_aux) for k in mod.kraus] for mod in modulations]
-    members = np.stack([sum(b @ res.phi0.matrix @ b.conj().T for b in big) for big in bigs])
+    # Outcome u holds M_u's Kraus operators, zero-padded to the longest family.
+    env = max(len(mod.kraus) for mod in modulations)
+    kraus = np.zeros((env, len(modulations), d_sig, r), dtype=np.complex128)
+    for u, mod in enumerate(modulations):
+        kraus[: len(mod.kraus), u] = mod.kraus
+    members = _instrument(kraus.reshape(env, -1, r), res.psi, len(modulations))[0]
     kernel = _CqKernel(channel, res)
     i_u_bb, i_u_ee = map(float, kernel.bob_eve(members, probs))
     residual = kernel.reference_terms(members, probs)[1]

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
+    AUX_LABEL,
     CqEnsemble,
     QuantumChannel,
     ResourceState,
@@ -181,7 +182,7 @@ def _copy_channel() -> QuantumChannel:
 
 
 def _lifted_basis_ensemble(aux_dim: int) -> CqEnsemble:
-    aux = LabeledSpace.of(("App", aux_dim))
+    aux = LabeledSpace.of((AUX_LABEL, aux_dim))
     members = [
         tensor(basis_state(_A, [i]), basis_state(aux, [0])) for i in range(2)
     ]
@@ -208,7 +209,7 @@ def gallery_trivial() -> Scenario:
 
 
 def gallery_superdense() -> Scenario:
-    phi = maximally_entangled("A", "App", 2)
+    phi = maximally_entangled("A", AUX_LABEL, 2)
     members = []
     for name in "IXYZ":
         u = np.kron(_PAULI[name], np.eye(2))
@@ -274,7 +275,7 @@ def _xor_pad_ensemble(alice_marginal_diag: np.ndarray) -> CqEnsemble:
     reference marginal equals the resource marginal exactly (feasible
     per-message) while the signal hides the message from anyone without k.
     """
-    space = LabeledSpace.of(("A", 2), ("App", 2))
+    space = LabeledSpace.of(("A", 2), (AUX_LABEL, 2))
     members = []
     for x in range(2):
         diag = np.zeros(4)

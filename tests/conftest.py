@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from wiretap.channels import (
+    AUX_LABEL,
     CqEnsemble,
     QuantumChannel,
     ResourceState,
@@ -157,6 +158,15 @@ def amplitude_damping_wiretap(gamma: float) -> QuantumChannel:
     return QuantumChannel(LabeledSpace.of(("A", 2)), LabeledSpace.of(("B", 2), ("E", 2)), [v])
 
 
+def phi0_of(res: ResourceState) -> DensityOperator:
+    """phi0 = vec(psi) as a state on (Alice's share, AUX_LABEL), from the
+    resource's amplitude matrix; the reference the psi products are checked against."""
+    r = len(res.psi)
+    vec = res.psi.reshape(-1)
+    space = LabeledSpace.of((res.zeta.space.labels[0], r), (AUX_LABEL, r))
+    return DensityOperator(space, np.outer(vec, vec.conj()), validate=False)
+
+
 def bell_resource_state() -> ResourceState:
     """Bell pair between Alice and Bob, trivial Eve share."""
     zeta = tensor(
@@ -176,7 +186,7 @@ def superdense_ensemble() -> CqEnsemble:
     return CqEnsemble(list("IXYZ"), [0.25] * 4, members)
 
 
-def lift_to_reference(ens: CqEnsemble, aux_label: str = "App") -> CqEnsemble:
+def lift_to_reference(ens: CqEnsemble, aux_label: str = AUX_LABEL) -> CqEnsemble:
     """Tensor a one-dimensional reference factor onto every member."""
     one = basis_state(LabeledSpace.of((aux_label, 1)), [0])
     return CqEnsemble(ens.labels, ens.probs, [tensor(s, one) for s in ens.states])

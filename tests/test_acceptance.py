@@ -20,6 +20,7 @@ from conftest import (
     broadcast_copy_channel,
     identity_qubit_wiretap,
     lift_to_reference,
+    phi0_of,
     random_density_matrix,
     random_full_rank_state,
     random_kraus,
@@ -160,7 +161,7 @@ def test_acceptance_4_resource_channel_machinery():
     for _ in range(100):
         zeta = random_full_rank_state(gen, space)
         res = channel_from_resource_state(zeta)
-        rebuilt = apply(res.z_channel, res.phi0, on=["App"])
+        rebuilt = apply(res.z_channel, phi0_of(res), on=["App"])
         worst_roundtrip = max(
             worst_roundtrip, hermitian_trace_norm(rebuilt.matrix - res.zeta.matrix)
         )
@@ -170,7 +171,7 @@ def test_acceptance_4_resource_channel_machinery():
             random_kraus(gen, 2, 2, int(gen.integers(1, 4))),
         )
         lhs = permute_factors(apply(mod, res.zeta, on=["Ap"]), ["A", "Bp", "Ep"])
-        rhs = apply(res.z_channel, apply(mod, res.phi0, on=["Ap"]), on=["App"])
+        rhs = apply(res.z_channel, apply(mod, phi0_of(res), on=["Ap"]), on=["App"])
         worst_swap = max(worst_swap, hermitian_trace_norm(lhs.matrix - rhs.matrix))
     elapsed = time.monotonic() - t0
     ok = worst_roundtrip <= 1e-8 and worst_swap <= 1e-8 and elapsed < 60.0
@@ -208,7 +209,7 @@ def test_acceptance_5_dominance_and_exact_zero_penalty():
             )
             for _ in range(k)
         ]
-        members = [apply(m, res.phi0, on=["Ap"]) for m in mods]
+        members = [apply(m, phi0_of(res), on=["Ap"]) for m in mods]
         r_thm = theorem1_rate(CqEnsemble(list(range(k)), probs, members), channel, res).rate
         r_triv = trivial_rate(probs, mods, channel, res).rate
         worst_gap = max(worst_gap, r_triv - r_thm)

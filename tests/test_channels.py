@@ -12,6 +12,7 @@ from conftest import (
     identity_channel,
     is_pure,
     maximally_mixed,
+    phi0_of,
     random_full_rank_state,
     random_kraus,
     random_pure_state,
@@ -36,6 +37,7 @@ from wiretap.channels import (
     trivial_resource,
 )
 from wiretap.qcore import (
+    TOL_EQ,
     DensityOperator,
     LabeledSpace,
     ValidationError,
@@ -181,7 +183,7 @@ def bell_resource() -> DensityOperator:
 
 def test_resource_channel_bell():
     res = channel_from_resource_state(bell_resource())
-    assert res.support_isometry is None
+    assert np.allclose(res.psi, np.eye(2) / np.sqrt(2), atol=1e-12)
     assert np.allclose(res.zeta_marginal.matrix, np.eye(2) / 2, atol=1e-12)
     # Z should act as an isometry moving the aux copy to Bob'.
     got = apply(res.z_channel, maximally_entangled("keep", "App", 2), ["App"])
@@ -205,15 +207,33 @@ def test_resource_channel_roundtrip_random_full_rank():
     for _ in range(20):
         zeta = random_full_rank_state(gen, space)
         res = channel_from_resource_state(zeta)
-        rebuilt = apply(res.z_channel, res.phi0, on=["App"])
+        rebuilt = apply(res.z_channel, phi0_of(res), on=["App"])
         assert hermitian_trace_norm(rebuilt.matrix - res.zeta.matrix) <= 1e-8
         for lab in ("Ap", "App"):
             assert (
                 hermitian_trace_norm(
-                    partial_trace(res.phi0, {lab}).matrix - res.zeta_marginal.matrix
+                    partial_trace(phi0_of(res), {lab}).matrix - res.zeta_marginal.matrix
                 )
                 <= 1e-9
             )
+
+
+def assert_restricted_decomposition(res, zeta):
+    """``res`` decomposes ``zeta`` restricted to the support of Alice's
+    marginal: psi psi^+ is the restricted marginal, (id x Z) phi0 is the
+    restricted state, and restriction keeps zeta's spectrum and its
+    (Bob', Eve') marginal."""
+    psi = res.psi
+    assert hermitian_trace_norm(psi @ psi.conj().T - res.zeta_marginal.matrix) <= 1e-10
+    rebuilt = apply(res.z_channel, phi0_of(res), on=["App"])
+    assert hermitian_trace_norm(rebuilt.matrix - res.zeta.matrix) <= 1e-8
+    n = res.zeta.dim
+    assert np.allclose(
+        np.linalg.eigvalsh(res.zeta.matrix), np.linalg.eigvalsh(zeta.matrix)[-n:], atol=1e-10
+    )
+    rest = set(zeta.space.labels[1:])
+    restricted, original = partial_trace(res.zeta, rest), partial_trace(zeta, rest)
+    assert hermitian_trace_norm(restricted.matrix - original.matrix) <= 1e-10
 
 
 def test_resource_channel_support_restriction():
@@ -222,14 +242,34 @@ def test_resource_channel_support_restriction():
     sigma = random_state(gen, LabeledSpace.of(("Bp", 2), ("Ep", 2)))
     zeta = tensor(basis_state(LabeledSpace.of(("Ap", 2)), [0]), sigma)
     res = channel_from_resource_state(zeta)
-    assert res.support_isometry is not None and res.support_isometry.shape == (2, 1)
-    assert res.zeta.space.dim_of("Ap") == 1
-    rebuilt = apply(res.z_channel, res.phi0, on=["App"])
-    assert hermitian_trace_norm(rebuilt.matrix - res.zeta.matrix) <= 1e-8
+    assert res.zeta.space.dim_of("Ap") == 1 and res.psi.shape == (1, 1)
+    assert_restricted_decomposition(res, zeta)
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-11, 3e-12])
+def test_resource_channel_with_marginal_condition_number_near_1_over_eps(eps):
+    # sqrt(1 - eps)|0, u0> + sqrt(eps)|1, u1> mixed with 1e-3 of |0><0| x 1/4:
+    # Alice's lam_min is near eps, and zeta has an eigenvalue near 2.5e-4 eps,
+    # below the rank cutoff, whose Kraus operator divided by sqrt(lam_min)
+    # carries a weight near 2.5e-4 in sum K^+ K.
+    bell = np.array([[1, 0, 0, 1], [0, 1, 1, 0]]) / np.sqrt(2)  # |u_0>, |u_1> on (Bp, Ep)
+    v = np.sqrt(1 - eps) * np.kron([1, 0], bell[0]) + np.sqrt(eps) * np.kron([0, 1], bell[1])
+    product = np.kron(np.diag([1.0, 0.0]), np.eye(4) / 4)
+    zeta = DensityOperator(
+        LabeledSpace.of(("Ap", 2), ("Bp", 2), ("Ep", 2)),
+        (1 - 1e-3) * np.outer(v, v) + 1e-3 * product,
+    )
+    lam = np.linalg.eigvalsh(partial_trace(zeta, {"Ap"}).matrix)
+    assert lam[-1] / lam[0] > 0.9 / eps
+    res = channel_from_resource_state(zeta)
+    kraus = np.stack(res.z_channel.kraus)
+    assert np.abs(np.einsum("kab,kac->bc", kraus.conj(), kraus) - np.eye(2)).max() <= 1e-12
+    rebuilt = apply(res.z_channel, phi0_of(res), on=["App"])
+    assert hermitian_trace_norm(rebuilt.matrix - zeta.matrix) <= TOL_EQ
 
 
 def test_resource_phi0_bell_marginals_maximally_mixed():
-    phi0 = channel_from_resource_state(bell_resource()).phi0
+    phi0 = phi0_of(channel_from_resource_state(bell_resource()))
     assert is_pure(phi0)
     assert phi0.space.dim_of("App") == 2
     for label in ("Ap", "App"):
@@ -242,7 +282,7 @@ def test_resource_phi0_random_marginal_both_marginals():
     gen = rng(29)
     rho = random_state(gen, LabeledSpace.of(("Ap", 2)))
     sigma = random_state(gen, LabeledSpace.of(("Bp", 2), ("Ep", 2)))
-    phi0 = channel_from_resource_state(tensor(rho, sigma)).phi0
+    phi0 = phi0_of(channel_from_resource_state(tensor(rho, sigma)))
     assert is_pure(phi0)
     assert phi0.space.dim_of("App") == 2
     for label in ("Ap", "App"):
@@ -251,8 +291,8 @@ def test_resource_phi0_random_marginal_both_marginals():
 
 def test_state_from_channel_then_channel_from_state():
     # Build zeta' = (id x Z') phi0 from a random channel; extraction recovers its
-    # action.  On a rank-deficient marginal it recovers Z' o J, where J is the
-    # isometry from the restricted aux copy with (iso x J) res.phi0 = phi0.
+    # action.  On a rank-deficient marginal it decomposes the state restricted
+    # to the marginal's support.
     gen = rng(151)
     out_space = LabeledSpace.of(("Bp", 2), ("Ep", 2))
     for d, rank in [(2, 2)] * 10 + [(3, 3)] * 5 + [(3, 2)] * 5:
@@ -270,25 +310,17 @@ def test_state_from_channel_then_channel_from_state():
         zprime = QuantumChannel(LabeledSpace.of(("App", d)), out_space, random_kraus(gen, d, 4, 3))
         zeta = apply(zprime, phi0, on=["App"])  # on (Ap, Bp, Ep)
         res = channel_from_resource_state(zeta)
+        assert res.psi.shape == (rank, rank)
         if rank == d:
-            assert res.support_isometry is None
+            assert res.zeta is zeta
             assert channels_equal_in_action(res.z_channel, zprime, tol=1e-8)
-            continue
-        iso = res.support_isometry
-        assert iso.shape == (d, rank)
-        w_r, v_r = np.linalg.eigh(res.phi0.matrix)
-        psi_r = (np.sqrt(w_r[-1]) * v_r[:, -1]).reshape(rank, rank)
-        j = np.linalg.solve(psi_r, iso.conj().T @ psi).T
-        assert np.allclose(j.conj().T @ j, np.eye(rank), atol=1e-8)
-        want = QuantumChannel(
-            res.z_channel.input_space, out_space, [k @ j for k in zprime.kraus]
-        )
-        assert channels_equal_in_action(res.z_channel, want, tol=1e-8)
+        else:
+            assert_restricted_decomposition(res, zeta)
 
 
 def test_modulation_from_choi_identity_and_constant():
     res = channel_from_resource_state(bell_resource())
-    phi0 = res.phi0
+    phi0 = phi0_of(res)
     # eta = phi0 itself, with the Alice factor renamed to the signal system A.
     eta = phi0.relabeled({"Ap": "A"})
     e = modulation_from_choi(eta, res.zeta_marginal)
@@ -305,7 +337,7 @@ def test_modulation_from_choi_identity_and_constant():
 
 def test_modulation_from_choi_pauli_twirl():
     res = channel_from_resource_state(bell_resource())
-    phi0 = res.phi0.relabeled({"Ap": "A"})
+    phi0 = phi0_of(res).relabeled({"Ap": "A"})
     x = PAULI["X"]
     rotated = DensityOperator(
         phi0.space, np.kron(x, np.eye(2)) @ phi0.matrix @ np.kron(x, np.eye(2)).conj().T
@@ -327,7 +359,7 @@ def test_modulation_from_choi_roundtrip_random_marginals():
             LabeledSpace.of(("A", d_sig)),
             random_kraus(gen, d_share, d_sig, int(gen.integers(1, 4))),
         )
-        eta = apply(mod, res.phi0, on=["Ap"])  # on (App, A)
+        eta = apply(mod, phi0_of(res), on=["Ap"])  # on (App, A)
         for eta_p, ref in ((eta, "App"), (permute_factors(eta, ["A", "App"]), None)):
             back = modulation_from_choi(eta_p, res.zeta_marginal, ref_label=ref)
             assert channels_equal_in_action(back, mod, tol=1e-8)
@@ -363,7 +395,7 @@ def test_eta_z_swap_identity():
             LabeledSpace.of(("Ap", 2)), A, random_kraus(gen, 2, 2, int(gen.integers(1, 4)))
         )
         lhs = apply(mod, res.zeta, on=["Ap"])  # (Bp, Ep, A)
-        eta = apply(mod, res.phi0, on=["Ap"])  # (App, A)
+        eta = apply(mod, phi0_of(res), on=["Ap"])  # (App, A)
         rhs = apply(res.z_channel, eta, on=["App"])  # (A, Bp, Ep)
         lhs_p = permute_factors(lhs, ["A", "Bp", "Ep"])
         assert hermitian_trace_norm(lhs_p.matrix - rhs.matrix) <= 1e-8
@@ -372,7 +404,7 @@ def test_eta_z_swap_identity():
 def test_trivial_resource():
     res = trivial_resource()
     assert res.zeta.space.dims == (1, 1, 1)
-    assert res.support_isometry is None
+    assert np.allclose(res.psi, [[1.0]])
     assert np.allclose(res.zeta.matrix, [[1.0]])
     assert trivial_resource() is res  # built once
 

@@ -287,26 +287,20 @@ def test_rate_optimize_superdense_and_witness_reload(tmp_path, capsys):
     assert json.loads(out)["rate"] == pytest.approx(payload["best_value"], abs=1e-9)
 
 
-def ill_conditioned_trivial_scenario(tmp_path):
-    """The trivial gallery with a resource that the resource-channel
-    reconstruction refuses: sum_i a_i |i>|u_i> with a^2 = (1 - 1e-10, 1e-10),
-    mixed with 1e-3 of |0><0| x (maximally mixed), gives Alice's marginal a
-    condition number of 1e10."""
-    bell = np.array([[1, 0, 0, 1], [0, 1, 1, 0]]) / np.sqrt(2)  # |u_0>, |u_1> on (Bp, Ep)
-    v = np.sqrt(1 - 1e-10) * np.kron([1, 0], bell[0]) + np.sqrt(1e-10) * np.kron([0, 1], bell[1])
-    product = np.kron(np.diag([1.0, 0.0]), np.eye(4) / 4)
-    resource = DensityOperator(
-        LabeledSpace.of(("Ap", 2), ("Bp", 2), ("Ep", 2)),
-        (1 - 1e-3) * np.outer(v, v) + 1e-3 * product,
-    )
-    path = tmp_path / "ill.json"
+def clashing_trivial_scenario(tmp_path):
+    """The trivial gallery with a resource whose Bob share bears the name of
+    phi0's copy of Alice's share, "App", which the resource-channel
+    decomposition refuses."""
+    space = LabeledSpace.of(("Ap", 2), ("App", 2), ("Ep", 1))
+    resource = DensityOperator(space, np.eye(4) / 4)
+    path = tmp_path / "clash.json"
     save_scenario(dataclasses.replace(build_gallery("trivial"), resource=resource), path)
     return path
 
 
 @pytest.mark.parametrize("command", ["rate-eval", "rate-optimize"])
 def test_unassisted_modes_never_decompose_the_resource(tmp_path, capsys, command):
-    sc_path = ill_conditioned_trivial_scenario(tmp_path)
+    sc_path = clashing_trivial_scenario(tmp_path)
     cfg_path = tmp_path / "opt.json"
     cfg_path.write_text(json.dumps({"seed": 1, "restarts": 1, "max_iters": 5}))
     extra = ["--config", str(cfg_path), "--out", str(tmp_path)] if command == "rate-optimize" else []
@@ -315,7 +309,7 @@ def test_unassisted_modes_never_decompose_the_resource(tmp_path, capsys, command
     assert json.loads(out)
     code, _, err = run_cli(capsys, command, "--scenario", str(sc_path), "--mode", "theorem1", *extra)
     assert code == 2
-    assert "marginal condition number 1.0" in json.loads(err.splitlines()[0])["error"]
+    assert "'App' clashes with resource labels" in json.loads(err.splitlines()[0])["error"]
 
 
 def test_rate_optimize_requires_seed(tmp_path, capsys):

@@ -63,7 +63,6 @@ def test_code_parameters_superdense_example():
     res = sc.resource_state()
     params = code_parameters(sc.ensemble, sc.channel, res, n=2, epsilon=0.1)
     assert (params.M, params.S) == (12, 1)
-    assert not params.degenerate
 
 
 def test_code_parameters_classical_arithmetic():
@@ -87,8 +86,7 @@ def test_code_parameters_degenerate():
         warnings.simplefilter("always")
         params = code_parameters(ens, ch, res, n=2, epsilon=0.3)  # eps >= rate/2
     assert params.M == 1
-    assert params.degenerate
-    assert any("degenerate" in str(w.message) for w in caught)
+    assert any("degenerate single-message code at n=2" in str(w.message) for w in caught)
     with pytest.raises(ValidationError):
         code_parameters(ens, ch, res, n=2, epsilon=0.0)
 

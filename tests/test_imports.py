@@ -143,6 +143,73 @@ def test_every_public_name_is_read_or_has_a_role():
     assert sorted(public - read) == sorted(UNREAD_PUBLIC_NAMES)
 
 
+# Fields of public dataclasses that nothing in src/, scripts/ or perfbench/
+# reads as an attribute, with their role.
+UNREAD_FIELDS = {
+    "LeakageStats.average": "test reference for code-sim's leakage",
+    "LeakageStats.per_message_max": "test reference for code-sim's leakage",
+}
+
+
+def dataclass_fields(source: str) -> list[str]:
+    """``Class.field`` for every annotated field of the dataclasses in ``__all__``."""
+    public = set(public_names(source))
+    fields = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef) or node.name not in public:
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            fields += [
+                f"{node.name}.{s.target.id}"
+                for s in node.body
+                if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+            ]
+    return fields
+
+
+def attribute_reads(source: str) -> set[str]:
+    """Attribute names read in ``source``; a constructor keyword is not a read."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_dataclass_fields_and_attribute_reads():
+    src = (
+        "from dataclasses import dataclass\n"
+        "__all__ = ['P', 'Q']\n"
+        "@dataclass(frozen=True)\n"
+        "class P:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "class Q:\n"
+        "    z: int\n"
+        "@dataclass\n"
+        "class R:\n"
+        "    w: int\n"
+        "p = P(x=1, y=2)\n"
+        "p.y = p.x\n"
+    )
+    assert dataclass_fields(src) == ["P.x", "P.y"]
+    assert attribute_reads(src) == {"x"}
+
+
+def test_every_public_dataclass_field_is_read_or_has_a_role():
+    read = set()
+    for path in (
+        sorted(SRC.glob("*.py"))
+        + sorted((ROOT / "scripts").glob("*.py"))
+        + sorted((ROOT / "perfbench").rglob("*.py"))
+    ):
+        read |= attribute_reads(path.read_text())
+    fields = [f for module in MODULES for f in dataclass_fields((SRC / module).read_text())]
+    unread = [f for f in fields if f.split(".")[1] not in read]
+    assert sorted(unread) == sorted(UNREAD_FIELDS)
+
+
 # Defaulted parameters of public functions that no call in src/, scripts/ or
 # perfbench/ passes, with their role.  Any other such parameter has one value
 # in use and should be a constant.

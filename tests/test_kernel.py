@@ -22,6 +22,7 @@ from conftest import (
     bell_resource_state,
     broadcast_copy_channel,
     identity_qubit_wiretap,
+    phi0_of,
     random_kraus,
     random_state,
     random_unitary,
@@ -29,6 +30,7 @@ from conftest import (
 )
 from wiretap import optimize
 from wiretap.channels import (
+    AUX_LABEL,
     CqEnsemble,
     QuantumChannel,
     apply,
@@ -45,7 +47,6 @@ from wiretap.optimize import (
     OptimizerConfig,
     _discrete_weyl,
     _env_ladder,
-    _instrument,
     _StinespringParam,
     grid_oracle,
     optimize_theorem1,
@@ -59,6 +60,7 @@ from wiretap.qcore import (
     purify,
 )
 from wiretap.rates import (
+    _instrument,
     build_gamma,
     classical_embed,
     marginal_constraint_residual,
@@ -87,12 +89,11 @@ def bob_eve(ch, res):
 
 
 def reference_theorem1(ens, ch, res):
-    aux = res.aux_label
-    margs = [partial_trace(s, {aux}).matrix for s in ens.states]
+    margs = [partial_trace(s, {AUX_LABEL}).matrix for s in ens.states]
     if all(np.array_equal(margs[0], m) for m in margs[1:]):
         i_ap = 0.0
     else:
-        i_ap = mutual_information(cq_state(ens), {"U"}, {aux})
+        i_ap = mutual_information(cq_state(ens), {"U"}, {AUX_LABEL})
     gamma = build_gamma(ens, ch, res)
     bob, eve = bob_eve(ch, res)
     i_bb = mutual_information(gamma, {"U"}, bob)
@@ -113,10 +114,10 @@ def reference_unassisted(ens, ch):
 def reference_trivial(probs, mods, ch, res):
     members, avg = [], 0
     for q, mod in zip(probs, mods):
-        w = apply(mod, res.zeta, on=[res.alice_label])
+        w = apply(mod, res.zeta, on=[res.zeta.space.labels[0]])
         members.append(apply(ch, w, on=list(mod.output_space.labels)))
-        eta = apply(mod, res.phi0, on=[res.alice_label])
-        avg = avg + q * partial_trace(eta, {res.aux_label}).matrix
+        eta = apply(mod, phi0_of(res), on=[res.zeta.space.labels[0]])
+        avg = avg + q * partial_trace(eta, {AUX_LABEL}).matrix
     residual = float(np.sum(np.abs(np.linalg.eigvalsh(avg - res.zeta_marginal.matrix))))
     gamma = cq_state(CqEnsemble(list(range(len(members))), probs, members))
     bob, eve = bob_eve(ch, res)
@@ -126,11 +127,11 @@ def reference_trivial(probs, mods, ch, res):
 
 
 def reference_member_outputs(ens, ch, res):
-    signal = [lab for lab in ens.space.labels if lab != res.aux_label]
+    signal = [lab for lab in ens.space.labels if lab != AUX_LABEL]
     bob, eve = bob_eve(ch, res)
     bobs, eves = [], []
     for s in ens.states:
-        g = apply(res.z_channel, apply(ch, s, on=signal), on=[res.aux_label])
+        g = apply(res.z_channel, apply(ch, s, on=signal), on=[AUX_LABEL])
         bobs.append(partial_trace(g, bob))
         eves.append(partial_trace(g, eve))
     return bobs, eves
@@ -141,16 +142,16 @@ def reference_grid_oracle(ch, res, spec):
     for th in np.linspace(0.0, np.pi, spec.theta_points)[1:-1]:
         for ph in np.linspace(0.0, 2 * np.pi, spec.phi_points, endpoint=False):
             vectors.append(np.array([np.cos(th / 2), np.exp(1j * ph) * np.sin(th / 2)]))
-    aux_dim = res.phi0.space.dim_of(res.aux_label)
-    space = ch.input_space.tensor(LabeledSpace.of((res.aux_label, aux_dim)))
+    aux_dim = len(res.psi)
+    space = ch.input_space.tensor(LabeledSpace.of((AUX_LABEL, aux_dim)))
     marg = res.zeta_marginal.matrix
     pool = [
         DensityOperator(space, np.kron(np.outer(v, v.conj()), marg), validate=False)
         for v in vectors
     ]
     signal = list(ch.input_space.labels)
-    pushed = [apply(res.z_channel, apply(ch, m, signal), [res.aux_label]) for m in pool]
-    margs = [partial_trace(m, {res.aux_label}) for m in pool]
+    pushed = [apply(res.z_channel, apply(ch, m, signal), [AUX_LABEL]) for m in pool]
+    margs = [partial_trace(m, {AUX_LABEL}) for m in pool]
     bob, eve = bob_eve(ch, res)
     k = spec.num_members
     best = -np.inf
@@ -189,7 +190,7 @@ def random_wiretap(gen, d_b, d_e, n_kraus, rest=False):
 def member_space(ch, res, aux_first):
     """The channel input's factors with the reference copy first or last."""
     signal = list(ch.input_space.factors)
-    aux = (res.aux_label, res.phi0.space.dim_of(res.aux_label))
+    aux = (AUX_LABEL, len(res.psi))
     return LabeledSpace(tuple([aux] + signal if aux_first else signal + [aux]))
 
 
@@ -246,7 +247,7 @@ def test_theorem1_rate_matches_reference_on_interleaved_signal_factors():
         random_kraus(gen, 4, 4, 3),
     )
     res = random_resource(gen, 8)
-    space = LabeledSpace.of(("A1", 2), (res.aux_label, 2), ("A2", 2))
+    space = LabeledSpace.of(("A1", 2), (AUX_LABEL, 2), ("A2", 2))
     for k in (1, 3, 8):
         ens = random_ensemble(gen, space, k)
         got = report_fields(theorem1_rate(ens, ch, res))
@@ -269,7 +270,7 @@ def test_trivial_rate_matches_reference(inst):
     gen = rng(inst["seed"])
     ch = random_wiretap(gen, inst["d_b"], inst["d_e"], inst["n_kraus"], inst["rest"])
     res = random_resource(gen, inst["rank"])
-    alice = LabeledSpace.of((res.alice_label, res.zeta.space.dim_of(res.alice_label)))
+    alice = LabeledSpace.of((res.zeta.space.labels[0], len(res.psi)))
     mods = [
         QuantumChannel(alice, ch.input_space, random_kraus(gen, alice.dim, ch.input_space.dim, 2))
         for _ in range(inst["k"])
@@ -277,6 +278,20 @@ def test_trivial_rate_matches_reference(inst):
     probs = gen.dirichlet(np.ones(inst["k"]))
     got = report_fields(trivial_rate(probs, mods, ch, res))
     np.testing.assert_allclose(got, reference_trivial(probs, mods, ch, res), rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("rank", [1, 8])
+def test_trivial_rate_with_one_and_four_kraus_operators(rank):
+    # Modulations with different Kraus counts are one zero-padded instrument.
+    gen = rng(281 + rank)
+    ch = random_wiretap(gen, 2, 2, 2)
+    res = random_resource(gen, rank)
+    alice = LabeledSpace.of(("Ap", len(res.psi)))
+    mods = [QuantumChannel(alice, ch.input_space, random_kraus(gen, alice.dim, 2, n)) for n in (1, 4)]
+    assert [len(m.kraus) for m in mods] == [1, 4]
+    probs = [0.3, 0.7]
+    got = report_fields(trivial_rate(probs, mods, ch, res))
+    np.testing.assert_allclose(got, reference_trivial(probs, mods, ch, res), rtol=0, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -364,13 +379,13 @@ def test_grid_oracle_matches_reference(make, spec):
 )
 def test_optimize_theorem1_never_below_its_weyl_witness(make):
     ch, res = make()
-    r = res.phi0.space.dim_of(res.aux_label)
-    space = ch.input_space.tensor(LabeledSpace.of((res.aux_label, r)))
+    r = len(res.psi)
+    space = ch.input_space.tensor(LabeledSpace.of((AUX_LABEL, r)))
     cfg = OptimizerConfig(seed=3, restarts=2, max_iters=90)
     k = 2 * ch.input_space.dim * r
     # phi0 modulated by the first min(k, r^2) discrete-Weyl unitaries, uniform
     bigs = [np.kron(w, np.eye(r)) for w in _discrete_weyl(r)[: min(k, r * r)]]
-    members = [DensityOperator(space, b @ res.phi0.matrix @ b.conj().T) for b in bigs]
+    members = [DensityOperator(space, b @ phi0_of(res).matrix @ b.conj().T) for b in bigs]
     weyl = CqEnsemble(list(range(len(bigs))), [1.0 / len(bigs)] * len(bigs), members)
     out = optimize_theorem1(ch, res, cfg)
     assert out.best_value >= theorem1_rate(weyl, ch, res).rate - TOL
@@ -520,13 +535,12 @@ def test_instrument_scores_on_a_stack_match_rate_rescores(mode, monkeypatch):
         optimize_theorem1(ch, res, cfg)
     else:
         optimize.optimize_unassisted(ch, cfg)
-    r = res.phi0.space.dim_of(res.aux_label)
     space = member_space(ch, res, aux_first=False)
-    psi, k = res.phi0.state_vector().reshape(r, r), 2 * space.dim
+    k = 2 * space.dim
     param = seen["param"]
     points = param.kraus(np.stack([param.random(rng(1332 + i)) for i in range(3)]))
     values = seen["score"](points)
-    members, probs = _instrument(points, psi, k)
+    members, probs = _instrument(points, res.psi, k)
     assert values.shape == (3,)
     for value, stack, q in zip(values, members, probs):
         ens = CqEnsemble(list(range(k)), q, [DensityOperator(space, m) for m in stack])

@@ -11,11 +11,13 @@ from conftest import (
     broadcast_copy_channel,
     identity_qubit_wiretap,
     maximally_mixed,
+    phi0_of,
     random_state,
     rng,
 )
 from wiretap import optimize
 from wiretap.channels import (
+    AUX_LABEL,
     CqEnsemble,
     QuantumChannel,
     channel_from_resource_state,
@@ -34,7 +36,6 @@ from wiretap.optimize import (
     _basis_start,
     _compositions,
     _discrete_weyl,
-    _instrument,
     _weyl_start,
     grid_oracle,
     optimize_channel_functional,
@@ -49,7 +50,13 @@ from wiretap.qcore import (
     basis_state,
     tensor,
 )
-from wiretap.rates import marginal_constraint_residual, theorem1_rate, trivial_rate, unassisted_rate
+from wiretap.rates import (
+    _instrument,
+    marginal_constraint_residual,
+    theorem1_rate,
+    trivial_rate,
+    unassisted_rate,
+)
 from wiretap.scenario import correlated_bits_pmf, gallery_classical, gallery_superdense
 
 A = LabeledSpace.of(("A", 2))
@@ -186,10 +193,10 @@ INSTRUMENT_CASES = {
 def instrument_setup(case):
     make, d_sig = INSTRUMENT_CASES[case]
     res = make()
-    r = res.phi0.space.dim_of(res.aux_label)
+    r = len(res.psi)
     k = 2 * d_sig * r
-    space = LabeledSpace.of(("A", d_sig), (res.aux_label, r))
-    return res, d_sig, r, k, space, res.phi0.state_vector().reshape(r, r)
+    space = LabeledSpace.of(("A", d_sig), (AUX_LABEL, r))
+    return res, d_sig, r, k, space, res.psi
 
 
 @pytest.mark.parametrize("case", sorted(INSTRUMENT_CASES))
@@ -218,7 +225,7 @@ def test_structured_starts_round_trip_through_pack(case):
     weyl = _weyl_start(k, d_sig, r)
     if d_sig == r:
         bigs = [np.kron(w, np.eye(r)) for w in _discrete_weyl(r)[: min(k, r * r)]]
-        wanted.append((weyl, [b @ res.phi0.matrix @ b.conj().T for b in bigs]))
+        wanted.append((weyl, [b @ phi0_of(res).matrix @ b.conj().T for b in bigs]))
     else:
         assert weyl is None
     for stack, members_want in wanted:

@@ -122,11 +122,6 @@ def _nan_duality_purity():
     duality_residual(_nan_state(LabeledSpace.of(("A", 2), ("B", 2), ("C", 2)), (0, 0)))
 
 
-def _nan_state_vector():
-    m = np.diag([np.nan, 1.0]).astype(complex)
-    DensityOperator(A, m, validate=False).state_vector()
-
-
 def _nan_repair_budget(monkeypatch):
     import wiretap.codesim as codesim
     from wiretap.channels import CqEnsemble
@@ -159,7 +154,7 @@ def _nan_witness_residual():
     res = sc.resource_state()
     # NaN between the two values of Alice's share makes the resource marginal,
     # and so the witness's residual, NaN.
-    d_rest = res.zeta.dim // res.zeta.space.dim_of(res.alice_label)
+    d_rest = res.zeta.dim // len(res.psi)
     bad = dataclasses.replace(res, zeta=_nan_state(res.zeta.space, (0, d_rest), (d_rest, 0)))
     cfg = OptimizerConfig(seed=1, restarts=1, max_iters=5)
     _search_instruments(sc.channel, res, lambda ens: theorem1_rate(ens, sc.channel, bad), cfg)
@@ -179,7 +174,6 @@ def _nan_witness_residual():
         ),
         pytest.param(_nan_resource_state, "non-finite entries", id="resource_state"),
         pytest.param(_nan_duality_purity, "purity deficit nan", id="duality_purity"),
-        pytest.param(_nan_state_vector, "largest eigenvalue nan", id="state_vector"),
         pytest.param(_nan_repair_budget, "repair cost nan", id="repair_budget"),
         pytest.param(_nan_witness_residual, "witness residual nan", id="witness_residual"),
     ],
@@ -538,15 +532,6 @@ def test_support_eigh_cutoff_is_strict():
     w, v = support_eigh(m)
     assert w.tolist() == [0.5, 0.25, above]
     assert np.array_equal(np.abs(v), np.eye(6)[:, [2, 0, 3]])
-
-
-def test_state_vector_view():
-    gen = rng(59)
-    psi = random_pure_state(gen, A)
-    v = psi.state_vector()
-    assert np.allclose(np.outer(v, v.conj()), psi.matrix, atol=1e-10)
-    with pytest.raises(ValidationError):
-        maximally_mixed(A).state_vector()
 
 
 def test_json_roundtrip_bit_identical():

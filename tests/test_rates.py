@@ -8,6 +8,7 @@ from conftest import (
     ensemble_pushforward,
     identity_qubit_wiretap,
     lift_to_reference,
+    phi0_of,
     random_full_rank_state,
     random_kraus,
     random_state,
@@ -190,7 +191,7 @@ def test_exact_marginal_ensemble_equals_modulation_rate():
     ]
     probs = [0.5, 0.25, 0.25]
     # eta_u = (E_u x id) phi0, signal factor first relabeled to A.
-    members = [apply(m, res.phi0, on=["Ap"]) for m in mods]  # (App, A)
+    members = [apply(m, phi0_of(res), on=["Ap"]) for m in mods]  # (App, A)
     ens = CqEnsemble([0, 1, 2], probs, members)
     rep_thm = theorem1_rate(ens, n, res)
     rep_triv = trivial_rate(probs, mods, n, res)
@@ -220,7 +221,7 @@ def test_theorem1_dominates_trivial_on_matched_instances():
             QuantumChannel(LabeledSpace.of(("Ap", 2)), A, random_kraus(gen, 2, 2, 2))
             for _ in range(k)
         ]
-        members = [apply(m, res.phi0, on=["Ap"]) for m in mods]
+        members = [apply(m, phi0_of(res), on=["Ap"]) for m in mods]
         rep_thm = theorem1_rate(CqEnsemble(list(range(k)), probs, members), n, res)
         rep_triv = trivial_rate(probs, mods, n, res)
         assert rep_thm.rate >= rep_triv.rate - 1e-10

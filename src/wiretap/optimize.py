@@ -9,7 +9,9 @@ index), so results are reproducible and adding restarts can only improve
 the best value.  The first restarts begin at structured Kraus stacks on
 the largest environment, so a search never reports worse than these
 known-good witnesses; the rest begin at random points and cycle through a
-ladder of environment sizes (Kraus-rank caps).
+ladder of environment sizes (Kraus-rank caps).  The restarts that share a
+rung run in lockstep, one objective call per iteration for all of them;
+each takes exactly the steps it would take alone.
 
 Channel searches pass the identity and constant channels as starts, add a
 polish pass from the incumbent, and build one ``QuantumChannel``, the
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Sequence
 
@@ -35,6 +38,7 @@ import numpy as np
 
 from .channels import AUX_LABEL, CqEnsemble, QuantumChannel, ResourceState, trivial_resource
 from .qcore import (
+    MAX_WORKING_BYTES,
     TOL_EQ,
     DensityOperator,
     LabeledSpace,
@@ -129,41 +133,46 @@ class OptResult:
 def _coordinate_search(
     x0: np.ndarray,
     objective: Callable[[np.ndarray], np.ndarray],
-    gen: np.random.Generator,
+    gens: Sequence[np.random.Generator],
     max_iters: int,
-    on_accept: Callable[[int, float], None],
-) -> tuple[np.ndarray, float]:
-    """Greedy single-coordinate random search, maximizing ``objective``.
+    on_accept: Callable[[int, int, float], None],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy single-coordinate random search, maximizing ``objective`` from
+    each row of the (g, n) stack ``x0``; the rows run in lockstep.
 
-    ``objective`` scores a (b, n) stack of points as b values.  Each
-    iteration scores x + delta e_i and x - delta e_i in one call and takes
-    the + step if it improves, else the - step if that improves;
-    ``on_accept(iteration, value)`` sees every accepted step.
+    ``objective`` scores an (..., n) stack of points as values of shape
+    (...).  Each iteration, every live row r draws a coordinate i, then a
+    step delta, from ``gens[r]``, and one call scores x_r + delta e_i and
+    x_r - delta e_i of all live rows as a (g_live, 2, n) stack.  Each row
+    takes its + step if it improves, else its - step if that improves, and
+    leaves the stack once its step falls below STEP_MIN: it runs exactly as
+    it would alone.  ``on_accept(r, iteration, value)`` sees every accepted
+    step.  Returns the final points and their values.
     """
     x = x0.copy()
-    best = float(objective(x[None])[0])
-    step = STEP_INITIAL
-    stall = 0
+    best = objective(x).tolist()
+    step, stall, live = [STEP_INITIAL] * len(x), [0] * len(x), list(range(len(x)))
     for it in range(max_iters):
-        idx = int(gen.integers(len(x)))
-        delta = step * float(gen.standard_normal())
-        pair = np.repeat(x[None], 2, axis=0)
-        pair[0, idx] += delta
-        pair[1, idx] += -delta
-        vals = objective(pair)
-        if vals[0] > best or vals[1] > best:
-            j = 0 if vals[0] > best else 1
-            x, best = pair[j], float(vals[j])
-            stall = 0
-            on_accept(it, best)
-        else:
-            stall += 1
-            if stall >= STEP_PATIENCE:
-                step *= STEP_SHRINK
-                stall = 0
-                if step < STEP_MIN:
-                    break
-    return x, best
+        pairs = x.take(live, axis=0)[:, None].repeat(2, axis=1)
+        for j, r in enumerate(live):
+            idx = int(gens[r].integers(x.shape[1]))
+            delta = step[r] * float(gens[r].standard_normal())
+            pairs[j, 0, idx] += delta
+            pairs[j, 1, idx] += -delta
+        vals = objective(pairs).tolist()
+        for j, (r, (plus, minus)) in enumerate(zip(live, vals)):
+            if plus > best[r] or minus > best[r]:
+                sign = 0 if plus > best[r] else 1
+                x[r], best[r], stall[r] = pairs[j, sign], vals[j][sign], 0
+                on_accept(r, it, best[r])
+            else:
+                stall[r] += 1
+                if stall[r] >= STEP_PATIENCE:
+                    step[r], stall[r] = step[r] * STEP_SHRINK, 0
+        live = [r for r in live if step[r] >= STEP_MIN]
+        if not live:
+            break
+    return x, np.array(best)
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +216,27 @@ def _env_ladder(d_in: int, d_out: int) -> list[int]:
     return [e for e in ladder if e * d_out >= d_in]
 
 
+def _rungs(cfg: OptimizerConfig, n_starts: int, n_rungs: int) -> list[int]:
+    """Ladder index of each restart: the top rung while starts remain, then
+    cycling from the bottom."""
+    return [n_rungs - 1 if i < n_starts else (i - n_starts) % n_rungs for i in range(cfg.restarts)]
+
+
+def _lockstep_width(pair_bytes: int, cfg: OptimizerConfig, n_starts: int, n_rungs: int) -> int:
+    """Restarts scored per objective call: the most that share a rung, capped
+    at the scored pairs of ``pair_bytes`` each that fit MAX_WORKING_BYTES,
+    and at least one.  A search's byte check counts this many pairs."""
+    rungs = _rungs(cfg, n_starts, n_rungs)
+    return max(1, min(max(map(rungs.count, rungs)), MAX_WORKING_BYTES // pair_bytes))
+
+
 def _restarts(
     score: Callable[[np.ndarray], np.ndarray],
     starts: Sequence[np.ndarray],
     ladder: Sequence[_StinespringParam],
     cfg: OptimizerConfig,
     trace: list[TracePoint],
+    width: int,
 ) -> tuple[_StinespringParam, np.ndarray]:
     """Maximize ``score`` of a Kraus stack; return the best (param, x).
 
@@ -220,27 +244,28 @@ def _restarts(
     values of shape (...).  Restart i draws on the RNG stream (seed, i).
     It begins at the Kraus stack ``starts[i]`` on ``ladder[-1]`` while
     starts remain, and otherwise at a random point, cycling through
-    ``ladder``.  Every accepted step is appended to ``trace``.
+    ``ladder``.  The restarts on one rung run in lockstep, ``width`` at a
+    time, each exactly as it would alone; ties go to the lowest restart.
+    Every accepted step is appended to ``trace``, ordered by restart.
     """
-    best: tuple[float, _StinespringParam, np.ndarray] | None = None
-    for restart in range(cfg.restarts):
-        gen = np.random.default_rng([cfg.seed, restart])
-        if restart < len(starts):
-            param = ladder[-1]
-            x = param.pack(starts[restart])
-        else:
-            param = ladder[(restart - len(starts)) % len(ladder)]
-            x = param.random(gen)
-        x, val = _coordinate_search(
-            x,
-            lambda xv, p=param: score(p.kraus(xv)),
-            gen,
-            cfg.max_iters,
-            on_accept=lambda it, v, _r=restart: trace.append(TracePoint(_r, it, v)),
-        )
-        if best is None or val > best[0]:
-            best = (val, param, x)
-    assert best is not None
+    gens = [np.random.default_rng([cfg.seed, i]) for i in range(cfg.restarts)]
+    rungs = _rungs(cfg, len(starts), len(ladder))
+    xs = [ladder[-1].pack(s) for s in starts[: cfg.restarts]]
+    xs += [ladder[j].random(gens[i]) for i, j in enumerate(rungs) if i >= len(starts)]
+    found, rows = {}, []
+    for j, param in enumerate(ladder):
+        group = [i for i, rung in enumerate(rungs) if rung == j]
+        for chunk in (group[c : c + width] for c in range(0, len(group), width)):
+            x, vals = _coordinate_search(
+                np.stack([xs[i] for i in chunk]),
+                lambda xv, p=param: score(p.kraus(xv)),
+                [gens[i] for i in chunk],
+                cfg.max_iters,
+                on_accept=lambda r, it, v, c=chunk: rows.append(TracePoint(c[r], it, v)),
+            )
+            found.update((i, (vals[r], param, x[r])) for r, i in enumerate(chunk))
+    trace.extend(sorted(rows, key=lambda p: p.restart))
+    best = reduce(lambda a, b: b if b[0] > a[0] else a, [found[i] for i in range(cfg.restarts)])
     return best[1], best[2]
 
 
@@ -255,23 +280,25 @@ def optimize_channel_functional(
     output_space: LabeledSpace,
     cfg: OptimizerConfig,
     inits: Sequence[np.ndarray] = (),
+    width: int | None = None,
 ) -> OptResult:
     """Minimize a real functional over CPTP maps of a fixed signature.
 
     ``objective`` scores channels in batches: it maps an (..., env, d_out,
     d_in) array, each (env, d_out, d_in) slice the Kraus operators of one
-    channel, to an array of values of shape (...).  The search scores the
-    two signs of each coordinate step in one call, with leading shape (2,).
-    Stinespring coordinates guarantee feasibility: every parameter vector
-    maps to a valid Kraus stack, and the returned witness is built as a
-    ``QuantumChannel`` (trace preservation checked) once, at the end.  ``inits``, Kraus stacks of at most d_in * d_out operators,
-    seed the first restarts at the full environment dimension; the
-    remaining restarts cycle through a ladder of smaller environments
-    (Kraus-rank caps), which explore far better while staying inside the
-    same channel family.  A final polish pass re-runs the search from the
-    incumbent.  The driver maximizes, so it scores the negated objective;
-    trace values and ``best_value`` are the objective's own, as Python
-    floats.
+    channel, to an array of values of shape (...).  Stinespring coordinates
+    guarantee feasibility: every parameter vector maps to a valid Kraus
+    stack, and the returned witness is built as a ``QuantumChannel`` (trace
+    preservation checked) once, at the end.  ``inits``, Kraus stacks of at
+    most d_in * d_out operators, seed the first restarts at the full
+    environment dimension; the remaining restarts cycle through a ladder of
+    smaller environments (Kraus-rank caps), which explore far better while
+    staying inside the same channel family.  The restarts on one rung run
+    in lockstep: one call scores both signs of a coordinate step for up to
+    ``width`` of them (default: all), with leading shape (width, 2).  A
+    final polish pass re-runs the search from the incumbent, as a stack of
+    one.  The driver maximizes, so it scores the negated objective; trace
+    values and ``best_value`` are the objective's own, as Python floats.
     """
     d_in, d_out = input_space.dim, output_space.dim
     ladder = [_StinespringParam(d_in, d_out, e) for e in _env_ladder(d_in, d_out)]
@@ -280,17 +307,17 @@ def optimize_channel_functional(
         return -objective(kraus)
 
     trace: list[TracePoint] = []
-    param, x = _restarts(score, tuple(inits), ladder, cfg, trace)
-    x, val = _coordinate_search(
-        x,
+    param, x = _restarts(score, tuple(inits), ladder, cfg, trace, width or cfg.restarts)
+    (x,), (val,) = _coordinate_search(
+        x[None],
         lambda xv: score(param.kraus(xv)),
-        np.random.default_rng([cfg.seed, cfg.restarts]),
+        [np.random.default_rng([cfg.seed, cfg.restarts])],
         cfg.max_iters,
-        on_accept=lambda it, v: trace.append(TracePoint(cfg.restarts, it, v)),
+        on_accept=lambda r, it, v: trace.append(TracePoint(cfg.restarts, it, v)),
     )
     witness = QuantumChannel(input_space, output_space, list(param.kraus(x)), tp_tol=TOL_EQ)
     return OptResult(
-        best_value=-val,
+        best_value=-float(val),
         best_channel=witness,
         trace=tuple(TracePoint(p.restart, p.iteration, -p.value) for p in trace),
     )
@@ -348,7 +375,8 @@ def _search_instruments(
     such an ensemble.  The first restarts begin at the structured starts
     (Weyl, then basis), the rest at random coordinates.  The best point
     becomes an ensemble on (signal, A') once, with its q_u = 0 outcomes
-    dropped, and is re-scored by ``rescore``.  A search whose scored pair of
+    dropped, and is re-scored by ``rescore``.  The byte check counts the
+    scored pairs of one lockstep call; a search whose single pair of
     candidates would exceed MAX_WORKING_BYTES is refused before any start
     is built.
     """
@@ -363,8 +391,9 @@ def _search_instruments(
     # members), and three (k, side, side) arrays per side through the
     # Holevo terms (Bob's, Eve's and the A' marginals).
     sides = kernel.d_bob**2 + kernel.d_eve**2 + r * r
-    need = 2 * 16 * k * (9 * member_space.dim**2 + 3 * sides)
-    check_working_bytes(need, f"an instrument search with {k} outcomes")
+    pair = 2 * 16 * k * (9 * member_space.dim**2 + 3 * sides)
+    width = _lockstep_width(pair, cfg, n_starts=0, n_rungs=1)
+    check_working_bytes(width * pair, f"an instrument search with {k} outcomes")
 
     def score(kraus: np.ndarray) -> np.ndarray:
         members, probs = _instrument(kraus, res.psi, k)
@@ -377,7 +406,7 @@ def _search_instruments(
     param = _StinespringParam(r, k * d_sig, d_sig * r)
     starts = [s for s in (_weyl_start(k, d_sig, r), _basis_start(k, d_sig, r)) if s is not None]
     trace: list[TracePoint] = []
-    _, best_x = _restarts(score, starts, [param], cfg, trace)
+    _, best_x = _restarts(score, starts, [param], cfg, trace, width)
     members, probs = _instrument(param.kraus(best_x), res.psi, k)
     keep = np.flatnonzero(probs > 0)
     ens = CqEnsemble(

@@ -525,9 +525,9 @@ def test_instrument_scores_on_a_stack_match_rate_rescores(mode, monkeypatch):
     seen = {}
     restarts = optimize._restarts
 
-    def capture(score, starts, ladder, cfg, trace):
+    def capture(score, starts, ladder, cfg, trace, width):
         seen.update(score=score, param=ladder[0])
-        return restarts(score, starts, ladder, cfg, trace)
+        return restarts(score, starts, ladder, cfg, trace, width)
 
     monkeypatch.setattr(optimize, "_restarts", capture)
     cfg = OptimizerConfig(seed=1, restarts=1, max_iters=1)

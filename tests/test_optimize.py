@@ -12,10 +12,11 @@ from conftest import (
     identity_qubit_wiretap,
     maximally_mixed,
     phi0_of,
+    random_pure_state,
     random_state,
     rng,
 )
-from wiretap import optimize
+from wiretap import measures, optimize, qcore
 from wiretap.channels import (
     AUX_LABEL,
     CqEnsemble,
@@ -24,6 +25,7 @@ from wiretap.channels import (
     trivial_resource,
 )
 from wiretap.entropic import von_neumann_entropy
+from wiretap.measures import dense_coding_advantage, entanglement_of_purification
 from wiretap.optimize import (
     STEP_INITIAL,
     STEP_MIN,
@@ -31,6 +33,7 @@ from wiretap.optimize import (
     STEP_SHRINK,
     GridOracleSpec,
     OptimizerConfig,
+    TracePoint,
     _coordinate_search,
     _StinespringParam,
     _basis_start,
@@ -48,6 +51,8 @@ from wiretap.qcore import (
     ResourceLimitError,
     ValidationError,
     basis_state,
+    partial_trace,
+    permute_factors,
     tensor,
 )
 from wiretap.rates import (
@@ -156,17 +161,123 @@ def test_coordinate_search_pairs_keep_the_sequential_rule(seed):
     batches, rows = [], []
 
     def counted(xs):
-        batches.append(len(xs))
+        batches.append(xs.size // xs.shape[-1])
         return bumpy(xs)
 
     x, best = _coordinate_search(
-        x0, counted, rng(100 + seed), 2000, on_accept=lambda it, v: rows.append((it, v))
+        x0[None],
+        counted,
+        [rng(100 + seed)],
+        2000,
+        on_accept=lambda r, it, v: rows.append((it, v)),
     )
     assert rows == want_rows
-    assert x.tobytes() == want_x.tobytes()
-    assert best == want_rows[-1][1]
+    assert x[0].tobytes() == want_x.tobytes()
+    assert best[0] == want_rows[-1][1]
     assert len(batches) == 1 + iterations
     assert batches[0] == 1 and set(batches[1:]) == {2}
+
+
+def test_coordinate_search_rows_in_lockstep_each_run_as_alone():
+    # Three rows share each objective call; each must take exactly the
+    # steps of its own sequential run.  Row 1 starts at the maximum of
+    # bumpy, rejects every step and stops at STEP_MIN long before the
+    # others, which go on with a stack of two.
+    x0 = np.stack([np.pi / 3 + 0.05 * rng(seed).standard_normal(6) for seed in (1, 2, 3)])
+    x0[1] = 0.0
+    want = [sequential_search(x0[r], bumpy, rng(200 + r), 2000) for r in range(3)]
+    iterations = [w[2] for w in want]
+    assert iterations[1] < min(iterations[0], iterations[2]) < 2000
+
+    batches, rows = [], {0: [], 1: [], 2: []}
+
+    def counted(xs):
+        batches.append(xs.shape[:-1])
+        return bumpy(xs)
+
+    x, best = _coordinate_search(
+        x0,
+        counted,
+        [rng(200 + r) for r in range(3)],
+        2000,
+        on_accept=lambda r, it, v: rows[r].append((it, v)),
+    )
+    for r, (want_x, want_rows, _, _) in enumerate(want):
+        assert rows[r] == want_rows
+        assert x[r].tobytes() == want_x.tobytes()
+        assert best[r] == (want_rows[-1][1] if want_rows else bumpy(x0[r]))
+    assert len(batches) == 1 + max(iterations)
+    assert batches[0] == (3,)
+    assert batches[1 : 1 + iterations[1]] == [(3, 2)] * iterations[1]
+    assert (2, 2) in batches and (3, 2) not in batches[1 + iterations[1] :]
+
+
+def sequential_restarts(score, starts, ladder, cfg):
+    """The restart driver with one restart at a time and one objective call
+    per candidate: restart i alone on the stream (seed, i), ties to the
+    lowest restart.  Returns the best (param, x) and the trace."""
+    best, trace = None, []
+    for i in range(cfg.restarts):
+        gen = np.random.default_rng([cfg.seed, i])
+        if i < len(starts):
+            param, x = ladder[-1], ladder[-1].pack(starts[i])
+        else:
+            param = ladder[(i - len(starts)) % len(ladder)]
+            x = param.random(gen)
+        x, rows, _, _ = sequential_search(
+            x, lambda xv, p=param: score(p.kraus(xv)), gen, cfg.max_iters
+        )
+        val = rows[-1][1] if rows else score(param.kraus(x[None]))[0]
+        trace += [TracePoint(i, it, float(v)) for it, v in rows]
+        if best is None or val > best[0]:
+            best = (val, param, x)
+    return best[1], best[2], trace
+
+
+def recorded_restarts(monkeypatch):
+    """Each ``_restarts`` call's arguments, result and trace rows, in order."""
+    calls, real = [], optimize._restarts
+
+    def spy(score, starts, ladder, cfg, trace, width):
+        param, x = real(score, starts, ladder, cfg, trace, width)
+        calls.append(((score, starts, ladder, cfg), (param, x), list(trace)))
+        return param, x
+
+    monkeypatch.setattr(optimize, "_restarts", spy)
+    return calls
+
+
+def lockstep_matches_sequential(calls):
+    for args, (param, x), trace in calls:
+        want_param, want_x, want_trace = sequential_restarts(*args)
+        assert param is want_param
+        assert x.tobytes() == want_x.tobytes()
+        assert trace == want_trace
+
+
+@pytest.mark.parametrize("make", [gallery_superdense, gallery_classical])
+def test_lockstep_instrument_restarts_equal_sequential_ones(make, monkeypatch):
+    sc = make()
+    calls = recorded_restarts(monkeypatch)
+    optimize_theorem1(sc.channel, sc.resource_state(), small_cfg(seed=5, restarts=4, max_iters=80))
+    assert len(calls) == 1
+    lockstep_matches_sequential(calls)
+
+
+def test_lockstep_channel_restarts_equal_sequential_ones(monkeypatch):
+    # Five restarts put delta's search on four rungs and E_P's on three,
+    # with two and three restarts sharing the top rung.  A constant
+    # objective ties every restart, and the first must win.
+    psi = random_pure_state(rng(17), LabeledSpace.of(("A", 2), ("B", 2), ("C", 2)))
+    zeta_ab = partial_trace(psi, {"A", "B"})
+    rho_cb = permute_factors(partial_trace(psi, {"C", "B"}), ["C", "B"])
+    cfg = small_cfg(seed=9, restarts=5, max_iters=80)
+    calls = recorded_restarts(monkeypatch)
+    dense_coding_advantage(zeta_ab, cfg=cfg)
+    entanglement_of_purification(rho_cb, cfg=cfg)
+    optimize_channel_functional(lambda kraus: np.full(kraus.shape[:-3], 0.75), A, F, cfg)
+    assert [len(args[2]) for args, _, _ in calls] == [4, 3, 3]
+    lockstep_matches_sequential(calls)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +559,52 @@ def test_instrument_search_byte_estimate_covers_the_measured_peak(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak <= needs[-1] <= 3 * peak
+
+
+def result_bytes(out):
+    """A search result's value, trace and witness, as comparable bytes."""
+    if out.best_channel is not None:
+        witness = [k.tobytes() for k in out.best_channel.kraus]
+    else:
+        ens = out.best_ensemble
+        witness = [ens.labels, ens.probs.tobytes(), [m.matrix.tobytes() for m in ens.states]]
+    return out.best_value, out.trace, out.report, witness
+
+
+def test_searches_split_lockstep_calls_that_would_exceed_the_byte_limit(monkeypatch):
+    # With room for one scored pair but not two, every restart runs alone,
+    # and every result is bitwise the unsplit one.
+    sc = gallery_superdense()
+    zeta_ab = random_state(rng(19), LabeledSpace.of(("A", 2), ("B", 2)))
+    cfg = small_cfg(seed=13, restarts=4, max_iters=60)
+    searches = [
+        (optimize, lambda: optimize_theorem1(sc.channel, sc.resource_state(), cfg)),
+        (measures, lambda: dense_coding_advantage(zeta_ab, cfg=cfg)),
+    ]
+    for module, search in searches:
+        widths, needs = [], []
+        real_search, real_check = optimize._coordinate_search, module.check_working_bytes
+
+        def search_spy(x0, *args, **kwargs):
+            widths.append(len(x0))
+            return real_search(x0, *args, **kwargs)
+
+        def check_spy(need, what):
+            needs.append(need)
+            real_check(need, what)
+
+        monkeypatch.setattr(optimize, "_coordinate_search", search_spy)
+        monkeypatch.setattr(module, "check_working_bytes", check_spy)
+        want = search()
+        assert max(widths) > 1
+        pair = needs[-1] // max(widths)
+        monkeypatch.setattr(optimize, "MAX_WORKING_BYTES", pair * 3 // 2)
+        monkeypatch.setattr(qcore, "MAX_WORKING_BYTES", pair * 3 // 2)
+        widths.clear()
+        got = search()
+        assert set(widths) == {1} and needs[-1] == pair
+        assert result_bytes(got) == result_bytes(want)
+        monkeypatch.undo()
 
 
 def test_grid_oracle_identity_channel():

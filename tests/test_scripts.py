@@ -65,3 +65,12 @@ def test_run_anchors():
         # every target is an upper bound; the gap is printed to 3 digits
         assert gap >= -1e-9 and seconds >= 0
         assert abs(target - found - gap) <= 1e-9 + 1e-2 * abs(gap)
+
+
+def test_seeded_digest():
+    name = "rate-optimize superdense theorem1 seed=1"
+    lines = run_script("seeded_digest.py", "--only", name)
+    assert len(lines) == 1
+    digest, called = lines[0].split("  ")
+    assert called == name
+    assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")

@@ -29,13 +29,7 @@ from dataclasses import replace
 import numpy as np
 
 from .entropic import _entropies, von_neumann_entropy
-from .optimize import (
-    OptimizerConfig,
-    OptResult,
-    _env_ladder,
-    _lockstep_width,
-    optimize_channel_functional,
-)
+from .optimize import OptimizerConfig, OptResult, _lockstep_width, optimize_channel_functional
 from .qcore import (
     TOL_EQ,
     DensityOperator,
@@ -127,12 +121,9 @@ def _min_output_entropy(
     if cap < 1:
         raise ValidationError(f"{cap_name} must be positive")
     kernel = _ChannelKernel(rho, on)
-    # The check counts the pairs of the widest lockstep call.  It comes
-    # before the starts are built: the constant channel, and the embedding
-    # when cap >= d_in (``_channel_inits``).
+    # Checked before any start is built, each row counted as a top-rung pair.
     pair = kernel.search_bytes(cap)
-    n_rungs = len(_env_ladder(kernel.d_in, cap))
-    width = _lockstep_width(pair, cfg, 1 + (cap >= kernel.d_in), n_rungs)
+    width = _lockstep_width(pair, cfg)
     check_working_bytes(width * pair, f"the {what} search at {cap_name} {cap}")
     return optimize_channel_functional(
         kernel.entropy,

@@ -9,9 +9,8 @@ index), so results are reproducible and adding restarts can only improve
 the best value.  The first restarts begin at structured Kraus stacks on
 the largest environment, so a search never reports worse than these
 known-good witnesses; the rest begin at random points and cycle through a
-ladder of environment sizes (Kraus-rank caps).  The restarts that share a
-rung run in lockstep, one objective call per iteration for all of them;
-each takes exactly the steps it would take alone.
+ladder of environment sizes (Kraus-rank caps).  Restarts run in lockstep,
+one objective call per iteration for a stack of them (``_restarts``).
 
 Channel searches pass the identity and constant channels as starts, add a
 polish pass from the incumbent, and build one ``QuantumChannel``, the
@@ -30,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Sequence
 
@@ -76,6 +74,10 @@ STEP_INITIAL = 0.5
 STEP_SHRINK = 0.5
 STEP_PATIENCE = 25
 STEP_MIN = 1e-9
+
+# Lower-rung restarts join the top rung's stack while their zero padding sums to at
+# most this many coordinates; past it their extra arithmetic outweighs the calls saved.
+PAD_LIMIT = 1024
 
 
 class OptimizationError(RuntimeError):
@@ -136,26 +138,28 @@ def _coordinate_search(
     gens: Sequence[np.random.Generator],
     max_iters: int,
     on_accept: Callable[[int, int, float], None],
+    coords: Sequence[Sequence[int]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Greedy single-coordinate random search, maximizing ``objective`` from
     each row of the (g, n) stack ``x0``; the rows run in lockstep.
 
     ``objective`` scores an (..., n) stack of points as values of shape
-    (...).  Each iteration, every live row r draws a coordinate i, then a
-    step delta, from ``gens[r]``, and one call scores x_r + delta e_i and
-    x_r - delta e_i of all live rows as a (g_live, 2, n) stack.  Each row
-    takes its + step if it improves, else its - step if that improves, and
-    leaves the stack once its step falls below STEP_MIN: it runs exactly as
-    it would alone.  ``on_accept(r, iteration, value)`` sees every accepted
-    step.  Returns the final points and their values.
+    (...).  Each iteration, every live row r draws a coordinate i of
+    ``coords[r]`` (default: all n), then a step delta, from ``gens[r]``, and
+    one call scores x_r +- delta e_i of all live rows as a (g_live, 2, n)
+    stack.  Each row takes its + step if it improves, else its - step if
+    that improves, and leaves the stack once its step falls below STEP_MIN:
+    it runs exactly as it would alone.  ``on_accept(r, iteration, value)``
+    sees every accepted step.  Returns the final points and their values.
     """
     x = x0.copy()
     best = objective(x).tolist()
     step, stall, live = [STEP_INITIAL] * len(x), [0] * len(x), list(range(len(x)))
+    coords = coords or [range(x.shape[1])] * len(x)
     for it in range(max_iters):
         pairs = x.take(live, axis=0)[:, None].repeat(2, axis=1)
         for j, r in enumerate(live):
-            idx = int(gens[r].integers(x.shape[1]))
+            idx = int(coords[r][gens[r].integers(len(coords[r]))])
             delta = step[r] * float(gens[r].standard_normal())
             pairs[j, 0, idx] += delta
             pairs[j, 1, idx] += -delta
@@ -207,6 +211,10 @@ class _StinespringParam:
     def random(self, gen: np.random.Generator) -> np.ndarray:
         return gen.standard_normal(self.size)
 
+    def within(self, host: _StinespringParam) -> np.ndarray:
+        """These coordinates' indices among those of ``host``, a larger rung."""
+        return np.r_[: self.size // 2, host.size // 2 : (host.size + self.size) // 2]
+
 
 def _env_ladder(d_in: int, d_out: int) -> list[int]:
     """Environments 1, 2, 4, ... below d_in * d_out, then d_in * d_out,
@@ -222,12 +230,10 @@ def _rungs(cfg: OptimizerConfig, n_starts: int, n_rungs: int) -> list[int]:
     return [n_rungs - 1 if i < n_starts else (i - n_starts) % n_rungs for i in range(cfg.restarts)]
 
 
-def _lockstep_width(pair_bytes: int, cfg: OptimizerConfig, n_starts: int, n_rungs: int) -> int:
-    """Restarts scored per objective call: the most that share a rung, capped
-    at the scored pairs of ``pair_bytes`` each that fit MAX_WORKING_BYTES,
-    and at least one.  A search's byte check counts this many pairs."""
-    rungs = _rungs(cfg, n_starts, n_rungs)
-    return max(1, min(max(map(rungs.count, rungs)), MAX_WORKING_BYTES // pair_bytes))
+def _lockstep_width(pair_bytes: int, cfg: OptimizerConfig) -> int:
+    """Most restarts scored per objective call: all, capped at the pairs of
+    ``pair_bytes`` each that fit MAX_WORKING_BYTES, and at least one."""
+    return max(1, min(cfg.restarts, MAX_WORKING_BYTES // pair_bytes))
 
 
 def _restarts(
@@ -244,28 +250,37 @@ def _restarts(
     values of shape (...).  Restart i draws on the RNG stream (seed, i).
     It begins at the Kraus stack ``starts[i]`` on ``ladder[-1]`` while
     starts remain, and otherwise at a random point, cycling through
-    ``ladder``.  The restarts on one rung run in lockstep, ``width`` at a
-    time, each exactly as it would alone; ties go to the lowest restart.
-    Every accepted step is appended to ``trace``, ordered by restart.
+    ``ladder``.  Restarts run in lockstep, ``width`` at a time, all in
+    order while the zero-padding of lower rungs stays within PAD_LIMIT,
+    else one rung at a time.  A chunk is built as it begins and scored on
+    its largest rung, a smaller rung's row stepping only in its own
+    coordinates (``within``).  Ties go to the lowest restart; x comes back
+    on the winner's rung.  ``trace`` gets every accepted step, by restart.
     """
-    gens = [np.random.default_rng([cfg.seed, i]) for i in range(cfg.restarts)]
-    rungs = _rungs(cfg, len(starts), len(ladder))
-    xs = [ladder[-1].pack(s) for s in starts[: cfg.restarts]]
-    xs += [ladder[j].random(gens[i]) for i, j in enumerate(rungs) if i >= len(starts)]
-    found, rows = {}, []
-    for j, param in enumerate(ladder):
-        group = [i for i, rung in enumerate(rungs) if rung == j]
+    rungs, rows, best = _rungs(cfg, len(starts), len(ladder)), [], None
+    pad = sum(ladder[-1].size - ladder[j].size for j in rungs) <= PAD_LIMIT
+    for k in range(1 if pad else len(ladder)):
+        group = [i for i, j in enumerate(rungs) if pad or j == k]
         for chunk in (group[c : c + width] for c in range(0, len(group), width)):
+            host = ladder[max(rungs[i] for i in chunk)]
+            gens = [np.random.default_rng([cfg.seed, i]) for i in chunk]
+            coords = [ladder[rungs[i]].within(host) for i in chunk]
+            x0 = np.zeros((len(chunk), host.size))
+            for r, i in enumerate(chunk):
+                own = ladder[rungs[i]]
+                x0[r, coords[r]] = own.pack(starts[i]) if i < len(starts) else own.random(gens[r])
             x, vals = _coordinate_search(
-                np.stack([xs[i] for i in chunk]),
-                lambda xv, p=param: score(p.kraus(xv)),
-                [gens[i] for i in chunk],
+                x0,
+                lambda xv: score(host.kraus(xv)),
+                gens,
                 cfg.max_iters,
-                on_accept=lambda r, it, v, c=chunk: rows.append(TracePoint(c[r], it, v)),
+                on_accept=lambda r, it, v: rows.append(TracePoint(chunk[r], it, v)),
+                coords=coords,
             )
-            found.update((i, (vals[r], param, x[r])) for r, i in enumerate(chunk))
+            for r, i in enumerate(chunk):
+                if best is None or (vals[r], -i) > best[0]:
+                    best = ((vals[r], -i), ladder[rungs[i]], x[r, coords[r]])
     trace.extend(sorted(rows, key=lambda p: p.restart))
-    best = reduce(lambda a, b: b if b[0] > a[0] else a, [found[i] for i in range(cfg.restarts)])
     return best[1], best[2]
 
 
@@ -293,12 +308,12 @@ def optimize_channel_functional(
     most d_in * d_out operators, seed the first restarts at the full
     environment dimension; the remaining restarts cycle through a ladder of
     smaller environments (Kraus-rank caps), which explore far better while
-    staying inside the same channel family.  The restarts on one rung run
-    in lockstep: one call scores both signs of a coordinate step for up to
-    ``width`` of them (default: all), with leading shape (width, 2).  A
-    final polish pass re-runs the search from the incumbent, as a stack of
-    one.  The driver maximizes, so it scores the negated objective; trace
-    values and ``best_value`` are the objective's own, as Python floats.
+    staying inside the same channel family.  The restarts run in lockstep:
+    one call scores both signs of a coordinate step for up to ``width`` of
+    them (default: all), with leading shape (width, 2).  A final polish
+    pass re-runs the search from the incumbent, as a stack of one.  The
+    driver maximizes, so it scores the negated objective; trace values and
+    ``best_value`` are the objective's own, as Python floats.
     """
     d_in, d_out = input_space.dim, output_space.dim
     ladder = [_StinespringParam(d_in, d_out, e) for e in _env_ladder(d_in, d_out)]
@@ -330,16 +345,10 @@ def optimize_channel_functional(
 
 def _discrete_weyl(dim: int) -> list[np.ndarray]:
     """The dim^2 shift/phase unitaries X^a Z^b."""
-    omega = np.exp(2j * np.pi / dim)
-    shift = np.zeros((dim, dim), dtype=np.complex128)
-    for j in range(dim):
-        shift[(j + 1) % dim, j] = 1.0
-    phase = np.diag(omega ** np.arange(dim))
-    out = []
-    for a in range(dim):
-        for b in range(dim):
-            out.append(np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(phase, b))
-    return out
+    shift = np.roll(np.eye(dim, dtype=np.complex128), 1, axis=0)
+    phase = np.diag(np.exp(2j * np.pi / dim) ** np.arange(dim))
+    power = np.linalg.matrix_power
+    return [power(shift, a) @ power(phase, b) for a in range(dim) for b in range(dim)]
 
 
 def _weyl_start(k: int, d_sig: int, r: int) -> np.ndarray | None:
@@ -392,7 +401,7 @@ def _search_instruments(
     # Holevo terms (Bob's, Eve's and the A' marginals).
     sides = kernel.d_bob**2 + kernel.d_eve**2 + r * r
     pair = 2 * 16 * k * (9 * member_space.dim**2 + 3 * sides)
-    width = _lockstep_width(pair, cfg, n_starts=0, n_rungs=1)
+    width = _lockstep_width(pair, cfg)
     check_working_bytes(width * pair, f"an instrument search with {k} outcomes")
 
     def score(kraus: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ its reference is `apply` of the witness `QuantumChannel` followed by
 `von_neumann_entropy`.
 """
 
+import math
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -514,6 +515,60 @@ def test_channel_kernel_scores_stacks_like_single_candidates(make):
                 reference = apply(ch, state, on=[on])
                 assert np.abs(omega - reference.matrix).max() <= TOL
                 assert abs(value - von_neumann_entropy(reference)) <= TOL
+
+
+@pytest.mark.parametrize("rank", [1, 2, 4])
+@pytest.mark.parametrize("shape", [delta_shape, ep_shape])
+def test_lower_rungs_in_the_top_rung_coordinates_match_their_own(shape, rank, monkeypatch):
+    # A small channel search scores every restart on the top rung's Kraus
+    # stacks: a point of a lower rung sits in its own coordinate set there,
+    # every other coordinate 0.  The reference is the point on its own rung.
+    gen = rng(1340 + rank)
+    state, on, out_space = shape(gen, rank)
+    d_in, d_out = state.space.dim_of(on), out_space.dim
+    kernel = _ChannelKernel(state, on)
+    ladder = [_StinespringParam(d_in, d_out, e) for e in _env_ladder(d_in, d_out)]
+    top = ladder[-1]
+    for param in ladder:
+        half = param.size // 2  # env * d_out * d_in real, as many imaginary
+        own = param.within(top)
+        assert own.tolist() == [*range(half), *range(top.size // 2, top.size // 2 + half)]
+        points = np.stack([param.random(gen) for _ in range(3)])
+        padded = np.zeros((3, top.size))
+        padded[:, own] = points
+        kraus = top.kraus(padded)
+        assert np.abs(kraus[:, param.env :]).max(initial=0.0) <= 1e-15
+        assert np.abs(kernel.entropy(kraus) - kernel.entropy(param.kraus(points))).max() <= 1e-14
+
+    # A whole search with a restart on every rung, padded whatever its size:
+    # the padded coordinates of every scored point stay exactly 0, and the
+    # winner's x comes back as its row's own coordinates, on its own rung.
+    real, seen = optimize._coordinate_search, {}
+
+    def spy(x0, objective, gens, max_iters, on_accept, coords):
+        pads = [np.setdiff1d(np.arange(top.size), own) for own in coords]
+
+        def checked(xv):
+            assert len(xv) == len(pads)  # no row reaches STEP_MIN in max_iters
+            assert not any(row[..., pad].any() for row, pad in zip(xv, pads))
+            return objective(xv)
+
+        seen["x"], seen["vals"] = real(x0, checked, gens, max_iters, on_accept, coords)
+        seen["coords"] = coords
+        return seen["x"], seen["vals"]
+
+    monkeypatch.setattr(optimize, "_coordinate_search", spy)
+    monkeypatch.setattr(optimize, "PAD_LIMIT", math.inf)
+    for starts in (_channel_inits(d_in, d_out), []):
+        cfg = OptimizerConfig(seed=rank, restarts=len(starts) + len(ladder), max_iters=60)
+        rungs = optimize._rungs(cfg, len(starts), len(ladder))
+        assert sorted(set(rungs)) == list(range(len(ladder)))
+        param, x = optimize._restarts(
+            lambda k: -kernel.entropy(k), starts, ladder, cfg, [], cfg.restarts
+        )
+        winner = int(np.argmax(seen["vals"]))
+        assert param is ladder[rungs[winner]]
+        assert x.tobytes() == seen["x"][winner, seen["coords"][winner]].tobytes()
 
 
 @pytest.mark.parametrize("mode", ["theorem1", "unassisted"])

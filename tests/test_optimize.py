@@ -107,16 +107,18 @@ def test_stinespring_param_always_cptp():
         assert np.max(np.abs(total - np.eye(2))) <= 1e-10
 
 
-def sequential_search(x0, objective, gen, max_iters):
+def sequential_search(x0, objective, gen, max_iters, own=None):
     """The coordinate search with one objective call per candidate: x + delta
-    e_i first, then x - delta e_i.  Returns the final x, the accepted
-    (iteration, value) rows, the iterations run, and how many iterations had
-    both signs improving (where the order of the two tries decides)."""
+    e_i first, then x - delta e_i, with i drawn from the coordinates ``own``
+    (default: all).  Returns the final x, the accepted (iteration, value)
+    rows, the iterations run, and how many iterations had both signs
+    improving (where the order of the two tries decides)."""
     x = x0.copy()
     best = objective(x[None])[0]
     step, stall, rows, both = STEP_INITIAL, 0, [], 0
+    own = range(len(x)) if own is None else own
     for it in range(max_iters):
-        idx = int(gen.integers(len(x)))
+        idx = int(own[gen.integers(len(own))])
         delta = step * float(gen.standard_normal())
         improved = False
         for sign in (1.0, -1.0):
@@ -212,25 +214,32 @@ def test_coordinate_search_rows_in_lockstep_each_run_as_alone():
     assert (2, 2) in batches and (3, 2) not in batches[1 + iterations[1] :]
 
 
-def sequential_restarts(score, starts, ladder, cfg):
+def sequential_restarts(score, starts, ladder, cfg, padded):
     """The restart driver with one restart at a time and one objective call
     per candidate: restart i alone on the stream (seed, i), ties to the
-    lowest restart.  Returns the best (param, x) and the trace."""
+    lowest restart.  ``padded``, every restart runs in the coordinates of
+    the largest rung any restart is on, drawing only its own rung's set
+    and holding the rest at 0; else each runs on its own rung.  Returns
+    the best (param, x), x on the winner's own rung, and the trace."""
+    params = [ladder[-1]] * len(starts) + [
+        ladder[(i - len(starts)) % len(ladder)] for i in range(len(starts), cfg.restarts)
+    ]
+    largest = max(params[: cfg.restarts], key=lambda p: p.size)
     best, trace = None, []
-    for i in range(cfg.restarts):
+    for i, param in enumerate(params[: cfg.restarts]):
         gen = np.random.default_rng([cfg.seed, i])
-        if i < len(starts):
-            param, x = ladder[-1], ladder[-1].pack(starts[i])
-        else:
-            param = ladder[(i - len(starts)) % len(ladder)]
-            x = param.random(gen)
+        point = param.pack(starts[i]) if i < len(starts) else param.random(gen)
+        host = largest if padded else param
+        own = param.within(host)
+        x = np.zeros(host.size)
+        x[own] = point
         x, rows, _, _ = sequential_search(
-            x, lambda xv, p=param: score(p.kraus(xv)), gen, cfg.max_iters
+            x, lambda xv: score(host.kraus(xv)), gen, cfg.max_iters, own
         )
-        val = rows[-1][1] if rows else score(param.kraus(x[None]))[0]
+        val = rows[-1][1] if rows else score(host.kraus(x[None]))[0]
         trace += [TracePoint(i, it, float(v)) for it, v in rows]
         if best is None or val > best[0]:
-            best = (val, param, x)
+            best = (val, param, x[own])
     return best[1], best[2], trace
 
 
@@ -247,9 +256,9 @@ def recorded_restarts(monkeypatch):
     return calls
 
 
-def lockstep_matches_sequential(calls):
+def lockstep_matches_sequential(calls, padded=False):
     for args, (param, x), trace in calls:
-        want_param, want_x, want_trace = sequential_restarts(*args)
+        want_param, want_x, want_trace = sequential_restarts(*args, padded)
         assert param is want_param
         assert x.tobytes() == want_x.tobytes()
         assert trace == want_trace
@@ -266,18 +275,49 @@ def test_lockstep_instrument_restarts_equal_sequential_ones(make, monkeypatch):
 
 def test_lockstep_channel_restarts_equal_sequential_ones(monkeypatch):
     # Five restarts put delta's search on four rungs and E_P's on three,
-    # with two and three restarts sharing the top rung.  A constant
-    # objective ties every restart, and the first must win.
+    # with two and three restarts on the top rung.  These searches are
+    # small enough to pad: every restart runs in the top rung's
+    # coordinates, so "alone" means alone in those.  With padding refused,
+    # each restart runs on its own rung.  A constant objective ties every
+    # restart, and the first must win.
     psi = random_pure_state(rng(17), LabeledSpace.of(("A", 2), ("B", 2), ("C", 2)))
     zeta_ab = partial_trace(psi, {"A", "B"})
     rho_cb = permute_factors(partial_trace(psi, {"C", "B"}), ["C", "B"])
     cfg = small_cfg(seed=9, restarts=5, max_iters=80)
-    calls = recorded_restarts(monkeypatch)
-    dense_coding_advantage(zeta_ab, cfg=cfg)
-    entanglement_of_purification(rho_cb, cfg=cfg)
-    optimize_channel_functional(lambda kraus: np.full(kraus.shape[:-3], 0.75), A, F, cfg)
-    assert [len(args[2]) for args, _, _ in calls] == [4, 3, 3]
-    lockstep_matches_sequential(calls)
+    for padded, limit in ((True, optimize.PAD_LIMIT), (False, -1)):
+        monkeypatch.setattr(optimize, "PAD_LIMIT", limit)
+        calls = recorded_restarts(monkeypatch)
+        dense_coding_advantage(zeta_ab, cfg=cfg)
+        entanglement_of_purification(rho_cb, cfg=cfg)
+        optimize_channel_functional(lambda kraus: np.full(kraus.shape[:-3], 0.75), A, F, cfg)
+        assert [len(args[2]) for args, _, _ in calls] == [4, 3, 3]
+        lockstep_matches_sequential(calls, padded)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("cap", [4, 16])
+def test_channel_search_pads_lower_rungs_only_while_that_is_small(cap):
+    # At cap 4 the three restarts (rungs 3, 3, 0 of env 1, 2, 4, 8) add
+    # 112 padded coordinates: one stack of three on env 8.  At cap 16
+    # (env 1, ..., 16, 32) they would add 1984: the lone env = 1 restart
+    # runs on its own rung, and the top two on theirs.  The polish pass is
+    # a stack of one on the winner's rung.
+    zeta_ab = random_state(rng(23), LabeledSpace.of(("A", 2), ("B", 2)))
+    kernel = measures._ChannelKernel(zeta_ab, "A")
+    shapes = set()
+
+    def objective(kraus):
+        shapes.add(kraus.shape[:-2])
+        return kernel.entropy(kraus)
+
+    out_space = LabeledSpace.of(("F", cap))
+    cfg = small_cfg(seed=2, restarts=3, max_iters=40)
+    inits = measures._channel_inits(2, cap)
+    out = optimize_channel_functional(objective, A, out_space, cfg, inits=inits)
+    want = {4: {(3, 8), (3, 2, 8)}, 16: {(2, 32), (2, 2, 32), (1, 1), (1, 2, 1)}}[cap]
+    env = len(out.best_channel.kraus)
+    polish = {(1, env), (1, 2, env)}
+    assert shapes - polish == want - polish
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +645,43 @@ def test_searches_split_lockstep_calls_that_would_exceed_the_byte_limit(monkeypa
         assert set(widths) == {1} and needs[-1] == pair
         assert result_bytes(got) == result_bytes(want)
         monkeypatch.undo()
+
+
+def test_search_memory_scales_with_the_lockstep_width_not_the_restarts(monkeypatch):
+    # With room for four pairs, a search of many restarts builds each
+    # chunk's generators and starts only when the chunk begins: what is
+    # held when the first chunk starts does not grow with the restarts, and
+    # the peak grows only by the trace rows (one 1-iteration step each, at
+    # most).  The outputs are bitwise the unsplit search's.
+    zeta_ab = random_state(rng(19), LabeledSpace.of(("A", 2), ("B", 2)))
+    cfg = small_cfg(seed=3, restarts=250, max_iters=1)
+    want = dense_coding_advantage(zeta_ab, cfg=cfg)
+    pair = measures._ChannelKernel(zeta_ab, "A").search_bytes(4)
+    monkeypatch.setattr(optimize, "MAX_WORKING_BYTES", 4 * pair)
+    monkeypatch.setattr(qcore, "MAX_WORKING_BYTES", 4 * pair)
+    real, held = optimize._coordinate_search, []
+
+    def spy(x0, *args, **kwargs):
+        if not held:
+            held.append(tracemalloc.get_traced_memory()[0])
+        return real(x0, *args, **kwargs)
+
+    monkeypatch.setattr(optimize, "_coordinate_search", spy)
+    peaks = {}
+    for restarts in (250, 2000):
+        held.clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cfg = small_cfg(seed=3, restarts=restarts, max_iters=1)
+            got = dense_coding_advantage(zeta_ab, cfg=cfg)
+            peaks[restarts] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert held[0] - base < 2**17
+        if restarts == 250:
+            assert result_bytes(got) == result_bytes(want)
+    assert peaks[2000] - peaks[250] < 1750 * 2**10
 
 
 def test_grid_oracle_identity_channel():

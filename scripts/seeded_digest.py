@@ -3,7 +3,8 @@
 
 Runs a fixed list of seeded ``wiretap`` CLI calls in-process:
 ``rate-optimize`` over every gallery, both modes and seeds 1-3;
-``resource-analyze`` on seeded random pure 3-qubit states; and
+``resource-analyze`` on seeded random pure 3-qubit states, one of them
+at ``--dim-a-cap 256``; and
 ``code-sim`` on the ``classical`` and ``superdense`` galleries.  Every
 input is built from ``wiretap`` itself (bundled galleries, states drawn
 from ``numpy.random.default_rng([seed, 3])``).  Each output line is
@@ -78,11 +79,16 @@ def calls():
                     "--scenario", scenario_file(d, g),
                     "--config", write_json(d, "optimizer.json", OPTIMIZER),
                 ]
-    for seed in range(1, 9):
-        yield f"resource-analyze 3qubit seed={seed}", lambda d, s=seed: [
+    # The last call's cap puts its search past optimize.PAD_LIMIT, so its
+    # restarts run one rung at a time.
+    for seed, cap in [(s, None) for s in range(1, 9)] + [(1, 256)]:
+        extra = [] if cap is None else ["--dim-a-cap", str(cap)]
+        name = f"resource-analyze 3qubit seed={seed}" + (f" dim-a-cap={cap}" if cap else "")
+        yield name, lambda d, s=seed, extra=extra: [
             "resource-analyze", "--seed", str(s),
             "--state", write_json(d, "state.json", state_to_json(random_pure_3qubit(s))),
             "--config", write_json(d, "optimizer.json", STATE_OPTIMIZER),
+            *extra,
         ]
     for gallery, config in CODESIM.items():
         for seed in (1, 2):

@@ -301,8 +301,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True, help="tripartite state JSON file")
     p.add_argument("--config", help="OptimizerConfig JSON file")
     p.add_argument("--seed", type=int)
-    p.add_argument("--dim-a-cap", type=int, default=None)
-    p.add_argument("--dim-f-cap", type=int, default=None)
+    p.add_argument("--dim-a-cap", type=int, help="delta's channel output dim (default dim(A)^2)")
+    p.add_argument("--dim-f-cap", type=int, help="E_P's dim(F) (default rank of the CB marginal)")
     p.set_defaults(func=cmd_resource_analyze)
 
     p = sub.add_parser("code-sim", help="finite-blocklength random-code experiment")

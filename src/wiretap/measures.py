@@ -59,8 +59,8 @@ class _ChannelKernel:
     factored once as rho = R R^dagger on its support (``support_eigh``),
     with R held as an (in, pass * rank) matrix.  A stack of candidates then
     costs one matmul y = K R, a transpose of y into Z on (pass * out,
-    env * rank), one more matmul omega = Z Z^dagger and one batched
-    eigensolve.  It keeps no state between calls.
+    env * rank), one more matmul for the smaller of omega = Z Z^dagger and
+    Z^dagger Z, and one batched eigensolve.  It keeps no state between calls.
     """
 
     def __init__(self, rho: DensityOperator, on: str) -> None:
@@ -73,28 +73,29 @@ class _ChannelKernel:
 
     def search_bytes(self, d_out: int) -> int:
         """Estimated peak bytes of one scored pair of candidates on the top
-        rung, env = d_in * d_out: per candidate, four complex (rows, in)
-        arrays of the Stinespring step (coordinates, matrix, polar factors),
-        y, Z and its adjoint on (rows, pass * rank), and omega with its
-        eigensolver copy."""
-        rows = d_out * self.d_in * d_out
-        per = rows * (4 * self.d_in + 3 * self.d_pass * self.rank) + 2 * (self.d_pass * d_out) ** 2
-        return 2 * 16 * per
+        rung, env = d_in: per candidate, four complex (rows, in) arrays of the
+        Stinespring step, y, Z and its adjoint on (rows, pass * rank), and the
+        smaller Gram matrix with its eigensolver copy."""
+        rows, side = d_out * self.d_in, min(self.d_pass * d_out, self.d_in * self.rank)
+        return 2 * 16 * (rows * (4 * self.d_in + 3 * self.d_pass * self.rank) + 2 * side**2)
+
+    def _z(self, kraus: np.ndarray) -> np.ndarray:
+        """Z on (..., pass * out, env * rank), with omega = Z Z^dagger."""
+        *lead, env, d_out, d_in = kraus.shape
+        y = kraus.reshape(*lead, env * d_out, d_in) @ self.factor
+        z = y.reshape(*lead, env, d_out, self.d_pass, self.rank).swapaxes(-4, -2)
+        return z.reshape(*lead, self.d_pass * d_out, env * self.rank)
 
     def omega(self, kraus: np.ndarray) -> np.ndarray:
         """sum_e (1 x K_e) rho (1 x K_e)^dagger as (..., pass*out, pass*out) matrices."""
-        *lead, env, d_out, d_in = kraus.shape
-        n = len(lead)
-        y = kraus.reshape(*lead, env * d_out, d_in) @ self.factor
-        z = y.reshape(*lead, env, d_out, self.d_pass, self.rank).transpose(
-            *range(n), n + 2, n + 1, n, n + 3
-        )
-        z = z.reshape(*lead, self.d_pass * d_out, env * self.rank)
+        z = self._z(kraus)
         return z @ z.conj().swapaxes(-1, -2)
 
     def entropy(self, kraus: np.ndarray) -> np.ndarray:
-        """Entropies in bits of the output states, of shape (...)."""
-        return _entropies(self.omega(kraus))
+        """Entropies in bits of the outputs, of shape (...), from the smaller Gram side."""
+        z = self._z(kraus)
+        zh = z.conj().swapaxes(-1, -2)
+        return _entropies(z @ zh if z.shape[-2] <= z.shape[-1] else zh @ z)
 
 
 def _channel_inits(d_in: int, d_out: int) -> list[np.ndarray]:

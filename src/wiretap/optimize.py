@@ -12,17 +12,17 @@ known-good witnesses; the rest begin at random points and cycle through a
 ladder of environment sizes (Kraus-rank caps).  Restarts run in lockstep,
 one objective call per iteration for a stack of them (``_restarts``).
 
-Channel searches pass the identity and constant channels as starts, add a
-polish pass from the incumbent, and build one ``QuantumChannel``, the
-witness, at the end.  Ensemble searches score instruments from Alice's
-share to (U, signal) applied to the purification phi0 of her marginal:
-q_u eta_u = (N_u x id) phi0, one product K psi per Kraus operator K with
-phi0's amplitude matrix psi (``rates._instrument``), starting from a
-discrete-Weyl modulation of phi0 and a computational-basis ensemble.  By
-channel-state duality these are exactly the ensembles whose average A'
-marginal is the resource's, so the ensemble searches need neither a
-penalty nor a repair step.  The unassisted search is the same search on
-the empty resource, ``trivial_resource()``.
+Channel searches stop at env = d_in, which holds every extreme channel,
+start from the identity and constant channels, polish the incumbent and
+build one ``QuantumChannel``, the witness, at the end.  Ensemble searches
+score instruments from Alice's share to (U, signal) applied to the
+purification phi0 of her marginal: q_u eta_u = (N_u x id) phi0, one product
+K psi per Kraus operator K with phi0's amplitude matrix psi
+(``rates._instrument``), starting from a discrete-Weyl modulation of phi0
+and a computational-basis ensemble.  By channel-state duality these are
+exactly the ensembles whose average A' marginal is the resource's, so the
+ensemble searches need neither a penalty nor a repair step.  The unassisted
+search is the same search on the empty resource, ``trivial_resource()``.
 """
 
 from __future__ import annotations
@@ -217,10 +217,9 @@ class _StinespringParam:
 
 
 def _env_ladder(d_in: int, d_out: int) -> list[int]:
-    """Environments 1, 2, 4, ... below d_in * d_out, then d_in * d_out,
-    keeping those with room for an isometry (env * d_out >= d_in)."""
-    full = d_in * d_out
-    ladder = [2**i for i in range(full.bit_length()) if 2**i < full] + [full]
+    """Environments 1, 2, 4, ... below d_in, then d_in (the largest Kraus rank of
+    an extreme channel), keeping those with room for an isometry (env * d_out >= d_in)."""
+    ladder = [2**i for i in range(d_in.bit_length()) if 2**i < d_in] + [d_in]
     return [e for e in ladder if e * d_out >= d_in]
 
 
@@ -253,7 +252,7 @@ def _restarts(
     ``ladder``.  Restarts run in lockstep, ``width`` at a time, all in
     order while the zero-padding of lower rungs stays within PAD_LIMIT,
     else one rung at a time.  A chunk is built as it begins and scored on
-    its largest rung, a smaller rung's row stepping only in its own
+    its group's largest rung, a smaller rung's row stepping only in its own
     coordinates (``within``).  Ties go to the lowest restart; x comes back
     on the winner's rung.  ``trace`` gets every accepted step, by restart.
     """
@@ -261,8 +260,8 @@ def _restarts(
     pad = sum(ladder[-1].size - ladder[j].size for j in rungs) <= PAD_LIMIT
     for k in range(1 if pad else len(ladder)):
         group = [i for i, j in enumerate(rungs) if pad or j == k]
+        host = ladder[max(rungs) if pad else k]
         for chunk in (group[c : c + width] for c in range(0, len(group), width)):
-            host = ladder[max(rungs[i] for i in chunk)]
             gens = [np.random.default_rng([cfg.seed, i]) for i in chunk]
             coords = [ladder[rungs[i]].within(host) for i in chunk]
             x0 = np.zeros((len(chunk), host.size))
@@ -304,11 +303,11 @@ def optimize_channel_functional(
     channel, to an array of values of shape (...).  Stinespring coordinates
     guarantee feasibility: every parameter vector maps to a valid Kraus
     stack, and the returned witness is built as a ``QuantumChannel`` (trace
-    preservation checked) once, at the end.  ``inits``, Kraus stacks of at
-    most d_in * d_out operators, seed the first restarts at the full
-    environment dimension; the remaining restarts cycle through a ladder of
-    smaller environments (Kraus-rank caps), which explore far better while
-    staying inside the same channel family.  The restarts run in lockstep:
+    preservation checked) once, at the end.  It searches Kraus rank <= d_in,
+    which holds every extreme channel (Choi), hence the minimum of any
+    concave objective (Bauer).  ``inits``, stacks of at most d_in Kraus
+    operators, seed the first restarts at env = d_in; the rest cycle through
+    smaller environments (Kraus-rank caps).  The restarts run in lockstep:
     one call scores both signs of a coordinate step for up to ``width`` of
     them (default: all), with leading shape (width, 2).  A final polish
     pass re-runs the search from the incumbent, as a stack of one.  The

@@ -779,8 +779,8 @@ def test_search_outputs_are_json_with_float_values(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["resource-analyze", "--dim-a-cap", "4096"],
-        ["resource-analyze", "--dim-f-cap", "4096"],
+        ["resource-analyze", "--dim-a-cap", str(2**24)],
+        ["resource-analyze", "--dim-f-cap", str(2**24)],
         ["rate-optimize", "--scenario", "SUPERDENSE", "--out", "OUT"],
     ],
 )

@@ -29,7 +29,7 @@ from conftest import (
     random_unitary,
     rng,
 )
-from wiretap import optimize
+from wiretap import measures, optimize
 from wiretap.channels import (
     AUX_LABEL,
     CqEnsemble,
@@ -425,19 +425,32 @@ def assert_kernel_matches_apply(kernel, state, on, ch, kraus):
 
 @pytest.mark.parametrize("rank", [1, 2, 4])
 @pytest.mark.parametrize("shape", [delta_shape, ep_shape])
-def test_channel_kernel_matches_apply_at_every_env_rung(shape, rank):
+def test_channel_kernel_matches_apply_at_every_env_rung(shape, rank, monkeypatch):
+    # The ladder tops out at env = d_in, but the kernel takes any env: every
+    # env up to d_in * d_out, at the shape's output dimension and one more.
+    # The entropy eigensolves the smaller of Z Z^dagger (pass * out) and
+    # Z^dagger Z (env * rank); both are reached.
     gen = rng(1300 + rank)
     state, on, out_space = shape(gen, rank)
     in_space = state.space.subspace([on])
+    d_in = in_space.dim
     kernel = _ChannelKernel(state, on)
-    rungs = _env_ladder(in_space.dim, out_space.dim)
-    assert rungs[-1] == in_space.dim * out_space.dim
-    for env in rungs:
-        param = _StinespringParam(in_space.dim, out_space.dim, env)
-        for _ in range(3):
-            kraus = param.kraus(param.random(gen))
-            ch = QuantumChannel(in_space, out_space, list(kraus), tp_tol=TOL_EQ)
-            assert_kernel_matches_apply(kernel, state, on, ch, kraus)
+    solved, real = [], measures._entropies
+    monkeypatch.setattr(measures, "_entropies", lambda m: solved.append(m.shape) or real(m))
+    branches = set()
+    for d_out in (out_space.dim, out_space.dim + 1):
+        out = LabeledSpace.of((out_space.labels[0], d_out))
+        assert _env_ladder(d_in, d_out)[-1] == d_in
+        for env in range(1, d_in * d_out + 1):
+            param = _StinespringParam(d_in, d_out, env)
+            outer, gram = kernel.d_pass * d_out, env * kernel.rank
+            for _ in range(3):
+                kraus = param.kraus(param.random(gen))
+                ch = QuantumChannel(in_space, out, list(kraus), tp_tol=TOL_EQ)
+                assert_kernel_matches_apply(kernel, state, on, ch, kraus)
+                assert solved.pop() == (min(outer, gram),) * 2
+            branches.add("Z Z^dagger" if outer <= gram else "Z^dagger Z")
+    assert branches == {"Z Z^dagger", "Z^dagger Z"}
 
 
 @pytest.mark.parametrize("rank", [1, 2, 4])

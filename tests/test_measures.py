@@ -230,13 +230,13 @@ def test_measure_values_are_python_floats():
 
 @pytest.mark.parametrize("measure", [dense_coding_advantage, entanglement_of_purification])
 def test_channel_searches_refuse_oversized_caps_before_allocating(measure):
-    # At cap 4096 the estimate alone is tens of GiB; the refusal must come
+    # At cap 2^24 the estimate alone is tens of GiB; the refusal must come
     # before any start, coordinate or Kraus stack is built.
     state = three_qubit_marginals(241)[measure is entanglement_of_purification]
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimitError, match="search at dim_._cap 4096 needs"):
-            measure(state, 4096, cfg(restarts=1, max_iters=1))
+        with pytest.raises(ResourceLimitError, match="search at dim_._cap 16777216 needs"):
+            measure(state, 2**24, cfg(restarts=1, max_iters=1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -248,7 +248,7 @@ def test_channel_search_byte_estimate_covers_the_measured_peak(measure, monkeypa
     state = three_qubit_marginals(242)[measure is entanglement_of_purification]
     needs = []
     monkeypatch.setattr(measures, "check_working_bytes", lambda need, what: needs.append(need))
-    for cap in (32, 64):
+    for cap in (32, 64, 256):
         tracemalloc.start()
         try:
             measure(state, cap, cfg(restarts=2, max_iters=2))
@@ -256,3 +256,29 @@ def test_channel_search_byte_estimate_covers_the_measured_peak(measure, monkeypa
         finally:
             tracemalloc.stop()
         assert peak <= needs[-1] <= 3 * peak
+
+
+@pytest.mark.parametrize("measure", [dense_coding_advantage, entanglement_of_purification])
+def test_channel_searches_at_large_caps_stay_within_kraus_rank_d_in(measure, monkeypatch):
+    # Every scored Kraus stack has at most d_in operators, and every
+    # eigensolve is on the smaller of Z Z^dagger and Z^dagger Z, whatever
+    # the cap: at cap 256 the output state on (pass, out) is 512 x 512.
+    state = three_qubit_marginals(243)[measure is entanglement_of_purification]
+    scored, solved = [], []
+    real_entropy, real_entropies = measures._ChannelKernel.entropy, measures._entropies
+
+    def entropy(kernel, kraus):
+        scored.append((kernel, kraus.shape[-3:]))
+        return real_entropy(kernel, kraus)
+
+    def entropies(matrices):
+        solved.append(matrices.shape[-2:])
+        return real_entropies(matrices)
+
+    monkeypatch.setattr(measures._ChannelKernel, "entropy", entropy)
+    monkeypatch.setattr(measures, "_entropies", entropies)
+    measure(state, 256, cfg(restarts=2, max_iters=5))
+    assert scored and len(scored) == len(solved)
+    for (kernel, (env, d_out, d_in)), (rows, cols) in zip(scored, solved):
+        assert d_out == 256 and d_in == kernel.d_in and env <= d_in
+        assert rows == cols <= min(kernel.d_pass * d_out, env * kernel.rank)

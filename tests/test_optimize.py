@@ -274,12 +274,12 @@ def test_lockstep_instrument_restarts_equal_sequential_ones(make, monkeypatch):
 
 
 def test_lockstep_channel_restarts_equal_sequential_ones(monkeypatch):
-    # Five restarts put delta's search on four rungs and E_P's on three,
-    # with two and three restarts on the top rung.  These searches are
-    # small enough to pad: every restart runs in the top rung's
-    # coordinates, so "alone" means alone in those.  With padding refused,
-    # each restart runs on its own rung.  A constant objective ties every
-    # restart, and the first must win.
+    # Five restarts put each search on two rungs (env 1 and 2): delta and
+    # E_P have three restarts on the top rung, the constant objective two.
+    # These searches are small enough to pad: every restart runs in the top
+    # rung's coordinates, so "alone" means alone in those.  With padding
+    # refused, each restart runs on its own rung.  A constant objective
+    # ties every restart, and the first must win.
     psi = random_pure_state(rng(17), LabeledSpace.of(("A", 2), ("B", 2), ("C", 2)))
     zeta_ab = partial_trace(psi, {"A", "B"})
     rho_cb = permute_factors(partial_trace(psi, {"C", "B"}), ["C", "B"])
@@ -290,19 +290,25 @@ def test_lockstep_channel_restarts_equal_sequential_ones(monkeypatch):
         dense_coding_advantage(zeta_ab, cfg=cfg)
         entanglement_of_purification(rho_cb, cfg=cfg)
         optimize_channel_functional(lambda kraus: np.full(kraus.shape[:-3], 0.75), A, F, cfg)
-        assert [len(args[2]) for args, _, _ in calls] == [4, 3, 3]
+        assert [len(args[2]) for args, _, _ in calls] == [2, 2, 2]
+        assert [optimize._rungs(args[3], len(args[1]), 2) for args, _, _ in calls] == [
+            [1, 1, 0, 1, 0],
+            [1, 1, 0, 1, 0],
+            [0, 1, 0, 1, 0],
+        ]
         lockstep_matches_sequential(calls, padded)
         monkeypatch.undo()
 
 
 @pytest.mark.parametrize("cap", [4, 16])
 def test_channel_search_pads_lower_rungs_only_while_that_is_small(cap):
-    # At cap 4 the three restarts (rungs 3, 3, 0 of env 1, 2, 4, 8) add
-    # 112 padded coordinates: one stack of three on env 8.  At cap 16
-    # (env 1, ..., 16, 32) they would add 1984: the lone env = 1 restart
-    # runs on its own rung, and the top two on theirs.  The polish pass is
-    # a stack of one on the winner's rung.
-    zeta_ab = random_state(rng(23), LabeledSpace.of(("A", 2), ("B", 2)))
+    # A channel on an 8-dimensional share.  At cap 4 the three restarts
+    # (rungs 2, 0, 1 of env 2, 4, 8; no embedding start) add 640 padded
+    # coordinates: one stack of three on env 8.  At cap 16 (rungs 3, 3, 0
+    # of env 1, 2, 4, 8) they would add 1792: the lone env = 1 restart runs
+    # on its own rung, and the top two on theirs.  The polish pass is a
+    # stack of one on the winner's rung.
+    zeta_ab = random_state(rng(23), LabeledSpace.of(("A", 8), ("B", 2)))
     kernel = measures._ChannelKernel(zeta_ab, "A")
     shapes = set()
 
@@ -312,9 +318,10 @@ def test_channel_search_pads_lower_rungs_only_while_that_is_small(cap):
 
     out_space = LabeledSpace.of(("F", cap))
     cfg = small_cfg(seed=2, restarts=3, max_iters=40)
-    inits = measures._channel_inits(2, cap)
-    out = optimize_channel_functional(objective, A, out_space, cfg, inits=inits)
-    want = {4: {(3, 8), (3, 2, 8)}, 16: {(2, 32), (2, 2, 32), (1, 1), (1, 2, 1)}}[cap]
+    inits = measures._channel_inits(8, cap)
+    in_space = zeta_ab.space.subspace(["A"])
+    out = optimize_channel_functional(objective, in_space, out_space, cfg, inits=inits)
+    want = {4: {(3, 8), (3, 2, 8)}, 16: {(2, 8), (2, 2, 8), (1, 1), (1, 2, 1)}}[cap]
     env = len(out.best_channel.kraus)
     polish = {(1, env), (1, 2, env)}
     assert shapes - polish == want - polish
@@ -486,10 +493,20 @@ def test_optimize_channel_functional_constant_objective():
 
 @pytest.mark.parametrize("shape", [(5, 2, 2), (1, 3, 2)])
 def test_optimize_channel_functional_refuses_ill_fitting_inits(shape):
-    # Inits are Kraus stacks of at most d_in * d_out operators of shape (d_out, d_in).
+    # Inits are Kraus stacks of at most d_in operators of shape (d_out, d_in).
     with pytest.raises(ValidationError, match="does not fit"):
         optimize_channel_functional(
             lambda kraus: 0.0, A, F, small_cfg(max_iters=5), inits=[np.zeros(shape)]
+        )
+
+
+def test_optimize_channel_functional_refuses_inits_of_kraus_rank_above_d_in():
+    # The completely depolarizing qubit channel has Kraus rank 4 = d_in * d_out.
+    paulis = [np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
+    depolarizing = np.array(paulis, dtype=np.complex128) / 2
+    with pytest.raises(ValidationError, match="does not fit"):
+        optimize_channel_functional(
+            lambda kraus: 0.0, A, F, small_cfg(max_iters=5), inits=[depolarizing]
         )
 
 
@@ -613,7 +630,9 @@ def result_bytes(out):
 
 def test_searches_split_lockstep_calls_that_would_exceed_the_byte_limit(monkeypatch):
     # With room for one scored pair but not two, every restart runs alone,
-    # and every result is bitwise the unsplit one.
+    # and every result is bitwise the unsplit one.  These searches are
+    # small enough to pad, so a restart alone still runs in the top rung's
+    # coordinates.
     sc = gallery_superdense()
     zeta_ab = random_state(rng(19), LabeledSpace.of(("A", 2), ("B", 2)))
     cfg = small_cfg(seed=13, restarts=4, max_iters=60)

@@ -43,8 +43,8 @@ from wiretap.scenario import build_gallery, gallery_names, scenario_to_json
 OPTIMIZER = {"restarts": 4, "max_iters": 150}
 STATE_OPTIMIZER = {"restarts": 5, "max_iters": 100}
 CODESIM = {
-    "classical": {"n": [2, 4], "epsilon": 0.1, "trials": 3},
-    "superdense": {"n": [1, 2], "epsilon": 0.1, "trials": 2},
+    "classical": {"n": [2, 3, 4], "epsilon": 0.1, "trials": 3},
+    "superdense": {"n": [1, 2, 3], "epsilon": 0.1, "trials": 2},
 }
 
 

@@ -14,19 +14,20 @@ measurement, and measure
   the trace-norm cost of the Uhlmann repair that removes it.
 
 Each one-letter output side (Bob's, Eve's) is held as real diagonals when
-all its matrices are exactly diagonal, else as dense matrices.  The codeword
-products of a slab of bins are built together, in one left fold over the
-letter positions (``_products``), and each bin is summed in codeword
-order, so every bin average is bit for bit the one a per-codeword
-``np.kron`` chain gives.  A dense Bob side whose M*S codewords span fewer
-product vectors than its block dimension (M*S*r^n < d^n, with r the
-largest one-letter rank) is instead decoded from the Gram matrix of those
-vectors (``_gram_pgm_error``); other dense Bob sides are decoded from the
-support eigenpairs of the average (``_pgm_error``), building no POVM.  The
-dense signal-side averages are built and repaired
-(``marginal_residual_and_fixup``) only when some member's A' marginal
-differs from the resource's; otherwise every bin's marginal is the target
-and the residual and repair cost are exactly 0.
+all its matrices are exactly diagonal, else as dense matrices.  A bin
+average is sum_s P_s x Q_s / S over its S codewords, with P_s and Q_s the
+products of a codeword's first floor(n/2) and last ceil(n/2) letters,
+summed by a matrix product over S (``_bin_average``).  It agrees with a
+per-codeword ``np.kron`` chain elementwise to 2(n+S) 2^-53 times the chain
+on the entries' moduli (the bound the tests check).  A dense Bob side
+whose M*S codewords span fewer product vectors than its block dimension
+(M*S*r^n < d^n, with r the largest one-letter rank) is instead decoded
+from the Gram matrix of those vectors (``_gram_pgm_error``); other dense
+Bob sides are decoded from the support eigenpairs of the average
+(``_pgm_error``), building no POVM.  The dense signal-side averages are
+built and repaired (``marginal_residual_and_fixup``) only when some
+member's A' marginal differs from the resource's; otherwise every bin's
+marginal is the target and the residual and repair cost are exactly 0.
 
 The decoder choice is a design decision: the PGM stands in for the abstract
 decoder of the coding theorem.  Reported leakage uses the fixed reference
@@ -57,7 +58,7 @@ from .qcore import (
     support_eigh,
     uhlmann_fixup,
 )
-from .rates import _CqKernel, _signal_labels, _stack, theorem1_rate
+from .rates import RateReport, _CqKernel, _signal_labels, _stack, theorem1_rate
 from .scenario import Scenario
 
 __all__ = [
@@ -78,16 +79,10 @@ __all__ = [
 # Per-side dimension cap on a block space; read at call time.
 MAX_DIM = 4096
 WORD_CAP = 50_000_000
-# Bytes of codeword products one ``_products`` call of ``_bin_average`` builds.
-SLAB_BYTES = 512 * 2**10
 # Bin-sized arrays that read the M bin averages, solver buffers included (measured).
 PGM_ARRAYS = 5
 REPAIR_ARRAYS = 6
 TRACE_NORM_ARRAYS = 2
-
-
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
 
 
 @dataclass(frozen=True)
@@ -134,11 +129,7 @@ class SimReport:
 
 
 def code_parameters(
-    ens: CqEnsemble,
-    channel: QuantumChannel,
-    res: ResourceState,
-    n: int,
-    epsilon: float,
+    ens: CqEnsemble, channel: QuantumChannel, res: ResourceState, n: int, epsilon: float,
     rate: float | None = None,
 ) -> CodeParams:
     """Message and bin counts for block length ``n`` at slack ``epsilon``.
@@ -151,28 +142,27 @@ def code_parameters(
     an exponent log2 M <= 0 gives a degenerate single-message code and a
     warning.
     """
+    return _code_size(theorem1_rate(ens, channel, res), n, epsilon, rate)
+
+
+def _code_size(rep: RateReport, n: int, epsilon: float, rate: float | None) -> CodeParams:
+    """``code_parameters`` at block length n from the one-letter rate report ``rep``."""
     if n < 1:
         raise ValidationError(f"block length n must be >= 1, got {n}")
     if not math.isfinite(epsilon) or not (rate is None or math.isfinite(rate)):
         raise ValidationError(f"epsilon and rate must be finite, got {epsilon!r}, {rate!r}")
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
-    rep = theorem1_rate(ens, channel, res)
-    i_max = max(rep.i_u_ee, rep.i_u_aprime)
-    log_s = n * (i_max + epsilon)
-    if rate is None:
-        log_m = n * (rep.rate - 2 * epsilon)
-    else:
-        log_m = n * rate
+    log_s = n * (max(rep.i_u_ee, rep.i_u_aprime) + epsilon)
+    log_m = n * (rep.rate - 2 * epsilon) if rate is None else n * rate
     top = max(log_m, log_s)
     if top >= 1024:
         raise ResourceLimitError(f"block length {n}: code size 2^{top:.6g} overflows a float")
-    m = max(1, _round_half_up(2.0**log_m))
-    s = max(1, _round_half_up(2.0**log_s))
+    m, s = (max(1, math.floor(2.0**x + 0.5)) for x in (log_m, log_s))  # round half up
     if m == 1 and log_m <= 0.0:
         warnings.warn(
             f"degenerate single-message code at n={n}: log2 M = {log_m:.6g} <= 0, so M = 1",
-            stacklevel=2,
+            stacklevel=3,
         )
     return CodeParams(M=m, S=s, rate=math.log2(m) / n)
 
@@ -234,6 +224,8 @@ def _products(stack: np.ndarray, words: np.ndarray) -> np.ndarray:
     the product ``reduce(np.kron, ...)`` forms, bit for bit.  A diagonal
     step writes one letter value c at a time, so that numpy's inner loop
     runs along the long axis of the partial product, not over d letters.
+    The one fold behind the half-words of ``_bin_average``, ``_power`` and
+    the Gram matrix of ``_gram_pgm_error``.
     """
     prod = stack[words[:, 0]]
     for j in range(1, words.shape[1]):
@@ -264,20 +256,36 @@ def _member_outputs(
 
 
 def _bin_average(matrices: list[np.ndarray], words: np.ndarray) -> np.ndarray:
-    """Bin averages (M, ...), one ``_products`` call per slab of bins (SLAB_BYTES, or one bin)."""
+    """Bin averages (M, ...) of the (M, S, n) codewords ``words``: sum_s P_s x Q_s / S.
+
+    P_s and Q_s are the products (``_products``) of codeword s's first a =
+    floor(n/2) and last n - a letters, summed by one matmul over S.  On
+    diagonals (M, d^a, S) @ (M, S, d^(n-a)) is in Kronecker order; on
+    matrices a bin's P[i1, j1] Q[i2, j2] sits at ((i1, j1), (i2, j2)) and is
+    permuted to ((i1, i2), (j1, j2)), one bin at a time.  At n = 1 the
+    letters are summed in codeword order, as the chain sums them.
+    """
     stack = np.stack(matrices)
     m_count, s_count, n = words.shape
-    chunk = max(1, SLAB_BYTES // (s_count * _bin_bytes(matrices, n)))
-    out = np.empty((m_count, *(x**n for x in stack.shape[1:])), stack.dtype)
-    for lo in range(0, m_count, chunk):
-        prods = _products(stack, words[lo : lo + chunk].reshape(-1, n))
-        prods = prods.reshape(-1, s_count, *out.shape[1:])
-        acc = out[lo : lo + chunk]
-        acc[...] = prods[:, 0]
-        for s in range(1, s_count):
-            acc += prods[:, s]
-        acc /= s_count
-        del prods  # freed before the next slab is folded
+    if n == 1:
+        letters = stack[words[:, :, 0]]
+        return np.cumsum(letters, axis=1, out=letters)[:, -1] / s_count
+    half = n // 2
+    left, right = (
+        _products(stack, part.reshape(-1, part.shape[2])).reshape(m_count, s_count, -1)
+        for part in (words[:, :, :half], words[:, :, half:])
+    )
+    left = left.transpose(0, 2, 1)
+    if stack.ndim == 2:
+        out = np.matmul(left, right).reshape(m_count, -1)
+    else:
+        da, db = len(stack[0]) ** half, len(stack[0]) ** (n - half)
+        out = np.empty((m_count, da * db, da * db), stack.dtype)
+        block = np.empty((da * da, db * db), stack.dtype)
+        for m in range(m_count):
+            np.matmul(left[m], right[m], out=block)
+            out[m].reshape(da, db, da, db)[...] = block.reshape(da, da, db, db).transpose(0, 2, 1, 3)
+    out /= s_count
     return out
 
 
@@ -299,12 +307,17 @@ def _gram_bytes(count: int, size: int, n: int) -> int:
 def _check_bytes(n: int, M: int, S: int, sides: list[tuple], other: int = 0, held: int = 0) -> None:
     """Refuse block length n if its peak, in bytes, exceeds MAX_WORKING_BYTES.
 
-    A side (k, size) holds M + k arrays of ``size`` bytes and folds one slab of
-    codeword products, the larger of SLAB_BYTES and one bin's S products, with
-    a smaller temporary.  ``other`` is a peak outside the sides; ``held`` stays.
+    A side (k, side) holds M + k bin-sized arrays; ``_bin_average`` also
+    builds its M*S half-word products of floor(n/2) and ceil(n/2) letters,
+    and on a dense side one bin to permute.  ``other`` is a peak outside
+    the sides; ``held`` stays.
     """
-    need = max([other] + [(M + k) * size + 2 * max(S * size, SLAB_BYTES) for k, size in sides])
-    check_working_bytes(held + need, f"block length {n} (M = {M})")
+    need = [other]
+    for k, side in sides:
+        size = _bin_bytes(side, n)
+        halves = M * S * (_bin_bytes(side, n // 2) + _bin_bytes(side, n - n // 2))
+        need.append((M + k + (side[0].ndim == 2)) * size + halves)
+    check_working_bytes(held + max(need), f"block length {n} (M = {M})")
 
 
 def _eve_outputs(
@@ -335,8 +348,7 @@ def leakage(
     """
     m_count, s_count, n = words.shape
     eve_mats, reference = _eve_outputs(ens, channel, res, n)
-    size = _bin_bytes(eve_mats, n)
-    _check_bytes(n, m_count, s_count, [(TRACE_NORM_ARRAYS, size)], held=size)
+    _check_bytes(n, m_count, s_count, [(TRACE_NORM_ARRAYS, eve_mats)], held=_bin_bytes(eve_mats, n))
     dists = [hermitian_trace_norm(b - reference) for b in _bin_average(eve_mats, words)]
     return LeakageStats(average=float(np.mean(dists)), per_message_max=float(np.max(dists)))
 
@@ -364,7 +376,7 @@ def marginal_residual_and_fixup(
             f"signal-side dimension {d_mem}^{n} = {d_mem**n} exceeds cap {MAX_DIM}"
         )
     member_mats = [s.matrix for s in ens.states]
-    _check_bytes(n, m_count, s_count, [(REPAIR_ARRAYS, _bin_bytes(member_mats, n))])
+    _check_bytes(n, m_count, s_count, [(REPAIR_ARRAYS, member_mats)])
     member_space_n = _power_space(ens.space, n)
     aux = [f"{AUX_LABEL}@{i}" for i in range(n)]
     target = DensityOperator(
@@ -493,11 +505,7 @@ def _is_number(v) -> bool:
 
 
 def run_experiment(
-    scenario: Scenario,
-    n_list: Sequence[int],
-    epsilon: float,
-    trials: int,
-    seed: int,
+    scenario: Scenario, n_list: Sequence[int], epsilon: float, trials: int, seed: int,
     rate: float | None = None,
 ) -> list[SimReport]:
     """Run the random-code experiment for each block length in ``n_list``.
@@ -531,7 +539,8 @@ def run_experiment(
     repairs = any(np.any(partial_trace(s, {AUX_LABEL}).matrix != target) for s in ens.states)
     factors = _low_rank_factors(bob) if bob[0].ndim == 2 else None
 
-    all_params = [code_parameters(ens, channel, res, n, epsilon, rate) for n in n_list]
+    rep = theorem1_rate(ens, channel, res)
+    all_params = [_code_size(rep, n, epsilon, rate) for n in n_list]
     grams = []  # Gram-matrix size M*S*r^n per block length when Bob is decoded that way
     for n, params in zip(n_list, all_params):
         sizes = {"bob": len(bob[0]) ** n, "eve": len(eve[0]) ** n}
@@ -550,13 +559,13 @@ def run_experiment(
         # Peak: one side's M bin averages and what reads them (a diagonal PGM
         # holds M likelihood ratios), with Eve's reference held throughout
         # (_check_bytes).  A Gram Bob side builds no bin average (_gram_bytes).
-        sides = [(TRACE_NORM_ARRAYS, _bin_bytes(eve, n))]
+        sides = [(TRACE_NORM_ARRAYS, eve)]
         if gram is None:
-            sides.append((PGM_ARRAYS if bob[0].ndim == 2 else params.M + 2, _bin_bytes(bob, n)))
+            sides.append((PGM_ARRAYS if bob[0].ndim == 2 else params.M + 2, bob))
         if repairs:
-            sides.append((REPAIR_ARRAYS, sizes["signal"] ** 2 * 16))
+            sides.append((REPAIR_ARRAYS, [s.matrix for s in ens.states]))
         other = 0 if gram is None else _gram_bytes(params.M * params.S, gram, n)
-        _check_bytes(n, params.M, params.S, sides, other, held=sides[0][1])
+        _check_bytes(n, params.M, params.S, sides, other, held=_bin_bytes(eve, n))
 
     reports = []
     for n, params, gram in zip(n_list, all_params, grams):
@@ -573,23 +582,12 @@ def run_experiment(
             resids.append(r)
             costs.append(c)
         lam_arr = np.asarray(lams)
-        ci = (
-            1.96 * float(lam_arr.std(ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
-        )
-        reports.append(
-            SimReport(
-                n=n,
-                M=params.M,
-                S=params.S,
-                rate=params.rate,
-                lambda_hat=float(np.clip(lam_arr.mean(), 0.0, 1.0)),
-                mu_hat=float(np.mean(mus)),
-                marginal_residual=float(np.mean(resids)),
-                fixup_cost=float(np.mean(costs)),
-                trials=trials,
-                ci_halfwidth=ci,
-                lambda_trials=tuple(float(x) for x in lams),
-                mu_trials=tuple(float(x) for x in mus),
-            )
-        )
+        ci = 1.96 * float(lam_arr.std(ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
+        reports.append(SimReport(
+            n=n, M=params.M, S=params.S, rate=params.rate,
+            lambda_hat=float(np.clip(lam_arr.mean(), 0.0, 1.0)), mu_hat=float(np.mean(mus)),
+            marginal_residual=float(np.mean(resids)), fixup_cost=float(np.mean(costs)),
+            trials=trials, ci_halfwidth=ci,
+            lambda_trials=tuple(float(x) for x in lams), mu_trials=tuple(float(x) for x in mus),
+        ))
     return reports

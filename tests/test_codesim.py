@@ -480,12 +480,13 @@ def test_run_experiment_refuses_by_bytes_before_allocating(monkeypatch):
     monkeypatch.setattr(codesim, "_gram_pgm_error", no_alloc)
     # Bob's outputs are full rank, so the Gram matrix (M * S * 4^6 vectors) is
     # no smaller than his 4096-dimensional block space: M = 220 dense Bob
-    # averages, 5 PGM arrays and 2 * S = 4 products, 0.25 GiB each, need
-    # 229 * 0.25 = 57.25 GiB (and a few bytes of Eve's reference).
+    # averages, 5 PGM arrays and one bin to permute, 0.25 GiB each, and
+    # 2 * M * S = 880 half-word products of 3 letters (64 KiB each) need
+    # 226 * 0.25 GiB + 55 MiB = 56.55 GiB (and a few bytes of Eve's reference).
     sc = noisy_superdense()
     params = code_parameters(sc.ensemble, sc.channel, sc.resource_state(), 6, 0.1)
     assert (params.M, params.S) == (220, 2)
-    with pytest.raises(ResourceLimitError, match="57.3 GiB"):
+    with pytest.raises(ResourceLimitError, match="56.6 GiB"):
         run_experiment(sc, [6], 0.1, trials=1, seed=1)
     # The same block length also stops a list that starts with a small one.
     with pytest.raises(ResourceLimitError, match="block length 6"):
@@ -494,9 +495,10 @@ def test_run_experiment_refuses_by_bytes_before_allocating(monkeypatch):
 
 def test_run_experiment_counts_repair_bytes_on_diagonal_instance(monkeypatch):
     # Diagonal sides need 2 MiB at n = 6, but the members' A' marginals differ
-    # from the resource's, so a repair would build 64 dense 4096^2 averages
-    # (0.25 GiB each), 6 repair arrays and 2 * S = 10 products:
-    # 80 * 0.25 = 20.0 GiB.
+    # from the resource's, so a repair would build 64 dense 4096^2 averages,
+    # 6 repair arrays and one bin to permute, 0.25 GiB each, and
+    # 2 * M * S = 640 half-word products of 3 letters (64 KiB each):
+    # 71 * 0.25 GiB + 40 MiB = 17.79 GiB.
     import wiretap.codesim as codesim
     from wiretap.scenario import Scenario
 
@@ -508,7 +510,7 @@ def test_run_experiment_counts_repair_bytes_on_diagonal_instance(monkeypatch):
     ens, res = avg_constrained_ensemble()
     sc = Scenario("avg", "test instance", gallery_classical().channel, res.zeta, ens)
     assert code_parameters(ens, sc.channel, sc.resource_state(), 6, 0.1, rate=1.0).M == 64
-    with pytest.raises(ResourceLimitError, match="20.0 GiB"):
+    with pytest.raises(ResourceLimitError, match="17.8 GiB"):
         run_experiment(sc, [6], 0.1, trials=1, seed=1, rate=1.0)
 
 
@@ -529,12 +531,13 @@ def _forbid_bin_averages(monkeypatch):
 
 def test_marginal_residual_refuses_by_bytes(monkeypatch):
     # Signal side 4^6 = 4096 passes the dimension cap; 64 dense averages, 6
-    # repair arrays and 2 * S = 2 products, 0.25 GiB each, need
-    # 72 * 0.25 = 18.0 GiB.
+    # repair arrays and one bin to permute, 0.25 GiB each, and 2 * M * S = 128
+    # half-word products of 3 letters (64 KiB each) need
+    # 71 * 0.25 GiB + 8 MiB = 17.76 GiB.
     _forbid_bin_averages(monkeypatch)
     ens, res = avg_constrained_ensemble()
     cb = sample_codebook(ens, n=6, M=64, S=1, seed=1)
-    with pytest.raises(ResourceLimitError, match="18.0 GiB"):
+    with pytest.raises(ResourceLimitError, match="17.8 GiB"):
         marginal_residual_and_fixup(cb, ens, res)
 
 
@@ -552,12 +555,13 @@ def test_marginal_residual_refuses_a_reference_copy_unlike_the_resource(monkeypa
 
 def test_leakage_refuses_by_bytes(monkeypatch):
     # Eve side 2^12 = 4096 passes the dimension cap; the reference, 16 dense
-    # averages, 2 trace-norm arrays and 2 * S = 2 products, 0.25 GiB each,
-    # need 21 * 0.25 = 5.25 GiB.
+    # averages, 2 trace-norm arrays and one bin to permute, 0.25 GiB each, and
+    # 2 * M * S = 32 half-word products of 6 letters (64 KiB each) need
+    # 20 * 0.25 GiB + 2 MiB = 5.0 GiB.
     _forbid_bin_averages(monkeypatch)
     sc = gallery_classical()
     cb = sample_codebook(sc.ensemble, n=12, M=16, S=1, seed=1)
-    with pytest.raises(ResourceLimitError, match="5.2 GiB"):
+    with pytest.raises(ResourceLimitError, match="5.0 GiB"):
         leakage(cb, sc.ensemble, sc.channel, sc.resource_state())
 
 
@@ -651,105 +655,108 @@ def _kron_chain_bin_average(matrices, words):
 
 
 @pytest.mark.parametrize("dense", [False, True])
-def test_bin_average_is_bitwise_the_kronecker_chain(dense, monkeypatch):
-    # Each case runs at the default slab, at 200 bytes and at 1 byte.  At
-    # 200 bytes the small sides fold several bins per call, some with a last
-    # slab that is only partly full, and the larger ones one bin per call,
-    # since their S products exceed it; at 1 byte every call is one bin.
-    import wiretap.codesim as codesim
-    from wiretap.codesim import _bin_average, _bin_bytes, _power
+def test_bin_average_matches_the_kronecker_chain_within_the_bound(dense):
+    # A bin average is sum_s P_s x Q_s over half-words, one matmul over S, so
+    # each entry groups its product as (a_1 ... a_h)(a_h+1 ... a_n) and BLAS
+    # orders the sum: it is within 2 (n + S) 2^-53 times the chain on the
+    # entries' moduli.  n = 1..5 covers even and odd splits; at n = 1 nothing
+    # is multiplied and the average is bitwise the chain's.
+    from wiretap.codesim import _bin_average, _power
 
-    products, built = codesim._products, []
-
-    def recording_products(stack, words):
-        built.append(products(stack, words))
-        return built[-1]
-
-    monkeypatch.setattr(codesim, "_products", recording_products)
     gen = np.random.default_rng(17)
-    seen = set()
-    for slab, d in itertools.product((codesim.SLAB_BYTES, 200, 1), (1, 2, 3)):
-        monkeypatch.setattr(codesim, "SLAB_BYTES", slab)
+    for d in (1, 2, 3):
         if dense:
             mats = [gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d)) for _ in range(3)]
         else:
             mats = [gen.normal(size=d) for _ in range(3)]
-        for n in (1, 2, 3, 4):
+        moduli = [np.abs(m) for m in mats]
+        for n in range(1, 6):
             (power_ref,) = _kron_chain_bin_average(mats, np.zeros((1, 1, n), dtype=int))
             assert np.array_equal(_power(mats[0], n), power_ref)
             for s_count, m_count in itertools.product(range(1, 6), (1, 2, 3, 7)):
-                chunk = max(1, slab // (s_count * _bin_bytes(mats, n)))
-                if slab == 200:
-                    seen |= {
-                        ("several slabs", m_count > chunk > 1),
-                        ("partial last slab", m_count % chunk != 0),
-                        ("one bin per call", chunk == 1 and m_count > 1),
-                    }
                 words = gen.integers(0, 3, size=(m_count, s_count, n))
-                built.clear()
                 fast = _bin_average(mats, words)
-                assert len(built) == math.ceil(m_count / chunk)
-                bound = max(s_count * _bin_bytes(mats, n), slab)
-                assert all(b.nbytes <= bound for b in built)
-                ref = _kron_chain_bin_average(mats, words)
-                assert fast.shape == (m_count, *ref[0].shape)
-                assert all(np.array_equal(a, b) for a, b in zip(fast, ref))
-    assert {k for k, hit in seen if hit} == {
-        "several slabs", "partial last slab", "one bin per call"
-    }
-    # n = 1 (no fold) and S = 1 (no sum): the bin average is the letter itself.
+                ref = np.array(_kron_chain_bin_average(mats, words))
+                assert fast.shape == ref.shape
+                if n == 1:
+                    assert np.array_equal(fast, ref)
+                scale = np.array(_kron_chain_bin_average(moduli, words))
+                assert np.all(np.abs(fast - ref) <= 2 * (n + s_count) * 2.0**-53 * scale)
+    # n = 1 and S = 1 (no sum): the bin average is the letter itself.
     words = np.array([[[2]], [[0]]])
     assert all(np.array_equal(a, mats[u]) for a, u in zip(_bin_average(mats, words), (2, 0)))
-    words = np.array([[[1, 0, 2]]])
-    (single,) = _bin_average(mats, words)
-    assert np.array_equal(single, np.kron(np.kron(mats[1], mats[0]), mats[2]))
+    # S = 1, n = 3: one codeword, split 1 + 2, is its Kronecker product within the bound.
+    (single,) = _bin_average(mats, np.array([[[1, 0, 2]]]))
+    chain = np.kron(np.kron(mats[1], mats[0]), mats[2])
+    scale = np.kron(np.kron(moduli[1], moduli[0]), moduli[2])
+    assert np.all(np.abs(single - chain) <= 2 * 4 * 2.0**-53 * scale)
 
 
-def test_run_experiment_folds_a_slab_of_bins_per_products_call(monkeypatch):
-    # Each _bin_average call folds its M bins in ceil(M / chunk) _products
-    # calls of at most max(S * size, SLAB_BYTES) bytes each, with chunk the
-    # bins that fit one slab.  At n = 10 a bin's S = 14 products on Bob's or
-    # Eve's side (2^10 diagonals) take 112 KiB, so four bins share one call
-    # and M = 5 bins take two.  The trivial resource needs no repair, so
-    # no A' side is folded.
+@pytest.mark.parametrize("dense", [False, True])
+def test_bin_average_builds_half_words_only(dense, monkeypatch):
+    # _bin_average asks _products for words of at most ceil(n/2) letters, so
+    # the M * S codeword products are never built, and one call's traced peak
+    # stays within its M bins, one bin (the dense permutation's) and the two
+    # half-word stacks, with 64 KiB for the index arrays and the letter stack.
+    import tracemalloc
+
     import wiretap.codesim as codesim
 
-    products, bin_average = codesim._products, codesim._bin_average
-    calls = []  # per _bin_average call: (M, S, size, [bytes built per _products call])
-    inside = []  # the bytes list of the _bin_average call running now, if any
+    products, lengths = codesim._products, []
 
-    def counting_products(stack, words):
-        out = products(stack, words)
-        if inside:
-            inside[-1].append(out.nbytes)
-        return out
+    def recording_products(stack, words):
+        lengths.append(words.shape[1])
+        return products(stack, words)
 
-    def counting_bin_average(matrices, words):
-        m_count, s_count, n = words.shape
-        calls.append((m_count, s_count, codesim._bin_bytes(matrices, n), []))
-        inside.append(calls[-1][3])
-        try:
-            return bin_average(matrices, words)
-        finally:
-            inside.pop()
+    monkeypatch.setattr(codesim, "_products", recording_products)
+    gen = np.random.default_rng(29)
+    if dense:
+        mats = [gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2)) for _ in range(3)]
+        n, m_count, s_count = 8, 3, 4  # a bin is 4^8 * 16 bytes = 1 MiB
+    else:
+        mats = [gen.normal(size=2) for _ in range(3)]
+        n, m_count, s_count = 17, 3, 4  # a bin is 2^17 * 8 bytes = 1 MiB
+    for length in range(1, n + 1):
+        lengths.clear()
+        codesim._bin_average(mats, gen.integers(0, 3, size=(2, 3, length)))
+        assert max(lengths, default=0) <= math.ceil(length / 2)
+    words = gen.integers(0, 3, size=(m_count, s_count, n))
+    size = codesim._bin_bytes(mats, n)
+    halves = m_count * s_count * sum(codesim._bin_bytes(mats, k) for k in (n // 2, n - n // 2))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = codesim._bin_average(mats, words)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == m_count * size
+    assert peak <= (m_count + dense) * size + halves + 2**16, (peak, size, halves)
 
-    monkeypatch.setattr(codesim, "_products", counting_products)
-    monkeypatch.setattr(codesim, "_bin_average", counting_bin_average)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        reps = run_experiment(gallery_classical(), [8, 10], 0.1, trials=2, seed=3)
-    assert [(r.M, r.S) for r in reps] == [(4, 8), (5, 14)]
-    # Two sides (Bob, Eve) per trial.
-    assert len(calls) == 2 * 2 * len(reps)
-    for m_count, s_count, size, built in calls:
-        chunk = max(1, codesim.SLAB_BYTES // (s_count * size))
-        assert 1 <= len(built) <= math.ceil(m_count / chunk)
-        assert max(built) <= max(s_count * size, codesim.SLAB_BYTES)
-    assert {len(built) for _, _, size, built in calls if size == 2**10 * 8} == {2}
+
+def test_run_experiment_evaluates_the_rate_report_once(monkeypatch):
+    # Every block length's (M, S, rate) comes from one theorem1_rate report,
+    # and is bitwise what code_parameters gives at that n.
+    import wiretap.codesim as codesim
+
+    calls, rate = [], codesim.theorem1_rate
+
+    def counting_rate(*args):
+        calls.append(args)
+        return rate(*args)
+
+    sc = gallery_classical()
+    n_list = [2, 4, 6, 8, 10]
+    res = sc.resource_state()
+    expected = [code_parameters(sc.ensemble, sc.channel, res, n, 0.1) for n in n_list]
+    monkeypatch.setattr(codesim, "theorem1_rate", counting_rate)
+    reps = run_experiment(sc, n_list, 0.1, trials=1, seed=3)
+    assert len(calls) == 1
+    assert [(r.M, r.S, r.rate) for r in reps] == [(p.M, p.S, p.rate) for p in expected]
 
 
 def test_run_experiment_kron_calls_do_not_scale_with_codebook(monkeypatch):
-    # Bin products are built a slab of bins at a time by a left fold of
+    # Bin averages are built from half-word products, each a left fold of
     # elementwise multiplies, not by one np.kron chain per codeword
     # (2 sides * 2 trials * M * S * (n - 1) = 896 calls here), so the count
     # stays at most n whatever M * S is.

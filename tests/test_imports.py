@@ -79,6 +79,8 @@ UNREAD_PUBLIC_NAMES = {
     "modulation_from_choi": "entry point: a signal state's modulation channel",
     "constant_channel": "entry point: a stock channel",
     "save_state": "entry point: the writer of resource-analyze's state files",
+    "code_parameters": "entry point: one block length's code size; run_experiment shares one "
+    "rate report across its block lengths",
 }
 
 
@@ -217,6 +219,7 @@ UNPASSED_DEFAULTS = {
     "modulation_from_choi.ref_label": "entry point: a reference copy that is not the last factor",
     "coherent_information.bob": "test reference: Bob's factors of a state with more than two",
     "grid_oracle.spec": "test reference: the grid of the oracle the searches are checked against",
+    "code_parameters.rate": "entry point: a code held above or below the functional",
 }
 
 

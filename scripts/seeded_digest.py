@@ -4,10 +4,13 @@
 Runs a fixed list of seeded ``wiretap`` CLI calls in-process:
 ``rate-optimize`` over every gallery, both modes and seeds 1-3;
 ``resource-analyze`` on seeded random pure 3-qubit states, one of them
-at ``--dim-a-cap 256``; and
-``code-sim`` on the ``classical`` and ``superdense`` galleries.  Every
-input is built from ``wiretap`` itself (bundled galleries, states drawn
-from ``numpy.random.default_rng([seed, 3])``).  Each output line is
+at ``--dim-a-cap 256`` (a large-cap channel search); and ``code-sim`` on
+the ``classical`` and ``superdense`` galleries and on
+``noisy-superdense``, the superdense gallery with its Bell pair mixed
+with white noise at visibility 0.9, whose Bob is decoded from dense bin
+averages (4-, 16- and 64-dimensional at n = 1, 2, 3).  Every input is
+built from ``wiretap`` itself (bundled galleries, states drawn from
+``numpy.random.default_rng([seed, 3])``).  Each output line is
 ``<sha256>  <call name>``; the digest covers the call's exit code, its
 stdout and every file it wrote, with the temporary directory's path
 replaced by a fixed token.
@@ -37,14 +40,22 @@ import tempfile
 import numpy as np
 
 from wiretap.cli import main as cli_main
-from wiretap.qcore import DensityOperator, LabeledSpace, state_to_json
-from wiretap.scenario import build_gallery, gallery_names, scenario_to_json
+from wiretap.qcore import (
+    DensityOperator,
+    LabeledSpace,
+    basis_state,
+    maximally_entangled,
+    state_to_json,
+    tensor,
+)
+from wiretap.scenario import Scenario, build_gallery, gallery_names, scenario_to_json
 
 OPTIMIZER = {"restarts": 4, "max_iters": 150}
 STATE_OPTIMIZER = {"restarts": 5, "max_iters": 100}
 CODESIM = {
     "classical": {"n": [2, 3, 4], "epsilon": 0.1, "trials": 3},
     "superdense": {"n": [1, 2, 3], "epsilon": 0.1, "trials": 2},
+    "noisy-superdense": {"n": [1, 2, 3], "epsilon": 0.1, "trials": 2},
 }
 
 
@@ -63,8 +74,22 @@ def write_json(d: str, name: str, obj) -> str:
     return path
 
 
+def noisy_superdense() -> Scenario:
+    """The superdense gallery with its Bell pair mixed with white noise at
+    visibility 0.9: Bob's one-letter outputs are full rank, so code-sim
+    decodes him densely."""
+    sc = build_gallery("superdense")
+    bell = maximally_entangled("Ap", "Bp", 2)
+    visibility = 0.9
+    mixed = visibility * bell.matrix + (1 - visibility) * np.eye(4) / 4
+    werner = DensityOperator(bell.space, mixed)
+    resource = tensor(werner, basis_state(LabeledSpace.of(("Ep", 1)), [0]))
+    return Scenario("noisy-superdense", "white-noise Bell pair", sc.channel, resource, sc.ensemble)
+
+
 def scenario_file(d: str, gallery: str) -> str:
-    return write_json(d, "scenario.json", scenario_to_json(build_gallery(gallery)))
+    sc = noisy_superdense() if gallery == "noisy-superdense" else build_gallery(gallery)
+    return write_json(d, "scenario.json", scenario_to_json(sc))
 
 
 def calls():
@@ -79,8 +104,9 @@ def calls():
                     "--scenario", scenario_file(d, g),
                     "--config", write_json(d, "optimizer.json", OPTIMIZER),
                 ]
-    # The last call's cap puts its search past optimize.PAD_LIMIT, so its
-    # restarts run one rung at a time.
+    # The last call is the large-cap digest: its dense-coding search at cap
+    # 256 pads each env = 1 restart (1024 coordinates) into the top rung's
+    # 2048-coordinate stack.
     for seed, cap in [(s, None) for s in range(1, 9)] + [(1, 256)]:
         extra = [] if cap is None else ["--dim-a-cap", str(cap)]
         name = f"resource-analyze 3qubit seed={seed}" + (f" dim-a-cap={cap}" if cap else "")

@@ -189,9 +189,11 @@ def classical_channel(
 def _validated_probs(probs) -> np.ndarray:
     """A probability vector as a 1-D float array, entries clipped at 0.
 
-    Refuses non-numeric, non-finite or negative entries (beyond -1e-15
-    rounding) and sums further than PROB_TOL from 1.
+    Refuses non-numeric (booleans included), non-finite or negative
+    entries (beyond -1e-15 rounding) and sums further than PROB_TOL from 1.
     """
+    if isinstance(probs, (list, tuple)) and any(isinstance(q, bool) for q in probs):
+        raise ValidationError("probabilities must be numbers, not booleans")
     try:
         p = np.array(probs, dtype=float)
     except (TypeError, ValueError):

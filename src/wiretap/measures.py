@@ -36,7 +36,6 @@ from .qcore import (
     LabeledSpace,
     ValidationError,
     _fresh_label,
-    check_working_bytes,
     partial_trace,
     permute_factors,
     purify,
@@ -124,8 +123,7 @@ def _min_output_entropy(
     kernel = _ChannelKernel(rho, on)
     # Checked before any start is built, each row counted as a top-rung pair.
     pair = kernel.search_bytes(cap)
-    width = _lockstep_width(pair, cfg)
-    check_working_bytes(width * pair, f"the {what} search at {cap_name} {cap}")
+    width = _lockstep_width(pair, cfg, f"the {what} search at {cap_name} {cap}")
     return optimize_channel_functional(
         kernel.entropy,
         rho.space.subspace([on]),

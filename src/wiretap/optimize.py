@@ -10,7 +10,8 @@ the best value.  The first restarts begin at structured Kraus stacks on
 the largest environment, so a search never reports worse than these
 known-good witnesses; the rest begin at random points and cycle through a
 ladder of environment sizes (Kraus-rank caps).  Restarts run in lockstep,
-one objective call per iteration for a stack of them (``_restarts``).
+one objective call per iteration for a stack of them on the largest rung in
+use, a lower rung's restarts padded with zero Kraus operators (``_restarts``).
 
 Channel searches stop at env = d_in, which holds every extreme channel,
 start from the identity and constant channels, polish the incumbent and
@@ -74,10 +75,6 @@ STEP_INITIAL = 0.5
 STEP_SHRINK = 0.5
 STEP_PATIENCE = 25
 STEP_MIN = 1e-9
-
-# Lower-rung restarts join the top rung's stack while their zero padding sums to at
-# most this many coordinates; past it their extra arithmetic outweighs the calls saved.
-PAD_LIMIT = 1024
 
 
 class OptimizationError(RuntimeError):
@@ -229,10 +226,13 @@ def _rungs(cfg: OptimizerConfig, n_starts: int, n_rungs: int) -> list[int]:
     return [n_rungs - 1 if i < n_starts else (i - n_starts) % n_rungs for i in range(cfg.restarts)]
 
 
-def _lockstep_width(pair_bytes: int, cfg: OptimizerConfig) -> int:
+def _lockstep_width(pair_bytes: int, cfg: OptimizerConfig, what: str) -> int:
     """Most restarts scored per objective call: all, capped at the pairs of
-    ``pair_bytes`` each that fit MAX_WORKING_BYTES, and at least one."""
-    return max(1, min(cfg.restarts, MAX_WORKING_BYTES // pair_bytes))
+    ``pair_bytes`` each that fit MAX_WORKING_BYTES, and at least one.  A
+    search whose single pair exceeds the limit is refused as ``what``."""
+    width = max(1, min(cfg.restarts, MAX_WORKING_BYTES // pair_bytes))
+    check_working_bytes(width * pair_bytes, what)
+    return width
 
 
 def _restarts(
@@ -249,36 +249,32 @@ def _restarts(
     values of shape (...).  Restart i draws on the RNG stream (seed, i).
     It begins at the Kraus stack ``starts[i]`` on ``ladder[-1]`` while
     starts remain, and otherwise at a random point, cycling through
-    ``ladder``.  Restarts run in lockstep, ``width`` at a time, all in
-    order while the zero-padding of lower rungs stays within PAD_LIMIT,
-    else one rung at a time.  A chunk is built as it begins and scored on
-    its group's largest rung, a smaller rung's row stepping only in its own
+    ``ladder``.  Restarts run in lockstep, ``width`` at a time in restart
+    order.  A chunk is built as it begins and scored on the largest rung
+    any restart is on, a smaller rung's row stepping only in its own
     coordinates (``within``).  Ties go to the lowest restart; x comes back
     on the winner's rung.  ``trace`` gets every accepted step, by restart.
     """
     rungs, rows, best = _rungs(cfg, len(starts), len(ladder)), [], None
-    pad = sum(ladder[-1].size - ladder[j].size for j in rungs) <= PAD_LIMIT
-    for k in range(1 if pad else len(ladder)):
-        group = [i for i, j in enumerate(rungs) if pad or j == k]
-        host = ladder[max(rungs) if pad else k]
-        for chunk in (group[c : c + width] for c in range(0, len(group), width)):
-            gens = [np.random.default_rng([cfg.seed, i]) for i in chunk]
-            coords = [ladder[rungs[i]].within(host) for i in chunk]
-            x0 = np.zeros((len(chunk), host.size))
-            for r, i in enumerate(chunk):
-                own = ladder[rungs[i]]
-                x0[r, coords[r]] = own.pack(starts[i]) if i < len(starts) else own.random(gens[r])
-            x, vals = _coordinate_search(
-                x0,
-                lambda xv: score(host.kraus(xv)),
-                gens,
-                cfg.max_iters,
-                on_accept=lambda r, it, v: rows.append(TracePoint(chunk[r], it, v)),
-                coords=coords,
-            )
-            for r, i in enumerate(chunk):
-                if best is None or (vals[r], -i) > best[0]:
-                    best = ((vals[r], -i), ladder[rungs[i]], x[r, coords[r]])
+    host = ladder[max(rungs)]
+    for chunk in (range(cfg.restarts)[c : c + width] for c in range(0, cfg.restarts, width)):
+        gens = [np.random.default_rng([cfg.seed, i]) for i in chunk]
+        coords = [ladder[rungs[i]].within(host) for i in chunk]
+        x0 = np.zeros((len(chunk), host.size))
+        for r, i in enumerate(chunk):
+            own = ladder[rungs[i]]
+            x0[r, coords[r]] = own.pack(starts[i]) if i < len(starts) else own.random(gens[r])
+        x, vals = _coordinate_search(
+            x0,
+            lambda xv: score(host.kraus(xv)),
+            gens,
+            cfg.max_iters,
+            on_accept=lambda r, it, v: rows.append(TracePoint(chunk[r], it, v)),
+            coords=coords,
+        )
+        for r, i in enumerate(chunk):
+            if best is None or vals[r] > best[0]:
+                best = (vals[r], ladder[rungs[i]], x[r, coords[r]])
     trace.extend(sorted(rows, key=lambda p: p.restart))
     return best[1], best[2]
 
@@ -309,10 +305,11 @@ def optimize_channel_functional(
     operators, seed the first restarts at env = d_in; the rest cycle through
     smaller environments (Kraus-rank caps).  The restarts run in lockstep:
     one call scores both signs of a coordinate step for up to ``width`` of
-    them (default: all), with leading shape (width, 2).  A final polish
-    pass re-runs the search from the incumbent, as a stack of one.  The
-    driver maximizes, so it scores the negated objective; trace values and
-    ``best_value`` are the objective's own, as Python floats.
+    them (default: all), with leading shape (width, 2), all on the largest
+    environment in use, lower rungs zero-padded.  A final polish pass
+    re-runs the search from the incumbent, as a stack of one on its rung.
+    The driver maximizes, so it scores the negated objective; trace values
+    and ``best_value`` are the objective's own, as Python floats.
     """
     d_in, d_out = input_space.dim, output_space.dim
     ladder = [_StinespringParam(d_in, d_out, e) for e in _env_ladder(d_in, d_out)]
@@ -400,8 +397,7 @@ def _search_instruments(
     # Holevo terms (Bob's, Eve's and the A' marginals).
     sides = kernel.d_bob**2 + kernel.d_eve**2 + r * r
     pair = 2 * 16 * k * (9 * member_space.dim**2 + 3 * sides)
-    width = _lockstep_width(pair, cfg)
-    check_working_bytes(width * pair, f"an instrument search with {k} outcomes")
+    width = _lockstep_width(pair, cfg, f"an instrument search with {k} outcomes")
 
     def score(kraus: np.ndarray) -> np.ndarray:
         members, probs = _instrument(kraus, res.psi, k)

@@ -431,7 +431,7 @@ def factors_from_json(obj, what: str = "factors") -> LabeledSpace:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ValidationError(f"{what}[{i}] must be a [label, dim] pair")
         lab, dim = pair
-        if not isinstance(lab, str) or not isinstance(dim, int):
+        if not isinstance(lab, str) or isinstance(dim, bool) or not isinstance(dim, int):
             raise ValidationError(f"{what}[{i}] must be [string, integer], got {pair!r}")
         factors.append((lab, dim))
     return LabeledSpace(tuple(factors))

@@ -131,6 +131,12 @@ def test_ensemble_validation():
         CqEnsemble([0, 0], [0.5, 0.5], states)
     with pytest.raises(ValidationError, match="same space"):
         CqEnsemble([0, 1], [0.5, 0.5], [states[0], random_state(gen, B)])
+    # JSON true/false must not read as the probabilities 1 and 0.
+    obj = ensemble_to_json(CqEnsemble([0, 1], [0.5, 0.5], states))
+    for probs in ([True, False], [1.0, False]):
+        obj["probs"] = probs
+        with pytest.raises(ValidationError, match="booleans"):
+            ensemble_from_json(obj)
 
 
 def test_cq_state_single_member():

@@ -230,6 +230,32 @@ def test_rate_eval_refuses_modulations_that_are_not_a_list(tmp_path, capsys):
     assert "modulations: must be a list" in json.loads(err.splitlines()[0])["error"]
 
 
+@pytest.mark.parametrize("command", ["rate-eval", "resource-analyze"])
+def test_json_booleans_exit_2(tmp_path, capsys, command):
+    # A state file with the factor ["C", true] and a scenario whose ensemble
+    # probabilities hold true/false would otherwise load as dimension 1 and
+    # probabilities 1 and 0.
+    from wiretap.qcore import state_to_json
+    from wiretap.scenario import scenario_to_json
+
+    path = tmp_path / "bad.json"
+    if command == "rate-eval":
+        obj = scenario_to_json(build_gallery("superdense"))
+        obj["ensemble"]["probs"] = [True, False, False, False]
+        argv = ["--scenario", str(path)]
+        message = "not booleans"
+    else:
+        bell = maximally_entangled("A", "B", 2)
+        obj = state_to_json(tensor(bell, basis_state(LabeledSpace.of(("C", 1)), [0])))
+        obj["factors"][2][1] = True
+        argv = ["--state", str(path), "--seed", "1"]
+        message = "must be [string, integer]"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, command, *argv)
+    assert code == 2 and not out
+    assert message in json.loads(err.splitlines()[0])["error"]
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 @pytest.mark.parametrize("command", ["rate-eval", "resource-analyze"])
 def test_non_finite_matrix_entries_exit_2(tmp_path, capsys, command, value):

@@ -11,7 +11,6 @@ its reference is `apply` of the witness `QuantumChannel` followed by
 `von_neumann_entropy`.
 """
 
-import math
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -553,7 +552,7 @@ def test_lower_rungs_in_the_top_rung_coordinates_match_their_own(shape, rank, mo
         assert np.abs(kraus[:, param.env :]).max(initial=0.0) <= 1e-15
         assert np.abs(kernel.entropy(kraus) - kernel.entropy(param.kraus(points))).max() <= 1e-14
 
-    # A whole search with a restart on every rung, padded whatever its size:
+    # A whole search with a restart on every rung, every one padded:
     # the padded coordinates of every scored point stay exactly 0, and the
     # winner's x comes back as its row's own coordinates, on its own rung.
     real, seen = optimize._coordinate_search, {}
@@ -571,7 +570,6 @@ def test_lower_rungs_in_the_top_rung_coordinates_match_their_own(shape, rank, mo
         return seen["x"], seen["vals"]
 
     monkeypatch.setattr(optimize, "_coordinate_search", spy)
-    monkeypatch.setattr(optimize, "PAD_LIMIT", math.inf)
     for starts in (_channel_inits(d_in, d_out), []):
         cfg = OptimizerConfig(seed=rank, restarts=len(starts) + len(ladder), max_iters=60)
         rungs = optimize._rungs(cfg, len(starts), len(ladder))

@@ -11,7 +11,7 @@ from conftest import (
     random_unitary,
     rng,
 )
-from wiretap import measures
+from wiretap import measures, optimize
 from wiretap.channels import apply
 from wiretap.entropic import coherent_information, von_neumann_entropy
 from wiretap.measures import (
@@ -247,7 +247,7 @@ def test_channel_searches_refuse_oversized_caps_before_allocating(measure):
 def test_channel_search_byte_estimate_covers_the_measured_peak(measure, monkeypatch):
     state = three_qubit_marginals(242)[measure is entanglement_of_purification]
     needs = []
-    monkeypatch.setattr(measures, "check_working_bytes", lambda need, what: needs.append(need))
+    monkeypatch.setattr(optimize, "check_working_bytes", lambda need, what: needs.append(need))
     for cap in (32, 64, 256):
         tracemalloc.start()
         try:

@@ -214,13 +214,13 @@ def test_coordinate_search_rows_in_lockstep_each_run_as_alone():
     assert (2, 2) in batches and (3, 2) not in batches[1 + iterations[1] :]
 
 
-def sequential_restarts(score, starts, ladder, cfg, padded):
+def sequential_restarts(score, starts, ladder, cfg):
     """The restart driver with one restart at a time and one objective call
     per candidate: restart i alone on the stream (seed, i), ties to the
-    lowest restart.  ``padded``, every restart runs in the coordinates of
-    the largest rung any restart is on, drawing only its own rung's set
-    and holding the rest at 0; else each runs on its own rung.  Returns
-    the best (param, x), x on the winner's own rung, and the trace."""
+    lowest restart.  Every restart runs in the coordinates of the largest
+    rung any restart is on, drawing only its own rung's set and holding
+    the rest at 0.  Returns the best (param, x), x on the winner's own
+    rung, and the trace."""
     params = [ladder[-1]] * len(starts) + [
         ladder[(i - len(starts)) % len(ladder)] for i in range(len(starts), cfg.restarts)
     ]
@@ -229,14 +229,13 @@ def sequential_restarts(score, starts, ladder, cfg, padded):
     for i, param in enumerate(params[: cfg.restarts]):
         gen = np.random.default_rng([cfg.seed, i])
         point = param.pack(starts[i]) if i < len(starts) else param.random(gen)
-        host = largest if padded else param
-        own = param.within(host)
-        x = np.zeros(host.size)
+        own = param.within(largest)
+        x = np.zeros(largest.size)
         x[own] = point
         x, rows, _, _ = sequential_search(
-            x, lambda xv: score(host.kraus(xv)), gen, cfg.max_iters, own
+            x, lambda xv: score(largest.kraus(xv)), gen, cfg.max_iters, own
         )
-        val = rows[-1][1] if rows else score(host.kraus(x[None]))[0]
+        val = rows[-1][1] if rows else score(largest.kraus(x[None]))[0]
         trace += [TracePoint(i, it, float(v)) for it, v in rows]
         if best is None or val > best[0]:
             best = (val, param, x[own])
@@ -256,9 +255,9 @@ def recorded_restarts(monkeypatch):
     return calls
 
 
-def lockstep_matches_sequential(calls, padded=False):
+def lockstep_matches_sequential(calls):
     for args, (param, x), trace in calls:
-        want_param, want_x, want_trace = sequential_restarts(*args, padded)
+        want_param, want_x, want_trace = sequential_restarts(*args)
         assert param is want_param
         assert x.tobytes() == want_x.tobytes()
         assert trace == want_trace
@@ -276,55 +275,58 @@ def test_lockstep_instrument_restarts_equal_sequential_ones(make, monkeypatch):
 def test_lockstep_channel_restarts_equal_sequential_ones(monkeypatch):
     # Five restarts put each search on two rungs (env 1 and 2): delta and
     # E_P have three restarts on the top rung, the constant objective two.
-    # These searches are small enough to pad: every restart runs in the top
-    # rung's coordinates, so "alone" means alone in those.  With padding
-    # refused, each restart runs on its own rung.  A constant objective
-    # ties every restart, and the first must win.
+    # Every restart runs in the top rung's coordinates, so "alone" means
+    # alone in those.  A constant objective ties every restart, and the
+    # first must win.
     psi = random_pure_state(rng(17), LabeledSpace.of(("A", 2), ("B", 2), ("C", 2)))
     zeta_ab = partial_trace(psi, {"A", "B"})
     rho_cb = permute_factors(partial_trace(psi, {"C", "B"}), ["C", "B"])
     cfg = small_cfg(seed=9, restarts=5, max_iters=80)
-    for padded, limit in ((True, optimize.PAD_LIMIT), (False, -1)):
-        monkeypatch.setattr(optimize, "PAD_LIMIT", limit)
-        calls = recorded_restarts(monkeypatch)
-        dense_coding_advantage(zeta_ab, cfg=cfg)
-        entanglement_of_purification(rho_cb, cfg=cfg)
-        optimize_channel_functional(lambda kraus: np.full(kraus.shape[:-3], 0.75), A, F, cfg)
-        assert [len(args[2]) for args, _, _ in calls] == [2, 2, 2]
-        assert [optimize._rungs(args[3], len(args[1]), 2) for args, _, _ in calls] == [
-            [1, 1, 0, 1, 0],
-            [1, 1, 0, 1, 0],
-            [0, 1, 0, 1, 0],
-        ]
-        lockstep_matches_sequential(calls, padded)
-        monkeypatch.undo()
+    calls = recorded_restarts(monkeypatch)
+    dense_coding_advantage(zeta_ab, cfg=cfg)
+    entanglement_of_purification(rho_cb, cfg=cfg)
+    optimize_channel_functional(lambda kraus: np.full(kraus.shape[:-3], 0.75), A, F, cfg)
+    assert [len(args[2]) for args, _, _ in calls] == [2, 2, 2]
+    assert [optimize._rungs(args[3], len(args[1]), 2) for args, _, _ in calls] == [
+        [1, 1, 0, 1, 0],
+        [1, 1, 0, 1, 0],
+        [0, 1, 0, 1, 0],
+    ]
+    lockstep_matches_sequential(calls)
 
 
-@pytest.mark.parametrize("cap", [4, 16])
-def test_channel_search_pads_lower_rungs_only_while_that_is_small(cap):
-    # A channel on an 8-dimensional share.  At cap 4 the three restarts
-    # (rungs 2, 0, 1 of env 2, 4, 8; no embedding start) add 640 padded
-    # coordinates: one stack of three on env 8.  At cap 16 (rungs 3, 3, 0
-    # of env 1, 2, 4, 8) they would add 1792: the lone env = 1 restart runs
-    # on its own rung, and the top two on theirs.  The polish pass is a
-    # stack of one on the winner's rung.
+@pytest.mark.parametrize("cap", [4, 16, 256])
+def test_channel_search_pads_lower_rungs_only_while_that_is_small(cap, monkeypatch):
+    # The name dates from a size limit on padding; every search now pads,
+    # since a lower rung pads at most half the top rung's coordinates.
+    # A channel on an 8-dimensional share, three restarts: at cap 4 on rungs
+    # 2, 0, 1 of env 2, 4, 8 (no embedding start), at caps 16 and 256 on
+    # rungs 3, 3, 0 of env 1, 2, 4, 8.  Whatever the padding, the restarts
+    # score one stack of three on env 8; only the polish pass, a stack of
+    # one, runs on the winner's own rung.
     zeta_ab = random_state(rng(23), LabeledSpace.of(("A", 8), ("B", 2)))
     kernel = measures._ChannelKernel(zeta_ab, "A")
-    shapes = set()
+    real, shapes, inside = optimize._restarts, set(), []
+
+    def restarts(*args):
+        inside.append(True)
+        try:
+            return real(*args)
+        finally:
+            inside.clear()
 
     def objective(kraus):
-        shapes.add(kraus.shape[:-2])
+        if inside:
+            shapes.add(kraus.shape)
         return kernel.entropy(kraus)
 
-    out_space = LabeledSpace.of(("F", cap))
+    monkeypatch.setattr(optimize, "_restarts", restarts)
     cfg = small_cfg(seed=2, restarts=3, max_iters=40)
-    inits = measures._channel_inits(8, cap)
     in_space = zeta_ab.space.subspace(["A"])
-    out = optimize_channel_functional(objective, in_space, out_space, cfg, inits=inits)
-    want = {4: {(3, 8), (3, 2, 8)}, 16: {(2, 8), (2, 2, 8), (1, 1), (1, 2, 1)}}[cap]
-    env = len(out.best_channel.kraus)
-    polish = {(1, env), (1, 2, env)}
-    assert shapes - polish == want - polish
+    out_space = LabeledSpace.of(("F", cap))
+    inits = measures._channel_inits(8, cap)
+    optimize_channel_functional(objective, in_space, out_space, cfg, inits=inits)
+    assert shapes == {(3, 8, cap, 8), (3, 2, 8, cap, 8)}
 
 
 # ---------------------------------------------------------------------------
@@ -630,19 +632,21 @@ def result_bytes(out):
 
 def test_searches_split_lockstep_calls_that_would_exceed_the_byte_limit(monkeypatch):
     # With room for one scored pair but not two, every restart runs alone,
-    # and every result is bitwise the unsplit one.  These searches are
-    # small enough to pad, so a restart alone still runs in the top rung's
-    # coordinates.
+    # and every result is bitwise the unsplit one.  A channel restart alone
+    # still runs in the top rung's coordinates, also at cap 256, where five
+    # restarts pad two env = 1 restarts of 1024 coordinates each.
     sc = gallery_superdense()
     zeta_ab = random_state(rng(19), LabeledSpace.of(("A", 2), ("B", 2)))
     cfg = small_cfg(seed=13, restarts=4, max_iters=60)
+    wide = small_cfg(seed=13, restarts=5, max_iters=60)
     searches = [
-        (optimize, lambda: optimize_theorem1(sc.channel, sc.resource_state(), cfg)),
-        (measures, lambda: dense_coding_advantage(zeta_ab, cfg=cfg)),
+        lambda: optimize_theorem1(sc.channel, sc.resource_state(), cfg),
+        lambda: dense_coding_advantage(zeta_ab, cfg=cfg),
+        lambda: dense_coding_advantage(zeta_ab, 256, cfg=wide),
     ]
-    for module, search in searches:
+    for search in searches:
         widths, needs = [], []
-        real_search, real_check = optimize._coordinate_search, module.check_working_bytes
+        real_search, real_check = optimize._coordinate_search, optimize.check_working_bytes
 
         def search_spy(x0, *args, **kwargs):
             widths.append(len(x0))
@@ -653,7 +657,7 @@ def test_searches_split_lockstep_calls_that_would_exceed_the_byte_limit(monkeypa
             real_check(need, what)
 
         monkeypatch.setattr(optimize, "_coordinate_search", search_spy)
-        monkeypatch.setattr(module, "check_working_bytes", check_spy)
+        monkeypatch.setattr(optimize, "check_working_bytes", check_spy)
         want = search()
         assert max(widths) > 1
         pair = needs[-1] // max(widths)

@@ -21,6 +21,7 @@ from wiretap.qcore import (
     LabeledSpace,
     ValidationError,
     basis_state,
+    factors_from_json,
     fidelity,
     hermitian_trace_norm,
     maximally_entangled,
@@ -559,6 +560,10 @@ def test_json_errors():
         bad["matrix"] = [[[value, value]] * 2] * 2
         with pytest.raises(ValidationError, match="finite"):
             state_from_json(bad)
+    # JSON true is a bool, an int subclass: not a one-dimensional factor.
+    for dim in (True, False):
+        with pytest.raises(ValidationError, match="must be \\[string, integer\\]"):
+            factors_from_json([["A", dim]])
 
 
 def test_pure_state_normalizes():

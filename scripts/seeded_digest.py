@@ -5,11 +5,15 @@ Runs a fixed list of seeded ``wiretap`` CLI calls in-process:
 ``rate-optimize`` over every gallery, both modes and seeds 1-3;
 ``resource-analyze`` on seeded random pure 3-qubit states, one of them
 at ``--dim-a-cap 256`` (a large-cap channel search); and ``code-sim`` on
-the ``classical`` and ``superdense`` galleries and on
-``noisy-superdense``, the superdense gallery with its Bell pair mixed
-with white noise at visibility 0.9, whose Bob is decoded from dense bin
-averages (4-, 16- and 64-dimensional at n = 1, 2, 3).  Every input is
-built from ``wiretap`` itself (bundled galleries, states drawn from
+the ``classical`` and ``superdense`` galleries, on ``noisy-superdense``,
+the superdense gallery with its Bell pair mixed with white noise at
+visibility 0.9, whose Bob is decoded from dense bin averages (4-, 16- and
+64-dimensional at n = 1, 2, 3), and on ``full-rank-repair``, full-rank
+members on the classical gallery with the correlated-bits resource whose
+A' marginals are not the resource's, so every bin goes through the
+marginal repair and ``uhlmann_fixup`` (codebooks of (M, S) = (2, 1),
+(4, 1) and (8, 2) at n = 1, 2, 3, at rate 1).  Every input is built from
+``wiretap`` itself (bundled galleries, states drawn from
 ``numpy.random.default_rng([seed, 3])``).  Each output line is
 ``<sha256>  <call name>``; the digest covers the call's exit code, its
 stdout and every file it wrote, with the temporary directory's path
@@ -39,6 +43,7 @@ import tempfile
 
 import numpy as np
 
+from wiretap.channels import CqEnsemble
 from wiretap.cli import main as cli_main
 from wiretap.qcore import (
     DensityOperator,
@@ -48,7 +53,14 @@ from wiretap.qcore import (
     state_to_json,
     tensor,
 )
-from wiretap.scenario import Scenario, build_gallery, gallery_names, scenario_to_json
+from wiretap.scenario import (
+    Scenario,
+    build_gallery,
+    correlated_bits_pmf,
+    gallery_classical,
+    gallery_names,
+    scenario_to_json,
+)
 
 OPTIMIZER = {"restarts": 4, "max_iters": 150}
 STATE_OPTIMIZER = {"restarts": 5, "max_iters": 100}
@@ -56,6 +68,7 @@ CODESIM = {
     "classical": {"n": [2, 3, 4], "epsilon": 0.1, "trials": 3},
     "superdense": {"n": [1, 2, 3], "epsilon": 0.1, "trials": 2},
     "noisy-superdense": {"n": [1, 2, 3], "epsilon": 0.1, "trials": 2},
+    "full-rank-repair": {"n": [1, 2, 3], "epsilon": 0.1, "trials": 2, "rate": 1.0},
 }
 
 
@@ -87,8 +100,27 @@ def noisy_superdense() -> Scenario:
     return Scenario("noisy-superdense", "white-noise Bell pair", sc.channel, resource, sc.ensemble)
 
 
+def full_rank_repair() -> Scenario:
+    """Full-rank members diag(sigma_u x tau_u) on (A 2, App 2), sigma_0 =
+    (0.9, 0.1) and tau_0 = (0.7, 0.3), swapped for u = 1, on the classical
+    channel with the correlated-bits resource.  Their A' marginals are not
+    the resource's, so every bin is repaired, on a full-rank state."""
+    sc = gallery_classical(correlated_bits_pmf())
+    space = LabeledSpace.of(("A", 2), ("App", 2))
+    sigma, tau = np.array([0.9, 0.1]), np.array([0.7, 0.3])
+    members = [
+        DensityOperator(space, np.diag(np.kron(s, t)).astype(complex))
+        for s, t in ((sigma, tau), (sigma[::-1], tau[::-1]))
+    ]
+    ens = CqEnsemble([0, 1], [0.5, 0.5], members)
+    return Scenario("full-rank-repair", "full-rank members", sc.channel, sc.resource, ens)
+
+
+BUILT = {"noisy-superdense": noisy_superdense, "full-rank-repair": full_rank_repair}
+
+
 def scenario_file(d: str, gallery: str) -> str:
-    sc = noisy_superdense() if gallery == "noisy-superdense" else build_gallery(gallery)
+    sc = BUILT[gallery]() if gallery in BUILT else build_gallery(gallery)
     return write_json(d, "scenario.json", scenario_to_json(sc))
 
 

@@ -6,7 +6,6 @@ from .qcore import (
     LabeledSpace,
     ResourceLimitError,
     ValidationError,
-    fidelity,
     partial_trace,
     permute_factors,
     purify,
@@ -25,25 +24,19 @@ from .channels import (
     trivial_resource,
 )
 from .entropic import (
-    coherent_information,
-    holevo_information,
     mutual_information,
     von_neumann_entropy,
 )
 from .rates import (
     RateReport,
-    build_gamma,
     classical_embed,
-    marginal_constraint_residual,
     theorem1_rate,
     trivial_rate,
     unassisted_rate,
 )
 from .optimize import (
-    GridOracleSpec,
     OptimizerConfig,
     OptResult,
-    grid_oracle,
     optimize_channel_functional,
     optimize_theorem1,
     optimize_unassisted,

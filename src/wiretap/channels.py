@@ -51,7 +51,6 @@ __all__ = [
     "constant_channel",
     "classical_channel",
     "trivial_resource",
-    "channel_action_matrix",
     "channel_to_json",
     "channel_from_json",
     "ensemble_to_json",
@@ -141,11 +140,6 @@ def apply(ch: QuantumChannel, rho: DensityOperator, on: Sequence[str]) -> Densit
     else:
         new_space = ch.output_space
     return DensityOperator(new_space, out, validate=False)
-
-
-def channel_action_matrix(ch: QuantumChannel) -> np.ndarray:
-    """Superoperator matrix (column-stacking convention); basis for equality checks."""
-    return sum(np.kron(k.conj(), k) for k in ch.kraus)
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +244,6 @@ class CqEnsemble:
     @property
     def space(self) -> LabeledSpace:
         return self.states[0].space
-
-    def average_state(self) -> DensityOperator:
-        m = sum(q * s.matrix for q, s in zip(self.probs, self.states))
-        return DensityOperator(self.space, m, validate=False)
 
 
 def cq_state(ens: CqEnsemble) -> DensityOperator:

@@ -1,4 +1,4 @@
-"""Entropy and information functionals over states and ensembles.
+"""Entropy and information functionals over states.
 
 All quantities are plain floats in bits: every entropy takes ``np.log2``
 of the eigenvalues above ``ENTROPY_EIGENVALUE_CUTOFF``.
@@ -10,15 +10,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .channels import CqEnsemble
 from .qcore import DensityOperator, ValidationError, partial_trace
 
 __all__ = [
     "ENTROPY_EIGENVALUE_CUTOFF",
     "von_neumann_entropy",
     "mutual_information",
-    "coherent_information",
-    "holevo_information",
 ]
 
 # Eigenvalues below this contribute zero entropy (0 log 0 = 0 convention,
@@ -58,35 +55,3 @@ def mutual_information(
     s_b = von_neumann_entropy(partial_trace(joint, b))
     s_ab = von_neumann_entropy(joint)
     return s_a + s_b - s_ab
-
-
-def coherent_information(rho: DensityOperator, bob: Iterable[str] | None = None) -> float:
-    """I(A>B) = S(B) - S(AB); may be negative.
-
-    With ``bob=None`` the state must be bipartite and the second factor
-    plays the role of B; otherwise ``bob`` names B's factors and the rest
-    form A.
-    """
-    if bob is None:
-        if len(rho.space.factors) != 2:
-            raise ValidationError(
-                f"state has {len(rho.space.factors)} factors; pass bob= for non-bipartite input"
-            )
-        bob = {rho.space.labels[1]}
-    bob = set(bob)
-    s_b = von_neumann_entropy(partial_trace(rho, bob))
-    s_ab = von_neumann_entropy(rho)
-    return s_b - s_ab
-
-
-def holevo_information(ens: CqEnsemble) -> float:
-    """Holevo quantity S(avg) - sum_u q(u) S(rho_u).
-
-    Equals the mutual information across the register cut of the ensemble's
-    cq-state; computed here blockwise as an independent code path.
-    """
-    s_avg = von_neumann_entropy(ens.average_state())
-    s_members = sum(
-        float(q) * von_neumann_entropy(s) for q, s in zip(ens.probs, ens.states) if q > 0
-    )
-    return s_avg - s_members

@@ -28,9 +28,7 @@ search is the same search on the empty resource, ``trivial_resource()``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,7 +39,6 @@ from .qcore import (
     TOL_EQ,
     DensityOperator,
     LabeledSpace,
-    ResourceLimitError,
     ValidationError,
     check_working_bytes,
 )
@@ -60,11 +57,9 @@ __all__ = [
     "OptResult",
     "TracePoint",
     "OptimizationError",
-    "GridOracleSpec",
     "optimize_theorem1",
     "optimize_unassisted",
     "optimize_channel_functional",
-    "grid_oracle",
 ]
 
 
@@ -446,83 +441,3 @@ def optimize_unassisted(channel: QuantumChannel, cfg: OptimizerConfig) -> OptRes
     return _search_instruments(
         channel, trivial_resource(), lambda ens: unassisted_rate(ens, channel), cfg
     )
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GridOracleSpec:
-    """Discretization of the product-member family used for validation.
-
-    Members are pure qubit signals from a polar-angle grid tensored with
-    the resource marginal (always feasible); probabilities come from a
-    simplex grid with denominator ``prob_points``.
-    """
-
-    num_members: int = 2
-    theta_points: int = 9
-    phi_points: int = 6
-    prob_points: int = 8
-    cap: int = 10_000_000
-
-
-def _compositions(total: int, parts: int) -> np.ndarray:
-    """Every way to write ``total`` as ``parts`` nonnegative integers, one
-    per row, in lexicographic order: stars and bars, each choice of
-    parts - 1 bar positions among total + parts - 1 slots is one row."""
-    slots = total + parts - 1
-    bars = np.array(list(combinations(range(slots), parts - 1)), dtype=int)
-    edges = np.pad(
-        bars.reshape(len(bars), parts - 1), ((0, 0), (1, 1)), constant_values=((0, 0), (-1, slots))
-    )
-    return np.diff(edges, axis=1) - 1
-
-
-def grid_oracle(
-    channel: QuantumChannel, res: ResourceState, spec: GridOracleSpec = GridOracleSpec()
-) -> float:
-    """Exhaustive search over a discretized feasible-ensemble family.
-
-    Only meant to validate the optimizers on tiny instances: signal space
-    must be a qubit, and the total number of grid points must stay under
-    ``spec.cap`` (refused otherwise, with the size estimate).
-    """
-    signal_space = channel.input_space
-    if signal_space.dim != 2:
-        raise ValidationError("grid oracle supports two-dimensional signal spaces only")
-
-    vectors = [np.array([1.0, 0.0]), np.array([0.0, 1.0])] + [
-        np.array([np.cos(th / 2), np.exp(1j * ph) * np.sin(th / 2)])
-        for th in np.linspace(0.0, np.pi, spec.theta_points)[1:-1]
-        for ph in np.linspace(0.0, 2 * np.pi, spec.phi_points, endpoint=False)
-    ]
-
-    k = spec.num_members
-    n_states = len(vectors)
-    n_member_sets = math.comb(n_states + k - 1, k)
-    n_prob_vectors = math.comb(spec.prob_points + k - 1, k - 1)
-    total = n_member_sets * n_prob_vectors
-    if total > spec.cap:
-        raise ResourceLimitError(
-            f"grid oracle would evaluate {total} points (> cap {spec.cap}); "
-            f"shrink the grid or raise the cap"
-        )
-
-    # Every grid member is (pure signal) x (resource marginal), so its Bob,
-    # Eve and A' marginals are computed once per pool state, the first two by
-    # one side-map product each; each member set then costs one batched
-    # eigensolve per Holevo term, over all probability vectors at once.
-    kernel = _CqKernel(channel, res)
-    pool = np.stack([np.kron(np.outer(v, v.conj()), kernel.marginal.matrix) for v in vectors])
-    sides = (*kernel.sides(pool), kernel.reference_marginals(pool))
-
-    probs = _compositions(spec.prob_points, k) / spec.prob_points
-
-    best = -np.inf
-    for combo in combinations_with_replacement(range(n_states), k):
-        i_bb, i_ee, i_ap = (_holevo(x[list(combo)], probs) for x in sides)
-        best = max(best, float(np.max(i_bb - np.maximum(i_ee, i_ap))))
-    return float(best)

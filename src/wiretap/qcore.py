@@ -32,7 +32,6 @@ __all__ = [
     "partial_trace",
     "permute_factors",
     "purify",
-    "fidelity",
     "trace_distance",
     "hermitian_trace_norm",
     "uhlmann_fixup",
@@ -303,22 +302,6 @@ def purify(rho: DensityOperator, aux_label: str) -> DensityOperator:
     return DensityOperator(space, np.outer(vec, vec.conj()), validate=False)
 
 
-def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(matrix)
-    w = np.sqrt(np.clip(w, 0.0, None))
-    return (v * w) @ v.conj().T
-
-
-def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Fidelity F = trace-norm of sqrt(rho) sqrt(sigma), in [0, 1]."""
-    if rho.space != sigma.space:
-        raise ValidationError("fidelity requires states on the same space")
-    s = _psd_sqrt(rho.matrix)
-    w = np.linalg.eigvalsh(s @ sigma.matrix @ s)
-    f = float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
-    return min(max(f, 0.0), 1.0)
-
-
 def hermitian_trace_norm(x: np.ndarray) -> float:
     """Trace norm of a Hermitian matrix via its eigenvalues; NaN when its
     diagonal holds a NaN, which the eigensolver would read as 0."""
@@ -441,6 +424,14 @@ def complex_matrix_to_json(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
+def _holds_bool(nested, depth: int) -> bool:
+    """Whether a regular ``depth``-deep nest of sequences holds a bool, which
+    numpy would read as the number 0 or 1."""
+    for _ in range(depth - 1):
+        nested = [x for seq in nested for x in seq]
+    return any(isinstance(x, bool) for x in nested)
+
+
 def complex_matrix_from_json(obj, rows: int, cols: int, what: str = "matrix") -> np.ndarray:
     try:
         arr = np.asarray(obj, dtype=np.float64)
@@ -450,6 +441,8 @@ def complex_matrix_from_json(obj, rows: int, cols: int, what: str = "matrix") ->
         raise ValidationError(
             f"{what} has shape {arr.shape}, expected ({rows}, {cols}, 2) of [re, im] pairs"
         )
+    if _holds_bool(obj, 3):
+        raise ValidationError(f"{what} entries must be numbers, not booleans")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{what} entries must be finite")
     return arr[..., 0] + 1j * arr[..., 1]

@@ -16,14 +16,13 @@ Three functionals share one report type:
   whose one-dimensional shares leave the channel's outputs as they are.
 
 Every I(U:X) is a Holevo quantity S(sum_u q_u rho_u) - sum_u q_u S(rho_u)
-of the members' X-side states.  All three functionals, the grid oracle and
-the code simulator's member outputs run on one kernel, ``_CqKernel``: it
-holds one linear map per side, Bob's (Tr_{E,rest} N) x (Tr_E' Z) and Eve's
+of the members' X-side states.  All three functionals and the code
+simulator's member outputs run on one kernel, ``_CqKernel``: it holds one
+linear map per side, Bob's (Tr_{E,rest} N) x (Tr_E' Z) and Eve's
 (Tr_{B,rest} N) x (Tr_B' Z), so a stacked (k, d, d) member array reaches
 both marginals in one matrix product per side; each Holevo term is then
-one batched eigensolve over [average; members].  The block-diagonal cq-state path
-(``build_gamma``, ``cq_state``, ``mutual_information``) is kept as the
-reference that the tests compare the kernel against.
+one batched eigensolve over [average; members].  The tests check it against
+the cq-state of the members pushed through one by one (``tests/reference.py``).
 
 All functionals evaluate exactly one channel use; multi-letter evaluation
 is the caller's job (tensorize the channel and resource explicitly).
@@ -44,8 +43,6 @@ from .channels import (
     QuantumChannel,
     ResourceState,
     _validated_probs,
-    apply,
-    cq_state,
     trivial_resource,
 )
 from .entropic import _entropies
@@ -53,17 +50,15 @@ from .qcore import (
     DensityOperator,
     LabeledSpace,
     ValidationError,
+    _holds_bool,
     _permuted,
     check_working_bytes,
     hermitian_trace_norm,
-    partial_trace,
 )
 
 __all__ = [
     "FEASIBILITY_THRESHOLD",
     "RateReport",
-    "build_gamma",
-    "marginal_constraint_residual",
     "theorem1_rate",
     "trivial_rate",
     "unassisted_rate",
@@ -254,29 +249,6 @@ class _CqKernel:
         return float(_holevo(margs, np.asarray(probs))), residual
 
 
-def build_gamma(
-    ens: CqEnsemble,
-    channel: QuantumChannel,
-    res: ResourceState,
-) -> DensityOperator:
-    """cq-state after pushing every member through channel x resource channel."""
-    signal = _signal_labels(ens, res, channel)
-    members = [
-        apply(res.z_channel, apply(channel, s, on=signal), on=[AUX_LABEL])
-        for s in ens.states
-    ]
-    return cq_state(CqEnsemble(ens.labels, ens.probs, members))
-
-
-def marginal_constraint_residual(ens: CqEnsemble, res: ResourceState) -> float:
-    """Trace norm of (average reference marginal) - (resource marginal)."""
-    _signal_labels(ens, res)  # validates presence and dimension
-    avg = sum(
-        q * partial_trace(s, {AUX_LABEL}).matrix for q, s in zip(ens.probs, ens.states)
-    )
-    return hermitian_trace_norm(avg - res.zeta_marginal.matrix)
-
-
 def theorem1_rate(
     ens: CqEnsemble,
     channel: QuantumChannel,
@@ -364,6 +336,8 @@ def classical_embed(pmf: np.ndarray) -> DensityOperator:
         raise ValidationError("pmf entries must be numbers") from None
     if p.ndim != 3:
         raise ValidationError(f"pmf must be a 3-way array, got shape {p.shape}")
+    if _holds_bool(pmf, 3):
+        raise ValidationError("pmf entries must be numbers, not booleans")
     if not np.all(np.isfinite(p)):
         raise ValidationError("pmf entries must be finite")
     if np.any(p < 0):

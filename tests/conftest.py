@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from reference import channel_action_matrix
 from wiretap.channels import (
     AUX_LABEL,
     CqEnsemble,
     QuantumChannel,
     ResourceState,
     apply,
-    channel_action_matrix,
     channel_from_resource_state,
 )
 from wiretap.qcore import (

@@ -29,6 +29,7 @@ from conftest import (
     rng,
     superdense_ensemble,
 )
+from reference import fidelity, grid_oracle
 from wiretap.channels import (
     CqEnsemble,
     QuantumChannel,
@@ -46,7 +47,6 @@ from wiretap.measures import (
 )
 from wiretap.optimize import (
     OptimizerConfig,
-    grid_oracle,
     optimize_theorem1,
     optimize_unassisted,
 )
@@ -54,7 +54,6 @@ from wiretap.qcore import (
     DensityOperator,
     LabeledSpace,
     basis_state,
-    fidelity,
     hermitian_trace_norm,
     permute_factors,
     tensor,

@@ -20,11 +20,11 @@ from conftest import (
     random_unitary,
     rng,
 )
+from reference import channel_action_matrix
 from wiretap.channels import (
     CqEnsemble,
     QuantumChannel,
     apply,
-    channel_action_matrix,
     channel_from_json,
     channel_from_resource_state,
     channel_to_json,

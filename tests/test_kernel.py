@@ -28,6 +28,13 @@ from conftest import (
     random_unitary,
     rng,
 )
+from reference import (
+    GridOracleSpec,
+    build_gamma,
+    grid_oracle,
+    holevo_information,
+    marginal_constraint_residual,
+)
 from wiretap import measures, optimize
 from wiretap.channels import (
     AUX_LABEL,
@@ -40,15 +47,13 @@ from wiretap.channels import (
     trivial_resource,
 )
 from wiretap.codesim import _member_outputs
-from wiretap.entropic import holevo_information, mutual_information, von_neumann_entropy
+from wiretap.entropic import mutual_information, von_neumann_entropy
 from wiretap.measures import _channel_inits, _ChannelKernel
 from wiretap.optimize import (
-    GridOracleSpec,
     OptimizerConfig,
     _discrete_weyl,
     _env_ladder,
     _StinespringParam,
-    grid_oracle,
     optimize_theorem1,
 )
 from wiretap.qcore import (
@@ -61,9 +66,7 @@ from wiretap.qcore import (
 )
 from wiretap.rates import (
     _instrument,
-    build_gamma,
     classical_embed,
-    marginal_constraint_residual,
     theorem1_rate,
     trivial_rate,
     unassisted_rate,

@@ -11,9 +11,10 @@ from conftest import (
     random_unitary,
     rng,
 )
+from reference import coherent_information
 from wiretap import measures, optimize
 from wiretap.channels import apply
-from wiretap.entropic import coherent_information, von_neumann_entropy
+from wiretap.entropic import von_neumann_entropy
 from wiretap.measures import (
     dense_coding_advantage,
     duality_residual,

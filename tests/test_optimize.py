@@ -16,6 +16,7 @@ from conftest import (
     random_state,
     rng,
 )
+from reference import GridOracleSpec, _compositions, grid_oracle, marginal_constraint_residual
 from wiretap import measures, optimize, qcore
 from wiretap.channels import (
     AUX_LABEL,
@@ -31,16 +32,13 @@ from wiretap.optimize import (
     STEP_MIN,
     STEP_PATIENCE,
     STEP_SHRINK,
-    GridOracleSpec,
     OptimizerConfig,
     TracePoint,
     _coordinate_search,
     _StinespringParam,
     _basis_start,
-    _compositions,
     _discrete_weyl,
     _weyl_start,
-    grid_oracle,
     optimize_channel_functional,
     optimize_theorem1,
     optimize_unassisted,
@@ -57,7 +55,6 @@ from wiretap.qcore import (
 )
 from wiretap.rates import (
     _instrument,
-    marginal_constraint_residual,
     theorem1_rate,
     trivial_rate,
     unassisted_rate,

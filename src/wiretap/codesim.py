@@ -38,7 +38,6 @@ not restricted to typical sequences.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -52,6 +51,8 @@ from .qcore import (
     LabeledSpace,
     ResourceLimitError,
     ValidationError,
+    _integer,
+    _real,
     check_working_bytes,
     hermitian_trace_norm,
     partial_trace,
@@ -147,10 +148,9 @@ def code_parameters(
 
 def _code_size(rep: RateReport, n: int, epsilon: float, rate: float | None) -> CodeParams:
     """``code_parameters`` at block length n from the one-letter rate report ``rep``."""
-    if n < 1:
-        raise ValidationError(f"block length n must be >= 1, got {n}")
-    if not math.isfinite(epsilon) or not (rate is None or math.isfinite(rate)):
-        raise ValidationError(f"epsilon and rate must be finite, got {epsilon!r}, {rate!r}")
+    n = _integer(n, "block length n", 1)
+    epsilon = _real(epsilon, "epsilon")
+    rate = None if rate is None else _real(rate, "rate")
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
     log_s = n * (max(rep.i_u_ee, rep.i_u_aprime) + epsilon)
@@ -170,6 +170,8 @@ def _code_size(rep: RateReport, n: int, epsilon: float, rate: float | None) -> C
 def sample_codebook(ens: CqEnsemble, n: int, M: int, S: int, seed: int) -> np.ndarray:
     """Draw M bins of S codewords of length n i.i.d. from the ensemble law, as
     an (M, S, n) array of indices into the ensemble's labels."""
+    n, M, S = (_integer(v, name, 1) for v, name in ((n, "block length n"), (M, "M"), (S, "S")))
+    seed = _integer(seed, "seed", 0)
     total = M * S * n
     if total > WORD_CAP:
         raise ResourceLimitError(f"codebook would hold {total} symbols (> cap {WORD_CAP})")
@@ -496,14 +498,6 @@ def _gram_pgm_error(factors: np.ndarray, words: np.ndarray) -> float:
     return 1.0 - min(max(succ, 0.0), 1.0)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-
-
 def run_experiment(
     scenario: Scenario, n_list: Sequence[int], epsilon: float, trials: int, seed: int,
     rate: float | None = None,
@@ -511,19 +505,15 @@ def run_experiment(
     """Run the random-code experiment for each block length in ``n_list``.
 
     Deterministic in ``seed``: each (block length, trial) pair owns a
-    derived seed.  The arguments' types are checked first, then all
-    requested block lengths against the dimension caps and, in bytes,
-    against MAX_WORKING_BYTES, all before the first trial.
+    derived seed.  The arguments are checked first (epsilon and rate with
+    each code size), then all requested block lengths against the dimension
+    caps and, in bytes, against MAX_WORKING_BYTES, all before the first trial.
     """
-    listed = isinstance(n_list, (Sequence, np.ndarray)) and len(n_list) > 0
-    if not (listed and all(_is_int(n) and n >= 1 for n in n_list)):
+    if not (isinstance(n_list, (Sequence, np.ndarray)) and len(n_list) > 0):
         raise ValidationError(f"n must be a non-empty list of integers >= 1, got {n_list!r}")
-    if not (_is_int(trials) and trials >= 1):
-        raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
-    if not (_is_int(seed) and seed >= 0):
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
-    if not _is_number(epsilon) or not (rate is None or _is_number(rate)):
-        raise ValidationError(f"epsilon and rate must be finite numbers, got {epsilon!r}, {rate!r}")
+    n_list = [_integer(n, "n", 1) for n in n_list]
+    trials = _integer(trials, "trials", 1)
+    seed = _integer(seed, "seed", 0)
     if scenario.ensemble is None:
         raise ValidationError("code simulation needs a scenario with an ensemble")
     ens = scenario.ensemble

@@ -36,6 +36,7 @@ from .qcore import (
     LabeledSpace,
     ValidationError,
     _fresh_label,
+    _integer,
     partial_trace,
     permute_factors,
     purify,
@@ -85,11 +86,6 @@ class _ChannelKernel:
         z = y.reshape(*lead, env, d_out, self.d_pass, self.rank).swapaxes(-4, -2)
         return z.reshape(*lead, self.d_pass * d_out, env * self.rank)
 
-    def omega(self, kraus: np.ndarray) -> np.ndarray:
-        """sum_e (1 x K_e) rho (1 x K_e)^dagger as (..., pass*out, pass*out) matrices."""
-        z = self._z(kraus)
-        return z @ z.conj().swapaxes(-1, -2)
-
     def entropy(self, kraus: np.ndarray) -> np.ndarray:
         """Entropies in bits of the outputs, of shape (...), from the smaller Gram side."""
         z = self._z(kraus)
@@ -118,8 +114,7 @@ def _min_output_entropy(
     """Minimize S(pass, out) over channels from factor ``on`` of the
     bipartite ``rho`` to ``(out_label, cap)``.  The one channel search of
     both measures; ``cap_name`` and ``what`` word its refusals."""
-    if cap < 1:
-        raise ValidationError(f"{cap_name} must be positive")
+    cap = _integer(cap, cap_name, 1)
     kernel = _ChannelKernel(rho, on)
     # Checked before any start is built, each row counted as a top-rung pair.
     pair = kernel.search_bytes(cap)
@@ -172,9 +167,9 @@ def entanglement_of_purification(
     Purifies ``rho_cd`` canonically (purifier dimension = rank), then
     minimizes S(C, F) over post-processings of the purifier with
     dim(F) = ``dim_f_cap`` (default: the purifier dimension).  Larger caps
-    can only lower the value.  This is a non-convex minimization; the
-    result's ``best_value`` is an upper bound witnessed by its
-    ``best_channel``.
+    lower the true minimum, but this non-convex search can do worse at them
+    (``docs/decisions.md``); the result's ``best_value`` is an upper bound
+    witnessed by its ``best_channel``.
     """
     if len(rho_cd.space.factors) != 2:
         raise ValidationError("entanglement_of_purification expects a bipartite state")

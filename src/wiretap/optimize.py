@@ -5,11 +5,12 @@ Every search runs one driver, ``_restarts``, which maximizes a score of an
 the polar projection of a complex (d_out * env, d_in) matrix is an
 isometry, so every point is a CPTP map.  Each restart is a coordinate
 random search with shrinking steps on its own RNG stream (seed, restart
-index), so results are reproducible and adding restarts can only improve
-the best value.  The first restarts begin at structured Kraus stacks on
-the largest environment, so a search never reports worse than these
-known-good witnesses; the rest begin at random points and cycle through a
-ladder of environment sizes (Kraus-rank caps).  Restarts run in lockstep,
+index): results are reproducible, and more restarts never worsen the best
+restart, though the polish of a channel search can (``docs/decisions.md``).
+The first restarts begin at structured Kraus stacks on the largest
+environment, so a search never reports worse than these known-good
+witnesses; the rest begin at random points and cycle through a ladder of
+environment sizes (Kraus-rank caps).  Restarts run in lockstep,
 one objective call per iteration for a stack of them on the largest rung in
 use, a lower rung's restarts padded with zero Kraus operators (``_restarts``).
 
@@ -40,6 +41,7 @@ from .qcore import (
     DensityOperator,
     LabeledSpace,
     ValidationError,
+    _integer,
     check_working_bytes,
 )
 from .rates import (
@@ -93,19 +95,11 @@ class OptimizerConfig:
     max_iters: int = 1200
 
     def __post_init__(self) -> None:
-        for name in ("seed", "num_labels_max", "restarts", "max_iters"):
+        minimums = {"seed": 0, "num_labels_max": 1, "restarts": 1, "max_iters": 1}
+        for name, minimum in minimums.items():
             v = getattr(self, name)
-            if v is None and name == "num_labels_max":
-                continue
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {v!r}")
-        if self.seed < 0:
-            raise ValidationError("seed must be a nonnegative integer")
-        if self.num_labels_max is not None and self.num_labels_max < 1:
-            raise ValidationError("num_labels_max must be positive")
-        for name in ("restarts", "max_iters"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be positive")
+            if v is not None or name != "num_labels_max":
+                object.__setattr__(self, name, _integer(v, name, minimum))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -50,6 +51,49 @@ class ValidationError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """A requested computation exceeds a configured dimension or memory cap."""
+
+
+# The one rule for numbers from callers and files (README, "Conventions"):
+# every check of such a number goes through one of these three functions.
+
+
+def _integer(value, what: str, minimum: int | None = None) -> int:
+    """``value``, an int or numpy integer but no bool, as an ``int`` >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _real(value, what: str) -> float:
+    """``value``, a finite real number but no bool, as a ``float``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValidationError(f"{what} accepts finite numbers only, got {value!r}")
+    return float(value)
+
+
+def _reals(obj, what: str) -> np.ndarray:
+    """The real numbers in nested lists or an array as a finite float64 array.
+
+    Bools and numeric strings are refused, which numpy would read as 0, 1
+    and the number spelled.  The leaves of lists are walked; an array's
+    dtype stands for its entries unless it holds objects.
+    """
+    try:
+        leaves = obj if isinstance(obj, np.ndarray) else np.asarray(obj, dtype=object)
+    except ValueError as exc:
+        raise ValidationError(f"{what} entries must be real numbers: {exc}") from None
+    kinds = {type(x) for x in leaves.flat} if leaves.dtype == object else {leaves.dtype.type}
+    if any(issubclass(k, (bool, np.bool_)) for k in kinds):
+        raise ValidationError(f"{what} entries must be real numbers, not booleans")
+    others = sorted(k.__name__ for k in kinds if not issubclass(k, numbers.Real))
+    if others:
+        raise ValidationError(f"{what} entries must be real numbers, not {', '.join(others)}")
+    arr = np.asarray(obj, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{what} entries must be finite")
+    return arr
 
 
 # Fixed numerical policy.  TOL_HERM / TOL_TRACE guard construction, TOL_PSD
@@ -94,15 +138,15 @@ class LabeledSpace:
     factors: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        factors = tuple((str(lab), int(dim)) for lab, dim in self.factors)
+        factors = tuple(
+            (str(lab), _integer(dim, f"subsystem {lab!r} dimension", 1))
+            for lab, dim in self.factors
+        )
         object.__setattr__(self, "factors", factors)
         labels = [lab for lab, _ in factors]
         if len(set(labels)) != len(labels):
             dups = sorted({lab for lab in labels if labels.count(lab) > 1})
             raise ValidationError(f"duplicate subsystem labels {dups}")
-        for lab, dim in factors:
-            if dim < 1:
-                raise ValidationError(f"subsystem {lab!r} has dimension {dim} < 1")
         # Read on every state operation: computed once, outside the fields, so
         # equality, hashing and repr still see ``factors`` alone.
         object.__setattr__(self, "_dims", tuple(dim for _, dim in factors))
@@ -424,27 +468,12 @@ def complex_matrix_to_json(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
-def _holds_bool(nested, depth: int) -> bool:
-    """Whether a regular ``depth``-deep nest of sequences holds a bool, which
-    numpy would read as the number 0 or 1."""
-    for _ in range(depth - 1):
-        nested = [x for seq in nested for x in seq]
-    return any(isinstance(x, bool) for x in nested)
-
-
 def complex_matrix_from_json(obj, rows: int, cols: int, what: str = "matrix") -> np.ndarray:
-    try:
-        arr = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what} entries must be [re, im] number pairs: {exc}") from None
+    arr = _reals(obj, what)
     if arr.shape != (rows, cols, 2):
         raise ValidationError(
             f"{what} has shape {arr.shape}, expected ({rows}, {cols}, 2) of [re, im] pairs"
         )
-    if _holds_bool(obj, 3):
-        raise ValidationError(f"{what} entries must be numbers, not booleans")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{what} entries must be finite")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

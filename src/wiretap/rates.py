@@ -50,8 +50,8 @@ from .qcore import (
     DensityOperator,
     LabeledSpace,
     ValidationError,
-    _holds_bool,
     _permuted,
+    _reals,
     check_working_bytes,
     hermitian_trace_norm,
 )
@@ -330,19 +330,14 @@ def unassisted_rate(ens: CqEnsemble, channel: QuantumChannel) -> RateReport:
 
 def classical_embed(pmf: np.ndarray) -> DensityOperator:
     """Diagonal embedding of a joint pmf over X x Y x Z as a resource state on (Ap, Bp, Ep)."""
-    try:
-        p = np.asarray(pmf, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError("pmf entries must be numbers") from None
+    p = _reals(pmf, "pmf")
     if p.ndim != 3:
         raise ValidationError(f"pmf must be a 3-way array, got shape {p.shape}")
-    if _holds_bool(pmf, 3):
-        raise ValidationError("pmf entries must be numbers, not booleans")
-    if not np.all(np.isfinite(p)):
-        raise ValidationError("pmf entries must be finite")
     if np.any(p < 0):
         raise ValidationError(f"pmf has negative entries (min {p.min():.3e})")
     if abs(p.sum() - 1.0) > 1e-12:
         raise ValidationError(f"pmf sums to {p.sum():.15g}, not 1")
+    # The d x d diagonal and its complex128 copy: 24 bytes per matrix entry.
+    check_working_bytes(24 * p.size**2, f"the diagonal embedding of a {p.size}-entry pmf")
     space = LabeledSpace.of(("Ap", p.shape[0]), ("Bp", p.shape[1]), ("Ep", p.shape[2]))
     return DensityOperator(space, np.diag(p.reshape(-1)).astype(np.complex128), validate=False)

@@ -93,6 +93,22 @@ def test_gallery_classical_refuses_bad_pmf(tmp_path, capsys, pmf, message):
     assert message in json.loads(err.splitlines()[0])["error"]
 
 
+def test_gallery_classical_refuses_an_oversized_pmf_with_exit_3(tmp_path, capsys, monkeypatch):
+    # A 280 KB file of 16384 entries would make a 6 GiB diagonal resource.
+    def no_diag(*args, **kwargs):
+        raise AssertionError("np.diag reached")
+
+    monkeypatch.setattr(np, "diag", no_diag)
+    pmf_path = tmp_path / "pmf.json"
+    pmf_path.write_text(json.dumps([[[2.0**-14] * 2**14]]))
+    code, out, err = run_cli(
+        capsys, "gallery", "classical", "--pmf", str(pmf_path), "--out", str(tmp_path)
+    )
+    assert code == 3 and not out
+    assert json.loads(err.splitlines()[0])["type"] == "resource-limit"
+    assert not (tmp_path / "classical.json").exists()
+
+
 def test_rate_eval_trivial_gallery_all_modes(tmp_path, capsys):
     sc_path = tmp_path / "trivial.json"
     save_scenario(build_gallery("trivial"), sc_path)

@@ -303,3 +303,30 @@ def test_every_defaulted_public_parameter_is_passed_or_has_a_role():
     ):
         passed |= passed_parameters(path.read_text(), signatures)
     assert sorted(defaults - passed) == sorted(UNPASSED_DEFAULTS)
+
+
+def bool_checks(source: str) -> list[int]:
+    """Lines of the ``isinstance(..., bool)`` calls in ``source``, a tuple of
+    types and ``np.bool_`` included."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            types = node.args[-1].elts if isinstance(node.args[-1], ast.Tuple) else node.args[-1:]
+            if any(
+                getattr(t, "id", None) == "bool" or getattr(t, "attr", None) == "bool_"
+                for t in types
+            ):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_bool_checks_find_a_bool_in_a_tuple_of_types():
+    src = "isinstance(x, (int, bool))\nisinstance(y, int)\nisinstance(z, np.bool_)\n"
+    assert bool_checks(src) == [1, 3]
+
+
+def test_only_qcore_decides_what_is_a_number():
+    # What the package accepts as a number from outside is decided by
+    # qcore's _integer, _real and _reals; other modules call them.
+    found = {p.name: bool_checks(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines and name != "qcore.py"} == {}

@@ -30,6 +30,7 @@ from wiretap.channels import (
 from wiretap.qcore import (
     DensityOperator,
     LabeledSpace,
+    ResourceLimitError,
     ValidationError,
     basis_state,
     tensor,
@@ -310,6 +311,17 @@ def test_unassisted_rate_ignores_a_trivial_reference_copy():
 # ---------------------------------------------------------------------------
 # Classical embedding and the Shannon-theoretic reduction
 # ---------------------------------------------------------------------------
+
+
+def test_classical_embed_refuses_an_oversized_diagonal(monkeypatch):
+    # 16384 entries make a 16384 x 16384 diagonal, 24 bytes per entry across
+    # its float and complex copies (6 GiB): refused before np.diag builds it.
+    def no_diag(*args, **kwargs):
+        raise AssertionError("np.diag reached")
+
+    monkeypatch.setattr(np, "diag", no_diag)
+    with pytest.raises(ResourceLimitError, match="16384-entry pmf"):
+        classical_embed(np.full((1, 1, 2**14), 2.0**-14))
 
 
 def test_classical_embed_basic():
